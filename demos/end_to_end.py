@@ -1,45 +1,31 @@
-"""Walk through the full assessment: synthesize sea states for the
-built-in catalog, compute powers, optimize, and rank the sites.
+"""Walk through the full assessment with `wavepower.pipeline`: synthetic
+sea states for the built-in catalog, powers, optimum, ranking, zones.
 
 Run with: python3 demos/end_to_end.py
 """
 
-import numpy as np
+from datetime import datetime
 
 import wavepower as wp
-from wavepower.assessment import PointFeatures, SiteAssessment, feature_ranges
+from wavepower import pipeline
 
 env = wp.FluidEnvironment()
-rng = np.random.default_rng(0)
 
-# 1. The site catalog: 105 points around nine southern-Caspian ports.
-catalog = wp.builtin_catalog()
+# 1. The site catalog: 105 points around nine southern-Caspian ports. It
+# carries no bathymetry, so spread synthetic depths of 5-100 m over it.
+catalog = pipeline.apply_depths(wp.builtin_catalog(), depth_range=(5.0, 100.0))
 print(f"{len(catalog)} points in zones: {', '.join(catalog.zones())}")
 
-# The catalog carries no bathymetry; assign synthetic depths here.
-depths = {e.name: 5.0 + 95.0 * (e.index - 1) / 104 for e in catalog}
-
-# 2. Per-point sea states. Real use would ingest hourly Hs/Te summaries
-# or elevation records; here each point gets a year of noisy hourly
-# values around a site-specific mean.
-features, powers = [], {}
-for e in catalog:
-    hs_mean = 0.3 + 0.5 * rng.random()
-    te_mean = 3.0 + 2.0 * rng.random()
-    hs = hs_mean * (1 + 0.4 * rng.uniform(-1, 1, 8760))
-    te = te_mean * (1 + 0.2 * rng.uniform(-1, 1, 8760))
-    features.append(PointFeatures(point_id=e.name, zone=e.zone,
-                                  h_bar=float(hs.mean()),
-                                  t_bar=float(te.mean()),
-                                  depth=depths[e.name]))
-    powers[e.name] = float(wp.parametric_power(hs, te, env).mean())
+# 2. Per-point features and powers. Real use would ingest hourly Hs/Te
+# or elevation records; here each point gets a year of noisy hourly values.
+means = pipeline.schedule_means(catalog, hs_base=0.5, te_base=4.0)
+times = pipeline.timestamps(datetime(2006, 1, 1), hours=8760)
+rows = [pipeline.point_features(
+    e, pipeline.sea_state_series(e, means[e.name], times, seed=0), env)
+    for e in catalog]
 
 # 3. Optimize regular-wave power over the data's own bounds.
-arr = np.array([[f.h_bar, f.t_bar, f.depth] for f in features])
-bounds = wp.SearchBounds(lower=arr.min(axis=0), upper=arr.max(axis=0),
-                         labels=("H", "T", "d"))
-run = wp.gwo_maximize(lambda x: wp.regular_wave_power(x[0], x[1], x[2], env),
-                      bounds, wp.GwoConfig(agents=10, max_iter=200, seed=0))
+run = pipeline.optimize(pipeline.derived_bounds(f for f, _, _ in rows), env)
 h, t, d = run.best_position
 print(f"optimum: H={h:.3f} m, T={t:.3f} s, d={d:.1f} m "
       f"-> {run.best_value:.0f} W/m after {run.evaluations} evaluations")
@@ -47,25 +33,14 @@ print(f"optimum: H={h:.3f} m, T={t:.3f} s, d={d:.1f} m "
 # 4. Score each site against the optimum (min-max scaling keeps the
 # depth dimension from dominating) and rank.
 ref = wp.OptimalReference(h_opt=h, t_opt=t, d_opt=d)
-ranges = feature_ranges(features)
-assessed = [SiteAssessment(
-    point_id=f.point_id, zone=f.zone, h_bar=f.h_bar, t_bar=f.t_bar,
-    depth=f.depth, power_irregular=powers[f.point_id],
-    power_regular=wp.regular_wave_power(f.h_bar, f.t_bar, f.depth, env),
-    norm=wp.deviation_norm(f, ref, mode="minmax", ranges=ranges),
-    correlation=wp.correlation_score(f, ref)) for f in features]
-ranked = wp.rank_points(assessed)
-
+ranked = pipeline.assess(rows, ref, mode="minmax")
 print("\ntop five sites:")
 for s in ranked[:5]:
     print(f"  #{s.rank} {s.point_id:4s} ({s.zone}): norm={s.norm:.3f}, "
           f"corr={s.correlation:.4f}, P={s.power_irregular:.0f} W/m")
 
-# 5. Zone shares of the total resource.
-by_zone = {}
-for s in ranked:
-    by_zone.setdefault(s.zone, []).append(s.power_irregular)
-shares = wp.zone_shares(by_zone)
+# 5. Zone totals and shares of the total resource.
+totals, shares = pipeline.zone_totals(ranked, catalog.zones())
 print("\nzone shares:")
-for zone in catalog.zones():
-    print(f"  {zone:13s} {100 * shares[zone]:5.1f} %")
+for zone, total in totals.items():
+    print(f"  {zone:13s} {total:8.0f} W/m {100 * shares[zone]:5.1f} %")

@@ -1,491 +1,246 @@
 """Command-line pipeline: synth -> analyze -> optimize -> rank -> report.
 
-Every command is deterministic for a fixed seed; settings come from an
-optional JSON config file with flag overrides (flags win), and each
-stage echoes its effective settings to `<stage>_config.json` for
-provenance.
+Each stage reads its inputs, calls `wavepower.pipeline`, writes its
+outputs through `wavepower.data_io` and echoes its settings.
 """
 
 import argparse
 import json
+import math
 import os
 import sys
-from datetime import datetime, timedelta
+from datetime import datetime
+from os.path import exists, join
 
-import numpy as np
+from . import data_io, gwo, mechanics, pipeline
+from .errors import ConfigError, WavePowerError
 
-from . import assessment, data_io, gwo, spectral
-from .errors import ConfigError, JoinError, WavePowerError
-from .mechanics import FluidEnvironment, regular_wave_power
-
-FEATURE_COLUMNS = ["point", "zone", "h_bar_m", "t_bar_s", "depth_m",
-                   "power_irregular_wpm", "power_regular_wpm"]
-REFERENCE_COLUMNS = ["h_opt_m", "t_opt_s", "d_opt_m", "best_power_wpm"]
-
+# name -> (default, type or tuple of choices, help); every stage takes
+# every one as --name ("_" written "-"), and so may a JSON --config file.
 DEFAULTS = {
-    "rho": 1025.0,
-    "gravity": 9.81,
-    "agents": 10,
-    "iters": 200,
-    "seed": 0,
-    "bounds": None,          # H_min,H_max,T_min,T_max,d_min,d_max
-    "norm_mode": "raw",
-    "points": None,          # comma-separated point names
-    "catalog": "builtin",
-    "depth": None,           # constant depth for all points, m
-    "depth_range": None,     # "lo,hi" spread linearly across the catalog
-    "hours": 8760,
-    "start": "2006-01-01T00:00:00Z",
-    "hs_base": 0.5,
-    "te_base": 4.0,
-    "kind": "sea-states",    # synth output: sea-states | elevation | both
-    "duration": 1024.0,      # elevation synthesis, s
-    "dt": 0.5,
-    "segments": 8,
-    "taper": "raised-cosine",
-    "format": "delimited",
+    "rho": (1025.0, float, "water density, kg/m^3"),
+    "gravity": (9.81, float, "gravitational acceleration, m/s^2"),
+    "agents": (10, int, "GWO pack size"),
+    "iters": (200, int, "GWO iterations"),
+    "seed": (0, int, "random seed"),
+    "bounds": (None, str, "H_min,H_max,T_min,T_max,d_min,d_max"),
+    "norm_mode": ("raw", ("raw", "minmax"), "ranking norm"),
+    "points": (None, str, "comma-separated point names"),
+    "catalog": ("builtin", str, 'catalog CSV path or "builtin"'),
+    "depth": (None, float, "constant depth for all points, m"),
+    "depth_range": (None, str, "lo,hi depths spread across the catalog, m"),
+    "hours": (8760, int, "hourly sea states per point"),
+    "start": ("2006-01-01T00:00:00Z", str, "first sea-state timestamp"),
+    "hs_base": (0.5, float, "base of the per-point mean Hs schedule, m"),
+    "te_base": (4.0, float, "base of the per-point mean Te schedule, s"),
+    "kind": ("sea-states", ("sea-states", "elevation", "both"), "synth data"),
+    "duration": (1024.0, float, "elevation record length, s"),
+    "dt": (0.5, float, "elevation sample interval, s"),
+    "segments": (8, int, "minimum spectrum segments per record"),
+    "taper": ("raised-cosine", ("none", "raised-cosine"), "segment taper"),
+    "format": ("delimited", ("delimited", "structured"), "results format"),
 }
-
-# keys safe to echo into outputs (no filesystem paths, so reruns into
-# different directories stay byte-identical)
-_ECHO_KEYS = ["rho", "gravity", "agents", "iters", "seed", "bounds",
-              "norm_mode", "points", "depth", "depth_range", "hours",
-              "start", "hs_base", "te_base", "kind", "duration", "dt",
-              "segments", "taper", "format"]
-
-
-def _fmt(x):
-    return repr(float(x))
+# float settings are physical quantities: positive and finite
+INT_MIN = {"agents": 4, "iters": 1, "seed": 0, "hours": 1, "segments": 1}
+# echoed into outputs; no paths, so reruns elsewhere stay byte-identical
+ECHO_KEYS = [k for k in DEFAULTS if k != "catalog"]
 
 
 def build_parser():
     p = argparse.ArgumentParser(
-        prog="wavepower",
-        description="Wave-energy resource assessment pipeline")
+        prog="wavepower", description="Wave-energy resource assessment")
     sub = p.add_subparsers(dest="command", required=True)
-    for name, help_ in [
-            ("synth", "generate seeded synthetic input data"),
-            ("analyze", "compute per-point powers and feature vectors"),
-            ("optimize", "find the power-maximizing (H, T, d) reference"),
-            ("rank", "score and rank points against the reference"),
-            ("report", "emit plot-ready tables")]:
-        sp = sub.add_parser(name, help=help_)
+    for name, command in COMMANDS.items():
+        sp = sub.add_parser(name, help=command.__doc__)
         sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--rho", type=float)
-        sp.add_argument("--gravity", type=float)
-        sp.add_argument("--agents", type=int)
-        sp.add_argument("--iters", type=int)
-        sp.add_argument("--bounds",
-                        help="H_min,H_max,T_min,T_max,d_min,d_max")
-        sp.add_argument("--norm-mode", dest="norm_mode",
-                        choices=["raw", "minmax"])
-        sp.add_argument("--points", help="comma-separated point names")
         sp.add_argument("--out", default="out", help="output directory")
-        sp.add_argument("--catalog",
-                        help='catalog CSV path or "builtin" (default)')
-        sp.add_argument("--depth", type=float,
-                        help="constant depth for all points, m")
-        sp.add_argument("--depth-range", dest="depth_range",
-                        help="lo,hi depths spread across the catalog, m")
-        sp.add_argument("--hours", type=int)
-        sp.add_argument("--start")
-        sp.add_argument("--hs-base", dest="hs_base", type=float)
-        sp.add_argument("--te-base", dest="te_base", type=float)
-        sp.add_argument("--kind",
-                        choices=["sea-states", "elevation", "both"])
-        sp.add_argument("--duration", type=float)
-        sp.add_argument("--dt", type=float)
-        sp.add_argument("--segments", type=int)
-        sp.add_argument("--taper", choices=["none", "raised-cosine"])
-        sp.add_argument("--format", choices=["delimited", "structured"])
+        for key, (_, typ, text) in DEFAULTS.items():
+            kind = "choices" if isinstance(typ, tuple) else "type"
+            sp.add_argument("--" + key.replace("_", "-"), dest=key,
+                            help=text, **{kind: typ})
     return p
 
 
+def _numbers(key, text, count):
+    try:
+        values = [float(v) for v in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != count or not all(map(math.isfinite, values)):
+        raise ConfigError(f"{key} needs {count} comma-separated numbers")
+    return values
+
+
 def resolve_config(args):
-    cfg = dict(DEFAULTS)
-    if getattr(args, "config", None):
+    """Defaults, then the --config file, then flags, checked and parsed
+    before a stage writes anything; cfg["echo"] keeps the raw values."""
+    raw = {key: spec[0] for key, spec in DEFAULTS.items()}
+    if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
-        unknown = set(file_cfg) - set(DEFAULTS) - {"out", "catalog"}
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ConfigError(f"{args.config}: expected a JSON object")
+        unknown = set(doc) - set(DEFAULTS) - {"out"}  # --out always wins
         if unknown:
             raise ConfigError(
                 f"unknown config keys: {', '.join(sorted(unknown))}")
-        cfg.update(file_cfg)
-    cfg.setdefault("out", "out")
-    for key in set(cfg) | set(DEFAULTS):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    if getattr(args, "out", None):
-        cfg["out"] = args.out
+        raw.update((k, v) for k, v in doc.items() if k != "out")
+    raw.update((k, getattr(args, k)) for k in DEFAULTS
+               if getattr(args, k) is not None)
+    for key, value in raw.items():
+        default, typ, _ = DEFAULTS[key]
+        if isinstance(typ, tuple):
+            ok, want = value in typ, "one of " + ", ".join(typ)
+        elif typ is float:
+            ok = type(value) in (int, float) and 0 < value < math.inf
+            want = "a positive number"
+        elif typ is int:
+            ok = type(value) is int and value >= INT_MIN[key]
+            want = f"an integer >= {INT_MIN[key]}"
+        else:
+            ok, want = isinstance(value, str), "a string"
+        if not (ok or (value is None and default is None)):
+            raise ConfigError(f"{key} must be {want}, got {value!r}")
+    cfg = dict(raw, out=args.out, echo={k: raw[k] for k in ECHO_KEYS},
+               env=mechanics.FluidEnvironment(raw["rho"], raw["gravity"]))
+    if raw["bounds"] is not None:
+        b = _numbers("bounds", raw["bounds"], 6)
+        cfg["bounds"] = gwo.SearchBounds(lower=b[0::2], upper=b[1::2],
+                                         labels=("H", "T", "d"))
+    if raw["depth_range"] is not None:
+        cfg["depth_range"] = _numbers("depth_range", raw["depth_range"], 2)
+        if min(cfg["depth_range"]) <= 0:
+            raise ConfigError("depth_range must be positive")
+    names = [n.strip() for n in (raw["points"] or "").split(",")]
+    cfg["points"] = [n for n in names if n] or None
+    try:
+        cfg["start"] = datetime.strptime(raw["start"], pipeline.ISO_UTC)
+    except ValueError:
+        raise ConfigError("start must be like 2006-01-01T00:00:00Z") from None
     return cfg
 
 
-def _echo(cfg, stage, out_dir):
-    doc = {k: cfg[k] for k in _ECHO_KEYS}
-    path = os.path.join(out_dir, f"{stage}_config.json")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+def _echo(cfg, stage):
+    with open(join(cfg["out"], f"{stage}_config.json"), "w",
+              encoding="utf-8", newline="\n") as fh:
+        json.dump(cfg["echo"], fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _env(cfg):
-    return FluidEnvironment(rho=cfg["rho"], g=cfg["gravity"])
+def _catalog(cfg, path=None):
+    """The configured catalog with depths; `path` replaces the built-in."""
+    if cfg["catalog"] != "builtin":
+        path = cfg["catalog"]
+    catalog = data_io.load_catalog(path) if path else data_io.builtin_catalog()
+    return pipeline.apply_depths(catalog, cfg["depth_range"], cfg["depth"])
 
 
-def _parse_bounds(text):
-    parts = [float(v) for v in str(text).split(",")]
-    if len(parts) != 6:
-        raise ConfigError("--bounds needs 6 comma-separated values")
-    lower = np.array(parts[0::2])
-    upper = np.array(parts[1::2])
-    if np.any(lower >= upper):
-        raise ConfigError("degenerate bounds: every min must be below its max")
-    return gwo.SearchBounds(lower=lower, upper=upper, labels=("H", "T", "d"))
-
-
-def _load_catalog(cfg):
-    if cfg["catalog"] == "builtin":
-        catalog = data_io.builtin_catalog()
-    else:
-        catalog = data_io.load_catalog(cfg["catalog"])
-    return _apply_depths(catalog, cfg)
-
-
-def _apply_depths(catalog, cfg):
-    if cfg["depth_range"]:
-        lo, hi = (float(v) for v in str(cfg["depth_range"]).split(","))
-        n = len(catalog)
-        depths = {e.name: lo + (hi - lo) * i / max(n - 1, 1)
-                  for i, e in enumerate(catalog)}
-        return catalog.with_depths(depths)
-    if cfg["depth"] is not None:
-        return catalog.with_depths({e.name: cfg["depth"] for e in catalog})
-    if all(e.depth is not None for e in catalog):
-        return catalog
-    raise ConfigError(
-        "catalog carries no depths; pass --depth or --depth-range")
-
-
-def _select_points(catalog, cfg):
-    if not cfg["points"]:
-        return list(catalog)
-    names = [n.strip() for n in str(cfg["points"]).split(",") if n.strip()]
-    by_name = {e.name: e for e in catalog}
-    missing = [n for n in names if n not in by_name]
-    if missing:
-        raise JoinError(f"unknown points: {', '.join(missing)}",
-                        unmatched=missing)
-    return [by_name[n] for n in names]
-
-
-def _timestamps(start, hours):
-    t0 = datetime.strptime(start, "%Y-%m-%dT%H:%M:%SZ")
-    return tuple((t0 + timedelta(hours=h)).strftime("%Y-%m-%dT%H:%M:%SZ")
-                 for h in range(hours))
-
-
-def _schedule_means(cfg, n_points):
-    # deterministic per-point spread so sites differ but reruns agree
-    i = np.arange(n_points)
-    frac = i / max(n_points - 1, 1)
-    hs_means = cfg["hs_base"] * (0.6 + 0.8 * frac)
-    te_means = cfg["te_base"] * (0.8 + 0.4 * frac)
-    return hs_means, te_means
+def _stage_input(cfg, name, stage, loader):
+    path = join(cfg["out"], name)
+    if not exists(path):
+        raise ConfigError(f"{path} missing; run the `{stage}` stage first")
+    return loader(path)
 
 
 def cmd_synth(cfg):
-    catalog = _load_catalog(cfg)
-    points = _select_points(catalog, cfg)
-    out = cfg["out"]
+    """generate seeded synthetic input data"""
+    out, kind, catalog = cfg["out"], cfg["kind"], _catalog(cfg)
+    points = pipeline.select_points({e.name: e for e in catalog},
+                                    cfg["points"])
+    if kind != "sea-states":
+        pipeline.check_record_sampling(cfg["te_base"], cfg["dt"])
+    means = pipeline.schedule_means(catalog, cfg["hs_base"], cfg["te_base"])
+    times = pipeline.timestamps(cfg["start"], cfg["hours"])
     os.makedirs(out, exist_ok=True)
-    if cfg["kind"] in ("elevation", "both"):
-        # validate sampling before any file is written; the shortest
-        # per-point mean period is 0.8 * te_base
-        f_hi = 1.2 / (0.8 * cfg["te_base"])
-        if cfg["dt"] > 1.0 / (2.0 * f_hi):
-            raise ConfigError(
-                f"dt={cfg['dt']} violates Nyquist for the synthesis band "
-                f"(max frequency {f_hi:.4g} Hz)")
-
-    data_io.write_catalog(catalog, os.path.join(out, "catalog.csv"))
-    hs_means, te_means = _schedule_means(cfg, len(catalog))
-    mean_by_name = {e.name: (hs_means[i], te_means[i])
-                    for i, e in enumerate(catalog)}
-    times = _timestamps(cfg["start"], cfg["hours"])
-
-    if cfg["kind"] in ("sea-states", "both"):
-        ss_dir = os.path.join(out, "sea_states")
-        os.makedirs(ss_dir, exist_ok=True)
-        for e in points:
-            hs_mean, te_mean = mean_by_name[e.name]
-            rng = np.random.default_rng(cfg["seed"] + e.index)
-            hs = hs_mean * (1.0 + 0.4 * rng.uniform(-1, 1, len(times)))
-            te = te_mean * (1.0 + 0.2 * rng.uniform(-1, 1, len(times)))
-            # recentre so the series mean equals the schedule mean exactly
-            hs += hs_mean - hs.mean()
-            te += te_mean - te.mean()
-            series = data_io.SeaStateSeries(point=e.name, timestamps=times,
-                                            hs=hs, te=te)
-            data_io.write_sea_states(
-                series, os.path.join(ss_dir, f"{e.name}.csv"))
-
-    if cfg["kind"] in ("elevation", "both"):
-        el_dir = os.path.join(out, "elevation")
-        os.makedirs(el_dir, exist_ok=True)
-        for e in points:
-            hs_mean, te_mean = mean_by_name[e.name]
-            m0 = (hs_mean / 4.0) ** 2
-            f_lo, f_hi = 0.8 / te_mean, 1.2 / te_mean
-            df = (f_hi - f_lo) / 32
-            target = spectral.uniform_spectrum(m0 / (f_hi - f_lo),
-                                               f_lo, f_hi, df)
-            record = spectral.synthesize_record(
-                target, cfg["duration"], cfg["dt"],
-                seed=cfg["seed"] + e.index)
-            data_io.write_elevation(
-                record, os.path.join(el_dir, f"{e.name}.csv"))
-
-    _echo(cfg, "synth", out)
+    data_io.write_catalog(catalog, join(out, "catalog.csv"))
+    for e in points:
+        if kind != "elevation":
+            data_io.write_point(out, e.name, pipeline.sea_state_series(
+                e, means[e.name], times, cfg["seed"]))
+        if kind != "sea-states":
+            data_io.write_point(out, e.name, pipeline.elevation_record(
+                e, means[e.name], cfg["duration"], cfg["dt"], cfg["seed"]))
+    _echo(cfg, "synth")
     return 0
 
 
-def _analyze_point(entry, cfg, env):
-    out = cfg["out"]
-    ss_path = os.path.join(out, "sea_states", f"{entry.name}.csv")
-    el_path = os.path.join(out, "elevation", f"{entry.name}.csv")
-    if os.path.exists(ss_path):
-        series = data_io.load_sea_states(ss_path, point=entry.name)
-        h_bar = float(series.hs.mean())
-        t_bar = float(series.te.mean())
-        p_irr = float(spectral.parametric_power(series.hs, series.te,
-                                                env).mean())
-    elif os.path.exists(el_path):
-        record = data_io.load_elevation(el_path)
-        seg = spectral.SegmentationConfig.for_record(
-            record, segments=cfg["segments"], taper=cfg["taper"])
-        spec = spectral.estimate_spectrum(record, seg)
-        stats = spectral.sea_state_stats(spec)
-        h_bar, t_bar = stats.Hs, stats.Te
-        p_irr = spectral.irregular_wave_power(spec, env)
-    else:
-        raise FileNotFoundError(
-            f"no input data for point {entry.name} (looked for {ss_path} "
-            f"and {el_path})")
-    p_reg = regular_wave_power(h_bar, t_bar, entry.depth, env)
-    return (entry.name, entry.zone, h_bar, t_bar, entry.depth, p_irr, p_reg)
-
-
 def cmd_analyze(cfg):
-    catalog_path = os.path.join(cfg["out"], "catalog.csv")
-    if cfg["catalog"] == "builtin" and os.path.exists(catalog_path):
-        catalog = _apply_depths(data_io.load_catalog(catalog_path), cfg)
-    else:
-        catalog = _load_catalog(cfg)
-    points = _select_points(catalog, cfg)
-    env = _env(cfg)
-
+    """compute per-point powers and feature vectors"""
+    out = cfg["out"]
+    catalog_path = join(out, "catalog.csv")
+    catalog = _catalog(cfg, catalog_path if exists(catalog_path) else None)
     rows, failures = [], []
-    for entry in points:
+    for entry in pipeline.select_points({e.name: e for e in catalog},
+                                        cfg["points"]):
         try:
-            rows.append(_analyze_point(entry, cfg, env))
+            rows.append(pipeline.point_features(
+                entry, data_io.load_point(out, entry.name), cfg["env"],
+                cfg["segments"], cfg["taper"]))
         except (WavePowerError, OSError) as exc:
             failures.append((entry.name, str(exc)))
-
-    lines = [",".join(FEATURE_COLUMNS)]
-    lines.extend(f"{name},{zone},{_fmt(h)},{_fmt(t)},{_fmt(d)},"
-                 f"{_fmt(pi)},{_fmt(pr)}"
-                 for name, zone, h, t, d, pi, pr in rows)
-    data_io._write_text(os.path.join(cfg["out"], "features.csv"), lines)
-    _echo(cfg, "analyze", cfg["out"])
-
+    data_io.write_features(rows, join(out, "features.csv"))
+    _echo(cfg, "analyze")
     for name, msg in failures:
         print(f"analyze: point {name} failed: {msg}", file=sys.stderr)
     return 1 if failures else 0
 
 
-def _load_features(out_dir):
-    path = os.path.join(out_dir, "features.csv")
-    if not os.path.exists(path):
-        raise ConfigError(
-            f"{path} missing; run the `analyze` stage first")
-    rows = data_io._read_rows(path, FEATURE_COLUMNS)
-    feats, p_irr, p_reg = [], {}, {}
-    for _, (name, zone, h, t, d, pi, pr) in rows:
-        feats.append(assessment.PointFeatures(
-            point_id=name, zone=zone, h_bar=float(h), t_bar=float(t),
-            depth=float(d)))
-        p_irr[name] = float(pi)
-        p_reg[name] = float(pr)
-    return feats, p_irr, p_reg
-
-
-def _derived_bounds(feats):
-    arr = np.array([f.as_array() for f in feats])
-    lower, upper = arr.min(axis=0), arr.max(axis=0)
-    if np.any(lower >= upper):
-        labels = np.array(["H", "T", "d"])[lower >= upper]
-        raise ConfigError(
-            f"degenerate data-derived bounds in {', '.join(labels)}; "
-            f"pass --bounds explicitly")
-    return gwo.SearchBounds(lower=lower, upper=upper, labels=("H", "T", "d"))
-
-
 def cmd_optimize(cfg):
+    """find the power-maximizing (H, T, d) reference"""
     out = cfg["out"]
+    bounds = cfg["bounds"] or pipeline.derived_bounds(f for f, _, _ in (
+        _stage_input(cfg, "features.csv", "analyze", data_io.load_features)))
+    run = pipeline.optimize(bounds, cfg["env"], cfg["agents"], cfg["iters"],
+                            cfg["seed"])
     os.makedirs(out, exist_ok=True)
-    if cfg["bounds"]:
-        bounds = _parse_bounds(cfg["bounds"])
-    else:
-        feats, _, _ = _load_features(out)
-        bounds = _derived_bounds(feats)
-    env = _env(cfg)
-
-    def objective(x):
-        return regular_wave_power(x[0], x[1], x[2], env)
-
-    run = gwo.gwo_maximize(objective, bounds, gwo.GwoConfig(
-        agents=cfg["agents"], max_iter=cfg["iters"], seed=cfg["seed"]))
-
-    h, t, d = run.best_position
-    lines = [",".join(REFERENCE_COLUMNS),
-             f"{_fmt(h)},{_fmt(t)},{_fmt(d)},{_fmt(run.best_value)}"]
-    data_io._write_text(os.path.join(out, "reference.csv"), lines)
-    conv = ["iteration,best_power_wpm"]
-    conv.extend(f"{i},{_fmt(v)}" for i, v in enumerate(run.convergence))
-    data_io._write_text(os.path.join(out, "convergence.csv"), conv)
-    bounds_lines = ["dimension,lower,upper"]
-    bounds_lines.extend(
-        f"{lbl},{_fmt(lo)},{_fmt(hi)}" for lbl, lo, hi in
-        zip(("H", "T", "d"), bounds.lower, bounds.upper))
-    data_io._write_text(os.path.join(out, "bounds.csv"), bounds_lines)
-    _echo(cfg, "optimize", out)
+    data_io.write_reference(run, join(out, "reference.csv"))
+    data_io.write_convergence(run, join(out, "convergence.csv"))
+    data_io.write_bounds(bounds, join(out, "bounds.csv"))
+    _echo(cfg, "optimize")
     return 0
 
 
-def _load_reference(out_dir):
-    path = os.path.join(out_dir, "reference.csv")
-    if not os.path.exists(path):
-        raise ConfigError(
-            f"{path} missing; run the `optimize` stage first")
-    rows = data_io._read_rows(path, REFERENCE_COLUMNS)
-    _, (h, t, d, _) = rows[0]
-    return assessment.OptimalReference(h_opt=float(h), t_opt=float(t),
-                                       d_opt=float(d))
-
-
 def cmd_rank(cfg):
+    """score and rank points against the reference"""
     out = cfg["out"]
-    feats, p_irr, p_reg = _load_features(out)
-    ref = _load_reference(out)
-    if cfg["points"]:
-        names = [n.strip() for n in str(cfg["points"]).split(",")]
-        have = {f.point_id for f in feats}
-        missing = [n for n in names if n not in have]
-        if missing:
-            raise JoinError(
-                f"points missing from analyze output: {', '.join(missing)}",
-                unmatched=missing)
-        feats = [f for f in feats if f.point_id in set(names)]
-
-    mode = cfg["norm_mode"]
-    if mode == "raw":
+    rows = _stage_input(cfg, "features.csv", "analyze", data_io.load_features)
+    ref = _stage_input(cfg, "reference.csv", "optimize",
+                       data_io.load_reference)
+    rows = pipeline.select_points({r[0].point_id: r for r in rows},
+                                  cfg["points"])
+    if cfg["norm_mode"] == "raw":
         print("rank: raw norm mixes units; the depth dimension dominates "
               "(use --norm-mode minmax to rescale)", file=sys.stderr)
-    ranges = assessment.feature_ranges(feats) if mode == "minmax" else None
-    assessed = []
-    for f in feats:
-        assessed.append(assessment.SiteAssessment(
-            point_id=f.point_id, zone=f.zone, h_bar=f.h_bar, t_bar=f.t_bar,
-            depth=f.depth, power_irregular=p_irr[f.point_id],
-            power_regular=p_reg[f.point_id],
-            norm=assessment.deviation_norm(f, ref, mode=mode, ranges=ranges),
-            correlation=assessment.correlation_score(f, ref)))
-    ranked = assessment.rank_points(assessed)
-    data_io.write_results(ranked, None, os.path.join(out, "results.csv"),
-                          format="delimited")
+    ranked = pipeline.assess(rows, ref, cfg["norm_mode"])
+    totals, shares = pipeline.zone_totals(ranked, [f.zone for f, _, _ in rows])
+    data_io.write_results(ranked, None, join(out, "results.csv"))
     if cfg["format"] == "structured":
-        data_io.write_results(
-            ranked, None, os.path.join(out, "results.json"),
-            format="structured",
-            config={k: cfg[k] for k in _ECHO_KEYS})
-
-    zones = {}
-    for s in ranked:
-        zones.setdefault(s.zone, []).append(s.power_irregular)
-    # keep catalog zone order for deterministic output
-    zone_order = []
-    for f in feats:
-        if f.zone not in zone_order:
-            zone_order.append(f.zone)
-    totals = {z: float(np.sum(zones[z])) for z in zone_order}
-    shares = assessment.zone_shares(zones)
-    data_io.write_zone_shares(totals, shares,
-                              os.path.join(out, "zone_shares.csv"))
-    _echo(cfg, "rank", out)
+        data_io.write_results(ranked, None, join(out, "results.json"),
+                              format="structured", config=cfg["echo"])
+    data_io.write_zone_shares(totals, shares, join(out, "zone_shares.csv"))
+    _echo(cfg, "rank")
     return 0
 
 
 def cmd_report(cfg):
-    out = cfg["out"]
-    results_path = os.path.join(out, "results.csv")
-    if not os.path.exists(results_path):
-        raise ConfigError(f"{results_path} missing; run the `rank` stage "
-                          f"first")
-    rows = data_io._read_rows(results_path, data_io.RESULTS_COLUMNS)
-    recs = [(p, z, float(h), float(t), float(d), float(pi), float(pr),
-             float(nm), float(c), int(rk))
-            for _, (p, z, h, t, d, pi, pr, nm, c, rk) in rows]
-    rep = os.path.join(out, "report")
-    os.makedirs(rep, exist_ok=True)
-
-    def table(name, header, lines):
-        data_io._write_text(os.path.join(rep, name), [header] + lines)
-
-    table("power_by_point.csv", "point,zone,power_irregular_wpm",
-          [f"{r[0]},{r[1]},{_fmt(r[5])}" for r in recs])
-    zone_order, zone_tot = [], {}
-    for r in recs:
-        if r[1] not in zone_order:
-            zone_order.append(r[1])
-        zone_tot[r[1]] = zone_tot.get(r[1], 0.0) + r[5]
-    table("power_by_zone.csv", "zone,total_power_wpm",
-          [f"{z},{_fmt(zone_tot[z])}" for z in zone_order])
-    table("norm_by_point.csv", "point,norm",
-          [f"{r[0]},{_fmt(r[7])}" for r in recs])
-    p_max = max(r[5] for r in recs)
-    table("correlation_vs_power.csv", "point,correlation,normalized_power",
-          [f"{r[0]},{_fmt(r[8])},{_fmt(r[5] / p_max)}" for r in recs])
-    table("power_vs_hs_depth.csv", "point,h_bar_m,depth_m,power_irregular_wpm",
-          [f"{r[0]},{_fmt(r[2])},{_fmt(r[4])},{_fmt(r[5])}" for r in recs])
-
-    shares_path = os.path.join(out, "zone_shares.csv")
-    if os.path.exists(shares_path):
-        with open(shares_path, encoding="utf-8") as fh:
-            content = fh.read()
-        with open(os.path.join(rep, "zone_shares.csv"), "w",
-                  encoding="utf-8", newline="\n") as fh:
-            fh.write(content)
-    _echo(cfg, "report", out)
+    """emit plot-ready tables"""
+    ranked = _stage_input(cfg, "results.csv", "rank", data_io.load_results)
+    totals, shares = _stage_input(cfg, "zone_shares.csv", "rank",
+                                  data_io.load_zone_shares)
+    data_io.write_report(ranked, totals, shares, join(cfg["out"], "report"))
+    _echo(cfg, "report")
     return 0
 
 
-COMMANDS = {
-    "synth": cmd_synth,
-    "analyze": cmd_analyze,
-    "optimize": cmd_optimize,
-    "rank": cmd_rank,
-    "report": cmd_report,
-}
+COMMANDS = {"synth": cmd_synth, "analyze": cmd_analyze,
+            "optimize": cmd_optimize, "rank": cmd_rank, "report": cmd_report}
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        cfg = resolve_config(args)
-        return COMMANDS[args.command](cfg)
-    except WavePowerError as exc:
+        return COMMANDS[args.command](resolve_config(args))
+    except (WavePowerError, OSError, json.JSONDecodeError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -7,10 +7,12 @@ byte-identical files.
 """
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .assessment import OptimalReference, PointFeatures, SiteAssessment
 from .errors import DataError, DomainError, ParseError
 from .spectral import ElevationRecord
 
@@ -56,6 +58,9 @@ RESULTS_COLUMNS = ["point", "zone", "h_bar_m", "t_bar_s", "depth_m",
                    "power_irregular_wpm", "power_regular_wpm", "norm",
                    "correlation", "rank"]
 ZONE_SHARE_COLUMNS = ["zone", "total_power_wpm", "share"]
+FEATURE_COLUMNS = ["point", "zone", "h_bar_m", "t_bar_s", "depth_m",
+                   "power_irregular_wpm", "power_regular_wpm"]
+REFERENCE_COLUMNS = ["h_opt_m", "t_opt_s", "d_opt_m", "best_power_wpm"]
 
 
 def _fmt(x):
@@ -179,12 +184,9 @@ def load_catalog(path):
 
 
 def write_catalog(catalog, path):
-    lines = [",".join(CATALOG_COLUMNS)]
-    for e in catalog:
-        depth = _fmt(e.depth) if e.depth is not None else ""
-        lines.append(f"{e.index},{e.name},{e.zone},{_fmt(e.lat)},"
-                     f"{_fmt(e.lon)},{depth}")
-    _write_text(path, lines)
+    _write_text(path, _table(CATALOG_COLUMNS, (
+        (str(e.index), e.name, e.zone, e.lat, e.lon,
+         "" if e.depth is None else e.depth) for e in catalog)))
 
 
 @dataclass(frozen=True)
@@ -219,7 +221,6 @@ class SeaStateSeries:
 def load_sea_states(path, point=None):
     """Parse a sea-state CSV (timestamp,hs_m,te_s); point defaults to the
     file stem."""
-    import os
     if point is None:
         point = os.path.splitext(os.path.basename(path))[0]
     rows = _read_rows(path, SEA_STATE_COLUMNS)
@@ -286,15 +287,36 @@ def write_elevation(record, path):
     _write_text(path, lines)
 
 
+def _point_paths(directory, name):
+    return [os.path.join(directory, sub, f"{name}.csv")
+            for sub in ("sea_states", "elevation")]
+
+
+def write_point(directory, name, data):
+    """Write a SeaStateSeries or ElevationRecord where load_point looks."""
+    ss, el = _point_paths(directory, name)
+    path = ss if isinstance(data, SeaStateSeries) else el
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    (write_sea_states if path == ss else write_elevation)(data, path)
+
+
+def load_point(directory, name):
+    """directory/sea_states/<name>.csv, else elevation/<name>.csv."""
+    ss, el = _point_paths(directory, name)
+    if os.path.exists(ss):
+        return load_sea_states(ss, point=name)
+    if os.path.exists(el):
+        return load_elevation(el)
+    raise FileNotFoundError(
+        f"no input data for point {name} (looked for {ss} and {el})")
+
+
 def results_rows(assessments):
     """Assessments as delimited rows per the results schema."""
-    lines = [",".join(RESULTS_COLUMNS)]
-    for s in assessments:
-        lines.append(",".join([
-            s.point_id, s.zone, _fmt(s.h_bar), _fmt(s.t_bar), _fmt(s.depth),
-            _fmt(s.power_irregular), _fmt(s.power_regular), _fmt(s.norm),
-            _fmt(s.correlation), str(s.rank)]))
-    return lines
+    return _table(RESULTS_COLUMNS, (
+        (s.point_id, s.zone, s.h_bar, s.t_bar, s.depth, s.power_irregular,
+         s.power_regular, s.norm, s.correlation, str(s.rank))
+        for s in assessments))
 
 
 def write_results(assessments, run, path, format="delimited",
@@ -335,10 +357,108 @@ def write_results(assessments, run, path, format="delimited",
 
 def write_zone_shares(totals, shares, path):
     """Zone share table (zone,total_power_wpm,share) in zone order."""
-    lines = [",".join(ZONE_SHARE_COLUMNS)]
-    lines.extend(f"{zone},{_fmt(totals[zone])},{_fmt(shares[zone])}"
-                 for zone in totals)
-    _write_text(path, lines)
+    _write_text(path, _table(ZONE_SHARE_COLUMNS,
+                             ((z, totals[z], shares[z]) for z in totals)))
+
+
+def load_zone_shares(path):
+    """Zone share table as ({zone: total}, {zone: share}) in file order."""
+    rows = _records(path, ZONE_SHARE_COLUMNS, n_text=1)
+    return ({z: total for z, total, _ in rows},
+            {z: share for z, _, share in rows})
+
+
+def _records(path, columns, n_text):
+    """Data rows of a stage table: the first n_text fields as text, the
+    rest as floats. A table with no data rows is an error."""
+    rows = _read_rows(path, columns)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    out = []
+    for lineno, fields in rows:
+        try:
+            out.append(fields[:n_text] + [float(v) for v in fields[n_text:]])
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}", line=lineno) from None
+    return out
+
+
+def write_features(rows, path):
+    """features.csv: (PointFeatures, irregular power, regular power) rows."""
+    _write_text(path, _table(FEATURE_COLUMNS, (
+        (f.point_id, f.zone, f.h_bar, f.t_bar, f.depth, p_irr, p_reg)
+        for f, p_irr, p_reg in rows)))
+
+
+def load_features(path):
+    """features.csv back as (PointFeatures, irregular, regular power) rows."""
+    return [(PointFeatures(point_id=name, zone=zone, h_bar=h, t_bar=t,
+                           depth=d), p_irr, p_reg)
+            for name, zone, h, t, d, p_irr, p_reg in
+            _records(path, FEATURE_COLUMNS, n_text=2)]
+
+
+def write_reference(run, path):
+    """reference.csv: the optimizer's best (H, T, d) and its power."""
+    _write_text(path, _table(REFERENCE_COLUMNS,
+                             [(*run.best_position, run.best_value)]))
+
+
+def load_reference(path):
+    h, t, d, _ = _records(path, REFERENCE_COLUMNS, n_text=0)[0]
+    return OptimalReference(h_opt=h, t_opt=t, d_opt=d)
+
+
+def write_bounds(bounds, path):
+    """bounds.csv: the (H, T, d) search box the optimizer ran in."""
+    _write_text(path, _table(["dimension", "lower", "upper"], zip(
+        ("H", "T", "d"), bounds.lower, bounds.upper)))
+
+
+def write_convergence(run, path):
+    """convergence.csv: best power after each optimizer iteration."""
+    _write_text(path, _table(["iteration", "best_power_wpm"], (
+        (str(i), v) for i, v in enumerate(run.convergence))))
+
+
+def load_results(path):
+    """A delimited results file back as ranked SiteAssessments."""
+    return [SiteAssessment(point_id=p, zone=z, h_bar=h, t_bar=t, depth=d,
+                           power_irregular=p_irr, power_regular=p_reg,
+                           norm=nm, correlation=c, rank=int(rk))
+            for p, z, h, t, d, p_irr, p_reg, nm, c, rk in
+            _records(path, RESULTS_COLUMNS, n_text=2)]
+
+
+def write_report(ranked, totals, shares, directory):
+    """The plot-ready tables under `directory`: powers by point and zone,
+    norms, correlation vs power, power vs height and depth, zone shares."""
+    def table(name, header, rows):
+        _write_text(os.path.join(directory, name),
+                    _table(header.split(","), rows))
+
+    os.makedirs(directory, exist_ok=True)
+    p_max = max(s.power_irregular for s in ranked)
+    table("power_by_point.csv", "point,zone,power_irregular_wpm",
+          ((s.point_id, s.zone, s.power_irregular) for s in ranked))
+    table("power_by_zone.csv", "zone,total_power_wpm", totals.items())
+    table("norm_by_point.csv", "point,norm",
+          ((s.point_id, s.norm) for s in ranked))
+    table("correlation_vs_power.csv", "point,correlation,normalized_power",
+          ((s.point_id, s.correlation, s.power_irregular / p_max)
+           for s in ranked))
+    table("power_vs_hs_depth.csv", "point,h_bar_m,depth_m,power_irregular_wpm",
+          ((s.point_id, s.h_bar, s.depth, s.power_irregular) for s in ranked))
+    write_zone_shares(totals, shares,
+                      os.path.join(directory, "zone_shares.csv"))
+
+
+def _table(columns, rows):
+    """Header and rows of a delimited table: text as is, numbers as floats
+    with repr."""
+    return [",".join(columns)] + [
+        ",".join(v if isinstance(v, str) else _fmt(v) for v in row)
+        for row in rows]
 
 
 def _write_text(path, lines):

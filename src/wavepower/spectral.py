@@ -22,7 +22,6 @@ class ElevationRecord:
 
     dt: float
     samples: np.ndarray
-    origin_time: str | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "samples",

@@ -8,10 +8,13 @@ from wavepower import data_io
 from wavepower.cli import main
 
 
+STAGES = ["synth", "analyze", "optimize", "rank", "report"]
+
+
 def run_pipeline(out, seed=7, hours=48, extra=()):
     base = ["--out", str(out), "--seed", str(seed), "--hours", str(hours),
             "--depth-range", "5,100", "--points", "K1,K2,K3,K4,Z1,Z2"]
-    for cmd in ["synth", "analyze", "optimize", "rank", "report"]:
+    for cmd in STAGES:
         assert main([cmd] + base + list(extra)) == 0
 
 
@@ -196,3 +199,56 @@ class TestPipeline:
         results = read_lines(out / "results.csv")
         norms = [float(r.split(",")[7]) for r in results[1:]]
         assert all(0 <= n <= np.sqrt(3) + 1e-9 for n in norms)
+
+    def test_report_zone_totals_are_the_rank_totals(self, tmp_path):
+        # all 105 points: summing in ranked order disagreed in the last
+        # digits with the rank stage's totals for 4 of the 9 zones
+        out = tmp_path / "o"
+        for cmd in STAGES:
+            assert main([cmd, "--out", str(out), "--seed", "7", "--hours",
+                         "48", "--depth-range", "5,100"]) == 0
+        shares = [",".join(line.split(",")[:2])
+                  for line in read_lines(out / "zone_shares.csv")]
+        assert read_lines(out / "report" / "power_by_zone.csv") == shares
+
+
+# name -> (argv without --out, files to create first); {tmp} in an
+# argument is the test's temporary directory
+MALFORMED = {
+    "non-numeric bounds": (["optimize", "--bounds", "a,b,c,d,e,f"], {}),
+    "one-value depth range": (["synth", "--depth-range", "5"], {}),
+    "string agents in config": (
+        ["optimize", "--config", "{tmp}/cfg.json"],
+        {"cfg.json": '{"agents": "ten"}'}),
+    "missing config file": (
+        ["synth", "--depth", "30", "--config", "{tmp}/none.json"], {}),
+    "invalid JSON config": (
+        ["synth", "--config", "{tmp}/cfg.json"], {"cfg.json": "{depth: 30"}),
+    "missing catalog": (
+        ["synth", "--depth", "30", "--catalog", "{tmp}/none.csv"], {}),
+    "malformed start": (["synth", "--depth", "30", "--start", "2006"], {}),
+    "header-only features": (["optimize"], {"o/features.csv": (
+        "point,zone,h_bar_m,t_bar_s,depth_m,power_irregular_wpm,"
+        "power_regular_wpm")}),
+    "zero hours": (["synth", "--depth", "30", "--hours", "0"], {}),
+}
+
+
+def tree(root):
+    return sorted(os.path.relpath(os.path.join(d, n), root)
+                  for d, dirs, files in os.walk(root) for n in dirs + files)
+
+
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_input_fails_closed(case, tmp_path, capsys):
+    argv, files = MALFORMED[case]
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(text + "\n")
+    before = tree(tmp_path)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(argv[0] + ": ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert tree(tmp_path) == before
