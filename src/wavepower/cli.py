@@ -40,7 +40,7 @@ DEFAULTS = {
     "taper": ("raised-cosine", ("none", "raised-cosine"), "segment taper"),
     "format": ("delimited", ("delimited", "structured"), "results format"),
 }
-# float settings are physical quantities: positive and finite
+# least integer values; the floats are physical, so positive and finite
 INT_MIN = {"agents": 4, "iters": 1, "seed": 0, "hours": 1, "segments": 1}
 # echoed into outputs; no paths, so reruns elsewhere stay byte-identical
 ECHO_KEYS = [k for k in DEFAULTS if k != "catalog"]
