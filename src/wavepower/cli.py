@@ -76,15 +76,18 @@ def resolve_config(args):
     before a stage writes anything; cfg["echo"] keeps the raw values."""
     raw = {key: spec[0] for key, spec in DEFAULTS.items()}
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except UnicodeDecodeError:
+            raise ConfigError(f"{args.config}: not UTF-8 text") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"{args.config}: expected a JSON object")
-        unknown = set(doc) - set(DEFAULTS) - {"out"}  # --out always wins
+        unknown = set(doc) - set(DEFAULTS)
         if unknown:
             raise ConfigError(
                 f"unknown config keys: {', '.join(sorted(unknown))}")
-        raw.update((k, v) for k, v in doc.items() if k != "out")
+        raw.update(doc)
     raw.update((k, getattr(args, k)) for k in DEFAULTS
                if getattr(args, k) is not None)
     for key, value in raw.items():

@@ -132,8 +132,11 @@ def builtin_catalog():
 
 
 def _read_rows(path, required_columns):
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
     if not lines:
         raise ParseError(f"{path}: empty file")
     header = [c.strip() for c in lines[0].split(",")]

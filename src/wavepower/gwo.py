@@ -1,9 +1,10 @@
 """Seedable box-constrained Grey Wolf Optimizer (maximization).
 
 Alpha/beta/delta are the three best-ever evaluations (elitist memory),
-updated synchronously once per iteration; positions are clamped to the
-bounds after each move. Random draws follow a fixed documented order
-(agent index, then leader, then dimension) so runs are bit-reproducible.
+updated synchronously once per iteration; the pack moves as one array
+and is clamped to the bounds after each move. Each move draws all its
+random numbers at once, in a fixed documented order (agent, then r1
+before r2, then leader, then dimension), so runs are bit-reproducible.
 """
 
 from dataclasses import dataclass
@@ -71,79 +72,61 @@ def a_schedule(iteration, max_iter):
 
 
 def update_position(agent, leaders, a, rng):
-    """Move one agent toward the three leaders.
+    """Move one agent (ndim,) or a pack (agents, ndim) toward the leaders.
 
     Per leader L and dimension: C = 2*r2, D = |C*X_L - X|, A = 2*a*r1 - a,
     X_L' = X_L - A*D; the new position is the mean of the three X_L'.
-    r1 and r2 are drawn fresh per leader per dimension (leader-major order).
+    The draws come from one rng.random((*lead, 2, 3, ndim)), `lead` being
+    the agent shape less its last axis: per agent, r1 before r2, each
+    leader-major. So a pack moves exactly as its agents would one by one.
     """
     x = np.asarray(agent, dtype=float)
     L = np.asarray(leaders, dtype=float)
-    if L.shape != (3, x.size) or x.ndim != 1:
-        raise ContractError(
-            f"expected leaders of shape (3, {x.size}), got {L.shape}")
-    r1 = rng.random(L.shape)
-    r2 = rng.random(L.shape)
-    A = 2.0 * a * r1 - a
-    C = 2.0 * r2
-    D = np.abs(C * L - x)
-    return np.mean(L - A * D, axis=0)
-
-
-class _Leaders:
-    """Elitist top-3 memory; ties broken by earlier discovery then
-    lexicographic position."""
-
-    def __init__(self):
-        self._entries = []  # (value, seq, position)
-
-    def consider(self, value, seq, position):
-        self._entries.append((value, seq, position))
-        self._entries.sort(key=lambda e: (-e[0], e[1], tuple(e[2])))
-        del self._entries[3:]
-
-    @property
-    def best(self):
-        return self._entries[0]
-
-    def positions(self):
-        return np.array([e[2] for e in self._entries])
+    if x.ndim not in (1, 2) or L.shape != (3, x.shape[-1]):
+        raise ContractError(f"expected agents (ndim,) or (agents, ndim) and "
+                            f"leaders (3, ndim), got {x.shape}, {L.shape}")
+    r = rng.random((*x.shape[:-1], 2, *L.shape))
+    A = 2.0 * a * r[..., 0, :, :] - a
+    C = 2.0 * r[..., 1, :, :]
+    D = np.abs(C * L - x[..., None, :])
+    return np.mean(L - A * D, axis=-2)
 
 
 def gwo_maximize(objective, bounds, cfg=None):
     """Maximize `objective` over the bounds box.
 
-    Each iteration evaluates all agents, updates the alpha/beta/delta
-    trio once, then moves every agent and clamps it to the box. The
+    Each iteration evaluates the agents one position per call, updates the
+    alpha/beta/delta trio (the three best evaluations so far, the earlier
+    one first on ties) once, then moves and clamps the whole pack. The
     convergence curve holds the best-so-far value after each iteration.
     """
     cfg = cfg or GwoConfig()
     rng = np.random.default_rng(cfg.seed)
     pos = rng.uniform(bounds.lower, bounds.upper,
                       size=(cfg.agents, bounds.ndim))
-    leaders = _Leaders()
+    trio_pos = np.empty((0, bounds.ndim))
+    trio_val = np.empty(0)
     convergence = np.empty(cfg.max_iter)
-    evaluations = 0
-    seq = 0
 
     for it in range(cfg.max_iter):
-        for i in range(cfg.agents):
-            value = float(objective(pos[i]))
-            evaluations += 1
-            if not np.isfinite(value):
+        values = np.empty(cfg.agents)
+        for i, p in enumerate(pos):
+            values[i] = float(objective(p))
+            if not np.isfinite(values[i]):
                 raise EvaluationError(
-                    f"objective returned {value} at {pos[i].tolist()}",
-                    position=pos[i].copy())
-            leaders.consider(value, seq, pos[i].copy())
-            seq += 1
-        convergence[it] = leaders.best[0]
+                    f"objective returned {values[i]} at {p.tolist()}",
+                    position=p.copy())
+        # old trio, then this iteration: stable sort keeps the earlier tie
+        cand_val = np.concatenate([trio_val, values])
+        top = np.argsort(-cand_val, kind="stable")[:3]
+        trio_val = cand_val[top]
+        trio_pos = np.concatenate([trio_pos, pos])[top]
+        convergence[it] = trio_val[0]
 
         a = a_schedule(it, cfg.max_iter)
-        trio = leaders.positions()
-        for i in range(cfg.agents):
-            pos[i] = np.clip(update_position(pos[i], trio, a, rng),
-                             bounds.lower, bounds.upper)
+        pos = np.clip(update_position(pos, trio_pos, a, rng),
+                      bounds.lower, bounds.upper)
 
-    best_value, _, best_position = leaders.best
-    return GwoRun(best_position=best_position, best_value=best_value,
-                  convergence=convergence, evaluations=evaluations)
+    return GwoRun(best_position=trio_pos[0], best_value=float(trio_val[0]),
+                  convergence=convergence,
+                  evaluations=cfg.agents * cfg.max_iter)

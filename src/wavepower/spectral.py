@@ -143,19 +143,15 @@ def estimate_spectrum(record, cfg=None):
     w, wpow = _taper_window(L, cfg.taper)
     df = 1.0 / (L * record.dt)
 
-    acc = np.zeros(L // 2)
-    nseg = 0
-    for start in range(0, x.size - L + 1, step):
-        seg = x[start:start + L]
-        seg = seg - np.mean(seg)
-        X = np.fft.rfft(seg * w)
-        p = np.abs(X[1:L // 2 + 1]) ** 2
-        p[:-1] *= 2.0  # one-sided, except the Nyquist bin
-        acc += p / (L * L * df * wpow)
-        nseg += 1
+    segs = np.lib.stride_tricks.sliding_window_view(x, L)[::step]
+    segs = segs - np.mean(segs, axis=1, keepdims=True)
+    p = np.abs(np.fft.rfft(segs * w)[:, 1:]) ** 2
+    p[:, :-1] *= 2.0  # one-sided, except the Nyquist bin
+    # summed over axis 0: segment by segment, in record order
+    acc = np.sum(p / (L * L * df * wpow), axis=0)
 
     f = np.arange(1, L // 2 + 1) * df
-    return VarianceDensitySpectrum(f=f, S=acc / nseg, df=df)
+    return VarianceDensitySpectrum(f=f, S=acc / len(segs), df=df)
 
 
 def total_variance(spectrum):

@@ -83,6 +83,20 @@ class TestAnalyze:
         assert rc == 1
         assert "Z1" in capsys.readouterr().err
 
+    def test_non_utf8_point_data_fails_that_point(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        args = ["--out", str(out), "--seed", "1", "--hours", "48",
+                "--depth", "30", "--points", "K4,Z1"]
+        assert main(["synth"] + args) == 0
+        (out / "sea_states" / "Z1.csv").write_bytes(b"\xff\xfe{}\n")
+        assert main(["analyze"] + args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("analyze: point Z1 failed: ")
+        assert "not UTF-8" in err[0]
+        assert [ln.split(",")[0] for ln in
+                read_lines(out / "features.csv")[1:]] == ["K4"]
+
     def test_elevation_analysis_matches_closed_form(self, tmp_path):
         # monochromatic record: analyze recovers the deep-water power
         from wavepower.spectral import VarianceDensitySpectrum, \
@@ -212,8 +226,9 @@ class TestPipeline:
         assert read_lines(out / "report" / "power_by_zone.csv") == shares
 
 
-# name -> (argv without --out, files to create first); {tmp} in an
-# argument is the test's temporary directory
+# name -> (argv without --out, files to create first: text gets a final
+# newline, bytes are written as they are); {tmp} in an argument is the
+# test's temporary directory
 MALFORMED = {
     "non-numeric bounds": (["optimize", "--bounds", "a,b,c,d,e,f"], {}),
     "one-value depth range": (["synth", "--depth-range", "5"], {}),
@@ -231,6 +246,15 @@ MALFORMED = {
         "point,zone,h_bar_m,t_bar_s,depth_m,power_irregular_wpm,"
         "power_regular_wpm")}),
     "zero hours": (["synth", "--depth", "30", "--hours", "0"], {}),
+    "non-UTF-8 config": (
+        ["synth", "--depth", "30", "--config", "{tmp}/cfg.json"],
+        {"cfg.json": b"\xff\xfe{}"}),
+    "non-UTF-8 catalog": (
+        ["synth", "--depth", "30", "--catalog", "{tmp}/cat.csv"],
+        {"cat.csv": b"index,name,zone\xff,lat_deg,lon_deg,depth_m\n"}),
+    "out key in config": (
+        ["synth", "--depth", "30", "--config", "{tmp}/cfg.json"],
+        {"cfg.json": '{"out": "ignored"}'}),
 }
 
 
@@ -242,9 +266,11 @@ def tree(root):
 @pytest.mark.parametrize("case", list(MALFORMED))
 def test_malformed_input_fails_closed(case, tmp_path, capsys):
     argv, files = MALFORMED[case]
-    for name, text in files.items():
+    for name, data in files.items():
         (tmp_path / name).parent.mkdir(exist_ok=True)
-        (tmp_path / name).write_text(text + "\n")
+        if isinstance(data, str):
+            data = (data + "\n").encode()
+        (tmp_path / name).write_bytes(data)
     before = tree(tmp_path)
     argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
     assert main(argv + ["--out", str(tmp_path / "o")]) == 2

@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from wavepower.errors import ContractError, DomainError, EvaluationError
 from wavepower.gwo import (
     GwoConfig,
+    GwoRun,
     SearchBounds,
     a_schedule,
     gwo_maximize,
     update_position,
 )
+from wavepower.mechanics import regular_wave_power
 
 
 class ConstantRng:
@@ -151,3 +156,112 @@ class TestGwoMaximize:
         run = gwo_maximize(lambda x: float(x[0] + x[1]), bounds,
                            GwoConfig(agents=10, max_iter=200, seed=2))
         assert run.best_position == pytest.approx([1.0, 2.0], abs=1e-3)
+
+
+class _Leaders:
+    """Elitist top-3 memory; ties broken by earlier discovery then
+    lexicographic position."""
+
+    def __init__(self):
+        self._entries = []  # (value, seq, position)
+
+    def consider(self, value, seq, position):
+        self._entries.append((value, seq, position))
+        self._entries.sort(key=lambda e: (-e[0], e[1], tuple(e[2])))
+        del self._entries[3:]
+
+    @property
+    def best(self):
+        return self._entries[0]
+
+    def positions(self):
+        return np.array([e[2] for e in self._entries])
+
+
+def reference_update(x, L, a, rng):
+    """One agent's move, drawing r1 then r2 of shape (3, ndim)."""
+    r1 = rng.random(L.shape)
+    r2 = rng.random(L.shape)
+    A = 2.0 * a * r1 - a
+    C = 2.0 * r2
+    D = np.abs(C * L - x)
+    return np.mean(L - A * D, axis=0)
+
+
+def reference_gwo(objective, bounds, cfg):
+    """The optimizer one agent at a time, with a sorted leader list."""
+    rng = np.random.default_rng(cfg.seed)
+    pos = rng.uniform(bounds.lower, bounds.upper,
+                      size=(cfg.agents, bounds.ndim))
+    leaders = _Leaders()
+    convergence = np.empty(cfg.max_iter)
+    evaluations = 0
+    for it in range(cfg.max_iter):
+        for i in range(cfg.agents):
+            leaders.consider(float(objective(pos[i])), evaluations,
+                             pos[i].copy())
+            evaluations += 1
+        convergence[it] = leaders.best[0]
+        a = a_schedule(it, cfg.max_iter)
+        trio = leaders.positions()
+        for i in range(cfg.agents):
+            pos[i] = np.clip(reference_update(pos[i], trio, a, rng),
+                             bounds.lower, bounds.upper)
+    best_value, _, best_position = leaders.best
+    return GwoRun(best_position=best_position, best_value=best_value,
+                  convergence=convergence, evaluations=evaluations)
+
+
+PAPER_BOX = SearchBounds(lower=[0.1, 2.0, 5.0], upper=[0.6, 6.0, 100.0])
+CUBE = SearchBounds(lower=[-2.0, -2.0], upper=[2.0, 2.0])
+# objective, box; the last four are plateaus where most values tie
+REFERENCE_CASES = {
+    "paper power": (lambda x: regular_wave_power(*x), PAPER_BOX),
+    "sphere": (sphere, TestGwoMaximize.bounds3),
+    "constant": (lambda x: 1.0, CUBE),
+    "floor": (lambda x: float(np.floor(x[0] + x[1])), CUBE),
+    "round": (lambda x: float(np.round(x[0])), CUBE),
+    "signed zero": (lambda x: 0.0 if x[0] > 0 else -0.0, CUBE),
+}
+
+
+@pytest.mark.parametrize("case", list(REFERENCE_CASES))
+@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+def test_pack_run_bit_identical_to_per_agent_reference(case, seed):
+    objective, bounds = REFERENCE_CASES[case]
+    cfg = GwoConfig(agents=4 + seed % 7, max_iter=40, seed=seed)
+    want = reference_gwo(objective, bounds, cfg)
+    got = gwo_maximize(objective, bounds, cfg)
+    assert np.array_equal(got.best_position, want.best_position)
+    assert np.array_equal(np.signbit(got.best_position),
+                          np.signbit(want.best_position))
+    assert repr(got.best_value) == repr(want.best_value)
+    assert np.array_equal(got.convergence, want.convergence)
+    assert got.evaluations == want.evaluations
+
+
+def test_error_position_is_the_first_non_finite():
+    calls = []
+
+    def objective(x):
+        calls.append(x.copy())
+        return np.inf if len(calls) == 7 else 0.0
+
+    with pytest.raises(EvaluationError) as exc:
+        gwo_maximize(objective, CUBE, GwoConfig(agents=5, max_iter=3))
+    assert len(calls) == 7
+    assert np.array_equal(exc.value.position, calls[-1])
+
+
+@settings(max_examples=50, deadline=None)
+@given(agents=st.integers(1, 8), ndim=st.integers(1, 4),
+       seed=st.integers(0, 2 ** 32 - 1), a=st.floats(0.0, 2.0),
+       data=st.data())
+def test_pack_update_equals_per_agent_updates(agents, ndim, seed, a, data):
+    finite = st.floats(-1e3, 1e3)
+    pack = data.draw(arrays(float, (agents, ndim), elements=finite))
+    leaders = data.draw(arrays(float, (3, ndim), elements=finite))
+    rng = np.random.default_rng(seed)
+    one_by_one = [update_position(x, leaders, a, rng) for x in pack]
+    got = update_position(pack, leaders, a, np.random.default_rng(seed))
+    assert np.array_equal(got, np.array(one_by_one))

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavepower.errors import (
     DataError,
@@ -107,6 +109,63 @@ class TestEstimateSpectrum:
             rec, SegmentationConfig(segment_length=512, overlap_fraction=0.5))
         # white noise: compensated taper keeps the integral near the variance
         assert total_variance(spec) == pytest.approx(rec.variance(), rel=0.1)
+
+
+def reference_spectrum(record, cfg):
+    """Segment averaging one segment at a time, in record order."""
+    x, L = record.samples, cfg.segment_length
+    step = L - int(round(L * cfg.overlap_fraction))
+    if cfg.taper == "none":
+        w, wpow = np.ones(L), 1.0
+    else:
+        w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(L) / L)
+        wpow = float(np.mean(w * w))
+    df = 1.0 / (L * record.dt)
+    acc = np.zeros(L // 2)
+    nseg = 0
+    for start in range(0, x.size - L + 1, step):
+        seg = x[start:start + L]
+        seg = seg - np.mean(seg)
+        X = np.fft.rfft(seg * w)
+        p = np.abs(X[1:L // 2 + 1]) ** 2
+        p[:-1] *= 2.0
+        acc += p / (L * L * df * wpow)
+        nseg += 1
+    return np.arange(1, L // 2 + 1) * df, acc / nseg, df
+
+
+@pytest.mark.parametrize("taper", ["none", "raised-cosine"])
+@pytest.mark.parametrize("overlap", [0.0, 0.25, 0.5])
+def test_spectrum_bit_identical_to_per_segment_reference(overlap, taper):
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        for n in (64, 1000, 4099):
+            rec = ElevationRecord(dt=0.5, samples=3.0 + rng.normal(size=n))
+            for length in (16, 64, 512):
+                if length > n:
+                    continue
+                cfg = SegmentationConfig(length, overlap, taper)
+                f, S, df = reference_spectrum(rec, cfg)
+                spec = estimate_spectrum(rec, cfg)
+                assert np.array_equal(spec.f, f)
+                assert np.array_equal(spec.S, S)
+                assert spec.df == df
+
+
+@settings(max_examples=60, deadline=None)
+@given(log2_length=st.integers(4, 9), nseg=st.integers(1, 8),
+       tail=st.integers(0, 15), seed=st.integers(0, 2 ** 32 - 1),
+       loc=st.floats(-1e3, 1e3), scale=st.floats(1e-3, 1e3))
+def test_parseval_untapered_without_overlap(log2_length, nseg, tail, seed,
+                                            loc, scale):
+    length = 2 ** log2_length
+    rng = np.random.default_rng(seed)
+    x = loc + scale * rng.normal(size=nseg * length + tail)
+    spec = estimate_spectrum(ElevationRecord(dt=0.5, samples=x),
+                             SegmentationConfig(length, 0.0, "none"))
+    segment_variance = np.mean([np.var(x[i * length:(i + 1) * length])
+                                for i in range(nseg)])
+    assert total_variance(spec) == pytest.approx(segment_variance, rel=1e-12)
 
 
 class TestMomentsAndPower:
