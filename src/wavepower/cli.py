@@ -9,8 +9,9 @@ import json
 import math
 import os
 import sys
-from datetime import datetime
 from os.path import exists, join
+
+import numpy as np
 
 from . import data_io, gwo, mechanics, pipeline
 from .errors import ConfigError, WavePowerError
@@ -116,10 +117,9 @@ def resolve_config(args):
             raise ConfigError("depth_range must be positive")
     names = [n.strip() for n in (raw["points"] or "").split(",")]
     cfg["points"] = [n for n in names if n] or None
-    try:
-        cfg["start"] = datetime.strptime(raw["start"], pipeline.ISO_UTC)
-    except ValueError:
-        raise ConfigError("start must be like 2006-01-01T00:00:00Z") from None
+    (cfg["start"],) = data_io.parse_timestamps([raw["start"]])
+    if np.isnat(cfg["start"]):
+        raise ConfigError("start must be like 2006-01-01T00:00:00Z")
     return cfg
 
 

@@ -4,11 +4,17 @@ Delimited files are comma-separated UTF-8 with a header row, "." decimal
 separator and ISO-8601 UTC timestamps. Floats are written with repr so
 write-then-load round-trips exactly and identical inputs produce
 byte-identical files.
+
+Per-point data (sea states, elevation records) may also be an .npy file
+holding one structured array with the CSV's column names; the stages
+hand it on that way, so no float goes through text between them.
 """
 
+import functools
 import json
 import os
-from dataclasses import dataclass
+import warnings
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -61,6 +67,13 @@ ZONE_SHARE_COLUMNS = ["zone", "total_power_wpm", "share"]
 FEATURE_COLUMNS = ["point", "zone", "h_bar_m", "t_bar_s", "depth_m",
                    "power_irregular_wpm", "power_regular_wpm"]
 REFERENCE_COLUMNS = ["h_opt_m", "t_opt_s", "d_opt_m", "best_power_wpm"]
+# the .npy layouts of the per-point files
+SEA_STATE_DTYPE = np.dtype([("timestamp", "<M8[s]"), ("hs_m", "<f8"),
+                            ("te_s", "<f8")])
+ELEVATION_DTYPE = np.dtype([("time_s", "<f8"), ("eta_m", "<f8")])
+# the times that YYYY-MM-DDTHH:MM:SSZ can spell
+_FIRST_TIME = np.datetime64("0000-01-01T00:00:00", "s")
+_LAST_TIME = np.datetime64("9999-12-31T23:59:59", "s")
 
 
 def _fmt(x):
@@ -192,67 +205,200 @@ def write_catalog(catalog, path):
          "" if e.depth is None else e.depth) for e in catalog)))
 
 
+def parse_timestamps(stamps):
+    """YYYY-MM-DDTHH:MM:SSZ strings as datetime64[s]; NaT for any string
+    not exactly of that form (a bare date, another precision or zone).
+
+    The "Z" is stripped before numpy parses, and a value stands only if
+    it formats back to its own string.
+    """
+    stamps = tuple(stamps)
+    body = [s[:-1] if s[-1:] == "Z" else "" for s in stamps]
+    with warnings.catch_warnings():
+        # numpy warns on a zone offset; the round trip rejects it anyway
+        warnings.simplefilter("ignore")
+        try:
+            times = np.array(body, dtype="datetime64[s]")
+        except ValueError:  # some string numpy cannot read: one by one
+            times = np.array([_datetime_or_nat(b) for b in body],
+                             dtype="datetime64[s]")
+    times[format_timestamps(times) != np.array(stamps, dtype=str)] = \
+        np.datetime64("NaT")
+    return times
+
+
+def _datetime_or_nat(text):
+    try:
+        return np.datetime64(text, "s")
+    except ValueError:
+        return np.datetime64("NaT")
+
+
+def format_timestamps(times):
+    """datetime64 times as an array of YYYY-MM-DDTHH:MM:SSZ strings, "NaT"
+    for NaT."""
+    times = np.asarray(times, dtype="datetime64[s]")
+    out = np.char.add(np.datetime_as_string(times, unit="s"), "Z")
+    out[np.isnat(times)] = "NaT"
+    return out
+
+
+@functools.lru_cache(maxsize=4)
+def _stamps(raw):
+    """format_timestamps of datetime64[s] bytes as a tuple, cached: the
+    series of one run mostly share a time axis."""
+    return tuple(format_timestamps(np.frombuffer(raw, "<M8[s]")).tolist())
+
+
+def _sea_state_fault(stamps, times, hs, te):
+    """(row, reason) of the first invalid row of a sea-state series, or
+    None; on one row the checks run in the order listed."""
+    later = np.ones(times.size, dtype=bool)
+    later[1:] = times[1:] > times[:-1]
+    checks = [
+        (~((times >= _FIRST_TIME) & (times <= _LAST_TIME)),
+         "bad timestamp {stamp!r}, expected YYYY-MM-DDTHH:MM:SSZ"),
+        (~later, "non-increasing timestamp {stamp}"),
+        (~np.isfinite(hs), "non-finite Hs {hs}"),
+        (~np.isfinite(te), "non-finite Te {te}"),
+        (hs < 0, "negative Hs {hs}"),
+        (te <= 0, "non-positive Te {te}"),
+    ]
+    faults = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(checks)
+              if bad.any()]
+    if not faults:
+        return None
+    row, k = min(faults)
+    return row, checks[k][1].format(stamp=stamps[row], hs=hs[row],
+                                    te=te[row])
+
+
 @dataclass(frozen=True)
 class SeaStateSeries:
-    """Hourly (or otherwise sampled) Hs/Te summaries for one point."""
+    """Hourly (or otherwise sampled) Hs/Te summaries for one point.
+
+    `timestamps` may be given as YYYY-MM-DDTHH:MM:SSZ strings or as
+    datetime64 times; it is kept as the strings, and `times` holds the
+    same instants as datetime64[s].
+    """
 
     point: str
     timestamps: tuple  # ISO-8601 UTC strings, strictly increasing
     hs: np.ndarray
     te: np.ndarray
+    times: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if isinstance(self.timestamps, np.ndarray) and \
+                self.timestamps.dtype.kind == "M":
+            times = self.timestamps.astype("<M8[s]")
+            stamps = _stamps(times.tobytes())
+        else:
+            stamps = tuple(self.timestamps)
+            times = parse_timestamps(stamps)
+        object.__setattr__(self, "timestamps", stamps)
+        object.__setattr__(self, "times", times)
         object.__setattr__(self, "hs", np.asarray(self.hs, dtype=float))
         object.__setattr__(self, "te", np.asarray(self.te, dtype=float))
-        n = len(self.timestamps)
+        n = len(stamps)
         if n == 0:
             raise DataError(f"{self.point}: empty sea-state series")
         if self.hs.shape != (n,) or self.te.shape != (n,):
             raise DataError(f"{self.point}: column length mismatch")
-        if np.any(self.hs < 0) or np.any(self.te <= 0):
-            raise DataError(f"{self.point}: invalid Hs/Te values")
-        for a, b in zip(self.timestamps, self.timestamps[1:]):
-            if b <= a:
-                raise DataError(
-                    f"{self.point}: timestamps not strictly increasing "
-                    f"at {b}")
+        fault = _sea_state_fault(stamps, times, self.hs, self.te)
+        if fault:
+            raise DataError(f"{self.point}: row {fault[0]}: {fault[1]}")
 
     def __len__(self):
         return len(self.timestamps)
 
 
+def _is_npy(path):
+    return os.fspath(path).endswith(".npy")
+
+
+def _write_npy(path, dtype, *columns):
+    """One structured array of `dtype` whose fields are `columns`."""
+    arr = np.empty(len(columns[0]), dtype=dtype)
+    for name, values in zip(dtype.names, columns):
+        arr[name] = values
+    try:
+        with open(path, "wb") as fh:
+            np.save(fh, arr, allow_pickle=False)
+    except OSError as exc:
+        raise OSError(f"failed writing {path}: {exc}") from exc
+
+
+def _fields(dtype):
+    if dtype.names is None:
+        return dtype.str
+    return ", ".join(f"{n} {dtype.fields[n][0].str}" for n in dtype.names)
+
+
+def _read_npy(path, dtype):
+    """The 1-D array of exactly `dtype` in an .npy file, else ParseError."""
+    with open(path, "rb") as fh, warnings.catch_warnings():
+        # numpy warns when it has to repair a header; a repaired file
+        # still passes only if its dtype and shape are right
+        warnings.simplefilter("ignore")
+        if fh.read(6) != b"\x93NUMPY":
+            raise ParseError(f"{path}: not an .npy file")
+        fh.seek(0)
+        try:
+            arr = np.load(fh, allow_pickle=False)
+        except Exception as exc:
+            # the file comes from outside, and numpy reports bad bytes as
+            # ValueError, EOFError, SyntaxError, OverflowError,
+            # tokenize.TokenError or, for a header that claims more data
+            # than there is memory, MemoryError
+            raise ParseError(f"{path}: unreadable .npy file: {exc}") from None
+    if arr.dtype != dtype:
+        raise ParseError(f"{path}: expected fields {_fields(dtype)}, "
+                         f"got {_fields(arr.dtype)}")
+    if arr.ndim != 1:
+        raise ParseError(f"{path}: expected a 1-D array, got shape "
+                         f"{arr.shape}")
+    return arr
+
+
 def load_sea_states(path, point=None):
-    """Parse a sea-state CSV (timestamp,hs_m,te_s); point defaults to the
-    file stem."""
+    """Parse a sea-state file, .npy (SEA_STATE_DTYPE) or else CSV
+    (timestamp,hs_m,te_s); point defaults to the file stem."""
     if point is None:
         point = os.path.splitext(os.path.basename(path))[0]
+    if _is_npy(path):
+        arr = _read_npy(path, SEA_STATE_DTYPE)
+        if arr.size == 0:
+            raise DataError(f"{path}: no data rows")
+        try:
+            return SeaStateSeries(point=point, timestamps=arr["timestamp"],
+                                  hs=arr["hs_m"].copy(),
+                                  te=arr["te_s"].copy())
+        except DataError as exc:
+            raise ParseError(f"{path}: {exc}") from None
     rows = _read_rows(path, SEA_STATE_COLUMNS)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    times, hs, te = [], [], []
-    prev = None
-    for lineno, (ts, h, t) in rows:
+    hs, te = [], []
+    for lineno, (_, h, t) in rows:
         try:
-            h = float(h)
-            t = float(t)
+            hs.append(float(h))
+            te.append(float(t))
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}", line=lineno) from None
-        if prev is not None and ts <= prev:
-            raise ParseError(f"{path}: non-increasing timestamp {ts}",
-                             line=lineno)
-        if h < 0:
-            raise ParseError(f"{path}: negative Hs {h}", line=lineno)
-        if t <= 0:
-            raise ParseError(f"{path}: non-positive Te {t}", line=lineno)
-        prev = ts
-        times.append(ts)
-        hs.append(h)
-        te.append(t)
-    return SeaStateSeries(point=point, timestamps=tuple(times),
-                          hs=np.array(hs), te=np.array(te))
+    stamps = tuple(fields[0] for _, fields in rows)
+    times, hs, te = parse_timestamps(stamps), np.array(hs), np.array(te)
+    fault = _sea_state_fault(stamps, times, hs, te)
+    if fault:
+        raise ParseError(f"{path}: {fault[1]}", line=rows[fault[0]][0])
+    return SeaStateSeries(point=point, timestamps=times, hs=hs, te=te)
 
 
 def write_sea_states(series, path):
+    """Write .npy (SEA_STATE_DTYPE) if the path ends so, else CSV."""
+    if _is_npy(path):
+        _write_npy(path, SEA_STATE_DTYPE, series.times, series.hs, series.te)
+        return
     lines = [",".join(SEA_STATE_COLUMNS)]
     lines.extend(f"{ts},{_fmt(h)},{_fmt(t)}"
                  for ts, h, t in zip(series.timestamps, series.hs, series.te))
@@ -260,16 +406,22 @@ def write_sea_states(series, path):
 
 
 def load_elevation(path, rel_tol=1e-6):
-    """Parse an elevation CSV (time_s,eta_m); sampling must be uniform
-    within rel_tol."""
-    rows = _read_rows(path, ELEVATION_COLUMNS)
-    if len(rows) < 2:
+    """Parse an elevation file, .npy (ELEVATION_DTYPE) or else CSV
+    (time_s,eta_m); sampling must be uniform within rel_tol."""
+    if _is_npy(path):
+        arr = _read_npy(path, ELEVATION_DTYPE)
+        t, eta = arr["time_s"], arr["eta_m"].copy()
+    else:
+        rows = _read_rows(path, ELEVATION_COLUMNS)
+        try:
+            t = np.array([float(r[1][0]) for r in rows])
+            eta = np.array([float(r[1][1]) for r in rows])
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+    if t.size < 2:
         raise DataError(f"{path}: need at least 2 samples")
-    try:
-        t = np.array([float(r[1][0]) for r in rows])
-        eta = np.array([float(r[1][1]) for r in rows])
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    if not np.all(np.isfinite(t)):
+        raise ParseError(f"{path}: non-finite time")
     steps = np.diff(t)
     dt = float(np.median(steps))
     if dt <= 0:
@@ -283,35 +435,46 @@ def load_elevation(path, rel_tol=1e-6):
 
 
 def write_elevation(record, path):
-    lines = [",".join(ELEVATION_COLUMNS)]
+    """Write .npy (ELEVATION_DTYPE) if the path ends so, else CSV."""
     t = np.arange(record.samples.size) * record.dt
+    if _is_npy(path):
+        _write_npy(path, ELEVATION_DTYPE, t, record.samples)
+        return
+    lines = [",".join(ELEVATION_COLUMNS)]
     lines.extend(f"{_fmt(ti)},{_fmt(x)}"
                  for ti, x in zip(t, record.samples))
     _write_text(path, lines)
 
 
-def _point_paths(directory, name):
-    return [os.path.join(directory, sub, f"{name}.csv")
-            for sub in ("sea_states", "elevation")]
-
-
 def write_point(directory, name, data):
-    """Write a SeaStateSeries or ElevationRecord where load_point looks."""
-    ss, el = _point_paths(directory, name)
-    path = ss if isinstance(data, SeaStateSeries) else el
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    (write_sea_states if path == ss else write_elevation)(data, path)
+    """Write a SeaStateSeries or ElevationRecord as the .npy that
+    load_point reads."""
+    if isinstance(data, SeaStateSeries):
+        kind, write = "sea_states", write_sea_states
+    else:
+        kind, write = "elevation", write_elevation
+    os.makedirs(os.path.join(directory, kind), exist_ok=True)
+    write(data, os.path.join(directory, kind, f"{name}.npy"))
 
 
 def load_point(directory, name):
-    """directory/sea_states/<name>.csv, else elevation/<name>.csv."""
-    ss, el = _point_paths(directory, name)
-    if os.path.exists(ss):
-        return load_sea_states(ss, point=name)
-    if os.path.exists(el):
-        return load_elevation(el)
+    """directory/sea_states/<name>.npy or .csv, else the same under
+    elevation/; both suffixes of one kind is an error, so a stale CSV
+    cannot stand in for newer data."""
+    looked = []
+    for kind, load in (("sea_states", lambda p: load_sea_states(p, name)),
+                       ("elevation", load_elevation)):
+        paths = [os.path.join(directory, kind, f"{name}{ext}")
+                 for ext in (".npy", ".csv")]
+        found = [p for p in paths if os.path.exists(p)]
+        if len(found) == 2:
+            raise DataError(f"both {found[0]} and {found[1]} exist; "
+                            f"remove the stale one")
+        if found:
+            return load(found[0])
+        looked += paths
     raise FileNotFoundError(
-        f"no input data for point {name} (looked for {ss} and {el})")
+        f"no input data for point {name} (looked for {', '.join(looked)})")
 
 
 def results_rows(assessments):

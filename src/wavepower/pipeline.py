@@ -2,14 +2,10 @@
 features and powers -> GWO optimum over (H, T, d) -> ranking -> zone
 totals. The CLI stages and the demo call these functions."""
 
-from datetime import timedelta
-
 import numpy as np
 
 from . import assessment, data_io, gwo, mechanics, spectral
 from .errors import ConfigError, JoinError
-
-ISO_UTC = "%Y-%m-%dT%H:%M:%SZ"
 
 
 def apply_depths(catalog, depth_range=None, depth=None):
@@ -47,9 +43,10 @@ def schedule_means(catalog, hs_base, te_base):
 
 
 def timestamps(start, hours):
-    """`hours` hourly ISO-8601 UTC stamps from the datetime `start`."""
-    return tuple((start + timedelta(hours=h)).strftime(ISO_UTC)
-                 for h in range(hours))
+    """`hours` hourly UTC times from `start` (a datetime or datetime64), as
+    datetime64[s]."""
+    return np.datetime64(start, "s") + np.arange(hours) * np.timedelta64(
+        3600, "s")
 
 
 def sea_state_series(entry, mean, times, seed):

@@ -30,7 +30,7 @@ class TestSynth:
             assert main(["synth", "--out", str(out), "--seed", "3",
                          "--hours", "24", "--depth", "30",
                          "--points", "K4,T1"]) == 0
-        for name in ["catalog.csv", "sea_states/K4.csv", "sea_states/T1.csv"]:
+        for name in ["catalog.csv", "sea_states/K4.npy", "sea_states/T1.npy"]:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_schedule_means_exact(self, tmp_path):
@@ -38,7 +38,7 @@ class TestSynth:
         assert main(["synth", "--out", str(out), "--seed", "0",
                      "--hours", "200", "--depth", "30",
                      "--points", "T1"]) == 0
-        series = data_io.load_sea_states(out / "sea_states" / "T1.csv")
+        series = data_io.load_sea_states(out / "sea_states" / "T1.npy")
         # T1 is catalog index 0: schedule mean hs_base*0.6, te_base*0.8
         assert series.hs.mean() == pytest.approx(0.5 * 0.6, abs=1e-12)
         assert series.te.mean() == pytest.approx(4.0 * 0.8, abs=1e-12)
@@ -50,6 +50,14 @@ class TestSynth:
         assert rc == 2
         assert not (out / "elevation").exists()
 
+    def test_times_past_year_9999_exit_2(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "o"), "--depth", "30",
+                     "--points", "T1", "--start", "9999-12-31T22:00:00Z",
+                     "--hours", "3"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "bad timestamp '10000-01-01T00:00:00Z'" in err
+
     def test_depth_required_for_builtin(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "o"),
                      "--points", "T1"]) == 2
@@ -59,7 +67,7 @@ class TestSynth:
         assert main(["synth", "--out", str(out), "--kind", "elevation",
                      "--depth", "30", "--points", "K4",
                      "--duration", "512", "--dt", "0.5"]) == 0
-        rec = data_io.load_elevation(out / "elevation" / "K4.csv")
+        rec = data_io.load_elevation(out / "elevation" / "K4.npy")
         assert rec.samples.size == 1024
 
 
@@ -88,12 +96,29 @@ class TestAnalyze:
         args = ["--out", str(out), "--seed", "1", "--hours", "48",
                 "--depth", "30", "--points", "K4,Z1"]
         assert main(["synth"] + args) == 0
+        (out / "sea_states" / "Z1.npy").unlink()
         (out / "sea_states" / "Z1.csv").write_bytes(b"\xff\xfe{}\n")
         assert main(["analyze"] + args) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("analyze: point Z1 failed: ")
         assert "not UTF-8" in err[0]
+        assert [ln.split(",")[0] for ln in
+                read_lines(out / "features.csv")[1:]] == ["K4"]
+
+    def test_non_finite_hs_fails_that_point(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        args = ["--out", str(out), "--seed", "1", "--hours", "48",
+                "--depth", "30", "--points", "K4,Z1"]
+        assert main(["synth"] + args) == 0
+        (out / "sea_states" / "Z1.npy").unlink(missing_ok=True)
+        (out / "sea_states" / "Z1.csv").write_text(
+            "timestamp,hs_m,te_s\n2006-01-01T00:00:00Z,nan,3.5\n")
+        assert main(["analyze"] + args) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("analyze: point Z1 failed: line 2: ")
+        assert "non-finite Hs nan" in err[0]
         assert [ln.split(",")[0] for ln in
                 read_lines(out / "features.csv")[1:]] == ["K4"]
 
@@ -189,7 +214,7 @@ class TestPipeline:
                                    "points": "K4,Z1"}))
         assert main(["synth", "--config", str(cfg), "--out", str(out),
                      "--hours", "24"]) == 0
-        series = data_io.load_sea_states(out / "sea_states" / "K4.csv")
+        series = data_io.load_sea_states(out / "sea_states" / "K4.npy")
         assert len(series) == 24  # flag wins over the config file
         echo = json.loads((out / "synth_config.json").read_text())
         assert echo["seed"] == 5
@@ -278,3 +303,60 @@ def test_malformed_input_fails_closed(case, tmp_path, capsys):
     assert err.startswith(argv[0] + ": ") and err.count("\n") == 1, err
     assert "Traceback" not in err
     assert tree(tmp_path) == before
+
+
+def _resave(path, edit):
+    np.save(path, edit(np.load(path, allow_pickle=False)), allow_pickle=True)
+
+
+def _negate_hs_row_5(arr):
+    arr["hs_m"][5] *= -1
+    return arr
+
+
+def _export_csv(path):
+    data_io.write_sea_states(data_io.load_sea_states(path),
+                             path.with_suffix(".csv"))
+
+
+# name -> (edit of synth's sea_states/Z1.npy, text the one error line holds)
+MALFORMED_POINT = {
+    "truncated": (lambda p: p.write_bytes(p.read_bytes()[:-7]),
+                  "Z1.npy: unreadable .npy file"),
+    "header only": (lambda p: p.write_bytes(p.read_bytes()[:60]),
+                    "Z1.npy: unreadable .npy file"),
+    "not npy": (lambda p: p.write_text("timestamp,hs_m,te_s\n"),
+                "Z1.npy: not an .npy file"),
+    "pickled object array": (
+        lambda p: _resave(p, lambda a: np.array(list(a), dtype=object)),
+        "Z1.npy: unreadable .npy file"),
+    "wrong field names": (
+        lambda p: _resave(p, lambda a: a.astype(
+            [("time", "<M8[s]"), ("hs", "<f8"), ("te", "<f8")])),
+        "Z1.npy: expected fields timestamp <M8[s], hs_m <f8, te_s <f8"),
+    "wrong ndim": (lambda p: _resave(p, lambda a: a.reshape(2, -1)),
+                   "Z1.npy: expected a 1-D array"),
+    "negative Hs": (lambda p: _resave(p, _negate_hs_row_5),
+                    "Z1.npy: Z1: row 5: negative Hs"),
+    "both csv and npy": (_export_csv, "/Z1.npy and "),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_POINT))
+def test_malformed_point_file_fails_that_point(case, tmp_path, capsys):
+    edit, text = MALFORMED_POINT[case]
+    out = tmp_path / "o"
+    args = ["--out", str(out), "--seed", "1", "--hours", "48",
+            "--depth", "30", "--points", "K4,Z1"]
+    assert main(["synth"] + args) == 0
+    edit(out / "sea_states" / "Z1.npy")
+    capsys.readouterr()
+    assert main(["analyze"] + args) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert err.startswith("analyze: point Z1 failed: ")
+    assert text in err, err
+    if case == "both csv and npy":
+        assert err.rstrip().endswith("/Z1.csv exist; remove the stale one")
+    assert [ln.split(",")[0] for ln in
+            read_lines(out / "features.csv")[1:]] == ["K4"]

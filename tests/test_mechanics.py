@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavepower.errors import DomainError, SolverError
 from wavepower.mechanics import (
+    DISPERSION_TOL,
     FluidEnvironment,
     power_transfer_factor,
     regular_wave_power,
@@ -65,6 +68,41 @@ class TestSolveDispersion:
         ks = wavenumber(T, d)
         for i in range(3):
             assert ks[i] == pytest.approx(solve_dispersion(T[i], d[i]).k)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_kd=st.floats(-6, 3), log_depth=st.floats(-2, 4))
+def test_dispersion_residual_within_tol(log_kd, log_depth):
+    # the period whose exact solution has k*d = kd, solved back for k
+    kd, depth = 10.0 ** log_kd, 10.0 ** log_depth
+    period = 2 * np.pi / np.sqrt(9.81 * kd / depth * np.tanh(kd))
+    k = wavenumber(period, depth)
+    assert dispersion_residual(k, period, depth) <= DISPERSION_TOL
+    assert k * depth == pytest.approx(kd, rel=1e-9)
+
+
+# power_transfer_factor(kd) = 2 n tanh(kd) with n = Cg/C, so n tends to 1
+# and the factor to 2 kd in shallow water; n tends to 1/2 and the factor
+# to 1 in deep water. The bounds are the leading terms of the expansions
+# (1 - 2kd^2/3, 1 - kd^2/3; (4kd - 2) e^-2kd, kd e^-2kd) with room to
+# spare, plus rounding.
+@settings(max_examples=300, deadline=None)
+@given(log_kd=st.floats(-8, -2))
+def test_power_transfer_factor_shallow_limit(log_kd):
+    kd = 10.0 ** log_kd
+    factor = power_transfer_factor(kd)
+    n = factor / (2 * np.tanh(kd))
+    assert abs(factor / (2 * kd) - 1) <= kd ** 2 + 1e-15
+    assert abs(n - 1) <= kd ** 2 + 1e-15
+
+
+@settings(max_examples=300, deadline=None)
+@given(kd=st.floats(5, 1e3))
+def test_power_transfer_factor_deep_limit(kd):
+    factor = power_transfer_factor(kd)
+    n = factor / (2 * np.tanh(kd))
+    assert abs(factor - 1) <= 4 * kd * np.exp(-2 * kd) + 1e-15
+    assert abs(n - 0.5) <= 3 * kd * np.exp(-2 * kd) + 1e-15
 
 
 class TestPowerTransferFactor:
