@@ -154,6 +154,9 @@ def cmd_synth(cfg):
         pipeline.check_record_sampling(cfg["te_base"], cfg["dt"])
     means = pipeline.schedule_means(catalog, cfg["hs_base"], cfg["te_base"])
     times = pipeline.timestamps(cfg["start"], cfg["hours"])
+    if kind != "elevation" and times[-1] > data_io.LAST_TIME:
+        raise ConfigError(f"start plus hours runs past "
+                          f"{data_io.LAST_TIME}Z, the last writable time")
     os.makedirs(out, exist_ok=True)
     data_io.write_catalog(catalog, join(out, "catalog.csv"))
     for e in points:

@@ -10,11 +10,10 @@ holding one structured array with the CSV's column names; the stages
 hand it on that way, so no float goes through text between them.
 """
 
-import functools
 import json
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,8 +71,8 @@ SEA_STATE_DTYPE = np.dtype([("timestamp", "<M8[s]"), ("hs_m", "<f8"),
                             ("te_s", "<f8")])
 ELEVATION_DTYPE = np.dtype([("time_s", "<f8"), ("eta_m", "<f8")])
 # the times that YYYY-MM-DDTHH:MM:SSZ can spell
-_FIRST_TIME = np.datetime64("0000-01-01T00:00:00", "s")
-_LAST_TIME = np.datetime64("9999-12-31T23:59:59", "s")
+FIRST_TIME = np.datetime64("0000-01-01T00:00:00", "s")
+LAST_TIME = np.datetime64("9999-12-31T23:59:59", "s")
 
 
 def _fmt(x):
@@ -243,20 +242,14 @@ def format_timestamps(times):
     return out
 
 
-@functools.lru_cache(maxsize=4)
-def _stamps(raw):
-    """format_timestamps of datetime64[s] bytes as a tuple, cached: the
-    series of one run mostly share a time axis."""
-    return tuple(format_timestamps(np.frombuffer(raw, "<M8[s]")).tolist())
-
-
-def _sea_state_fault(stamps, times, hs, te):
+def _sea_state_fault(times, hs, te):
     """(row, reason) of the first invalid row of a sea-state series, or
-    None; on one row the checks run in the order listed."""
+    None; on one row the checks run in the order listed. "{stamp}" in the
+    reason stands for the row's timestamp."""
     later = np.ones(times.size, dtype=bool)
     later[1:] = times[1:] > times[:-1]
     checks = [
-        (~((times >= _FIRST_TIME) & (times <= _LAST_TIME)),
+        (~((times >= FIRST_TIME) & (times <= LAST_TIME)),
          "bad timestamp {stamp!r}, expected YYYY-MM-DDTHH:MM:SSZ"),
         (~later, "non-increasing timestamp {stamp}"),
         (~np.isfinite(hs), "non-finite Hs {hs}"),
@@ -269,48 +262,62 @@ def _sea_state_fault(stamps, times, hs, te):
     if not faults:
         return None
     row, k = min(faults)
-    return row, checks[k][1].format(stamp=stamps[row], hs=hs[row],
-                                    te=te[row])
+    return row, checks[k][1]
 
 
-@dataclass(frozen=True)
+class _RowFault(DataError):
+    """A sea-state series rejected at `row` (from 0) for `reason`."""
+
+    def __init__(self, point, row, reason):
+        super().__init__(f"{point}: row {row}: {reason}")
+        self.row, self.reason = row, reason
+
+
+@dataclass(frozen=True, init=False)
 class SeaStateSeries:
     """Hourly (or otherwise sampled) Hs/Te summaries for one point.
 
     `timestamps` may be given as YYYY-MM-DDTHH:MM:SSZ strings or as
-    datetime64 times; it is kept as the strings, and `times` holds the
-    same instants as datetime64[s].
+    datetime64 times; `times` keeps them as datetime64[s], and the
+    `timestamps` property formats them back to the strings.
     """
 
     point: str
-    timestamps: tuple  # ISO-8601 UTC strings, strictly increasing
+    times: np.ndarray  # datetime64[s], strictly increasing
     hs: np.ndarray
     te: np.ndarray
-    times: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if isinstance(self.timestamps, np.ndarray) and \
-                self.timestamps.dtype.kind == "M":
-            times = self.timestamps.astype("<M8[s]")
-            stamps = _stamps(times.tobytes())
+    def __init__(self, point, timestamps, hs, te):
+        if isinstance(timestamps, np.ndarray) and timestamps.dtype.kind == "M":
+            stamps, times = None, timestamps.astype("<M8[s]")
         else:
-            stamps = tuple(self.timestamps)
+            stamps = tuple(timestamps)
             times = parse_timestamps(stamps)
-        object.__setattr__(self, "timestamps", stamps)
+        hs, te = np.asarray(hs, dtype=float), np.asarray(te, dtype=float)
+        object.__setattr__(self, "point", point)
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "hs", np.asarray(self.hs, dtype=float))
-        object.__setattr__(self, "te", np.asarray(self.te, dtype=float))
-        n = len(stamps)
+        object.__setattr__(self, "hs", hs)
+        object.__setattr__(self, "te", te)
+        n = times.size
         if n == 0:
-            raise DataError(f"{self.point}: empty sea-state series")
-        if self.hs.shape != (n,) or self.te.shape != (n,):
-            raise DataError(f"{self.point}: column length mismatch")
-        fault = _sea_state_fault(stamps, times, self.hs, self.te)
+            raise DataError(f"{point}: empty sea-state series")
+        if hs.shape != (n,) or te.shape != (n,):
+            raise DataError(f"{point}: column length mismatch")
+        fault = _sea_state_fault(times, hs, te)
         if fault:
-            raise DataError(f"{self.point}: row {fault[0]}: {fault[1]}")
+            row, reason = fault
+            stamp = stamps[row] if stamps is not None else \
+                str(format_timestamps(times[row:row + 1])[0])
+            raise _RowFault(point, row, reason.format(
+                stamp=stamp, hs=hs[row], te=te[row]))
+
+    @property
+    def timestamps(self):
+        """The times as a tuple of YYYY-MM-DDTHH:MM:SSZ strings."""
+        return tuple(format_timestamps(self.times).tolist())
 
     def __len__(self):
-        return len(self.timestamps)
+        return self.times.size
 
 
 def _is_npy(path):
@@ -386,12 +393,13 @@ def load_sea_states(path, point=None):
             te.append(float(t))
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}", line=lineno) from None
-    stamps = tuple(fields[0] for _, fields in rows)
-    times, hs, te = parse_timestamps(stamps), np.array(hs), np.array(te)
-    fault = _sea_state_fault(stamps, times, hs, te)
-    if fault:
-        raise ParseError(f"{path}: {fault[1]}", line=rows[fault[0]][0])
-    return SeaStateSeries(point=point, timestamps=times, hs=hs, te=te)
+    try:
+        return SeaStateSeries(point=point,
+                              timestamps=[fields[0] for _, fields in rows],
+                              hs=hs, te=te)
+    except _RowFault as exc:
+        raise ParseError(f"{path}: {exc.reason}",
+                         line=rows[exc.row][0]) from None
 
 
 def write_sea_states(series, path):
@@ -400,8 +408,8 @@ def write_sea_states(series, path):
         _write_npy(path, SEA_STATE_DTYPE, series.times, series.hs, series.te)
         return
     lines = [",".join(SEA_STATE_COLUMNS)]
-    lines.extend(f"{ts},{_fmt(h)},{_fmt(t)}"
-                 for ts, h, t in zip(series.timestamps, series.hs, series.te))
+    lines.extend(f"{ts},{_fmt(h)},{_fmt(t)}" for ts, h, t in zip(
+        format_timestamps(series.times), series.hs, series.te))
     _write_text(path, lines)
 
 

@@ -56,7 +56,8 @@ class TestSynth:
                      "--hours", "3"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
-        assert "bad timestamp '10000-01-01T00:00:00Z'" in err
+        assert "runs past 9999-12-31T23:59:59Z" in err
+        assert not (tmp_path / "o").exists()
 
     def test_depth_required_for_builtin(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "o"),
