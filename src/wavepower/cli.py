@@ -219,9 +219,9 @@ def cmd_rank(cfg):
               "(use --norm-mode minmax to rescale)", file=sys.stderr)
     ranked = pipeline.assess(rows, ref, cfg["norm_mode"])
     totals, shares = pipeline.zone_totals(ranked, [f.zone for f, _, _ in rows])
-    data_io.write_results(ranked, None, join(out, "results.csv"))
+    data_io.write_results(ranked, join(out, "results.csv"))
     if cfg["format"] == "structured":
-        data_io.write_results(ranked, None, join(out, "results.json"),
+        data_io.write_results(ranked, join(out, "results.json"),
                               format="structured", config=cfg["echo"])
     data_io.write_zone_shares(totals, shares, join(out, "zone_shares.csv"))
     _echo(cfg, "rank")

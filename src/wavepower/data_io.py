@@ -1,19 +1,21 @@
 """Site catalog, CSV ingestion and result serialization.
 
 Delimited files are comma-separated UTF-8 with a header row, "." decimal
-separator and ISO-8601 UTC timestamps. Floats are written with repr so
-write-then-load round-trips exactly and identical inputs produce
-byte-identical files.
+separator and ISO-8601 UTC timestamps, read and written with the csv
+module, so a field holding a comma or a quote is quoted. Floats are
+written with repr so write-then-load round-trips exactly and identical
+inputs produce byte-identical files.
 
 Per-point data (sea states, elevation records) may also be an .npy file
-holding one structured array with the CSV's column names; the stages
-hand it on that way, so no float goes through text between them.
+holding one structured array whose fields are the CSV's columns; the
+stages hand it on that way, so no float goes through text between them.
 """
 
+import csv
 import json
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,8 +59,6 @@ _CATALOG_ROWS = [
 ]
 
 CATALOG_COLUMNS = ["index", "name", "zone", "lat_deg", "lon_deg", "depth_m"]
-SEA_STATE_COLUMNS = ["timestamp", "hs_m", "te_s"]
-ELEVATION_COLUMNS = ["time_s", "eta_m"]
 RESULTS_COLUMNS = ["point", "zone", "h_bar_m", "t_bar_s", "depth_m",
                    "power_irregular_wpm", "power_regular_wpm", "norm",
                    "correlation", "rank"]
@@ -66,17 +66,14 @@ ZONE_SHARE_COLUMNS = ["zone", "total_power_wpm", "share"]
 FEATURE_COLUMNS = ["point", "zone", "h_bar_m", "t_bar_s", "depth_m",
                    "power_irregular_wpm", "power_regular_wpm"]
 REFERENCE_COLUMNS = ["h_opt_m", "t_opt_s", "d_opt_m", "best_power_wpm"]
-# the .npy layouts of the per-point files
+# the per-point files: the fields of the .npy, the columns of the CSV
 SEA_STATE_DTYPE = np.dtype([("timestamp", "<M8[s]"), ("hs_m", "<f8"),
                             ("te_s", "<f8")])
 ELEVATION_DTYPE = np.dtype([("time_s", "<f8"), ("eta_m", "<f8")])
 # the times that YYYY-MM-DDTHH:MM:SSZ can spell
 FIRST_TIME = np.datetime64("0000-01-01T00:00:00", "s")
 LAST_TIME = np.datetime64("9999-12-31T23:59:59", "s")
-
-
-def _fmt(x):
-    return repr(float(x))
+_BAD_STAMP = "bad timestamp {stamp!r}, expected YYYY-MM-DDTHH:MM:SSZ"
 
 
 @dataclass(frozen=True)
@@ -114,11 +111,7 @@ class SiteCatalog:
         raise KeyError(name)
 
     def zones(self):
-        seen = []
-        for e in self.entries:
-            if e.zone not in seen:
-                seen.append(e.zone)
-        return seen
+        return list(dict.fromkeys(e.zone for e in self.entries))
 
     def zone_sizes(self):
         return tuple(sum(1 for e in self.entries if e.zone == z)
@@ -126,7 +119,6 @@ class SiteCatalog:
 
     def with_depths(self, depths):
         """Copy with per-point depths (mapping name -> depth)."""
-        from dataclasses import replace
         return SiteCatalog(tuple(
             replace(e, depth=float(depths[e.name])) for e in self.entries))
 
@@ -144,29 +136,32 @@ def builtin_catalog():
 
 
 def _read_rows(path, required_columns):
+    """(line, fields) for each data row of a delimited file: the required
+    columns, stripped, in the order asked for. Blank lines are skipped."""
+    rows = []
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty file")
+            header = [c.strip() for c in header]
+            missing = [c for c in required_columns if c not in header]
+            if missing:
+                raise ParseError(
+                    f"{path}: missing columns {', '.join(missing)}", line=1)
+            col = [header.index(c) for c in required_columns]
+            for parts in reader:
+                if len(parts) < 2 and not "".join(parts).strip():
+                    continue
+                if len(parts) < len(header):
+                    raise ParseError(f"{path}: expected {len(header)} fields",
+                                     line=reader.line_num)
+                rows.append((reader.line_num, [parts[i].strip() for i in col]))
     except UnicodeDecodeError:
         raise ParseError(f"{path}: not UTF-8 text") from None
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    header = [c.strip() for c in lines[0].split(",")]
-    missing = [c for c in required_columns if c not in header]
-    if missing:
-        raise ParseError(
-            f"{path}: missing columns {', '.join(missing)}", line=1)
-    col = {c: header.index(c) for c in required_columns}
-    rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        if not ln.strip():
-            continue
-        parts = ln.split(",")
-        if len(parts) < len(header):
-            raise ParseError(f"{path}: expected {len(header)} fields",
-                             line=lineno)
-        rows.append((lineno, [parts[col[c]].strip()
-                              for c in required_columns]))
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}", line=reader.line_num) from None
     return rows
 
 
@@ -177,9 +172,7 @@ def load_catalog(path):
     seen = set()
     for lineno, (idx, name, zone, lat, lon, depth) in rows:
         try:
-            idx = int(idx)
-            lat = float(lat)
-            lon = float(lon)
+            idx, lat, lon = int(idx), float(lat), float(lon)
             depth = float(depth) if depth else None
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}", line=lineno) from None
@@ -199,9 +192,9 @@ def load_catalog(path):
 
 
 def write_catalog(catalog, path):
-    _write_text(path, _table(CATALOG_COLUMNS, (
+    _write_table(path, CATALOG_COLUMNS, (
         (str(e.index), e.name, e.zone, e.lat, e.lon,
-         "" if e.depth is None else e.depth) for e in catalog)))
+         "" if e.depth is None else e.depth) for e in catalog))
 
 
 def parse_timestamps(stamps):
@@ -249,8 +242,7 @@ def _sea_state_fault(times, hs, te):
     later = np.ones(times.size, dtype=bool)
     later[1:] = times[1:] > times[:-1]
     checks = [
-        (~((times >= FIRST_TIME) & (times <= LAST_TIME)),
-         "bad timestamp {stamp!r}, expected YYYY-MM-DDTHH:MM:SSZ"),
+        (~((times >= FIRST_TIME) & (times <= LAST_TIME)), _BAD_STAMP),
         (~later, "non-increasing timestamp {stamp}"),
         (~np.isfinite(hs), "non-finite Hs {hs}"),
         (~np.isfinite(te), "non-finite Te {te}"),
@@ -324,18 +316,6 @@ def _is_npy(path):
     return os.fspath(path).endswith(".npy")
 
 
-def _write_npy(path, dtype, *columns):
-    """One structured array of `dtype` whose fields are `columns`."""
-    arr = np.empty(len(columns[0]), dtype=dtype)
-    for name, values in zip(dtype.names, columns):
-        arr[name] = values
-    try:
-        with open(path, "wb") as fh:
-            np.save(fh, arr, allow_pickle=False)
-    except OSError as exc:
-        raise OSError(f"failed writing {path}: {exc}") from exc
-
-
 def _fields(dtype):
     if dtype.names is None:
         return dtype.str
@@ -368,64 +348,70 @@ def _read_npy(path, dtype):
     return arr
 
 
-def load_sea_states(path, point=None):
-    """Parse a sea-state file, .npy (SEA_STATE_DTYPE) or else CSV
-    (timestamp,hs_m,te_s); point defaults to the file stem."""
-    if point is None:
-        point = os.path.splitext(os.path.basename(path))[0]
+def _load_columns(path, dtype):
+    """The rows of a per-point file as an array of `dtype`, and each row's
+    line (None for .npy). The file is .npy, or else CSV whose columns are
+    the fields, datetime fields first and as YYYY-MM-DDTHH:MM:SSZ text. A
+    file with no rows is an error."""
     if _is_npy(path):
-        arr = _read_npy(path, SEA_STATE_DTYPE)
+        arr = _read_npy(path, dtype)
         if arr.size == 0:
             raise DataError(f"{path}: no data rows")
-        try:
-            return SeaStateSeries(point=point, timestamps=arr["timestamp"],
-                                  hs=arr["hs_m"].copy(),
-                                  te=arr["te_s"].copy())
-        except DataError as exc:
-            raise ParseError(f"{path}: {exc}") from None
-    rows = _read_rows(path, SEA_STATE_COLUMNS)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    hs, te = [], []
-    for lineno, (_, h, t) in rows:
-        try:
-            hs.append(float(h))
-            te.append(float(t))
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}", line=lineno) from None
+        return arr, None
+    stamps = [n for n in dtype.names if dtype[n].kind == "M"]
+    rows = _records(path, dtype.names, n_text=len(stamps))
+    arr = np.empty(len(rows), dtype=dtype)
+    for i, name in enumerate(dtype.names):
+        column = [values[i] for _, values in rows]
+        arr[name] = parse_timestamps(column) if name in stamps else column
+        if name in stamps and np.isnat(arr[name]).any():
+            k = int(np.argmax(np.isnat(arr[name])))
+            raise ParseError(f"{path}: " + _BAD_STAMP.format(stamp=column[k]),
+                             line=rows[k][0])
+    return arr, [line for line, _ in rows]
+
+
+def _write_columns(path, dtype, *columns):
+    """`columns` as the fields of `dtype`: one structured array in an .npy
+    file, or else CSV, datetime fields as YYYY-MM-DDTHH:MM:SSZ text."""
+    if _is_npy(path):
+        arr = np.empty(len(columns[0]), dtype=dtype)
+        for name, values in zip(dtype.names, columns):
+            arr[name] = values
+        with open(path, "wb") as fh:
+            np.save(fh, arr, allow_pickle=False)
+    else:
+        _write_table(path, dtype.names, zip(*(
+            format_timestamps(c) if dtype[n].kind == "M" else c
+            for n, c in zip(dtype.names, columns))))
+
+
+def load_sea_states(path, point=None):
+    """Parse a sea-state file, .npy or else CSV, with the fields of
+    SEA_STATE_DTYPE; point defaults to the file stem."""
+    if point is None:
+        point = os.path.splitext(os.path.basename(path))[0]
+    arr, lines = _load_columns(path, SEA_STATE_DTYPE)
     try:
-        return SeaStateSeries(point=point,
-                              timestamps=[fields[0] for _, fields in rows],
-                              hs=hs, te=te)
+        return SeaStateSeries(point=point, timestamps=arr["timestamp"],
+                              hs=arr["hs_m"].copy(), te=arr["te_s"].copy())
     except _RowFault as exc:
+        if lines is None:
+            raise ParseError(f"{path}: {exc}") from None
         raise ParseError(f"{path}: {exc.reason}",
-                         line=rows[exc.row][0]) from None
+                         line=lines[exc.row]) from None
 
 
 def write_sea_states(series, path):
-    """Write .npy (SEA_STATE_DTYPE) if the path ends so, else CSV."""
-    if _is_npy(path):
-        _write_npy(path, SEA_STATE_DTYPE, series.times, series.hs, series.te)
-        return
-    lines = [",".join(SEA_STATE_COLUMNS)]
-    lines.extend(f"{ts},{_fmt(h)},{_fmt(t)}" for ts, h, t in zip(
-        format_timestamps(series.times), series.hs, series.te))
-    _write_text(path, lines)
+    """Write .npy if the path ends so, else CSV (SEA_STATE_DTYPE's fields)."""
+    _write_columns(path, SEA_STATE_DTYPE, series.times, series.hs, series.te)
 
 
 def load_elevation(path, rel_tol=1e-6):
-    """Parse an elevation file, .npy (ELEVATION_DTYPE) or else CSV
-    (time_s,eta_m); sampling must be uniform within rel_tol."""
-    if _is_npy(path):
-        arr = _read_npy(path, ELEVATION_DTYPE)
-        t, eta = arr["time_s"], arr["eta_m"].copy()
-    else:
-        rows = _read_rows(path, ELEVATION_COLUMNS)
-        try:
-            t = np.array([float(r[1][0]) for r in rows])
-            eta = np.array([float(r[1][1]) for r in rows])
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}") from None
+    """Parse an elevation file, .npy or else CSV, with the fields of
+    ELEVATION_DTYPE; sampling must be uniform within rel_tol."""
+    arr, _ = _load_columns(path, ELEVATION_DTYPE)
+    t, eta = arr["time_s"], arr["eta_m"].copy()
     if t.size < 2:
         raise DataError(f"{path}: need at least 2 samples")
     if not np.all(np.isfinite(t)):
@@ -443,15 +429,9 @@ def load_elevation(path, rel_tol=1e-6):
 
 
 def write_elevation(record, path):
-    """Write .npy (ELEVATION_DTYPE) if the path ends so, else CSV."""
-    t = np.arange(record.samples.size) * record.dt
-    if _is_npy(path):
-        _write_npy(path, ELEVATION_DTYPE, t, record.samples)
-        return
-    lines = [",".join(ELEVATION_COLUMNS)]
-    lines.extend(f"{_fmt(ti)},{_fmt(x)}"
-                 for ti, x in zip(t, record.samples))
-    _write_text(path, lines)
+    """Write .npy if the path ends so, else CSV (ELEVATION_DTYPE's fields)."""
+    _write_columns(path, ELEVATION_DTYPE,
+                   np.arange(record.samples.size) * record.dt, record.samples)
 
 
 def write_point(directory, name, data):
@@ -485,33 +465,19 @@ def load_point(directory, name):
         f"no input data for point {name} (looked for {', '.join(looked)})")
 
 
-def results_rows(assessments):
-    """Assessments as delimited rows per the results schema."""
-    return _table(RESULTS_COLUMNS, (
-        (s.point_id, s.zone, s.h_bar, s.t_bar, s.depth, s.power_irregular,
-         s.power_regular, s.norm, s.correlation, str(s.rank))
-        for s in assessments))
-
-
-def write_results(assessments, run, path, format="delimited",
-                  config=None, catalog=None):
-    """Serialize ranked assessments (and optionally the optimizer run).
-
-    "delimited" writes the results CSV schema; "structured" writes one
-    self-describing JSON document carrying the config echo, catalog,
-    assessments and the convergence curve.
-    """
+def write_results(assessments, path, format="delimited", config=None):
+    """Ranked assessments as the results CSV ("delimited") or as one JSON
+    document of the config echo and the assessments ("structured")."""
     if format == "delimited":
-        _write_text(path, results_rows(assessments))
+        _write_table(path, RESULTS_COLUMNS, (
+            (s.point_id, s.zone, s.h_bar, s.t_bar, s.depth, s.power_irregular,
+             s.power_regular, s.norm, s.correlation, str(s.rank))
+            for s in assessments))
         return
     if format != "structured":
         raise DomainError(f"unknown results format {format!r}")
     doc = {
         "config": config or {},
-        "catalog": [
-            {"index": e.index, "name": e.name, "zone": e.zone,
-             "lat_deg": e.lat, "lon_deg": e.lon, "depth_m": e.depth}
-            for e in (catalog or [])],
         "assessments": [
             {"point": s.point_id, "zone": s.zone, "h_bar_m": s.h_bar,
              "t_bar_s": s.t_bar, "depth_m": s.depth,
@@ -519,39 +485,37 @@ def write_results(assessments, run, path, format="delimited",
              "power_regular_wpm": s.power_regular, "norm": s.norm,
              "correlation": s.correlation, "rank": s.rank}
             for s in assessments],
-        "gwo": None if run is None else {
-            "best_position": [float(v) for v in run.best_position],
-            "best_value": run.best_value,
-            "evaluations": run.evaluations,
-            "convergence": [float(v) for v in run.convergence],
-        },
     }
-    _write_text(path, [json.dumps(doc, indent=2, sort_keys=True)])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def write_zone_shares(totals, shares, path):
     """Zone share table (zone,total_power_wpm,share) in zone order."""
-    _write_text(path, _table(ZONE_SHARE_COLUMNS,
-                             ((z, totals[z], shares[z]) for z in totals)))
+    _write_table(path, ZONE_SHARE_COLUMNS,
+                 ((z, totals[z], shares[z]) for z in totals))
 
 
 def load_zone_shares(path):
     """Zone share table as ({zone: total}, {zone: share}) in file order."""
-    rows = _records(path, ZONE_SHARE_COLUMNS, n_text=1)
+    rows = [values for _, values in
+            _records(path, ZONE_SHARE_COLUMNS, n_text=1)]
     return ({z: total for z, total, _ in rows},
             {z: share for z, _, share in rows})
 
 
 def _records(path, columns, n_text):
-    """Data rows of a stage table: the first n_text fields as text, the
-    rest as floats. A table with no data rows is an error."""
+    """(line, values) for each data row of a table: the first n_text
+    fields as text, the rest as floats. A table with no data rows is an
+    error."""
     rows = _read_rows(path, columns)
     if not rows:
         raise DataError(f"{path}: no data rows")
     out = []
     for lineno, fields in rows:
         try:
-            out.append(fields[:n_text] + [float(v) for v in fields[n_text:]])
+            out.append((lineno, fields[:n_text]
+                        + [float(v) for v in fields[n_text:]]))
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}", line=lineno) from None
     return out
@@ -559,40 +523,40 @@ def _records(path, columns, n_text):
 
 def write_features(rows, path):
     """features.csv: (PointFeatures, irregular power, regular power) rows."""
-    _write_text(path, _table(FEATURE_COLUMNS, (
+    _write_table(path, FEATURE_COLUMNS, (
         (f.point_id, f.zone, f.h_bar, f.t_bar, f.depth, p_irr, p_reg)
-        for f, p_irr, p_reg in rows)))
+        for f, p_irr, p_reg in rows))
 
 
 def load_features(path):
     """features.csv back as (PointFeatures, irregular, regular power) rows."""
     return [(PointFeatures(point_id=name, zone=zone, h_bar=h, t_bar=t,
                            depth=d), p_irr, p_reg)
-            for name, zone, h, t, d, p_irr, p_reg in
+            for _, (name, zone, h, t, d, p_irr, p_reg) in
             _records(path, FEATURE_COLUMNS, n_text=2)]
 
 
 def write_reference(run, path):
     """reference.csv: the optimizer's best (H, T, d) and its power."""
-    _write_text(path, _table(REFERENCE_COLUMNS,
-                             [(*run.best_position, run.best_value)]))
+    _write_table(path, REFERENCE_COLUMNS,
+                 [(*run.best_position, run.best_value)])
 
 
 def load_reference(path):
-    h, t, d, _ = _records(path, REFERENCE_COLUMNS, n_text=0)[0]
+    _, (h, t, d, _) = _records(path, REFERENCE_COLUMNS, n_text=0)[0]
     return OptimalReference(h_opt=h, t_opt=t, d_opt=d)
 
 
 def write_bounds(bounds, path):
     """bounds.csv: the (H, T, d) search box the optimizer ran in."""
-    _write_text(path, _table(["dimension", "lower", "upper"], zip(
-        ("H", "T", "d"), bounds.lower, bounds.upper)))
+    _write_table(path, ["dimension", "lower", "upper"],
+                 zip(("H", "T", "d"), bounds.lower, bounds.upper))
 
 
 def write_convergence(run, path):
     """convergence.csv: best power after each optimizer iteration."""
-    _write_text(path, _table(["iteration", "best_power_wpm"], (
-        (str(i), v) for i, v in enumerate(run.convergence))))
+    _write_table(path, ["iteration", "best_power_wpm"],
+                 ((str(i), v) for i, v in enumerate(run.convergence)))
 
 
 def load_results(path):
@@ -600,7 +564,7 @@ def load_results(path):
     return [SiteAssessment(point_id=p, zone=z, h_bar=h, t_bar=t, depth=d,
                            power_irregular=p_irr, power_regular=p_reg,
                            norm=nm, correlation=c, rank=int(rk))
-            for p, z, h, t, d, p_irr, p_reg, nm, c, rk in
+            for _, (p, z, h, t, d, p_irr, p_reg, nm, c, rk) in
             _records(path, RESULTS_COLUMNS, n_text=2)]
 
 
@@ -608,8 +572,7 @@ def write_report(ranked, totals, shares, directory):
     """The plot-ready tables under `directory`: powers by point and zone,
     norms, correlation vs power, power vs height and depth, zone shares."""
     def table(name, header, rows):
-        _write_text(os.path.join(directory, name),
-                    _table(header.split(","), rows))
+        _write_table(os.path.join(directory, name), header.split(","), rows)
 
     os.makedirs(directory, exist_ok=True)
     p_max = max(s.power_irregular for s in ranked)
@@ -627,17 +590,11 @@ def write_report(ranked, totals, shares, directory):
                       os.path.join(directory, "zone_shares.csv"))
 
 
-def _table(columns, rows):
-    """Header and rows of a delimited table: text as is, numbers as floats
-    with repr."""
-    return [",".join(columns)] + [
-        ",".join(v if isinstance(v, str) else _fmt(v) for v in row)
-        for row in rows]
-
-
-def _write_text(path, lines):
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise OSError(f"failed writing {path}: {exc}") from exc
+def _write_table(path, columns, rows):
+    """A delimited table: text as is, numbers as floats with repr; only a
+    field that needs quotes gets them."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([v if isinstance(v, str) else repr(float(v))
+                          for v in row] for row in rows)

@@ -26,8 +26,8 @@ class ElevationRecord:
     def __post_init__(self):
         object.__setattr__(self, "samples",
                            np.asarray(self.samples, dtype=float))
-        if self.dt <= 0:
-            raise DomainError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < np.inf:
+            raise DomainError(f"dt must be positive and finite, got {self.dt}")
         if self.samples.ndim != 1 or self.samples.size < 2:
             raise DataError("record needs at least 2 samples")
         if not np.all(np.isfinite(self.samples)):
@@ -83,8 +83,8 @@ class VarianceDensitySpectrum:
     def __post_init__(self):
         object.__setattr__(self, "f", np.asarray(self.f, dtype=float))
         object.__setattr__(self, "S", np.asarray(self.S, dtype=float))
-        if self.df <= 0:
-            raise DomainError("df must be positive")
+        if not 0 < self.df < np.inf:
+            raise DomainError(f"df must be positive and finite, got {self.df}")
         if self.f.shape != self.S.shape or self.f.ndim != 1 or self.f.size == 0:
             raise DataError("f and S must be matching 1-D arrays")
         if np.any(self.S < 0):

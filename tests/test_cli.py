@@ -252,6 +252,21 @@ class TestPipeline:
         assert read_lines(out / "report" / "power_by_zone.csv") == shares
 
 
+def test_quoted_zones_through_every_stage(tmp_path):
+    catalog = tmp_path / "catalog.csv"
+    catalog.write_text("index,name,zone,lat_deg,lon_deg,depth_m\n"
+                       '1,P1,"Bandar, Anzali",37.5,49.5,12.5\n'
+                       '2,P2,"Bandar, Anzali",37.6,49.6,20.0\n'
+                       '3,P3,"Say ""Hi""",37.7,49.7,30.0\n')
+    out = tmp_path / "o"
+    for cmd in STAGES:
+        assert main([cmd, "--out", str(out), "--catalog", str(catalog),
+                     "--hours", "48"]) == 0
+    zones = [line.rsplit(",", 2)[0]
+             for line in read_lines(out / "zone_shares.csv")[1:]]
+    assert zones == ['"Bandar, Anzali"', '"Say ""Hi"""']
+
+
 # name -> (argv without --out, files to create first: text gets a final
 # newline, bytes are written as they are); {tmp} in an argument is the
 # test's temporary directory

@@ -11,7 +11,6 @@ from hypothesis.extra.numpy import arrays
 
 from wavepower import data_io
 from wavepower.errors import DataError, ParseError
-from wavepower.gwo import GwoRun
 from wavepower.spectral import ElevationRecord
 
 from test_assessment import make_assessment
@@ -53,6 +52,17 @@ class TestCatalogIO:
         data_io.write_catalog(cat, path)
         loaded = data_io.load_catalog(path)
         assert loaded == cat
+
+    def test_round_trip_quoted_zones(self, tmp_path):
+        cat = data_io.SiteCatalog((
+            data_io.CatalogEntry(1, "P1", "Bandar, Anzali", 37.5, 49.5, 12.5),
+            data_io.CatalogEntry(2, "P2", 'Say "Hi"', 37.6, 49.6)))
+        path = tmp_path / "catalog.csv"
+        data_io.write_catalog(cat, path)
+        assert path.read_text().splitlines()[1:] == [
+            '1,P1,"Bandar, Anzali",37.5,49.5,12.5',
+            '2,P2,"Say ""Hi""",37.6,49.6,']
+        assert data_io.load_catalog(path) == cat
 
     def test_small_file(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -217,6 +227,12 @@ class TestElevationIO:
         path = tmp_path / "e.csv"
         path.write_text("time_s,eta_m\n0.0,0.1\n0.5,0.2\n1.0,0.3\n")
         assert data_io.load_elevation(path).dt == 0.5
+
+    def test_bad_float_names_its_line(self, tmp_path):
+        path = tmp_path / "e.csv"
+        path.write_text("time_s,eta_m\n0.0,0.1\n\n0.5,x\n")
+        with pytest.raises(ParseError, match="line 4: .*could not convert"):
+            data_io.load_elevation(path)
 
     def test_jittered_sampling(self, tmp_path):
         path = tmp_path / "e.csv"
@@ -387,6 +403,35 @@ def test_elevation_csv_and_npy_load_the_same_bits(dt, samples):
     assert same_bits(a.samples, b.samples) and same_bits(a.samples, samples)
 
 
+def hand_joined_table(columns, rows):
+    """The table writer that the csv module replaced: fields joined with
+    commas, text as is, numbers as floats with repr, nothing quoted."""
+    return "".join(
+        ",".join(v if isinstance(v, str) else repr(float(v)) for v in row)
+        + "\n" for row in [columns, *rows])
+
+
+# text the hand-joined writer wrote correctly: no comma, quote or newline
+PLAIN_TEXT = st.text(st.characters(exclude_categories=("Cs",),
+                                   exclude_characters=',"\r\n'))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), width=st.integers(2, 6))
+def test_write_table_matches_hand_joined_table(data, width):
+    def row(fields):
+        return st.lists(fields, min_size=width, max_size=width)
+
+    columns = data.draw(row(PLAIN_TEXT))
+    rows = data.draw(st.lists(row(
+        PLAIN_TEXT | st.floats() | st.floats().map(np.float64)), max_size=8))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        data_io._write_table(path, columns, rows)
+        assert path.read_bytes() == \
+            hand_joined_table(columns, rows).encode("utf-8")
+
+
 class TestLoadPoint:
     def series(self):
         return data_io.SeaStateSeries(hs=[0.4, 0.5], te=[3.0, 4.0],
@@ -424,27 +469,22 @@ class TestLoadPoint:
 class TestResults:
     def test_empty_assessments_header_only(self, tmp_path):
         path = tmp_path / "r.csv"
-        data_io.write_results([], None, path)
+        data_io.write_results([], path)
         assert path.read_text() == ",".join(data_io.RESULTS_COLUMNS) + "\n"
 
     def test_byte_stable(self, tmp_path):
         ranked = [make_assessment("A", 1.0), make_assessment("B", 2.0)]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        data_io.write_results(ranked, None, p1)
-        data_io.write_results(ranked, None, p2)
+        data_io.write_results(ranked, p1)
+        data_io.write_results(ranked, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_structured_document(self, tmp_path):
         import json
-        run = GwoRun(best_position=np.array([0.5, 4.0, 30.0]),
-                     best_value=1234.5, convergence=np.array([1.0, 2.0]),
-                     evaluations=20)
         path = tmp_path / "r.json"
-        data_io.write_results([make_assessment("A", 1.0)], run, path,
-                              format="structured", config={"seed": 0},
-                              catalog=data_io.builtin_catalog())
+        data_io.write_results([make_assessment("A", 1.0)], path,
+                              format="structured", config={"seed": 0})
         doc = json.loads(path.read_text())
-        assert doc["gwo"]["best_value"] == 1234.5
-        assert len(doc["catalog"]) == 105
+        assert sorted(doc) == ["assessments", "config"]
         assert doc["assessments"][0]["point"] == "A"
         assert doc["config"] == {"seed": 0}

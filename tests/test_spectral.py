@@ -64,6 +64,13 @@ class TestTypes:
         with pytest.raises(DomainError):
             VarianceDensitySpectrum(f=[0.01, 0.11], S=[1.0, 1.0], df=0.1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_step_rejected(self, bad):
+        with pytest.raises(DomainError, match="dt must be positive and fin"):
+            ElevationRecord(dt=bad, samples=[0.0, 1.0])
+        with pytest.raises(DomainError, match="df must be positive and fin"):
+            VarianceDensitySpectrum(f=[0.15, 0.25], S=[1.0, 1.0], df=bad)
+
 
 class TestEstimateSpectrum:
     def test_pure_sinusoid_on_grid(self):
