@@ -153,10 +153,13 @@ def cmd_synth(cfg):
     if kind != "sea-states":
         pipeline.check_record_sampling(cfg["te_base"], cfg["dt"])
     means = pipeline.schedule_means(catalog, cfg["hs_base"], cfg["te_base"])
-    times = pipeline.timestamps(cfg["start"], cfg["hours"])
-    if kind != "elevation" and times[-1] > data_io.LAST_TIME:
-        raise ConfigError(f"start plus hours runs past "
-                          f"{data_io.LAST_TIME}Z, the last writable time")
+    if kind != "elevation":
+        # in Python integers, before an axis of `hours` times exists
+        last = int(cfg["start"].astype(np.int64)) + (cfg["hours"] - 1) * 3600
+        if last > int(data_io.LAST_TIME.astype(np.int64)):
+            raise ConfigError(f"start plus hours runs past "
+                              f"{data_io.LAST_TIME}Z, the last writable time")
+        times = pipeline.timestamps(cfg["start"], cfg["hours"])
     os.makedirs(out, exist_ok=True)
     data_io.write_catalog(catalog, join(out, "catalog.csv"))
     for e in points:

@@ -13,7 +13,9 @@ stages hand it on that way, so no float goes through text between them.
 
 import csv
 import json
+import math
 import os
+import re
 import warnings
 from dataclasses import dataclass, replace
 
@@ -74,6 +76,9 @@ ELEVATION_DTYPE = np.dtype([("time_s", "<f8"), ("eta_m", "<f8")])
 FIRST_TIME = np.datetime64("0000-01-01T00:00:00", "s")
 LAST_TIME = np.datetime64("9999-12-31T23:59:59", "s")
 _BAD_STAMP = "bad timestamp {stamp!r}, expected YYYY-MM-DDTHH:MM:SSZ"
+# C0 and C1 control characters; a lone carriage return among them would
+# be written unquoted and split its row
+_CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")
 
 
 @dataclass(frozen=True)
@@ -84,6 +89,18 @@ class CatalogEntry:
     lat: float
     lon: float
     depth: float | None = None
+
+    def __post_init__(self):
+        for text in (self.name, self.zone):
+            if text != text.strip() or _CONTROL.search(text):
+                raise DataError(f"name or zone {text!r} has control "
+                                f"characters or surrounding whitespace")
+        if not (-90 <= self.lat <= 90 and -180 <= self.lon <= 180):
+            raise DataError(
+                f"coordinates ({self.lat}, {self.lon}) out of range")
+        if self.depth is not None and not 0 < self.depth < math.inf:
+            raise DataError(
+                f"depth must be positive and finite, got {self.depth}")
 
 
 @dataclass(frozen=True)
@@ -154,7 +171,7 @@ def _read_rows(path, required_columns):
             for parts in reader:
                 if len(parts) < 2 and not "".join(parts).strip():
                     continue
-                if len(parts) < len(header):
+                if len(parts) != len(header):
                     raise ParseError(f"{path}: expected {len(header)} fields",
                                      line=reader.line_num)
                 rows.append((reader.line_num, [parts[i].strip() for i in col]))
@@ -171,23 +188,16 @@ def load_catalog(path):
     entries = []
     seen = set()
     for lineno, (idx, name, zone, lat, lon, depth) in rows:
-        try:
-            idx, lat, lon = int(idx), float(lat), float(lon)
-            depth = float(depth) if depth else None
+        try:  # a DataError from CatalogEntry is a ValueError too
+            entries.append(CatalogEntry(
+                index=int(idx), name=name, zone=zone, lat=float(lat),
+                lon=float(lon), depth=float(depth) if depth else None))
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}", line=lineno) from None
         if name in seen:
             raise ParseError(f"{path}: duplicate point name {name!r}",
                              line=lineno)
         seen.add(name)
-        if not (-90 <= lat <= 90) or not (-180 <= lon <= 180):
-            raise ParseError(
-                f"{path}: coordinates ({lat}, {lon}) out of range",
-                line=lineno)
-        if depth is not None and depth <= 0:
-            raise ParseError(f"{path}: depth must be positive", line=lineno)
-        entries.append(CatalogEntry(index=idx, name=name, zone=zone,
-                                    lat=lat, lon=lon, depth=depth))
     return SiteCatalog(entries=tuple(entries))
 
 

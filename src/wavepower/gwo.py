@@ -5,6 +5,13 @@ updated synchronously once per iteration; the pack moves as one array
 and is clamped to the bounds after each move. Each move draws all its
 random numbers at once, in a fixed documented order (agent, then r1
 before r2, then leader, then dimension), so runs are bit-reproducible.
+
+The objective sees the whole pack at once: one call per iteration on an
+array of shape (ndim, agents), so x[0] holds every agent's first
+coordinate, and it returns one value per agent, shape (agents,). An
+objective that indexes the first axis and computes elementwise, such
+as `lambda x: regular_wave_power(*x)`, serves one position (ndim,) and
+the pack alike; a reduction must name the axis (`np.sum(x, axis=0)`).
 """
 
 from dataclasses import dataclass
@@ -29,6 +36,8 @@ class SearchBounds:
             raise ContractError("lower and upper must be matching 1-D arrays")
         if self.lower.size < 1:
             raise DomainError("need at least one dimension")
+        if not np.all(np.isfinite(self.lower) & np.isfinite(self.upper)):
+            raise DomainError("every bound must be finite")
         if np.any(self.lower >= self.upper):
             raise DomainError("every lower bound must be below its upper bound")
         if self.labels and len(self.labels) != self.lower.size:
@@ -95,10 +104,14 @@ def update_position(agent, leaders, a, rng):
 def gwo_maximize(objective, bounds, cfg=None):
     """Maximize `objective` over the bounds box.
 
-    Each iteration evaluates the agents one position per call, updates the
-    alpha/beta/delta trio (the three best evaluations so far, the earlier
-    one first on ties) once, then moves and clamps the whole pack. The
-    convergence curve holds the best-so-far value after each iteration.
+    Each iteration calls `objective` once on the pack transposed, shape
+    (ndim, agents), and expects one finite value per agent, shape
+    (agents,); any other shape is a ContractError, and a non-finite value
+    an EvaluationError at the first such agent in pack order. It then
+    updates the alpha/beta/delta trio (the three best evaluations so far,
+    the earlier one first on ties) once, and moves and clamps the whole
+    pack. The convergence curve holds the best-so-far value after each
+    iteration.
     """
     cfg = cfg or GwoConfig()
     rng = np.random.default_rng(cfg.seed)
@@ -109,13 +122,16 @@ def gwo_maximize(objective, bounds, cfg=None):
     convergence = np.empty(cfg.max_iter)
 
     for it in range(cfg.max_iter):
-        values = np.empty(cfg.agents)
-        for i, p in enumerate(pos):
-            values[i] = float(objective(p))
-            if not np.isfinite(values[i]):
-                raise EvaluationError(
-                    f"objective returned {values[i]} at {p.tolist()}",
-                    position=p.copy())
+        values = np.asarray(objective(pos.T), dtype=float)
+        if values.shape != (cfg.agents,):
+            raise ContractError(f"objective returned shape {values.shape}, "
+                                f"expected ({cfg.agents},)")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            i = bad[0]
+            raise EvaluationError(
+                f"objective returned {values[i]} at {pos[i].tolist()}",
+                position=pos[i].copy())
         # old trio, then this iteration: stable sort keeps the earlier tie
         cand_val = np.concatenate([trio_val, values])
         top = np.argsort(-cand_val, kind="stable")[:3]

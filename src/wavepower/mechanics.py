@@ -57,6 +57,8 @@ def wavenumber(period, depth, g=DEFAULT_G, tol=DISPERSION_TOL,
 
     Newton iteration from the deep-water guess k0 = omega^2/g; the
     residual is monotone in k so this converges for all physical inputs.
+    Each element stops moving once its own residual is within tol, so an
+    array gives the same bits as its elements solved one at a time.
     """
     period = np.asarray(period, dtype=float)
     depth = np.asarray(depth, dtype=float)
@@ -75,11 +77,12 @@ def wavenumber(period, depth, g=DEFAULT_G, tol=DISPERSION_TOL,
             th = np.tanh(kd)
             f = omega2 - g * k * th
             resid = np.abs(f) / omega2
-            if np.all(resid <= tol):
+            done = resid <= tol
+            if np.all(done):
                 return k if k.ndim else float(k)
             sech2 = np.where(kd > 350.0, 0.0, 1.0 / np.cosh(kd) ** 2)
             fprime = -g * (th + kd * sech2)
-            k = k - f / fprime
+            k = np.where(done, k, k - f / fprime)
     raise SolverError(
         f"dispersion solve did not converge within {max_iter} iterations "
         f"(worst relative residual {float(np.max(resid)):.3e})",

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from wavepower import data_io
+from wavepower import data_io, pipeline
 from wavepower.cli import main
 
 
@@ -21,6 +21,14 @@ def run_pipeline(out, seed=7, hours=48, extra=()):
 def read_lines(path):
     with open(path, encoding="utf-8") as fh:
         return fh.read().splitlines()
+
+
+@pytest.fixture
+def no_time_axis(monkeypatch):
+    """Fail the test if synth builds its hourly time axis."""
+    def fail(*args):
+        raise AssertionError("synth built the hourly time axis")
+    monkeypatch.setattr(pipeline, "timestamps", fail)
 
 
 class TestSynth:
@@ -58,6 +66,23 @@ class TestSynth:
         assert err.count("\n") == 1
         assert "runs past 9999-12-31T23:59:59Z" in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.usefixtures("no_time_axis")
+    def test_huge_hours_exit_2_before_any_time_axis(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "o"), "--depth", "30",
+                     "--points", "T1", "--hours", str(10 ** 15)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "runs past 9999-12-31T23:59:59Z" in err
+        assert not (tmp_path / "o" / "catalog.csv").exists()
+
+    @pytest.mark.usefixtures("no_time_axis")
+    def test_elevation_kind_builds_no_time_axis(self, tmp_path):
+        out = tmp_path / "o"
+        assert main(["synth", "--out", str(out), "--kind", "elevation",
+                     "--depth", "30", "--points", "K4", "--duration", "64",
+                     "--hours", str(10 ** 15)]) == 0
+        assert (out / "elevation" / "K4.npy").exists()
 
     def test_depth_required_for_builtin(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "o"),
@@ -296,6 +321,14 @@ MALFORMED = {
     "out key in config": (
         ["synth", "--depth", "30", "--config", "{tmp}/cfg.json"],
         {"cfg.json": '{"out": "ignored"}'}),
+    "infinite catalog depth": (
+        ["synth", "--catalog", "{tmp}/cat.csv"],
+        {"cat.csv": "index,name,zone,lat_deg,lon_deg,depth_m\n"
+                    "1,P1,A,37.0,50.0,inf"}),
+    "catalog row with an extra field": (
+        ["synth", "--catalog", "{tmp}/cat.csv"],
+        {"cat.csv": "index,name,zone,lat_deg,lon_deg,depth_m\n"
+                    "1,P1,A,37.0,50.0,3,9"}),
 }
 
 

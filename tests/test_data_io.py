@@ -95,6 +95,61 @@ class TestCatalogIO:
         with pytest.raises(ParseError, match="out of range"):
             data_io.load_catalog(path)
 
+    @pytest.mark.parametrize("depth", ["inf", "nan", "-inf", "0"])
+    def test_depth_must_be_positive_and_finite(self, tmp_path, depth):
+        path = tmp_path / "c.csv"
+        path.write_text("index,name,zone,lat_deg,lon_deg,depth_m\n"
+                        "1,P1,A,37.0,50.0,3\n"
+                        f"2,P2,A,37.0,50.0,{depth}\n")
+        with pytest.raises(ParseError, match="line 3: .*depth must be "
+                                             "positive and finite"):
+            data_io.load_catalog(path)
+
+    @pytest.mark.parametrize("row", ["2,P2,A,37.0,50.0,3,9",
+                                     "2,P2,A,37.0,50.0,3,",
+                                     "2,P2,A,37.0,50.0"])
+    def test_row_with_another_field_count(self, tmp_path, row):
+        path = tmp_path / "c.csv"
+        path.write_text("index,name,zone,lat_deg,lon_deg,depth_m\n"
+                        f"1,P1,A,37.0,50.0,3\n{row}\n")
+        with pytest.raises(ParseError, match="line 3: .*expected 6 fields"):
+            data_io.load_catalog(path)
+
+    @pytest.mark.parametrize("text", ["a\rb", "a\nb", "\x00", "a\x85",
+                                      "a\x1fb", " P", "P\t"])
+    @pytest.mark.parametrize("field", ["name", "zone"])
+    def test_control_characters_rejected(self, text, field):
+        fields = {"name": "P1", "zone": "A", field: text}
+        with pytest.raises(DataError, match="control characters"):
+            data_io.CatalogEntry(1, lat=37.0, lon=49.0, **fields)
+
+
+def _entry_or_none(args):
+    """The CatalogEntry of `args`, or None where the entry is refused."""
+    try:
+        return data_io.CatalogEntry(*args)
+    except DataError:
+        return None
+
+
+COORDINATE = st.floats(-180, 180) | st.floats()
+ENTRY_ARGS = st.tuples(
+    st.integers(-10 ** 6, 10 ** 6), st.text(max_size=6),
+    st.text(max_size=6), COORDINATE, COORDINATE,
+    st.none() | st.floats(0, 1e4) | st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(args=st.lists(ENTRY_ARGS, max_size=6, unique_by=lambda a: a[1]))
+def test_written_catalog_loads_back_equal(args):
+    # whatever write_catalog is given, load_catalog reads back equal
+    entries = [e for e in map(_entry_or_none, args) if e is not None]
+    catalog = data_io.SiteCatalog(tuple(entries))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "catalog.csv"
+        data_io.write_catalog(catalog, path)
+        assert data_io.load_catalog(path) == catalog
+
 
 class TestSeaStateIO:
     def test_round_trip(self, tmp_path):

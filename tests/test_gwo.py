@@ -27,7 +27,7 @@ class ConstantRng:
 
 
 def sphere(x):
-    return -float(np.sum(np.asarray(x) ** 2))
+    return -np.sum(np.asarray(x) ** 2, axis=0)
 
 
 class TestTypes:
@@ -38,6 +38,16 @@ class TestTypes:
             SearchBounds(lower=[0.0], upper=[1.0, 2.0])
         with pytest.raises(ContractError):
             SearchBounds(lower=[0.0, 0.0], upper=[1.0, 1.0], labels=("x",))
+
+    @pytest.mark.parametrize("lower,upper", [
+        ([0.0, np.nan], [np.inf, 1.0]),
+        ([0.0, np.nan], [1.0, 1.0]),
+        ([-np.inf, 0.0], [1.0, 1.0]),
+        ([0.0, 0.0], [1.0, np.inf]),
+    ])
+    def test_bounds_must_be_finite(self, lower, upper):
+        with pytest.raises(DomainError, match="finite"):
+            SearchBounds(lower=lower, upper=upper)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -121,7 +131,7 @@ class TestGwoMaximize:
 
     def test_best_position_in_bounds(self):
         bounds = SearchBounds(lower=[0.1, 2.0], upper=[0.6, 6.0])
-        run = gwo_maximize(lambda x: float(x[0] * x[1]), bounds,
+        run = gwo_maximize(lambda x: x[0] * x[1], bounds,
                            GwoConfig(agents=5, max_iter=30, seed=1))
         assert np.all(run.best_position >= bounds.lower - 1e-12)
         assert np.all(run.best_position <= bounds.upper + 1e-12)
@@ -138,13 +148,14 @@ class TestGwoMaximize:
 
         cfg = GwoConfig(agents=5, max_iter=20, seed=4)
         run = gwo_maximize(recording, self.bounds3, cfg)
-        per_iter = np.array(seen).reshape(20, 5)
+        per_iter = np.array(seen)
+        assert per_iter.shape == (20, 5)
         running = np.maximum.accumulate(per_iter.max(axis=1))
         assert np.array_equal(run.convergence, running)
 
     def test_non_finite_objective(self):
         def bad(x):
-            return float("nan")
+            return np.full_like(x[0], np.nan)
 
         with pytest.raises(EvaluationError) as exc:
             gwo_maximize(bad, self.bounds3, GwoConfig(agents=4, max_iter=5))
@@ -153,7 +164,7 @@ class TestGwoMaximize:
     def test_corner_optimum(self):
         # monotone objective: optimizer should reach the box corner
         bounds = SearchBounds(lower=[0.0, 0.0], upper=[1.0, 2.0])
-        run = gwo_maximize(lambda x: float(x[0] + x[1]), bounds,
+        run = gwo_maximize(lambda x: x[0] + x[1], bounds,
                            GwoConfig(agents=10, max_iter=200, seed=2))
         assert run.best_position == pytest.approx([1.0, 2.0], abs=1e-3)
 
@@ -189,7 +200,8 @@ def reference_update(x, L, a, rng):
 
 
 def reference_gwo(objective, bounds, cfg):
-    """The optimizer one agent at a time, with a sorted leader list."""
+    """The optimizer one agent at a time, one objective call per position
+    (ndim,), with a sorted leader list."""
     rng = np.random.default_rng(cfg.seed)
     pos = rng.uniform(bounds.lower, bounds.upper,
                       size=(cfg.agents, bounds.ndim))
@@ -218,10 +230,10 @@ CUBE = SearchBounds(lower=[-2.0, -2.0], upper=[2.0, 2.0])
 REFERENCE_CASES = {
     "paper power": (lambda x: regular_wave_power(*x), PAPER_BOX),
     "sphere": (sphere, TestGwoMaximize.bounds3),
-    "constant": (lambda x: 1.0, CUBE),
-    "floor": (lambda x: float(np.floor(x[0] + x[1])), CUBE),
-    "round": (lambda x: float(np.round(x[0])), CUBE),
-    "signed zero": (lambda x: 0.0 if x[0] > 0 else -0.0, CUBE),
+    "constant": (lambda x: np.ones_like(x[0]), CUBE),
+    "floor": (lambda x: np.floor(x[0] + x[1]), CUBE),
+    "round": (lambda x: np.round(x[0]), CUBE),
+    "signed zero": (lambda x: np.where(x[0] > 0, 0.0, -0.0), CUBE),
 }
 
 
@@ -240,17 +252,48 @@ def test_pack_run_bit_identical_to_per_agent_reference(case, seed):
     assert got.evaluations == want.evaluations
 
 
-def test_error_position_is_the_first_non_finite():
-    calls = []
+def test_error_position_is_the_first_non_finite_agent():
+    # agents 1 and 3 are non-finite in the second pack: the error names
+    # agent 1, and the objective is not called again
+    packs = []
 
     def objective(x):
-        calls.append(x.copy())
-        return np.inf if len(calls) == 7 else 0.0
+        packs.append(x.T.copy())
+        values = np.zeros(x.shape[1])
+        if len(packs) == 2:
+            values[[1, 3]] = [np.inf, np.nan]
+        return values
 
-    with pytest.raises(EvaluationError) as exc:
+    with pytest.raises(EvaluationError, match="returned inf") as exc:
         gwo_maximize(objective, CUBE, GwoConfig(agents=5, max_iter=3))
-    assert len(calls) == 7
-    assert np.array_equal(exc.value.position, calls[-1])
+    assert len(packs) == 2
+    assert np.array_equal(exc.value.position, packs[-1][1])
+
+
+def test_objective_sees_the_pack_as_ndim_by_agents():
+    seen = []
+
+    def objective(x):
+        seen.append(x.copy())
+        return x[0] - x[1]
+
+    gwo_maximize(objective, CUBE, GwoConfig(agents=6, max_iter=3))
+    assert [x.shape for x in seen] == [(2, 6)] * 3
+    first = np.random.default_rng(0).uniform(CUBE.lower, CUBE.upper,
+                                             size=(6, 2))
+    assert np.array_equal(seen[0], first.T)
+
+
+@pytest.mark.parametrize("objective", [
+    lambda x: 1.0,
+    lambda x: x,
+    lambda x: x[0][:-1],
+    lambda x: x[0][:, None],
+    lambda x: np.append(x[0], 0.0),
+], ids=["scalar", "whole pack", "one short", "column", "one extra"])
+def test_objective_must_return_one_value_per_agent(objective):
+    with pytest.raises(ContractError, match=r"expected \(5,\)"):
+        gwo_maximize(objective, CUBE, GwoConfig(agents=5, max_iter=3))
 
 
 @settings(max_examples=50, deadline=None)
