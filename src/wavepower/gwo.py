@@ -23,7 +23,7 @@ from .errors import ContractError, DomainError, EvaluationError
 
 @dataclass(frozen=True)
 class SearchBounds:
-    """Per-dimension (lower, upper) box with optional labels."""
+    """Per-dimension finite (lower, upper) box with optional labels."""
 
     lower: np.ndarray
     upper: np.ndarray

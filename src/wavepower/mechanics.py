@@ -67,9 +67,11 @@ def wavenumber(period, depth, g=DEFAULT_G, tol=DISPERSION_TOL,
     if tol <= 0:
         raise DomainError("tol must be positive")
 
+    # k is an array of the full broadcast shape, so it can move in place
+    period, depth = np.broadcast_arrays(period, depth)
     omega = 2.0 * np.pi / period
     omega2 = omega * omega
-    k = omega2 / g
+    k = np.asarray(omega2 / g)
     resid = None
     with np.errstate(over="ignore"):
         for _ in range(max_iter):
@@ -80,9 +82,10 @@ def wavenumber(period, depth, g=DEFAULT_G, tol=DISPERSION_TOL,
             done = resid <= tol
             if np.all(done):
                 return k if k.ndim else float(k)
-            sech2 = np.where(kd > 350.0, 0.0, 1.0 / np.cosh(kd) ** 2)
-            fprime = -g * (th + kd * sech2)
-            k = np.where(done, k, k - f / fprime)
+            fprime = -g * (th + kd * np.where(  # kd * sech^2(kd)
+                kd > 350.0, 0.0, 1.0 / np.cosh(kd) ** 2))
+            # only elements not yet within tol move
+            np.subtract(k, f / fprime, out=k, where=~done)
     raise SolverError(
         f"dispersion solve did not converge within {max_iter} iterations "
         f"(worst relative residual {float(np.max(resid)):.3e})",
