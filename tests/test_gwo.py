@@ -252,7 +252,7 @@ def test_pack_run_bit_identical_to_per_agent_reference(case, seed):
     assert got.evaluations == want.evaluations
 
 
-def test_error_position_is_the_first_non_finite_agent():
+def test_error_position_is_the_first_non_finite():
     # agents 1 and 3 are non-finite in the second pack: the error names
     # agent 1, and the objective is not called again
     packs = []

@@ -93,8 +93,8 @@ def test_batch_equals_its_scalar_calls_bit_for_bit(data, n):
 
 
 def test_batch_of_random_pairs_equals_scalar_calls():
-    # elements that converge early used to take the batch's extra Newton
-    # steps: 2,303 of these 5,000 wave numbers differed
+    # each element takes the Newton steps it takes alone, however many
+    # its neighbours need
     rng = np.random.default_rng(0)
     T = rng.uniform(1.0, 20.0, 5000)
     d = np.exp(rng.uniform(np.log(0.01), np.log(5000.0), 5000))
