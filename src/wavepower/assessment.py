@@ -27,8 +27,10 @@ class OptimalReference:
     d_opt: float
 
     def __post_init__(self):
-        if min(self.h_opt, self.t_opt, self.d_opt) <= 0:
-            raise DomainError("reference components must be positive")
+        if not all(0 < x < np.inf
+                   for x in (self.h_opt, self.t_opt, self.d_opt)):
+            raise DomainError("reference components must be positive "
+                              "and finite")
 
     def as_array(self):
         return np.array([self.h_opt, self.t_opt, self.d_opt])
@@ -45,9 +47,10 @@ class PointFeatures:
     depth: float
 
     def __post_init__(self):
-        if self.depth <= 0:
-            raise DomainError(f"{self.point_id}: depth must be positive")
-        if self.h_bar < 0 or self.t_bar <= 0:
+        if not 0 < self.depth < np.inf:
+            raise DomainError(
+                f"{self.point_id}: depth must be positive and finite")
+        if not (0 <= self.h_bar < np.inf and 0 < self.t_bar < np.inf):
             raise DomainError(f"{self.point_id}: invalid mean wave state")
 
     def as_array(self):

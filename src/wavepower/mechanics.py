@@ -26,10 +26,11 @@ class FluidEnvironment:
     g: float = DEFAULT_G
 
     def __post_init__(self):
-        if self.rho <= 0:
-            raise DomainError(f"rho must be positive, got {self.rho}")
-        if self.g <= 0:
-            raise DomainError(f"g must be positive, got {self.g}")
+        if not 0 < self.rho < np.inf:
+            raise DomainError(
+                f"rho must be positive and finite, got {self.rho}")
+        if not 0 < self.g < np.inf:
+            raise DomainError(f"g must be positive and finite, got {self.g}")
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,12 @@ class DispersionSolution:
     celerity: float     # phase speed C = omega/k, m/s
     group_factor: float  # n = Cg/C in [0.5, 1]
     group_velocity: float  # Cg = n*C, m/s
+
+
+def _positive_finite(x):
+    """Whether every element of array x lies in (0, inf); NaN does not.
+    Two reductions and no temporary array, whatever the size of x."""
+    return x.size == 0 or bool(0 < x.min() and x.max() < np.inf)
 
 
 def _group_factor(kd):
@@ -62,8 +69,8 @@ def wavenumber(period, depth, g=DEFAULT_G, tol=DISPERSION_TOL,
     """
     period = np.asarray(period, dtype=float)
     depth = np.asarray(depth, dtype=float)
-    if np.any(period <= 0) or np.any(depth <= 0):
-        raise DomainError("period and depth must be positive")
+    if not (_positive_finite(period) and _positive_finite(depth)):
+        raise DomainError("period and depth must be positive and finite")
     if tol <= 0:
         raise DomainError("tol must be positive")
 

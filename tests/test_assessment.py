@@ -29,6 +29,31 @@ def pearson(x, y):
     return float(np.sum(xc * yc) / np.sqrt(np.sum(xc ** 2) * np.sum(yc ** 2)))
 
 
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("field", ["h_bar", "t_bar", "depth"])
+def test_point_features_reject_non_finite(field, bad):
+    kwargs = dict(point_id="P", zone="Z", h_bar=0.5, t_bar=4.0, depth=30.0)
+    kwargs[field] = bad
+    with pytest.raises(DomainError, match="P: "):
+        PointFeatures(**kwargs)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("field", ["h_opt", "t_opt", "d_opt"])
+def test_reference_rejects_non_finite(field, bad):
+    kwargs = dict(h_opt=0.6, t_opt=4.1, d_opt=79.0)
+    kwargs[field] = bad
+    with pytest.raises(DomainError, match="positive and finite"):
+        OptimalReference(**kwargs)
+
+
+def test_zero_mean_height_is_a_valid_feature():
+    assert features(0.0, 4.0, 30.0).h_bar == 0.0
+
+
 class TestFeatureVector:
     def test_constant_history(self):
         f = feature_vector([(1.0, 4.0), (1.0, 4.0)], depth=10.0)

@@ -18,6 +18,13 @@ def run_pipeline(out, seed=7, hours=48, extra=()):
         assert main([cmd] + base + list(extra)) == 0
 
 
+def tree_bytes(root):
+    """{path relative to root: file bytes} of every file under root."""
+    return {os.path.relpath(os.path.join(d, fn), root):
+            open(os.path.join(d, fn), "rb").read()
+            for d, _, files in os.walk(root) for fn in files}
+
+
 def read_lines(path):
     with open(path, encoding="utf-8") as fh:
         return fh.read().splitlines()
@@ -227,11 +234,16 @@ class TestPipeline:
         a, b = tmp_path / "a", tmp_path / "b"
         run_pipeline(a)
         run_pipeline(b)
-        for root, _, files in os.walk(a):
-            for fn in files:
-                pa = os.path.join(root, fn)
-                pb = pa.replace(str(a), str(b), 1)
-                assert open(pa, "rb").read() == open(pb, "rb").read(), fn
+        assert tree_bytes(a) == tree_bytes(b)
+
+    def test_elevation_reruns_byte_identical(self, tmp_path):
+        # one process, two runs: the synthesis product gives the same bits
+        a, b = tmp_path / "a", tmp_path / "b"
+        extra = ("--kind", "elevation", "--duration", "300", "--dt", "0.5")
+        run_pipeline(a, extra=extra)
+        run_pipeline(b, extra=extra)
+        assert (a / "elevation" / "K1.npy").exists()
+        assert tree_bytes(a) == tree_bytes(b)
 
     def test_config_file_with_flag_override(self, tmp_path):
         out = tmp_path / "o"

@@ -210,3 +210,33 @@ def test_environment_invariants():
         FluidEnvironment(rho=-1.0)
     with pytest.raises(DomainError):
         FluidEnvironment(g=0.0)
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("field", ["rho", "g"])
+def test_environment_rejects_non_finite(field, bad):
+    with pytest.raises(DomainError, match=f"{field} must be positive and fin"):
+        FluidEnvironment(**{field: bad})
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("position", [0, 1])
+def test_dispersion_rejects_non_finite_period_or_depth(position, bad):
+    args = [7.0, 10.0]
+    args[position] = bad
+    with pytest.raises(DomainError, match="positive and finite"):
+        wavenumber(*args)
+    with pytest.raises(DomainError, match="positive and finite"):
+        regular_wave_power(1.0, *args)
+    # one bad element fails the whole batch
+    batch = [np.full(4, 7.0), np.full(4, 10.0)]
+    batch[position][2] = bad
+    with pytest.raises(DomainError, match="positive and finite"):
+        wavenumber(*batch)
+
+
+def test_empty_batch_solves_to_empty():
+    assert wavenumber(np.array([]), np.array([])).shape == (0,)

@@ -11,6 +11,7 @@ from wavepower.errors import (
 )
 from wavepower.mechanics import FluidEnvironment, regular_wave_power
 from wavepower.spectral import (
+    SYNTHESIS_BLOCK,
     ElevationRecord,
     SegmentationConfig,
     VarianceDensitySpectrum,
@@ -269,11 +270,103 @@ class TestParametricPower:
                 irregular_wave_power(spec), rel=1e-12)
 
 
+def reference_record(target, duration, dt, seed):
+    """Harmonic superposition one bin at a time over the whole time axis."""
+    n = int(round(duration / dt))
+    rng = np.random.default_rng(seed)
+    amps = np.sqrt(2.0 * target.S * target.df)
+    phases = rng.uniform(0.0, 2.0 * np.pi, size=target.f.size)
+    t = np.arange(n) * dt
+    xi = np.zeros(n)
+    for a, fi, ph in zip(amps, target.f, phases):
+        if a > 0:
+            xi += a * np.cos(2.0 * np.pi * fi * t + ph)
+    return xi
+
+
+def synthesis_bound(target, n, dt):
+    """eps * (w_max * t_end + 2pi) * sum(a): one rounding of the phase
+    arguments near the record's end, summed over the bins.
+
+    Both syntheses round each phase argument three times (the time, its
+    product with w, the sum with the phase), each by at most eps/2 of its
+    size, so each lies within 1.5 bounds of the exact sum and the two
+    within 3 of each other. With one bin they differ by up to about 1.5
+    bounds; over a band of bins the roundings mostly cancel."""
+    amps = np.sqrt(2.0 * target.S * target.df)
+    w_max = 2.0 * np.pi * float(target.f[-1])
+    return (np.finfo(float).eps * (w_max * (n - 1) * dt + 2.0 * np.pi)
+            * float(np.sum(amps)))
+
+
+@st.composite
+def synthesis_cases(draw):
+    """(target, n, dt): a flat band or a single bin below Nyquist, with n
+    below, equal to, a multiple of or off a multiple of the block."""
+    dt = draw(st.floats(0.05, 2.0))
+    nyquist = 1.0 / (2.0 * dt)
+    block = SYNTHESIS_BLOCK
+    n = draw(st.one_of(st.integers(2, block - 1), st.just(block),
+                       st.integers(1, 64).map(lambda m: m * block),
+                       st.integers(block + 1, 64 * block)))
+    if draw(st.booleans()):
+        nbins = draw(st.integers(1, 64))
+        df = draw(st.floats(0.001, 1.0)) * nyquist / nbins
+        f_lo = draw(st.floats(0.0, 1.0)) * (nyquist - nbins * df)
+        target = uniform_spectrum(draw(st.floats(1e-4, 1e2)),
+                                  f_lo, f_lo + nbins * df, df)
+    else:
+        df = draw(st.floats(0.001, 0.5)) * nyquist
+        f = draw(st.floats(df / 2, nyquist))
+        a = draw(st.floats(1e-3, 10.0))
+        target = single_bin_spectrum(a=a, f=f, df=df)
+    return target, n, dt
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=synthesis_cases(), seed=st.integers(0, 2 ** 32 - 1))
+def test_block_phasor_record_matches_per_bin_reference(case, seed):
+    target, n, dt = case
+    rec = synthesize_record(target, n * dt, dt, seed)
+    ref = reference_record(target, n * dt, dt, seed)
+    assert rec.samples.shape == ref.shape == (n,)
+    assert rec.dt == dt
+    assert np.max(np.abs(rec.samples - ref)) <= 3 * synthesis_bound(
+        target, n, dt)
+
+
+@pytest.mark.parametrize("n", [2 ** 13, 2 ** 17 + 37])
+def test_flat_band_record_within_one_bound(n):
+    target = flat_unit_spectrum()
+    rec = synthesize_record(target, n * 0.5, 0.5, seed=7)
+    ref = reference_record(target, n * 0.5, 0.5, seed=7)
+    assert np.max(np.abs(rec.samples - ref)) <= synthesis_bound(target, n, 0.5)
+
+
 class TestSynthesizeRecord:
     def test_zero_target(self):
         spec = VarianceDensitySpectrum(f=[0.1, 0.2], S=[0.0, 0.0], df=0.1)
-        rec = synthesize_record(spec, duration=100.0, dt=0.5, seed=1)
-        assert np.all(rec.samples == 0)
+        for n in (100, SYNTHESIS_BLOCK, 200, 1000):
+            rec = synthesize_record(spec, duration=n * 0.5, dt=0.5, seed=1)
+            assert rec.samples.shape == (n,)
+            assert np.all(rec.samples == 0)
+
+    def test_zero_bins_are_skipped(self):
+        # zero bins still draw their phases, so the rest keep theirs
+        spec = VarianceDensitySpectrum(f=[0.1, 0.2, 0.3], S=[0.0, 2.0, 0.0],
+                                       df=0.1)
+        rec = synthesize_record(spec, duration=300.0, dt=0.5, seed=4)
+        ref = reference_record(spec, 300.0, 0.5, seed=4)
+        assert np.max(np.abs(rec.samples - ref)) <= 3 * synthesis_bound(
+            spec, 600, 0.5)
+
+    @pytest.mark.parametrize("duration,dt", [
+        (np.nan, 0.5), (100.0, np.nan), (np.inf, 0.5), (100.0, np.inf),
+        (-np.inf, 0.5), (100.0, -np.inf), (0.0, 0.5), (100.0, 0.0),
+    ])
+    def test_non_finite_or_non_positive_sizes_rejected(self, duration, dt):
+        with pytest.raises(DomainError, match="positive and finite"):
+            synthesize_record(flat_unit_spectrum(), duration, dt, seed=0)
 
     def test_seeded_determinism(self):
         target = flat_unit_spectrum()
