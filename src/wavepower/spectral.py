@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError, SamplingError, SizingError
-from .mechanics import FluidEnvironment
+from .mechanics import FluidEnvironment, _positive_finite
 
 TAPER_NONE = "none"
 TAPER_RAISED_COSINE = "raised-cosine"
@@ -114,8 +114,8 @@ class SeaStateStats:
 
 def uniform_spectrum(value, f_lo, f_hi, df):
     """Flat spectrum of the given density on [f_lo, f_hi] (bin centers)."""
-    if f_hi <= f_lo or df <= 0:
-        raise DomainError("need f_hi > f_lo and df > 0")
+    if not (-np.inf < f_lo < f_hi < np.inf and 0 < df < np.inf):
+        raise DomainError("need finite f_lo < f_hi and 0 < df < inf")
     nbins = int(round((f_hi - f_lo) / df))
     f = f_lo + (np.arange(nbins) + 0.5) * df
     return VarianceDensitySpectrum(f=f, S=np.full(nbins, float(value)), df=df)
@@ -205,10 +205,10 @@ def parametric_power(Hs, Te, env=None):
     env = env or FluidEnvironment()
     Hs = np.asarray(Hs, dtype=float)
     Te = np.asarray(Te, dtype=float)
-    if np.any(Hs < 0):
-        raise DomainError("Hs must be non-negative")
-    if np.any(Te <= 0):
-        raise DomainError("Te must be positive")
+    if not _positive_finite(Hs, zero_ok=True):
+        raise DomainError("Hs must be non-negative and finite")
+    if not _positive_finite(Te):
+        raise DomainError("Te must be positive and finite")
     out = env.rho * env.g ** 2 * Hs ** 2 * Te / (64.0 * np.pi)
     return out if out.ndim else float(out)
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from wavepower import mechanics
 from wavepower.errors import DomainError, SolverError
 from wavepower.mechanics import (
     DISPERSION_TOL,
@@ -57,6 +58,8 @@ class TestSolveDispersion:
             solve_dispersion(5.0, 0.0)
         with pytest.raises(DomainError):
             solve_dispersion(5.0, 10.0, tol=0.0)
+        with pytest.raises(DomainError, match="max_iter must be at least"):
+            wavenumber(5.0, 10.0, max_iter=0)
 
     def test_non_convergence_reports_residual(self):
         with pytest.raises(SolverError) as exc:
@@ -240,3 +243,113 @@ def test_dispersion_rejects_non_finite_period_or_depth(position, bad):
 
 def test_empty_batch_solves_to_empty():
     assert wavenumber(np.array([]), np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_power_rejects_non_finite_height(bad):
+    with pytest.raises(DomainError, match="H must be non-negative and fin"):
+        regular_wave_power(bad, 7.0, 10.0)
+    H = np.full(4, 1.0)
+    H[2] = bad
+    with pytest.raises(DomainError, match="H must be non-negative and fin"):
+        regular_wave_power(H, 7.0, 10.0)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_transfer_factor_rejects_non_finite_kd(bad):
+    with pytest.raises(DomainError, match="kd must be positive and finite"):
+        power_transfer_factor(bad)
+    with pytest.raises(DomainError, match="kd must be positive and finite"):
+        power_transfer_factor([0.5, 1.0, bad, 2.0])
+
+
+# Block boundaries: with SOLVE_BLOCK patched to 7, batches of every layout
+# span several blocks, and each element must keep the bits of its own
+# scalar call.
+SMALL_BLOCK = 7
+
+
+def scalar_calls(fn, *args):
+    """fn called once per element of the broadcast args, in their shape."""
+    args = np.broadcast_arrays(*map(np.asarray, args))
+    flat = [fn(*xs) for xs in zip(*(a.ravel() for a in args))]
+    return np.reshape(flat, args[0].shape)
+
+
+@st.composite
+def batch_layouts(draw):
+    """(H, T, d) as 1-D batches below, at and across block edges,
+    (n, 1) x (1, m) broadcasts, transposed views or 0-d arrays."""
+    layout = draw(st.sampled_from(["flat", "outer", "transposed", "scalar"]))
+    n = draw(st.integers(0, 3 * SMALL_BLOCK + 1))
+    m = draw(st.integers(1, 2 * SMALL_BLOCK + 1))
+    shape = {"flat": (n,), "outer": (n, 1), "transposed": (m, n),
+             "scalar": ()}[layout]
+    d_shape = (1, m) if layout == "outer" else shape
+
+    def values(lo, hi, shape):
+        return draw(arrays(float, shape, elements=st.floats(lo, hi)))
+
+    H, T, d = (values(0.0, 1.0, shape), values(1.0, 20.0, shape),
+               values(0.01, 5000.0, d_shape))
+    if layout == "transposed":
+        H, T, d = H.T, T.T, d.T
+    return H, T, d
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=batch_layouts())
+def test_blocks_give_the_bits_of_scalar_calls(batch):
+    H, T, d = batch
+    # the references are one-element calls, which any block size holds
+    k_ref = scalar_calls(wavenumber, T, d)
+    p_ref = scalar_calls(regular_wave_power, H, T, d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mechanics, "SOLVE_BLOCK", SMALL_BLOCK)
+        k, p = wavenumber(T, d), regular_wave_power(H, T, d)
+    assert np.shape(k) == k_ref.shape and same_bits(k, k_ref)
+    assert np.shape(p) == p_ref.shape and same_bits(p, p_ref)
+
+
+def test_paper_box_grid_equals_one_block(monkeypatch):
+    # with SOLVE_BLOCK at least the grid size the whole grid is one block,
+    # iterated until its slowest element has converged
+    tt, dd = np.meshgrid(np.linspace(2.0, 6.0, 1000),
+                         np.linspace(5.0, 100.0, 1000), indexing="ij")
+    blocked = regular_wave_power(0.6, tt, dd)
+    monkeypatch.setattr(mechanics, "SOLVE_BLOCK", 2 ** 20)
+    assert same_bits(blocked, regular_wave_power(0.6, tt, dd))
+
+
+def test_solver_error_names_the_block_that_failed(monkeypatch):
+    monkeypatch.setattr(mechanics, "SOLVE_BLOCK", SMALL_BLOCK)
+    # deep water converges on the first check; the one shallow element
+    # alone in the last block needs more than one step
+    T = np.full(2 * SMALL_BLOCK + 1, 2.0)
+    d = np.full(2 * SMALL_BLOCK + 1, 5000.0)
+    wavenumber(T[:-1], d[:-1], max_iter=1)
+    T[-1], d[-1] = 10.0, 50.0
+    with pytest.raises(SolverError) as batch:
+        wavenumber(T, d, max_iter=1)
+    with pytest.raises(SolverError) as alone:
+        wavenumber(10.0, 50.0, max_iter=1)
+    assert np.isfinite(batch.value.residual)
+    assert batch.value.residual == alone.value.residual
+
+
+def test_inputs_are_checked_before_any_block(monkeypatch):
+    def no_block(*args, **kwargs):
+        raise AssertionError("a block was solved before validation")
+
+    # np.nditer hands out the blocks, so no block is solved without it
+    monkeypatch.setattr(np, "nditer", no_block)
+    H = np.full(3 * SMALL_BLOCK, 1.0)
+    H[-1] = -0.1
+    with pytest.raises(DomainError, match="H must be non-negative"):
+        regular_wave_power(H, 7.0, 10.0)
+    d = np.full(3 * SMALL_BLOCK, 10.0)
+    d[-1] = np.nan
+    with pytest.raises(DomainError, match="positive and finite"):
+        regular_wave_power(1.0, 7.0, d)
+    with pytest.raises(DomainError, match="positive and finite"):
+        wavenumber(7.0, d)

@@ -73,6 +73,15 @@ class TestTypes:
             VarianceDensitySpectrum(f=[0.15, 0.25], S=[1.0, 1.0], df=bad)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("position", [1, 2, 3])
+    def test_uniform_spectrum_rejects_non_finite_band(self, position, bad):
+        args = [1.0, 0.1, 0.2, 0.01]
+        args[position] = bad
+        with pytest.raises(DomainError, match="need finite f_lo < f_hi"):
+            uniform_spectrum(*args)
+
+
 class TestEstimateSpectrum:
     def test_pure_sinusoid_on_grid(self):
         # a=0.5 at a frequency on the analysis grid: variance a^2/2
@@ -254,6 +263,18 @@ class TestParametricPower:
 
     def test_zero_height(self):
         assert parametric_power(0.0, 7.0) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_height_or_period_rejected(self, bad):
+        batch = np.ones(4)
+        batch[2] = bad
+        for hs in (bad, batch):
+            with pytest.raises(DomainError,
+                               match="Hs must be non-negative and fin"):
+                parametric_power(hs, 5.0)
+        for te in (bad, batch):
+            with pytest.raises(DomainError, match="Te must be positive and"):
+                parametric_power(1.0, te)
 
     def test_bridge_identity(self):
         # exact algebraic identity with the spectral path
