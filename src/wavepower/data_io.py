@@ -369,7 +369,8 @@ def _load_columns(path, dtype):
             raise DataError(f"{path}: no data rows")
         return arr, None
     stamps = [n for n in dtype.names if dtype[n].kind == "M"]
-    rows = _records(path, dtype.names, n_text=len(stamps))
+    # SeaStateSeries and load_elevation report non-finite values themselves
+    rows = _records(path, dtype.names, n_text=len(stamps), finite=False)
     arr = np.empty(len(rows), dtype=dtype)
     for i, name in enumerate(dtype.names):
         column = [values[i] for _, values in rows]
@@ -514,20 +515,26 @@ def load_zone_shares(path):
             {z: share for z, _, share in rows})
 
 
-def _records(path, columns, n_text):
+def _records(path, columns, n_text, finite=True):
     """(line, values) for each data row of a table: the first n_text
-    fields as text, the rest as floats. A table with no data rows is an
-    error."""
+    fields as text, the rest as floats, which must be finite unless
+    `finite` is false. A table with no data rows is an error."""
     rows = _read_rows(path, columns)
     if not rows:
         raise DataError(f"{path}: no data rows")
     out = []
     for lineno, fields in rows:
         try:
-            out.append((lineno, fields[:n_text]
-                        + [float(v) for v in fields[n_text:]]))
+            values = [float(v) for v in fields[n_text:]]
         except ValueError as exc:
             raise ParseError(f"{path}: {exc}", line=lineno) from None
+        if finite:
+            for column, text, v in zip(columns[n_text:], fields[n_text:],
+                                       values):
+                if not math.isfinite(v):
+                    raise ParseError(f"{path}: non-finite {column} {text}",
+                                     line=lineno)
+        out.append((lineno, fields[:n_text] + values))
     return out
 
 

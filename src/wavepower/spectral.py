@@ -92,8 +92,9 @@ class VarianceDensitySpectrum:
             raise DomainError(f"df must be positive and finite, got {self.df}")
         if self.f.shape != self.S.shape or self.f.ndim != 1 or self.f.size == 0:
             raise DataError("f and S must be matching 1-D arrays")
-        if np.any(self.S < 0):
-            raise DataError("variance density must be non-negative")
+        if not _positive_finite(self.S, zero_ok=True):
+            raise DataError("variance density must be non-negative and "
+                            "finite")
         if self.f.size > 1:
             steps = np.diff(self.f)
             if np.any(steps <= 0) or np.max(np.abs(steps - self.df)) > 1e-9 * self.df + 1e-15:

@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -421,3 +423,45 @@ def test_malformed_point_file_fails_that_point(case, tmp_path, capsys):
         assert err.rstrip().endswith("/Z1.csv exist; remove the stale one")
     assert [ln.split(",")[0] for ln in
             read_lines(out / "features.csv")[1:]] == ["K4"]
+
+
+@pytest.fixture(scope="module")
+def ranked_run(tmp_path_factory):
+    """--out of synth to rank, run once for the stage-table tests."""
+    out = tmp_path_factory.mktemp("ranked") / "o"
+    args = ["--out", str(out), "--seed", "7", "--hours", "48",
+            "--depth-range", "5,100", "--points", "K1,K4,Z1"]
+    for cmd in STAGES[:4]:
+        assert main([cmd] + args) == 0
+    return out
+
+
+def _set_field(path, column, value):
+    """Set `column` of the first data row of a CSV table to `value`."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[1][rows[0].index(column)] = value
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+# (stage, table it reads, numeric column set to a non-finite value)
+NON_FINITE_STAGE_TABLES = [
+    ("rank", "features.csv", "power_irregular_wpm"),
+    ("report", "results.csv", "power_regular_wpm"),
+    ("report", "zone_shares.csv", "total_power_wpm"),
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("stage,table,column", NON_FINITE_STAGE_TABLES)
+def test_non_finite_stage_table_field_fails_closed(
+        ranked_run, tmp_path, capsys, stage, table, column, value):
+    out = tmp_path / "o"
+    shutil.copytree(ranked_run, out)
+    _set_field(out / table, column, value)
+    capsys.readouterr()
+    assert main([stage, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert f"line 2: {out / table}: non-finite {column} {value}" in err, err

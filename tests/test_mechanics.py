@@ -353,3 +353,91 @@ def test_inputs_are_checked_before_any_block(monkeypatch):
         regular_wave_power(1.0, 7.0, d)
     with pytest.raises(DomainError, match="positive and finite"):
         wavenumber(7.0, d)
+
+
+# The power kernel as it was before each Newton step took a single tanh:
+# f' from cosh, with kd > 350 cut to 0 where cosh overflows, and the
+# transfer factor from a second tanh and a sinh. Kept as a reference for
+# the one-tanh kernel, which should differ only in its last bits.
+def reference_group_factor(kd):
+    with np.errstate(over="ignore"):
+        ratio = np.where(kd > 350.0, 0.0, 2.0 * kd / np.sinh(2.0 * kd))
+    return 0.5 * (1.0 + ratio)
+
+
+def reference_power(H, T, depth, rho=1025.0, g=9.81):
+    H, T, depth = (np.asarray(x, dtype=float) for x in (H, T, depth))
+    omega = 2.0 * np.pi / T
+    omega2 = omega * omega
+    k = omega2 / g
+    with np.errstate(over="ignore"):
+        for _ in range(mechanics.DISPERSION_MAX_ITER):
+            kd = k * depth
+            th = np.tanh(kd)
+            f = omega2 - g * k * th
+            done = np.abs(f) / omega2 <= DISPERSION_TOL
+            if np.all(done):
+                break
+            fprime = -g * (th + kd * np.where(
+                kd > 350.0, 0.0, 1.0 / np.cosh(kd) ** 2))
+            k = np.where(done, k, k - f / fprime)
+        else:
+            raise AssertionError("the reference solve did not converge")
+    kd = k * depth
+    factor = np.tanh(kd) * 2.0 * reference_group_factor(kd)
+    return rho * g ** 2 * H ** 2 * T / (32.0 * np.pi) * factor
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40))
+def test_kernel_agrees_with_the_cosh_reference(data, n):
+    def column(lo, hi):
+        return data.draw(arrays(float, n, elements=st.floats(lo, hi)))
+
+    H, T, d = column(0.0, 5.0), column(1.0, 20.0), column(0.01, 5000.0)
+    np.testing.assert_allclose(regular_wave_power(H, T, d),
+                               reference_power(H, T, d), rtol=1e-14, atol=0)
+    kd = wavenumber(T, d) * d
+    with np.errstate(over="ignore"):
+        expected = np.tanh(kd) * (1.0 + 2.0 * kd / np.sinh(2.0 * kd))
+    np.testing.assert_allclose(power_transfer_factor(kd), expected,
+                               rtol=1e-14, atol=0)
+
+
+def wide_grid():
+    """200 x 200 (T, d) grid, T in [1, 20] s, d in [0.01, 5000] m."""
+    return np.meshgrid(np.linspace(1.0, 20.0, 200),
+                       np.geomspace(0.01, 5000.0, 200))
+
+
+def test_newton_converges_within_pinned_steps():
+    # 4 steps and the check in the paper box, 11 and the check over the
+    # wide grid; a slower Newton derivative takes more
+    tt, dd = np.meshgrid(np.linspace(2.0, 6.0, 1000),
+                         np.linspace(5.0, 100.0, 1000), indexing="ij")
+    wavenumber(tt, dd, max_iter=5)
+    wavenumber(*wide_grid(), max_iter=12)
+
+
+def test_kernel_raises_no_floating_point_error():
+    # exp(-2kd) underflows in deep water, which stays ignored; nothing
+    # overflows, divides by zero or turns invalid
+    t, d = wide_grid()
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        regular_wave_power(1.0, t, d)
+        regular_wave_power(1.0, 1.0, 25000.0)  # kd about 1.0e5
+        solve_dispersion(1.0, 25000.0)
+        power_transfer_factor(np.geomspace(1e-8, 1e5, 2000))
+
+
+def test_deep_limit_holds_on_a_dense_scan():
+    # the deep-limit bounds at every step of 1e-4 in kd where tanh(kd)
+    # rounds near 1: sech^2 taken as 1 - tanh^2 cancels there and breaks
+    # them at a few hundred of these points, which random draws miss
+    kd = np.linspace(5.0, 40.0, 350001)
+    factor = power_transfer_factor(kd)
+    n = factor / (2 * np.tanh(kd))
+    with np.errstate(under="ignore"):
+        bound = kd * np.exp(-2 * kd)
+    assert np.all(np.abs(factor - 1) <= 4 * bound + 1e-15)
+    assert np.all(np.abs(n - 0.5) <= 3 * bound + 1e-15)

@@ -81,6 +81,14 @@ class TestTypes:
         with pytest.raises(DomainError, match="need finite f_lo < f_hi"):
             uniform_spectrum(*args)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_density_rejected(self, bad):
+        match = "variance density must be non-negative and finite"
+        with pytest.raises(DataError, match=match):
+            VarianceDensitySpectrum(f=[0.15, 0.25], S=[bad, 1.0], df=0.1)
+        with pytest.raises(DataError, match=match):
+            uniform_spectrum(bad, 0.1, 0.2, 0.01)
+
 
 class TestEstimateSpectrum:
     def test_pure_sinusoid_on_grid(self):
