@@ -11,18 +11,15 @@ from .assessment import (
     SiteAssessment,
     correlation_score,
     deviation_norm,
-    feature_vector,
     rank_points,
     zone_shares,
 )
 from .data_io import SeaStateSeries, SiteCatalog, builtin_catalog
 from .gwo import GwoConfig, GwoRun, SearchBounds, gwo_maximize
 from .mechanics import (
-    DispersionSolution,
     FluidEnvironment,
     power_transfer_factor,
     regular_wave_power,
-    solve_dispersion,
 )
 from .spectral import (
     ElevationRecord,

@@ -73,18 +73,6 @@ class SiteAssessment:
     rank: int = 0
 
 
-def feature_vector(history, depth, point_id="", zone=""):
-    """Arithmetic means of a per-point sequence of (H, T) states."""
-    hist = list(history)
-    if not hist:
-        raise DataError(f"{point_id or 'point'}: empty history")
-    hs = np.array([h for h, _ in hist], dtype=float)
-    ts = np.array([t for _, t in hist], dtype=float)
-    return PointFeatures(point_id=point_id, zone=zone,
-                         h_bar=float(np.mean(hs)), t_bar=float(np.mean(ts)),
-                         depth=float(depth))
-
-
 def deviation_norm(features, ref, mode=NORM_RAW, ranges=None):
     """Euclidean distance between a site's features and the reference.
 

@@ -151,7 +151,8 @@ def cmd_synth(cfg):
     points = pipeline.select_points({e.name: e for e in catalog},
                                     cfg["points"])
     if kind != "sea-states":
-        pipeline.check_record_sampling(cfg["te_base"], cfg["dt"])
+        pipeline.check_record_sampling(cfg["te_base"], cfg["duration"],
+                                       cfg["dt"])
     means = pipeline.schedule_means(catalog, cfg["hs_base"], cfg["te_base"])
     if kind != "elevation":
         # in Python integers, before an axis of `hours` times exists

@@ -76,6 +76,9 @@ ELEVATION_DTYPE = np.dtype([("time_s", "<f8"), ("eta_m", "<f8")])
 FIRST_TIME = np.datetime64("0000-01-01T00:00:00", "s")
 LAST_TIME = np.datetime64("9999-12-31T23:59:59", "s")
 _BAD_STAMP = "bad timestamp {stamp!r}, expected YYYY-MM-DDTHH:MM:SSZ"
+# largest deviation of an elevation record's time steps from their
+# median, relative to that median
+SAMPLING_REL_TOL = 1e-6
 # C0 and C1 control characters; a lone carriage return among them would
 # be written unquoted and split its row
 _CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")
@@ -95,6 +98,10 @@ class CatalogEntry:
             if text != text.strip() or _CONTROL.search(text):
                 raise DataError(f"name or zone {text!r} has control "
                                 f"characters or surrounding whitespace")
+        # synth writes <dir>/<name>.npy, so a name must stay one file name
+        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\"):
+            raise DataError(f"point name {self.name!r} is not one file "
+                            f"name: empty, '.', '..', or holding '/' or '\\'")
         if not (-90 <= self.lat <= 90 and -180 <= self.lon <= 180):
             raise DataError(
                 f"coordinates ({self.lat}, {self.lon}) out of range")
@@ -275,28 +282,24 @@ class _RowFault(DataError):
         self.row, self.reason = row, reason
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SeaStateSeries:
-    """Hourly (or otherwise sampled) Hs/Te summaries for one point.
-
-    `timestamps` may be given as YYYY-MM-DDTHH:MM:SSZ strings or as
-    datetime64 times; `times` keeps them as datetime64[s], and the
-    `timestamps` property formats them back to the strings.
-    """
+    """Hourly (or otherwise sampled) Hs/Te summaries for one point; `times`
+    is a datetime64 array, kept as datetime64[s]."""
 
     point: str
     times: np.ndarray  # datetime64[s], strictly increasing
     hs: np.ndarray
     te: np.ndarray
 
-    def __init__(self, point, timestamps, hs, te):
-        if isinstance(timestamps, np.ndarray) and timestamps.dtype.kind == "M":
-            stamps, times = None, timestamps.astype("<M8[s]")
-        else:
-            stamps = tuple(timestamps)
-            times = parse_timestamps(stamps)
-        hs, te = np.asarray(hs, dtype=float), np.asarray(te, dtype=float)
-        object.__setattr__(self, "point", point)
+    def __post_init__(self):
+        point, times = self.point, np.asarray(self.times)
+        if times.dtype.kind != "M":
+            raise DataError(f"{point}: times must be datetime64, got "
+                            f"{times.dtype}")
+        times = times.astype("<M8[s]")
+        hs = np.asarray(self.hs, dtype=float)
+        te = np.asarray(self.te, dtype=float)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "hs", hs)
         object.__setattr__(self, "te", te)
@@ -308,15 +311,9 @@ class SeaStateSeries:
         fault = _sea_state_fault(times, hs, te)
         if fault:
             row, reason = fault
-            stamp = stamps[row] if stamps is not None else \
-                str(format_timestamps(times[row:row + 1])[0])
             raise _RowFault(point, row, reason.format(
-                stamp=stamp, hs=hs[row], te=te[row]))
-
-    @property
-    def timestamps(self):
-        """The times as a tuple of YYYY-MM-DDTHH:MM:SSZ strings."""
-        return tuple(format_timestamps(self.times).tolist())
+                stamp=str(format_timestamps(times[row:row + 1])[0]),
+                hs=hs[row], te=te[row]))
 
     def __len__(self):
         return self.times.size
@@ -397,14 +394,13 @@ def _write_columns(path, dtype, *columns):
             for n, c in zip(dtype.names, columns))))
 
 
-def load_sea_states(path, point=None):
+def load_sea_states(path):
     """Parse a sea-state file, .npy or else CSV, with the fields of
-    SEA_STATE_DTYPE; point defaults to the file stem."""
-    if point is None:
-        point = os.path.splitext(os.path.basename(path))[0]
+    SEA_STATE_DTYPE, as the series of the point the file stem names."""
+    point = os.path.splitext(os.path.basename(path))[0]
     arr, lines = _load_columns(path, SEA_STATE_DTYPE)
     try:
-        return SeaStateSeries(point=point, timestamps=arr["timestamp"],
+        return SeaStateSeries(point=point, times=arr["timestamp"],
                               hs=arr["hs_m"].copy(), te=arr["te_s"].copy())
     except _RowFault as exc:
         if lines is None:
@@ -418,9 +414,9 @@ def write_sea_states(series, path):
     _write_columns(path, SEA_STATE_DTYPE, series.times, series.hs, series.te)
 
 
-def load_elevation(path, rel_tol=1e-6):
+def load_elevation(path):
     """Parse an elevation file, .npy or else CSV, with the fields of
-    ELEVATION_DTYPE; sampling must be uniform within rel_tol."""
+    ELEVATION_DTYPE; sampling must be uniform within SAMPLING_REL_TOL."""
     arr, _ = _load_columns(path, ELEVATION_DTYPE)
     t, eta = arr["time_s"], arr["eta_m"].copy()
     if t.size < 2:
@@ -432,7 +428,7 @@ def load_elevation(path, rel_tol=1e-6):
     if dt <= 0:
         raise ParseError(f"{path}: non-increasing time column")
     worst = float(np.max(np.abs(steps - dt)))
-    if worst > rel_tol * dt:
+    if worst > SAMPLING_REL_TOL * dt:
         raise ParseError(
             f"{path}: non-uniform sampling, worst step deviation "
             f"{worst:.3e} s against dt={dt}")
@@ -461,7 +457,7 @@ def load_point(directory, name):
     elevation/; both suffixes of one kind is an error, so a stale CSV
     cannot stand in for newer data."""
     looked = []
-    for kind, load in (("sea_states", lambda p: load_sea_states(p, name)),
+    for kind, load in (("sea_states", load_sea_states),
                        ("elevation", load_elevation)):
         paths = [os.path.join(directory, kind, f"{name}{ext}")
                  for ext in (".npy", ".csv")]

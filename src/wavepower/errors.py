@@ -62,10 +62,6 @@ class ParseError(WavePowerError, ValueError):
 class JoinError(WavePowerError, ValueError):
     """Point sets from different pipeline stages do not match."""
 
-    def __init__(self, message, unmatched=()):
-        super().__init__(message)
-        self.unmatched = tuple(unmatched)
-
 
 class ConfigError(WavePowerError, ValueError):
     """Invalid run configuration."""

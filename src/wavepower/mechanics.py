@@ -37,17 +37,6 @@ class FluidEnvironment:
             raise DomainError(f"g must be positive and finite, got {self.g}")
 
 
-@dataclass(frozen=True)
-class DispersionSolution:
-    """Wave number and derived kinematic quantities for one (T, d) pair."""
-
-    k: float            # wave number, rad/m
-    kd: float           # dimensionless depth parameter k*d
-    celerity: float     # phase speed C = omega/k, m/s
-    group_factor: float  # n = Cg/C in [0.5, 1]
-    group_velocity: float  # Cg = n*C, m/s
-
-
 def _positive_finite(x, zero_ok=False):
     """Whether every element of array x lies in (0, inf), or in [0, inf)
     with zero_ok; NaN does not. Two reductions and no temporary array,
@@ -74,19 +63,17 @@ def _transfer_factor(kd, th, out, tmp):
     return out
 
 
-def _solve_by_blocks(block_fn, arrays, g, tol, max_iter):
+def _solve_by_blocks(block_fn, arrays, g, max_iter):
     """Fill an array of the broadcast shape of `arrays` (period and depth
     first), or a float for 0-d inputs, taking them in C order in blocks
     of at most SOLVE_BLOCK elements. On each block, Newton iteration
     solves the dispersion relation for k and stops as soon as all of the
-    block's elements are within tol; then block_fn(out, k, kd, th, tmp,
-    *blocks) fills the block's out from k, kd = k*depth, th = tanh(kd)
-    and a scratch array tmp. Each step runs in place in buffers reused
-    from block to block."""
+    block's elements are within DISPERSION_TOL; then block_fn(out, k, kd,
+    th, tmp, *blocks) fills the block's out from k, kd = k*depth,
+    th = tanh(kd) and a scratch array tmp. Each step runs in place in
+    buffers reused from block to block."""
     if not (_positive_finite(arrays[0]) and _positive_finite(arrays[1])):
         raise DomainError("period and depth must be positive and finite")
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     if max_iter < 1:
         raise DomainError("max_iter must be at least 1")
     it = np.nditer([*arrays, None],
@@ -114,7 +101,7 @@ def _solve_by_blocks(block_fn, arrays, g, tol, max_iter):
                 np.subtract(omega2, f, out=f)
                 np.absolute(f, out=resid)
                 np.divide(resid, omega2, out=resid)
-                np.less_equal(resid, tol, out=done)
+                np.less_equal(resid, DISPERSION_TOL, out=done)
                 if done.all():
                     break
                 # f' = -g (th + kd sech^2(kd)) with sech^2 = 1 - th^2
@@ -124,8 +111,8 @@ def _solve_by_blocks(block_fn, arrays, g, tol, max_iter):
                 np.add(step, th, out=step)
                 np.multiply(step, g, out=step)
                 np.divide(f, step, out=step)
-                # k - f/f' = k + step; only elements not yet within tol
-                # (done, negated in place) move
+                # k - f/f' = k + step; only elements not yet within
+                # DISPERSION_TOL (done, negated in place) move
                 np.logical_not(done, out=done)
                 np.add(k, step, out=k, where=done)
             else:
@@ -139,8 +126,7 @@ def _solve_by_blocks(block_fn, arrays, g, tol, max_iter):
     return out if out.ndim else float(out)
 
 
-def wavenumber(period, depth, g=DEFAULT_G, tol=DISPERSION_TOL,
-               max_iter=DISPERSION_MAX_ITER):
+def wavenumber(period, depth, g=DEFAULT_G, max_iter=DISPERSION_MAX_ITER):
     """Solve omega^2 = g*k*tanh(k*d) for k. Accepts arrays.
 
     Newton iteration from the deep-water guess k0 = omega^2/g; the
@@ -148,8 +134,9 @@ def wavenumber(period, depth, g=DEFAULT_G, tol=DISPERSION_TOL,
     Each step takes one tanh: with th = tanh(kd), the derivative of
     f = omega^2 - g*k*th is -g*(th + kd*(1 - th^2)), since
     sech^2 = 1 - tanh^2.
-    Each element stops moving once its own residual is within tol, so an
-    array gives the same bits as its elements solved one at a time.
+    Each element stops moving once its own relative residual is within
+    DISPERSION_TOL, so an array gives the same bits as its elements solved
+    one at a time.
 
     Arrays are validated whole, then solved over their broadcast shape in
     C order in blocks of at most SOLVE_BLOCK elements, each iterating
@@ -161,25 +148,7 @@ def wavenumber(period, depth, g=DEFAULT_G, tol=DISPERSION_TOL,
     period = np.asarray(period, dtype=float)
     depth = np.asarray(depth, dtype=float)
     return _solve_by_blocks(lambda out, k, *_: np.copyto(out, k),
-                            (period, depth), g, tol, max_iter)
-
-
-def solve_dispersion(period, depth, env=None, tol=DISPERSION_TOL,
-                     max_iter=DISPERSION_MAX_ITER):
-    """Full dispersion solution (k, kd, C, n, Cg) for scalar period/depth."""
-    env = env or FluidEnvironment()
-    k = wavenumber(period, depth, g=env.g, tol=tol, max_iter=max_iter)
-    kd = k * depth
-    omega = 2.0 * np.pi / period
-    celerity = omega / k
-    n = float(power_transfer_factor(kd) / (2.0 * np.tanh(kd)))
-    return DispersionSolution(
-        k=float(k),
-        kd=float(kd),
-        celerity=float(celerity),
-        group_factor=n,
-        group_velocity=n * float(celerity),
-    )
+                            (period, depth), g, max_iter)
 
 
 def power_transfer_factor(kd):
@@ -200,7 +169,7 @@ def power_transfer_factor(kd):
     return out if out.ndim else float(out)
 
 
-def regular_wave_power(H, T, depth, env=None, tol=DISPERSION_TOL):
+def regular_wave_power(H, T, depth, env=None):
     """Mean power per crest width (W/m) of a regular wave train.
 
     rho*g^2*H^2*T/(32*pi) scaled by the depth transfer factor at k*depth.
@@ -231,5 +200,4 @@ def regular_wave_power(H, T, depth, env=None, tol=DISPERSION_TOL):
         np.divide(tmp, 32.0 * np.pi, out=tmp)
         np.multiply(out, tmp, out=out)
 
-    return _solve_by_blocks(power, (T, depth, H), env.g, tol,
-                            DISPERSION_MAX_ITER)
+    return _solve_by_blocks(power, (T, depth, H), env.g, DISPERSION_MAX_ITER)

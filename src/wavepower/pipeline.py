@@ -29,8 +29,7 @@ def select_points(by_name, names=None):
         return list(by_name.values())
     missing = [n for n in names if n not in by_name]
     if missing:
-        raise JoinError(f"unknown points: {', '.join(missing)}",
-                        unmatched=missing)
+        raise JoinError(f"unknown points: {', '.join(missing)}")
     return [by_name[n] for n in names]
 
 
@@ -57,13 +56,16 @@ def sea_state_series(entry, mean, times, seed):
     te = te_mean * (1.0 + 0.2 * rng.uniform(-1, 1, len(times)))
     hs += hs_mean - hs.mean()
     te += te_mean - te.mean()
-    return data_io.SeaStateSeries(point=entry.name, timestamps=times,
-                                  hs=hs, te=te)
+    return data_io.SeaStateSeries(point=entry.name, times=times, hs=hs, te=te)
 
 
-def check_record_sampling(te_base, dt):
-    """Reject a dt under which no point's record can be synthesized; the
-    shortest per-point mean period is 0.8 * te_base."""
+def check_record_sampling(te_base, duration, dt):
+    """Reject a duration and dt under which no point's record can be
+    synthesized: fewer than 2 samples, or a dt above Nyquist for the
+    shortest per-point mean period, 0.8 * te_base."""
+    if round(duration / dt) < 2:
+        raise ConfigError(f"duration={duration} holds fewer than 2 samples "
+                          f"of dt={dt}")
     f_hi = 1.2 / (0.8 * te_base)
     if dt > 1.0 / (2.0 * f_hi):
         raise ConfigError(f"dt={dt} violates Nyquist for the synthesis band "

@@ -38,10 +38,6 @@ class ElevationRecord:
         if not np.all(np.isfinite(self.samples)):
             raise DataError("record contains non-finite samples")
 
-    @property
-    def duration(self):
-        return self.dt * self.samples.size
-
     def variance(self):
         return float(np.var(self.samples))
 
@@ -173,12 +169,6 @@ def spectral_moment(spectrum, order):
         raise DomainError(
             "negative-order moment undefined with a zero-frequency bin")
     return float(np.sum(spectrum.f ** order * spectrum.S) * spectrum.df)
-
-
-def energy_density(spectrum, env=None):
-    """Energy density rho*g*S_f(f), J/(m^2 Hz), aligned with spectrum.f."""
-    env = env or FluidEnvironment()
-    return env.rho * env.g * spectrum.S
 
 
 def irregular_wave_power(spectrum, env=None):

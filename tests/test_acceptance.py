@@ -107,7 +107,7 @@ def test_criterion_4_dispersion_grid_and_limits():
     T = np.linspace(1.0, 20.0, 50)
     d = np.linspace(0.5, 500.0, 50)
     Tg, Dg = np.meshgrid(T, d, indexing="ij")
-    k = wavenumber(Tg, Dg, tol=1e-12)
+    k = wavenumber(Tg, Dg)
     omega2 = (2 * np.pi / Tg) ** 2
     resid = np.abs(omega2 - 9.81 * k * np.tanh(k * Dg)) / omega2
     kd = k * Dg

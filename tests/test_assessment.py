@@ -1,6 +1,9 @@
+from datetime import datetime
+
 import numpy as np
 import pytest
 
+from wavepower import pipeline
 from wavepower.assessment import (
     OptimalReference,
     PointFeatures,
@@ -8,11 +11,12 @@ from wavepower.assessment import (
     correlation_score,
     deviation_norm,
     feature_ranges,
-    feature_vector,
     rank_points,
     zone_shares,
 )
+from wavepower.data_io import CatalogEntry, SeaStateSeries
 from wavepower.errors import DataError, DomainError, ScalingError
+from wavepower.mechanics import FluidEnvironment
 from wavepower.spectral import parametric_power
 
 TABLE_REF = OptimalReference(h_opt=0.595, t_opt=4.102, d_opt=79.218)
@@ -54,23 +58,36 @@ def test_zero_mean_height_is_a_valid_feature():
     assert features(0.0, 4.0, 30.0).h_bar == 0.0
 
 
+def mean_features(history, depth):
+    """The PointFeatures pipeline.point_features takes from an hourly
+    sea-state series of (H, T) states."""
+    hs = [h for h, _ in history]
+    te = [t for _, t in history]
+    series = SeaStateSeries(
+        point="P", times=pipeline.timestamps(datetime(2006, 1, 1), len(hs)),
+        hs=hs, te=te)
+    entry = CatalogEntry(index=1, name="P", zone="Z", lat=37.0, lon=50.0,
+                         depth=depth)
+    return pipeline.point_features(entry, series, FluidEnvironment())[0]
+
+
 class TestFeatureVector:
     def test_constant_history(self):
-        f = feature_vector([(1.0, 4.0), (1.0, 4.0)], depth=10.0)
+        f = mean_features([(1.0, 4.0), (1.0, 4.0)], depth=10.0)
         assert (f.h_bar, f.t_bar) == (1.0, 4.0)
 
     def test_two_point_mean(self):
-        f = feature_vector([(0.4, 3.0), (0.8, 5.0)], depth=10.0)
+        f = mean_features([(0.4, 3.0), (0.8, 5.0)], depth=10.0)
         assert f.h_bar == pytest.approx(0.6)
         assert f.t_bar == pytest.approx(4.0)
 
     def test_single_entry(self):
-        f = feature_vector([(0.7, 6.0)], depth=2.0)
+        f = mean_features([(0.7, 6.0)], depth=2.0)
         assert (f.h_bar, f.t_bar, f.depth) == (0.7, 6.0, 2.0)
 
     def test_empty_history(self):
         with pytest.raises(DataError):
-            feature_vector([], depth=10.0)
+            mean_features([], depth=10.0)
 
 
 class TestDeviationNorm:

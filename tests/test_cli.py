@@ -343,6 +343,19 @@ MALFORMED = {
         ["synth", "--catalog", "{tmp}/cat.csv"],
         {"cat.csv": "index,name,zone,lat_deg,lon_deg,depth_m\n"
                     "1,P1,A,37.0,50.0,3,9"}),
+    # synth would write sea_states/<name>.npy outside --out, or under a
+    # directory it never made
+    "catalog name that leaves --out": (
+        ["synth", "--hours", "3", "--catalog", "{tmp}/cat.csv"],
+        {"cat.csv": "index,name,zone,lat_deg,lon_deg,depth_m\n"
+                    "1,../../escaped,A,37.0,50.0,3"}),
+    "catalog name with a slash": (
+        ["synth", "--hours", "3", "--catalog", "{tmp}/cat.csv"],
+        {"cat.csv": "index,name,zone,lat_deg,lon_deg,depth_m\n"
+                    "1,a/b,A,37.0,50.0,3"}),
+    "record shorter than two samples": (
+        ["synth", "--kind", "elevation", "--duration", "0.5", "--dt", "0.5",
+         "--depth-range", "5,100", "--points", "T1"], {}),
 }
 
 

@@ -1,7 +1,10 @@
+import csv
+import re
 import tempfile
 import warnings
 from datetime import datetime, timedelta
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wavepower import data_io
+from wavepower.assessment import PointFeatures, rank_points
 from wavepower.errors import DataError, ParseError
 from wavepower.spectral import ElevationRecord
 
@@ -123,6 +127,16 @@ class TestCatalogIO:
         with pytest.raises(DataError, match="control characters"):
             data_io.CatalogEntry(1, lat=37.0, lon=49.0, **fields)
 
+    @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../../x",
+                                      "a\\b", "/"])
+    def test_name_must_be_one_file_name(self, name):
+        with pytest.raises(DataError, match="point name"):
+            data_io.CatalogEntry(1, name, "A", 37.0, 49.0)
+
+    @pytest.mark.parametrize("name", ["P.1", "...", "a..b", "Bandar Anzali"])
+    def test_dotted_and_spaced_names_accepted(self, name):
+        assert data_io.CatalogEntry(1, name, "A", 37.0, 49.0).name == name
+
 
 def _entry_or_none(args):
     """The CatalogEntry of `args`, or None where the entry is refused."""
@@ -155,14 +169,15 @@ class TestSeaStateIO:
     def test_round_trip(self, tmp_path):
         series = data_io.SeaStateSeries(
             point="P1",
-            timestamps=("2006-01-01T00:00:00Z", "2006-01-01T01:00:00Z",
-                        "2006-01-01T02:00:00Z"),
+            times=data_io.parse_timestamps((
+                "2006-01-01T00:00:00Z", "2006-01-01T01:00:00Z",
+                "2006-01-01T02:00:00Z")),
             hs=np.array([0.4, 0.5, 0.6]), te=np.array([3.0, 4.0, 5.0]))
         path = tmp_path / "P1.csv"
         data_io.write_sea_states(series, path)
         loaded = data_io.load_sea_states(path)
         assert loaded.point == "P1"
-        assert loaded.timestamps == series.timestamps
+        assert np.array_equal(loaded.times, series.times)
         assert np.array_equal(loaded.hs, series.hs)
         assert np.array_equal(loaded.te, series.te)
 
@@ -207,8 +222,8 @@ class TestSeaStateIO:
             data_io.load_sea_states(path)
 
 
-SERIES_KW = dict(point="P1", timestamps=("2006-01-01T00:00:00Z",
-                                         "2006-01-01T01:00:00Z"))
+SERIES_KW = dict(point="P1", times=data_io.parse_timestamps((
+    "2006-01-01T00:00:00Z", "2006-01-01T01:00:00Z")))
 
 
 class TestSeaStateSeries:
@@ -220,25 +235,33 @@ class TestSeaStateSeries:
             data_io.SeaStateSeries(hs=[0.4, 0.5], te=[bad, 4.0], **SERIES_KW)
 
     def test_timestamps_compared_as_times(self):
-        with pytest.raises(DataError, match="bad timestamp '2006-01-02'"):
+        with pytest.raises(DataError, match="row 1: bad timestamp 'NaT'"):
             data_io.SeaStateSeries(
-                point="P1", timestamps=("2006-01-01T00:00:00Z", "2006-01-02"),
+                point="P1", times=data_io.parse_timestamps(
+                    ("2006-01-01T00:00:00Z", "2006-01-02")),
                 hs=[0.4, 0.5], te=[3.0, 4.0])
 
     def test_datetime64_timestamps(self):
         times = np.array(["2006-01-01T00:00", "2006-01-01T01:00"],
                          dtype="datetime64[m]")
-        series = data_io.SeaStateSeries(point="P1", timestamps=times,
+        series = data_io.SeaStateSeries(point="P1", times=times,
                                         hs=[0.4, 0.5], te=[3.0, 4.0])
-        assert series.timestamps == SERIES_KW["timestamps"]
+        assert np.array_equal(series.times, SERIES_KW["times"])
         assert series.times.dtype == np.dtype("datetime64[s]")
         assert np.array_equal(series.times, times)
+
+    def test_times_must_be_datetime64(self):
+        with pytest.raises(DataError, match="P1: times must be datetime64"):
+            data_io.SeaStateSeries(
+                point="P1", times=("2006-01-01T00:00:00Z",
+                                   "2006-01-01T01:00:00Z"),
+                hs=[0.4, 0.5], te=[3.0, 4.0])
 
     def test_year_beyond_9999_rejected(self):
         times = np.array(["9999-12-31T23:00:00", "10000-01-01T00:00:00"],
                          dtype="datetime64[s]")
         with pytest.raises(DataError, match="bad timestamp"):
-            data_io.SeaStateSeries(point="P1", timestamps=times,
+            data_io.SeaStateSeries(point="P1", times=times,
                                    hs=[0.4, 0.5], te=[3.0, 4.0])
 
 
@@ -437,12 +460,13 @@ def test_sea_states_csv_and_npy_load_the_same_bits(data, seconds):
     te = data.draw(arrays(np.float64, n, elements=st.floats(
         5e-324, 1e300)))
     series = data_io.SeaStateSeries(
-        point="P1", timestamps=tuple(iso(x) for x in sorted(seconds)),
+        point="P1",
+        times=data_io.parse_timestamps(iso(x) for x in sorted(seconds)),
         hs=hs, te=te)
     a, b = both_formats(data_io.write_sea_states, data_io.load_sea_states,
                         series)
     assert a.point == b.point == "P1"
-    assert a.timestamps == b.timestamps == series.timestamps
+    assert np.array_equal(a.times, series.times)
     assert np.array_equal(a.times, b.times)
     assert same_bits(a.hs, b.hs) and same_bits(a.hs, series.hs)
     assert same_bits(a.te, b.te) and same_bits(a.te, series.te)
@@ -496,8 +520,8 @@ class TestLoadPoint:
         data_io.write_point(tmp_path, "P1", self.series())
         assert sorted(p.name for p in tmp_path.rglob("*")) == [
             "P1.npy", "sea_states"]
-        assert data_io.load_point(tmp_path, "P1").timestamps == \
-            SERIES_KW["timestamps"]
+        assert np.array_equal(data_io.load_point(tmp_path, "P1").times,
+                              SERIES_KW["times"])
 
     def test_reads_csv(self, tmp_path):
         (tmp_path / "sea_states").mkdir()
@@ -543,3 +567,53 @@ class TestResults:
         assert sorted(doc) == ["assessments", "config"]
         assert doc["assessments"][0]["point"] == "A"
         assert doc["config"] == {"seed": 0}
+
+
+# stage table -> (its columns, how many lead as text, its loader)
+STAGE_TABLES = {
+    "features.csv": (data_io.FEATURE_COLUMNS, 2, data_io.load_features),
+    "reference.csv": (data_io.REFERENCE_COLUMNS, 0, data_io.load_reference),
+    "results.csv": (data_io.RESULTS_COLUMNS, 2, data_io.load_results),
+    "zone_shares.csv": (data_io.ZONE_SHARE_COLUMNS, 1,
+                        data_io.load_zone_shares),
+}
+NON_FINITE_TEXT = ["nan", "inf", "-inf", "NaN", "-nan", "+inf", "Infinity",
+                   "-INFINITY"]
+
+
+def write_stage_tables(directory):
+    """Two-row features, results and zone shares, and a reference."""
+    data_io.write_features(
+        [(PointFeatures("A", "Z1", 0.5, 4.0, 30.0), 100.0, 110.0),
+         (PointFeatures("B", "Z2", 0.6, 4.5, 40.0), 120.0, 130.0)],
+        directory / "features.csv")
+    data_io.write_reference(SimpleNamespace(best_position=(0.6, 4.1, 79.0),
+                                            best_value=3000.0),
+                            directory / "reference.csv")
+    data_io.write_results(rank_points([make_assessment("A", 1.0, zone="Z1"),
+                                       make_assessment("B", 2.0, zone="Z2")]),
+                          directory / "results.csv")
+    data_io.write_zone_shares({"Z1": 100.0, "Z2": 120.0},
+                              {"Z1": 100 / 220, "Z2": 120 / 220},
+                              directory / "zone_shares.csv")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), table=st.sampled_from(sorted(STAGE_TABLES)),
+       value=st.sampled_from(NON_FINITE_TEXT))
+def test_non_finite_stage_table_field_names_line_and_column(data, table,
+                                                             value):
+    columns, n_text, load = STAGE_TABLES[table]
+    with tempfile.TemporaryDirectory() as tmp:
+        write_stage_tables(Path(tmp))
+        path = Path(tmp) / table
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        row = data.draw(st.integers(1, len(rows) - 1))
+        column = data.draw(st.sampled_from(columns[n_text:]))
+        rows[row][rows[0].index(column)] = value
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        with pytest.raises(ParseError, match=re.escape(
+                f"line {row + 1}: {path}: non-finite {column} {value}")):
+            load(path)

@@ -11,7 +11,6 @@ from wavepower.mechanics import (
     FluidEnvironment,
     power_transfer_factor,
     regular_wave_power,
-    solve_dispersion,
     wavenumber,
 )
 
@@ -24,46 +23,44 @@ def dispersion_residual(k, period, depth, g=9.81):
 class TestSolveDispersion:
     def test_deep_limit(self):
         # T=10 s in 1000 m of water is effectively deep: k -> omega^2/g
-        sol = solve_dispersion(10.0, 1000.0)
+        k = wavenumber(10.0, 1000.0)
         k_deep = (2 * np.pi / 10.0) ** 2 / 9.81
-        assert sol.k == pytest.approx(k_deep, rel=1e-3)
-        assert dispersion_residual(sol.k, 10.0, 1000.0) <= 1e-12
+        assert k == pytest.approx(k_deep, rel=1e-3)
+        assert dispersion_residual(k, 10.0, 1000.0) <= 1e-12
 
     def test_shallow_limit(self):
         # T=100 s in 1 m: k -> omega/sqrt(g d)
-        sol = solve_dispersion(100.0, 1.0)
+        k = wavenumber(100.0, 1.0)
         k_shallow = (2 * np.pi / 100.0) / np.sqrt(9.81 * 1.0)
-        assert sol.k == pytest.approx(k_shallow, rel=0.01)
-        assert sol.k == pytest.approx(0.02006, rel=0.01)
+        assert k == pytest.approx(k_shallow, rel=0.01)
+        assert k == pytest.approx(0.02006, rel=0.01)
 
     @pytest.mark.parametrize("period,depth", [
         (1.0, 0.5), (5.0, 3.0), (8.0, 20.0), (12.0, 500.0), (20.0, 0.7),
     ])
     def test_residual_is_defining(self, period, depth):
-        sol = solve_dispersion(period, depth)
-        assert dispersion_residual(sol.k, period, depth) <= 1e-12
-        assert sol.kd == pytest.approx(sol.k * depth)
+        k = wavenumber(period, depth)
+        assert dispersion_residual(k, period, depth) <= 1e-12
 
     def test_group_factor_range(self):
+        # n = Cg/C = power_transfer_factor(kd) / (2 tanh(kd)) lies in
+        # [0.5, 1]
         for period, depth in [(2.0, 500.0), (8.0, 10.0), (50.0, 1.0)]:
-            sol = solve_dispersion(period, depth)
-            assert 0.5 - 1e-9 <= sol.group_factor <= 1.0 + 1e-9
-            assert sol.group_velocity == pytest.approx(
-                sol.group_factor * sol.celerity)
+            kd = wavenumber(period, depth) * depth
+            n = power_transfer_factor(kd) / (2 * np.tanh(kd))
+            assert 0.5 - 1e-9 <= n <= 1.0 + 1e-9
 
     def test_invalid_inputs(self):
         with pytest.raises(DomainError):
-            solve_dispersion(-1.0, 10.0)
+            wavenumber(-1.0, 10.0)
         with pytest.raises(DomainError):
-            solve_dispersion(5.0, 0.0)
-        with pytest.raises(DomainError):
-            solve_dispersion(5.0, 10.0, tol=0.0)
+            wavenumber(5.0, 0.0)
         with pytest.raises(DomainError, match="max_iter must be at least"):
             wavenumber(5.0, 10.0, max_iter=0)
 
     def test_non_convergence_reports_residual(self):
         with pytest.raises(SolverError) as exc:
-            wavenumber(10.0, 50.0, tol=1e-12, max_iter=1)
+            wavenumber(10.0, 50.0, max_iter=1)
         assert exc.value.residual is not None
 
     def test_vectorized_matches_scalar(self):
@@ -71,7 +68,7 @@ class TestSolveDispersion:
         d = np.array([2.0, 40.0, 300.0])
         ks = wavenumber(T, d)
         for i in range(3):
-            assert ks[i] == pytest.approx(solve_dispersion(T[i], d[i]).k)
+            assert ks[i] == pytest.approx(wavenumber(T[i], d[i]))
 
 
 def same_bits(a, b):
@@ -426,7 +423,6 @@ def test_kernel_raises_no_floating_point_error():
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         regular_wave_power(1.0, t, d)
         regular_wave_power(1.0, 1.0, 25000.0)  # kd about 1.0e5
-        solve_dispersion(1.0, 25000.0)
         power_transfer_factor(np.geomspace(1e-8, 1e5, 2000))
 
 

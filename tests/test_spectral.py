@@ -9,14 +9,13 @@ from wavepower.errors import (
     SamplingError,
     SizingError,
 )
-from wavepower.mechanics import FluidEnvironment, regular_wave_power
+from wavepower.mechanics import regular_wave_power
 from wavepower.spectral import (
     SYNTHESIS_BLOCK,
     ElevationRecord,
     SegmentationConfig,
     VarianceDensitySpectrum,
     estimate_spectrum,
-    energy_density,
     irregular_wave_power,
     parametric_power,
     sea_state_stats,
@@ -213,13 +212,6 @@ class TestMomentsAndPower:
     def test_moment_order_domain(self):
         with pytest.raises(DomainError):
             spectral_moment(flat_unit_spectrum(), -3)
-
-    def test_energy_density(self):
-        spec = flat_unit_spectrum()
-        e = energy_density(spec)
-        assert e == pytest.approx(1025 * 9.81 * spec.S)
-        env2 = FluidEnvironment(rho=2 * 1025.0)
-        assert energy_density(spec, env2) == pytest.approx(2 * e)
 
     def test_irregular_power_flat(self):
         p = irregular_wave_power(flat_unit_spectrum())
