@@ -20,9 +20,9 @@ print(f"{len(catalog)} points in zones: {', '.join(catalog.zones())}")
 # or elevation records; here each point gets a year of noisy hourly values.
 means = pipeline.schedule_means(catalog, hs_base=0.5, te_base=4.0)
 times = pipeline.timestamps(datetime(2006, 1, 1), hours=8760)
-rows = [pipeline.point_features(
+rows = pipeline.feature_rows([pipeline.point_features(
     e, pipeline.sea_state_series(e, means[e.name], times, seed=0), env)
-    for e in catalog]
+    for e in catalog], env)
 
 # 3. Optimize regular-wave power over the data's own bounds.
 run = pipeline.optimize(pipeline.derived_bounds(f for f, _, _ in rows), env)

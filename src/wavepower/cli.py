@@ -179,19 +179,31 @@ def cmd_analyze(cfg):
     out = cfg["out"]
     catalog_path = join(out, "catalog.csv")
     catalog = _catalog(cfg, catalog_path if exists(catalog_path) else None)
-    rows, failures = [], []
-    for entry in pipeline.select_points({e.name: e for e in catalog},
-                                        cfg["points"]):
+    entries = pipeline.select_points({e.name: e for e in catalog},
+                                     cfg["points"])
+    points, failures = [], {}
+    for entry in entries:
         try:
-            rows.append(pipeline.point_features(
+            points.append(pipeline.point_features(
                 entry, data_io.load_point(out, entry.name), cfg["env"],
                 cfg["segments"], cfg["taper"]))
         except (WavePowerError, OSError) as exc:
-            failures.append((entry.name, str(exc)))
+            failures[entry.name] = str(exc)
+    try:
+        rows = pipeline.feature_rows(points, cfg["env"])
+    except WavePowerError:  # find the failing points one at a time
+        rows = []
+        for point in points:
+            try:
+                rows += pipeline.feature_rows([point], cfg["env"])
+            except WavePowerError as exc:
+                failures[point[0].name] = str(exc)
     data_io.write_features(rows, join(out, "features.csv"))
     _echo(cfg, "analyze")
-    for name, msg in failures:
-        print(f"analyze: point {name} failed: {msg}", file=sys.stderr)
+    for entry in entries:
+        if entry.name in failures:
+            print(f"analyze: point {entry.name} failed: "
+                  f"{failures[entry.name]}", file=sys.stderr)
     return 1 if failures else 0
 
 

@@ -12,6 +12,7 @@ stages hand it on that way, so no float goes through text between them.
 """
 
 import csv
+import io
 import json
 import math
 import os
@@ -23,6 +24,7 @@ import numpy as np
 
 from .assessment import OptimalReference, PointFeatures, SiteAssessment
 from .errors import DataError, DomainError, ParseError
+from .mechanics import _positive_finite
 from .spectral import ElevationRecord
 
 # Southern Caspian point catalog: nine port zones, 105 points.
@@ -128,18 +130,8 @@ class SiteCatalog:
     def __iter__(self):
         return iter(self.entries)
 
-    def lookup(self, name):
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
     def zones(self):
         return list(dict.fromkeys(e.zone for e in self.entries))
-
-    def zone_sizes(self):
-        return tuple(sum(1 for e in self.entries if e.zone == z)
-                     for z in self.zones())
 
     def with_depths(self, depths):
         """Copy with per-point depths (mapping name -> depth)."""
@@ -219,9 +211,8 @@ def parse_timestamps(stamps):
     not exactly of that form (a bare date, another precision or zone).
 
     The "Z" is stripped before numpy parses, and a value stands only if
-    it formats back to its own string.
+    it formats back to the string without it.
     """
-    stamps = tuple(stamps)
     body = [s[:-1] if s[-1:] == "Z" else "" for s in stamps]
     with warnings.catch_warnings():
         # numpy warns on a zone offset; the round trip rejects it anyway
@@ -231,8 +222,8 @@ def parse_timestamps(stamps):
         except ValueError:  # some string numpy cannot read: one by one
             times = np.array([_datetime_or_nat(b) for b in body],
                              dtype="datetime64[s]")
-    times[format_timestamps(times) != np.array(stamps, dtype=str)] = \
-        np.datetime64("NaT")
+    times[np.datetime_as_string(times, unit="s")
+          != np.array(body, dtype=str)] = np.datetime64("NaT")
     return times
 
 
@@ -256,6 +247,12 @@ def _sea_state_fault(times, hs, te):
     """(row, reason) of the first invalid row of a sea-state series, or
     None; on one row the checks run in the order listed. "{stamp}" in the
     reason stands for the row's timestamp."""
+    # one pass accepts a valid series; NaT and NaN fail every comparison,
+    # so a series holding one goes on to the ordered checks
+    if (FIRST_TIME <= times[0] and times[-1] <= LAST_TIME
+            and (times[1:] > times[:-1]).all()
+            and _positive_finite(hs, zero_ok=True) and _positive_finite(te)):
+        return None
     later = np.ones(times.size, dtype=bool)
     later[1:] = times[1:] > times[:-1]
     checks = [
@@ -329,23 +326,57 @@ def _fields(dtype):
     return ", ".join(f"{n} {dtype.fields[n][0].str}" for n in dtype.names)
 
 
+def _saved_array(raw, dtype):
+    """The array in `raw`, the bytes of an .npy file, if its header is byte
+    for byte the one np.save writes for a 1-D array of `dtype` with as
+    many rows as follow it; else None. Bytes short of one more row are
+    left out, as np.load leaves them."""
+    if raw[6:8] != b"\x01\x00":  # format version 1.0
+        return None
+    start = 10 + int.from_bytes(raw[8:10], "little")
+    n = (len(raw) - start) // dtype.itemsize
+    if n < 0:
+        return None
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {
+        "descr": np.lib.format.dtype_to_descr(dtype),
+        "fortran_order": False, "shape": (n,)})
+    if raw[:start] != header.getvalue():
+        return None
+    return np.frombuffer(raw, dtype=dtype, count=n, offset=start)
+
+
 def _read_npy(path, dtype):
-    """The 1-D array of exactly `dtype` in an .npy file, else ParseError."""
-    with open(path, "rb") as fh, warnings.catch_warnings():
-        # numpy warns when it has to repair a header; a repaired file
-        # still passes only if its dtype and shape are right
-        warnings.simplefilter("ignore")
-        if fh.read(6) != b"\x93NUMPY":
+    """The 1-D array of exactly `dtype` in an .npy file, else ParseError.
+
+    The file is read once, and the row count follows from its size. A
+    file whose header is the one np.save writes for that many rows of
+    `dtype` is taken as it is, with no header parsing; any other file
+    (another header layout or version, another dtype or shape, extra or
+    missing rows) goes through np.load and all of its checks. Either way
+    the array is writable."""
+    with open(path, "rb") as fh:
+        raw = bytearray(os.fstat(fh.fileno()).st_size)
+        del raw[fh.readinto(raw):]
+        arr = _saved_array(raw, dtype)
+        if arr is not None:
+            return arr
+        if raw[:6] != b"\x93NUMPY":
             raise ParseError(f"{path}: not an .npy file")
         fh.seek(0)
-        try:
-            arr = np.load(fh, allow_pickle=False)
-        except Exception as exc:
-            # the file comes from outside, and numpy reports bad bytes as
-            # ValueError, EOFError, SyntaxError, OverflowError,
-            # tokenize.TokenError or, for a header that claims more data
-            # than there is memory, MemoryError
-            raise ParseError(f"{path}: unreadable .npy file: {exc}") from None
+        with warnings.catch_warnings():
+            # numpy warns when it has to repair a header; a repaired file
+            # still passes only if its dtype and shape are right
+            warnings.simplefilter("ignore")
+            try:
+                arr = np.load(fh, allow_pickle=False)
+            except Exception as exc:
+                # the file comes from outside, and numpy reports bad bytes
+                # as ValueError, EOFError, SyntaxError, OverflowError,
+                # tokenize.TokenError or, for a header that claims more
+                # data than there is memory, MemoryError
+                raise ParseError(
+                    f"{path}: unreadable .npy file: {exc}") from None
     if arr.dtype != dtype:
         raise ParseError(f"{path}: expected fields {_fields(dtype)}, "
                          f"got {_fields(arr.dtype)}")
@@ -573,32 +604,52 @@ def write_convergence(run, path):
 
 
 def load_results(path):
-    """A delimited results file back as ranked SiteAssessments."""
-    return [SiteAssessment(point_id=p, zone=z, h_bar=h, t_bar=t, depth=d,
-                           power_irregular=p_irr, power_regular=p_reg,
-                           norm=nm, correlation=c, rank=int(rk))
-            for _, (p, z, h, t, d, p_irr, p_reg, nm, c, rk) in
-            _records(path, RESULTS_COLUMNS, n_text=2)]
+    """A delimited results file back as ranked SiteAssessments. Powers
+    must be non-negative, and the ranks the integers 1..n, each once."""
+    rows = _records(path, RESULTS_COLUMNS, n_text=2)
+    ranked, seen = [], set()
+    for line, (p, z, h, t, d, p_irr, p_reg, nm, c, rk) in rows:
+        if p_irr < 0 or p_reg < 0:
+            raise ParseError(f"{path}: powers must be non-negative, got "
+                             f"{p_irr!r} and {p_reg!r}", line=line)
+        if not (rk.is_integer() and 1 <= rk <= len(rows)) or rk in seen:
+            raise ParseError(f"{path}: rank {rk:g} is not one of "
+                             f"1..{len(rows)} taken once", line=line)
+        seen.add(rk)
+        ranked.append(SiteAssessment(
+            point_id=p, zone=z, h_bar=h, t_bar=t, depth=d,
+            power_irregular=p_irr, power_regular=p_reg, norm=nm,
+            correlation=c, rank=int(rk)))
+    return ranked
 
 
 def write_report(ranked, totals, shares, directory):
     """The plot-ready tables under `directory`: powers by point and zone,
-    norms, correlation vs power, power vs height and depth, zone shares."""
-    def table(name, header, rows):
-        _write_table(os.path.join(directory, name), header.split(","), rows)
-
-    os.makedirs(directory, exist_ok=True)
+    norms, correlation vs power, power vs height and depth, and the zone
+    shares as write_zone_shares writes them. The largest irregular power,
+    which normalizes the powers, must be positive; the tables are built
+    and that is checked before the first write."""
     p_max = max(s.power_irregular for s in ranked)
-    table("power_by_point.csv", "point,zone,power_irregular_wpm",
-          ((s.point_id, s.zone, s.power_irregular) for s in ranked))
-    table("power_by_zone.csv", "zone,total_power_wpm", totals.items())
-    table("norm_by_point.csv", "point,norm",
-          ((s.point_id, s.norm) for s in ranked))
-    table("correlation_vs_power.csv", "point,correlation,normalized_power",
-          ((s.point_id, s.correlation, s.power_irregular / p_max)
-           for s in ranked))
-    table("power_vs_hs_depth.csv", "point,h_bar_m,depth_m,power_irregular_wpm",
-          ((s.point_id, s.h_bar, s.depth, s.power_irregular) for s in ranked))
+    if not p_max > 0:
+        raise DomainError(f"largest irregular power is {p_max!r}; powers "
+                          f"need a positive one to be normalized")
+    tables = {
+        "power_by_point.csv": ("point,zone,power_irregular_wpm", [
+            (s.point_id, s.zone, s.power_irregular) for s in ranked]),
+        "power_by_zone.csv": ("zone,total_power_wpm", list(totals.items())),
+        "norm_by_point.csv": ("point,norm", [
+            (s.point_id, s.norm) for s in ranked]),
+        "correlation_vs_power.csv": ("point,correlation,normalized_power", [
+            (s.point_id, s.correlation, s.power_irregular / p_max)
+            for s in ranked]),
+        "power_vs_hs_depth.csv": (
+            "point,h_bar_m,depth_m,power_irregular_wpm", [
+                (s.point_id, s.h_bar, s.depth, s.power_irregular)
+                for s in ranked]),
+    }
+    os.makedirs(directory, exist_ok=True)
+    for name, (header, rows) in tables.items():
+        _write_table(os.path.join(directory, name), header.split(","), rows)
     write_zone_shares(totals, shares,
                       os.path.join(directory, "zone_shares.csv"))
 

@@ -3,6 +3,7 @@
 All functions broadcast over numpy arrays; scalars in, scalars out.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +21,8 @@ DISPERSION_MAX_ITER = 50
 # buffers (128 KiB each) stay in a core's cache, where the 8 MB
 # temporaries of an unblocked 10^6-point solve streamed through memory.
 SOLVE_BLOCK = 16384
+# smallest positive normal float
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -63,6 +66,17 @@ def _transfer_factor(kd, th, out, tmp):
     return out
 
 
+def _normal_start(period, g):
+    """Whether omega^2 = (2 pi/period)^2 and the Newton start omega^2/g,
+    formed as _solve_by_blocks forms them, are finite normal floats. Both
+    fall as the period grows, so the shortest and longest period of an
+    array decide for all of it; Python floats overflow to inf and
+    underflow to 0 without a warning."""
+    omega = 2.0 * np.pi / period
+    omega2 = omega * omega
+    return _TINY <= omega2 < math.inf and _TINY <= omega2 / g < math.inf
+
+
 def _solve_by_blocks(block_fn, arrays, g, max_iter):
     """Fill an array of the broadcast shape of `arrays` (period and depth
     first), or a float for 0-d inputs, taking them in C order in blocks
@@ -71,9 +85,20 @@ def _solve_by_blocks(block_fn, arrays, g, max_iter):
     block's elements are within DISPERSION_TOL; then block_fn(out, k, kd,
     th, tmp, *blocks) fills the block's out from k, kd = k*depth,
     th = tanh(kd) and a scratch array tmp. Each step runs in place in
-    buffers reused from block to block."""
-    if not (_positive_finite(arrays[0]) and _positive_finite(arrays[1])):
+    buffers reused from block to block.
+
+    Period and depth must be positive and finite, and every period must
+    give a finite normal omega^2 and omega^2/g (see _normal_start); the
+    shortest and longest period are the ones taken for the first check."""
+    period = arrays[0]
+    ends = (period.min(), period.max()) if period.size else (1.0, 1.0)
+    if not (0 < ends[0] and ends[1] < np.inf and _positive_finite(arrays[1])):
         raise DomainError("period and depth must be positive and finite")
+    for t in map(float, ends):
+        if not _normal_start(t, g):
+            raise DomainError(f"period {t!r} s is out of range for g={g}: "
+                              f"omega^2 = (2 pi/T)^2 or omega^2/g is not a "
+                              f"finite normal float")
     if max_iter < 1:
         raise DomainError("max_iter must be at least 1")
     it = np.nditer([*arrays, None],

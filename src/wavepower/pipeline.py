@@ -83,8 +83,9 @@ def elevation_record(entry, mean, duration, dt, seed):
 
 
 def point_features(entry, data, env, segments=8, taper="raised-cosine"):
-    """(PointFeatures, irregular power, regular power) of one point from a
-    SeaStateSeries or an ElevationRecord."""
+    """(entry, h_bar, t_bar, irregular power) of one point from a
+    SeaStateSeries or an ElevationRecord; feature_rows turns these into
+    feature rows, with the regular power of many points at once."""
     if isinstance(data, data_io.SeaStateSeries):
         h_bar, t_bar = float(data.hs.mean()), float(data.te.mean())
         p_irr = float(spectral.parametric_power(data.hs, data.te, env).mean())
@@ -95,11 +96,22 @@ def point_features(entry, data, env, segments=8, taper="raised-cosine"):
         stats = spectral.sea_state_stats(spec)
         h_bar, t_bar = stats.Hs, stats.Te
         p_irr = spectral.irregular_wave_power(spec, env)
-    p_reg = mechanics.regular_wave_power(h_bar, t_bar, entry.depth, env)
-    feats = assessment.PointFeatures(point_id=entry.name, zone=entry.zone,
-                                     h_bar=h_bar, t_bar=t_bar,
-                                     depth=entry.depth)
-    return feats, p_irr, p_reg
+    return entry, h_bar, t_bar, p_irr
+
+
+def feature_rows(points, env):
+    """(PointFeatures, irregular power, regular power) rows, the rows of
+    features.csv, for point_features results. The regular powers at every
+    point's (h_bar, t_bar, depth) come from one batched regular_wave_power
+    call, with the bits of one call per point; its checks cover those of
+    PointFeatures, which is built after it."""
+    h, t, d = np.array([(h_bar, t_bar, e.depth) for e, h_bar, t_bar, _ in
+                        points], dtype=float).reshape(-1, 3).T
+    p_reg = mechanics.regular_wave_power(h, t, d, env)
+    return [(assessment.PointFeatures(point_id=e.name, zone=e.zone,
+                                      h_bar=h_bar, t_bar=t_bar,
+                                      depth=e.depth), p_irr, p)
+            for (e, h_bar, t_bar, p_irr), p in zip(points, p_reg.tolist())]
 
 
 def derived_bounds(features):

@@ -46,12 +46,12 @@ class ElevationRecord:
 class SegmentationConfig:
     """Segment-averaging settings for spectrum estimation.
 
-    segment_length must be a power of two (>= 16); the raised-cosine
-    taper is variance-compensated so Parseval holds on average.
+    segment_length must be a power of two (>= 16); segments do not
+    overlap. The raised-cosine taper is variance-compensated so Parseval
+    holds on average.
     """
 
     segment_length: int
-    overlap_fraction: float = 0.0
     taper: str = TAPER_RAISED_COSINE
 
     def __post_init__(self):
@@ -59,8 +59,6 @@ class SegmentationConfig:
         if n < 16 or (n & (n - 1)) != 0:
             raise DomainError(
                 f"segment_length must be a power of two >= 16, got {n}")
-        if not 0.0 <= self.overlap_fraction <= 0.5:
-            raise DomainError("overlap_fraction must be in [0, 0.5]")
         if self.taper not in (TAPER_NONE, TAPER_RAISED_COSINE):
             raise DomainError(f"unknown taper {self.taper!r}")
 
@@ -141,11 +139,10 @@ def estimate_spectrum(record, cfg=None):
         raise SizingError(
             f"record of {x.size} samples is shorter than one "
             f"segment of {L}")
-    step = L - int(round(L * cfg.overlap_fraction))
     w, wpow = _taper_window(L, cfg.taper)
     df = 1.0 / (L * record.dt)
 
-    segs = np.lib.stride_tricks.sliding_window_view(x, L)[::step]
+    segs = x[:x.size - x.size % L].reshape(-1, L)
     segs = segs - np.mean(segs, axis=1, keepdims=True)
     p = np.abs(np.fft.rfft(segs * w)[:, 1:]) ** 2
     p[:, :-1] *= 2.0  # one-sided, except the Nyquist bin

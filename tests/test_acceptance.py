@@ -3,6 +3,7 @@ PASS/FAIL line with its headline numbers."""
 
 import os
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -237,13 +238,15 @@ def test_criterion_8_ranking_coherence():
 
 def test_criterion_9_catalog_fidelity():
     cat = data_io.builtin_catalog()
-    k4, t1 = cat.lookup("K4"), cat.lookup("T1")
+    by_name = {e.name: e for e in cat}
+    k4, t1 = by_name["K4"], by_name["T1"]
+    zone_sizes = tuple(Counter(e.zone for e in cat).values())
     ok = (len(cat) == 105
-          and cat.zone_sizes() == (12, 11, 13, 12, 12, 11, 12, 11, 11)
+          and zone_sizes == (12, 11, 13, 12, 12, 11, 12, 11, 11)
           and (k4.lat, k4.lon) == (37.7, 50.1)
           and (t1.lat, t1.lon) == (37.3, 53.7))
     report(9, ok,
-           f"105 entries, zone sizes {cat.zone_sizes()}, "
+           f"105 entries, zone sizes {zone_sizes}, "
            f"K4=({k4.lat}, {k4.lon}), T1=({t1.lat}, {t1.lon})")
 
 

@@ -59,7 +59,7 @@ def test_zero_mean_height_is_a_valid_feature():
 
 
 def mean_features(history, depth):
-    """The PointFeatures pipeline.point_features takes from an hourly
+    """The PointFeatures pipeline.feature_rows builds from an hourly
     sea-state series of (H, T) states."""
     hs = [h for h, _ in history]
     te = [t for _, t in history]
@@ -68,7 +68,9 @@ def mean_features(history, depth):
         hs=hs, te=te)
     entry = CatalogEntry(index=1, name="P", zone="Z", lat=37.0, lon=50.0,
                          depth=depth)
-    return pipeline.point_features(entry, series, FluidEnvironment())[0]
+    env = FluidEnvironment()
+    return pipeline.feature_rows(
+        [pipeline.point_features(entry, series, env)], env)[0][0]
 
 
 class TestFeatureVector:

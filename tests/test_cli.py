@@ -8,6 +8,7 @@ import pytest
 
 from wavepower import data_io, pipeline
 from wavepower.cli import main
+from wavepower.mechanics import FluidEnvironment, regular_wave_power
 
 
 STAGES = ["synth", "analyze", "optimize", "rank", "report"]
@@ -125,6 +126,10 @@ class TestAnalyze:
         rc = main(["analyze"] + args + ["--points", "K4,Z1"])
         assert rc == 1
         assert "Z1" in capsys.readouterr().err
+        # no point left: features.csv holds its header alone
+        assert main(["analyze"] + args + ["--points", "Z1"]) == 1
+        assert read_lines(out / "features.csv") == [
+            ",".join(data_io.FEATURE_COLUMNS)]
 
     def test_non_utf8_point_data_fails_that_point(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -156,6 +161,45 @@ class TestAnalyze:
         assert "non-finite Hs nan" in err[0]
         assert [ln.split(",")[0] for ln in
                 read_lines(out / "features.csv")[1:]] == ["K4"]
+
+    @pytest.mark.parametrize("kind", [[], ["--kind", "elevation",
+                                          "--duration", "512"]])
+    def test_regular_power_has_the_bits_of_per_point_calls(self, tmp_path,
+                                                           kind):
+        out = tmp_path / "o"
+        args = ["--out", str(out), "--seed", "3", "--hours", "48",
+                "--depth-range", "5,100", *kind]
+        assert main(["synth"] + args) == 0
+        assert main(["analyze"] + args) == 0
+        rows = data_io.load_features(out / "features.csv")
+        assert len(rows) == 105
+        scalar = [regular_wave_power(f.h_bar, f.t_bar, f.depth,
+                                     FluidEnvironment()) for f, _, _ in rows]
+        assert np.array_equal(np.array([p for _, _, p in rows]).view(np.int64),
+                              np.array(scalar).view(np.int64))
+
+    def test_point_with_extreme_period_fails_alone(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        args = ["--out", str(out), "--seed", "1", "--hours", "48",
+                "--depth", "30"]
+        assert main(["synth"] + args) == 0
+        assert main(["analyze"] + args) == 0
+        clean = read_lines(out / "features.csv")
+        path = out / "sea_states" / "Z1.npy"
+        arr = np.load(path)
+        arr["te_s"] = 1e200
+        np.save(path, arr)
+        capsys.readouterr()
+        assert main(["analyze"] + args) == 1
+        err = capsys.readouterr().err
+        assert read_lines(out / "features.csv") == [
+            ln for ln in clean if not ln.startswith("Z1,")]
+        assert main(["analyze"] + args + ["--points", "Z1"]) == 1
+        assert capsys.readouterr().err == err
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert err.startswith("analyze: point Z1 failed: period "), err
+        assert "s is out of range for g=9.81" in err, err
+        assert read_lines(out / "features.csv") == clean[:1]
 
     def test_elevation_analysis_matches_closed_form(self, tmp_path):
         # monochromatic record: analyze recovers the deep-water power
@@ -306,6 +350,16 @@ def test_quoted_zones_through_every_stage(tmp_path):
     assert zones == ['"Bandar, Anzali"', '"Say ""Hi"""']
 
 
+def rank_tables(*rows):
+    """results.csv of one point per (power_irregular_wpm, power_regular_wpm,
+    rank) row, and a zone_shares.csv, as files for MALFORMED."""
+    results = ",".join(data_io.RESULTS_COLUMNS) + "".join(
+        f"\nP{i},A,0.5,4.0,10.0,{p_irr},{p_reg},1.0,0.9,{rank}"
+        for i, (p_irr, p_reg, rank) in enumerate(rows, 1))
+    return {"o/results.csv": results,
+            "o/zone_shares.csv": "zone,total_power_wpm,share\nA,3.0,1.0"}
+
+
 # name -> (argv without --out, files to create first: text gets a final
 # newline, bytes are written as they are); {tmp} in an argument is the
 # test's temporary directory
@@ -356,6 +410,21 @@ MALFORMED = {
     "record shorter than two samples": (
         ["synth", "--kind", "elevation", "--duration", "0.5", "--dt", "0.5",
          "--depth-range", "5,100", "--points", "T1"], {}),
+    # report normalizes by the largest irregular power
+    "no positive irregular power": (["report"], rank_tables(
+        ("0.0", "1.0", "1"), ("0.0", "2.0", "2"))),
+    "non-integer rank": (["report"], rank_tables(
+        ("1.0", "1.0", "1"), ("2.0", "2.0", "2.5"))),
+    "duplicate rank": (["report"], rank_tables(
+        ("1.0", "1.0", "1"), ("2.0", "2.0", "1"))),
+    "rank outside 1..n": (["report"], rank_tables(
+        ("1.0", "1.0", "1"), ("2.0", "2.0", "3"))),
+    "negative irregular power": (["report"], rank_tables(
+        ("-1.0", "1.0", "1"), ("2.0", "2.0", "2"))),
+    "negative regular power": (["report"], rank_tables(
+        ("1.0", "1.0", "1"), ("2.0", "-2.0", "2"))),
+    "period too long for the dispersion solve": (
+        ["optimize", "--bounds", "0.1,0.6,2,1e200,5,100"], {}),
 }
 
 

@@ -1,5 +1,8 @@
 import csv
+import io
 import re
+import struct
+from collections import Counter
 import tempfile
 import warnings
 from datetime import datetime, timedelta
@@ -24,14 +27,15 @@ class TestBuiltinCatalog:
     def test_count_and_zones(self):
         cat = data_io.builtin_catalog()
         assert len(cat) == 105
-        assert cat.zone_sizes() == (12, 11, 13, 12, 12, 11, 12, 11, 11)
+        assert tuple(Counter(e.zone for e in cat).values()) == (
+            12, 11, 13, 12, 12, 11, 12, 11, 11)
         assert [e.index for e in cat] == list(range(1, 106))
 
     def test_spot_coordinates(self):
-        cat = data_io.builtin_catalog()
-        k4 = cat.lookup("K4")
+        by_name = {e.name: e for e in data_io.builtin_catalog()}
+        k4 = by_name["K4"]
         assert (k4.lat, k4.lon, k4.zone) == (37.7, 50.1, "Kiashahr")
-        t1 = cat.lookup("T1")
+        t1 = by_name["T1"]
         assert (t1.lat, t1.lon, t1.zone) == (37.3, 53.7, "Torkaman")
 
     def test_coordinate_window(self):
@@ -45,7 +49,7 @@ class TestBuiltinCatalog:
     def test_with_depths(self):
         cat = data_io.builtin_catalog()
         deep = cat.with_depths({e.name: 10.0 + e.index for e in cat})
-        assert deep.lookup("T1").depth == 11.0
+        assert {e.name: e.depth for e in deep}["T1"] == 11.0
 
 
 class TestCatalogIO:
@@ -74,9 +78,8 @@ class TestCatalogIO:
                         "1,P1,Alpha,37.0,50.0,12.5\n"
                         "2,P2,Alpha,37.1,50.1,\n")
         cat = data_io.load_catalog(path)
-        assert len(cat) == 2
-        assert cat.lookup("P1").depth == 12.5
-        assert cat.lookup("P2").depth is None
+        assert [(e.name, e.depth) for e in cat] == [("P1", 12.5),
+                                                    ("P2", None)]
 
     def test_duplicate_names(self, tmp_path):
         path = tmp_path / "c.csv"
@@ -220,6 +223,66 @@ class TestSeaStateIO:
                         f"2006-01-01T01:00:00Z,{hs},{te}\n")
         with pytest.raises(ParseError, match=f"line 3: .*non-finite {column}"):
             data_io.load_sea_states(path)
+
+
+def reference_fault(times, hs, te):
+    """The sea-state row checks one row at a time, in their order: the
+    first bad row and its first failing check, or None."""
+    for row in range(times.size):
+        t, h, p = times[row], hs[row], te[row]
+        checks = [
+            (not data_io.FIRST_TIME <= t <= data_io.LAST_TIME,
+             data_io._BAD_STAMP),
+            (row > 0 and not t > times[row - 1],
+             "non-increasing timestamp {stamp}"),
+            (not np.isfinite(h), "non-finite Hs {hs}"),
+            (not np.isfinite(p), "non-finite Te {te}"),
+            (h < 0, "negative Hs {hs}"),
+            (p <= 0, "non-positive Te {te}"),
+        ]
+        for bad, reason in checks:
+            if bad:
+                return row, reason
+    return None
+
+
+NAT = np.iinfo(np.int64).min
+EDGE_SECONDS = [int(data_io.FIRST_TIME.astype(np.int64)) - 1,
+                int(data_io.FIRST_TIME.astype(np.int64)),
+                int(data_io.LAST_TIME.astype(np.int64)),
+                int(data_io.LAST_TIME.astype(np.int64)) + 1, NAT]
+
+
+VALID_HS = [0.0, -0.0, 0.5, 1e300]
+VALID_TE = [5e-324, 3.0, 1e300]
+ANY_VALUE = VALID_HS + [-0.1, -5e-324, np.nan, np.inf, -np.inf]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8))
+def test_row_checks_match_the_one_row_reference(data, n):
+    # steps of -1, 0 and +1 s test "strictly increasing"; the edge times
+    # are the ends of the writable range, a second beyond each, and NaT.
+    # Each column is all valid values half of the time, so a single bad
+    # time or value is met often.
+    start = data.draw(st.sampled_from([1136073600] + EDGE_SECONDS))
+    steps = data.draw(st.lists(st.sampled_from([-1, 0, 1, 3600]),
+                               min_size=n - 1, max_size=n - 1))
+    seconds = np.cumsum([start] + steps) if start != NAT else \
+        np.full(n, NAT)
+    times = seconds.astype("datetime64[s]")
+    if data.draw(st.booleans()):
+        times[data.draw(st.integers(0, n - 1))] = data.draw(
+            st.sampled_from(EDGE_SECONDS))
+
+    def column(valid):
+        pool = valid if data.draw(st.booleans()) else ANY_VALUE
+        return np.array(data.draw(st.lists(st.sampled_from(pool),
+                                           min_size=n, max_size=n)))
+
+    hs, te = column(VALID_HS), column(VALID_TE)
+    assert data_io._sea_state_fault(times, hs, te) == \
+        reference_fault(times, hs, te)
 
 
 SERIES_KW = dict(point="P1", times=data_io.parse_timestamps((
@@ -426,6 +489,98 @@ def test_edited_header_loads_or_fails_closed(edits):
             data_io.load_sea_states(path)
         except (ParseError, DataError):
             pass
+
+
+def three_rows():
+    """np.save's bytes of a 3-row sea-state array, and the array."""
+    arr = np.zeros(3, dtype=data_io.SEA_STATE_DTYPE)
+    arr["timestamp"] = np.datetime64("2006-01-01T00:00:00") + \
+        np.arange(3) * np.timedelta64(1, "h")
+    arr["hs_m"], arr["te_s"] = [0.4, 0.5, 0.6], [3.0, 4.0, 5.0]
+    buf = io.BytesIO()
+    np.save(buf, arr, allow_pickle=False)
+    return buf.getvalue(), arr
+
+
+def padded_to_16(arr):
+    """A version 1.0 .npy of arr whose header is padded to 16 bytes, as
+    numpy before 1.14 wrote it, not to the 64 of np.save."""
+    text = "{'descr': %r, 'fortran_order': False, 'shape': (%d,), }" % (
+        np.lib.format.dtype_to_descr(arr.dtype), arr.size)
+    text += " " * (-(10 + len(text) + 1) % 16) + "\n"
+    return (b"\x93NUMPY\x01\x00" + struct.pack("<H", len(text))
+            + text.encode("latin1") + arr.tobytes())
+
+
+def version_2(arr):
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, arr, version=(2, 0), allow_pickle=False)
+    return buf.getvalue()
+
+
+@pytest.fixture
+def np_load_calls(monkeypatch):
+    """The number of np.load calls so far, as a one-element list."""
+    calls, load = [0], np.load
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return load(*args, **kwargs)
+
+    monkeypatch.setattr(np, "load", counting)
+    return calls
+
+
+def test_np_save_file_read_without_np_load(tmp_path, np_load_calls):
+    whole, arr = three_rows()
+    (tmp_path / "P1.npy").write_bytes(whole)
+    got = data_io._read_npy(tmp_path / "P1.npy", data_io.SEA_STATE_DTYPE)
+    assert np_load_calls == [0]
+    assert got.tobytes() == arr.tobytes() and got.flags.writeable
+
+
+@pytest.mark.parametrize("layout", [padded_to_16, version_2])
+def test_other_header_layouts_load_through_np_load(tmp_path, np_load_calls,
+                                                   layout):
+    whole, arr = three_rows()
+    raw = layout(arr)
+    assert raw != whole and raw.endswith(arr.tobytes())
+    (tmp_path / "P1.npy").write_bytes(raw)
+    got = data_io._read_npy(tmp_path / "P1.npy", data_io.SEA_STATE_DTYPE)
+    assert np_load_calls == [1]
+    assert got.tobytes() == arr.tobytes() and got.flags.writeable
+    series = data_io.load_sea_states(tmp_path / "P1.npy")
+    assert np.array_equal(series.times, arr["timestamp"])
+    assert series.hs.tolist() == [0.4, 0.5, 0.6]
+
+
+def test_extra_row_is_ignored_and_missing_row_fails(tmp_path, np_load_calls):
+    # as np.load reads them: the rows the header names, and no fewer
+    whole, arr = three_rows()
+    (tmp_path / "P1.npy").write_bytes(whole + whole[-24:])
+    got = data_io._read_npy(tmp_path / "P1.npy", data_io.SEA_STATE_DTYPE)
+    assert got.tobytes() == arr.tobytes()
+    (tmp_path / "P1.npy").write_bytes(whole[:-24])
+    with pytest.raises(ParseError, match="P1.npy: unreadable .npy file"):
+        data_io._read_npy(tmp_path / "P1.npy", data_io.SEA_STATE_DTYPE)
+    assert np_load_calls == [2]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(0, 40),
+       dtype=st.sampled_from([data_io.SEA_STATE_DTYPE,
+                              data_io.ELEVATION_DTYPE]))
+def test_read_npy_returns_the_bytes_np_load_returns(data, n, dtype):
+    raw = data.draw(st.binary(min_size=n * dtype.itemsize,
+                              max_size=n * dtype.itemsize))
+    arr = np.frombuffer(raw, dtype=dtype)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "P1.npy"
+        np.save(path, arr, allow_pickle=False)
+        got = data_io._read_npy(path, dtype)
+        want = np.load(path, allow_pickle=False)
+    assert got.dtype == want.dtype and got.shape == want.shape == (n,)
+    assert got.tobytes() == want.tobytes()
 
 
 STAMP_SECONDS = st.integers(0, int((datetime(9999, 12, 31, 23, 59, 59)

@@ -238,6 +238,33 @@ def test_dispersion_rejects_non_finite_period_or_depth(position, bad):
         wavenumber(*batch)
 
 
+# (period, g): omega^2 = (2 pi/T)^2 overflows, underflows to 0, or is
+# subnormal; or omega^2 is normal and only omega^2/g is not
+START_NOT_NORMAL = [(1e-160, 9.81), (1e200, 9.81), (1e155, 9.81),
+                    (2 * np.pi / np.sqrt(1e-307), 9.81),
+                    (2 * np.pi / np.sqrt(1.5e308), 0.5)]
+
+
+@pytest.mark.parametrize("period,g", START_NOT_NORMAL)
+def test_dispersion_rejects_period_whose_start_is_not_normal(period, g):
+    # the tier-1 filter turns any RuntimeWarning on the way into an error
+    with pytest.raises(DomainError, match=f"out of range for g={g}"):
+        wavenumber(period, 10.0, g=g)
+    T = np.full(4, 7.0)
+    T[2] = period
+    with pytest.raises(DomainError, match="out of range"):
+        wavenumber(T, 10.0, g=g)
+    with pytest.raises(DomainError, match="out of range"):
+        regular_wave_power(1.0, period, 10.0, FluidEnvironment(g=g))
+
+
+def test_periods_inside_the_limits_are_solved():
+    assert wavenumber(1e-153, 10.0) == pytest.approx(4.0243e306, rel=1e-4)
+    # omega^2/g = 2e-307 is normal: no DomainError; Newton runs out of steps
+    with pytest.raises(SolverError):
+        wavenumber(2 * np.pi / np.sqrt(2e-306), 10.0)
+
+
 def test_empty_batch_solves_to_empty():
     assert wavenumber(np.array([]), np.array([])).shape == (0,)
 
