@@ -572,12 +572,23 @@ def write_features(rows, path):
         for f, p_irr, p_reg in rows))
 
 
+def _check_powers(path, line, p_irr, p_reg):
+    """ParseError at `line` of `path` unless both powers are >= 0."""
+    if p_irr < 0 or p_reg < 0:
+        raise ParseError(f"{path}: powers must be non-negative, got "
+                         f"{p_irr!r} and {p_reg!r}", line=line)
+
+
 def load_features(path):
-    """features.csv back as (PointFeatures, irregular, regular power) rows."""
-    return [(PointFeatures(point_id=name, zone=zone, h_bar=h, t_bar=t,
-                           depth=d), p_irr, p_reg)
-            for _, (name, zone, h, t, d, p_irr, p_reg) in
-            _records(path, FEATURE_COLUMNS, n_text=2)]
+    """features.csv back as (PointFeatures, irregular, regular power) rows.
+    Powers must be non-negative."""
+    rows = []
+    for line, (name, zone, h, t, d, p_irr, p_reg) in _records(
+            path, FEATURE_COLUMNS, n_text=2):
+        _check_powers(path, line, p_irr, p_reg)
+        rows.append((PointFeatures(point_id=name, zone=zone, h_bar=h,
+                                   t_bar=t, depth=d), p_irr, p_reg))
+    return rows
 
 
 def write_reference(run, path):
@@ -609,9 +620,7 @@ def load_results(path):
     rows = _records(path, RESULTS_COLUMNS, n_text=2)
     ranked, seen = [], set()
     for line, (p, z, h, t, d, p_irr, p_reg, nm, c, rk) in rows:
-        if p_irr < 0 or p_reg < 0:
-            raise ParseError(f"{path}: powers must be non-negative, got "
-                             f"{p_irr!r} and {p_reg!r}", line=line)
+        _check_powers(path, line, p_irr, p_reg)
         if not (rk.is_integer() and 1 <= rk <= len(rows)) or rk in seen:
             raise ParseError(f"{path}: rank {rk:g} is not one of "
                              f"1..{len(rows)} taken once", line=line)

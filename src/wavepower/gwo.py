@@ -98,7 +98,8 @@ def update_position(agent, leaders, a, rng):
     A = 2.0 * a * r[..., 0, :, :] - a
     C = 2.0 * r[..., 1, :, :]
     D = np.abs(C * L - x[..., None, :])
-    return np.mean(L - A * D, axis=-2)
+    # the mean of the three X_L' as np.mean forms it, their sum over 3
+    return np.add.reduce(L - A * D, -2) / 3.0
 
 
 def gwo_maximize(objective, bounds, cfg=None):
@@ -114,35 +115,41 @@ def gwo_maximize(objective, bounds, cfg=None):
     iteration.
     """
     cfg = cfg or GwoConfig()
+    n = cfg.agents
     rng = np.random.default_rng(cfg.seed)
-    pos = rng.uniform(bounds.lower, bounds.upper,
-                      size=(cfg.agents, bounds.ndim))
-    trio_pos = np.empty((0, bounds.ndim))
-    trio_val = np.empty(0)
+    pos = rng.uniform(bounds.lower, bounds.upper, size=(n, bounds.ndim))
+    # rows 0-2 hold the trio, the rest this iteration's pack; neg holds
+    # their values negated, so that a stable sort ranks them best first
+    # and the earlier one first on ties. The trio starts at -inf, below
+    # every finite value, so the first sort takes three agents.
+    wolves = np.empty((3 + n, bounds.ndim))
+    neg = np.full(3 + n, np.inf)
     convergence = np.empty(cfg.max_iter)
 
     for it in range(cfg.max_iter):
         values = np.asarray(objective(pos.T), dtype=float)
-        if values.shape != (cfg.agents,):
+        if values.shape != (n,):
             raise ContractError(f"objective returned shape {values.shape}, "
-                                f"expected ({cfg.agents},)")
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            i = bad[0]
+                                f"expected ({n},)")
+        finite = np.isfinite(values)
+        if np.count_nonzero(finite) < n:
+            i = np.flatnonzero(~finite)[0]
             raise EvaluationError(
                 f"objective returned {values[i]} at {pos[i].tolist()}",
                 position=pos[i].copy())
-        # old trio, then this iteration: stable sort keeps the earlier tie
-        cand_val = np.concatenate([trio_val, values])
-        top = np.argsort(-cand_val, kind="stable")[:3]
-        trio_val = cand_val[top]
-        trio_pos = np.concatenate([trio_pos, pos])[top]
-        convergence[it] = trio_val[0]
+        np.negative(values, neg[3:])
+        wolves[3:] = pos
+        top = neg.argsort(kind="stable")[:3]
+        neg[:3] = neg[top]
+        wolves[:3] = wolves[top]
+        convergence[it] = -neg[0]
 
         a = a_schedule(it, cfg.max_iter)
-        pos = np.clip(update_position(pos, trio_pos, a, rng),
-                      bounds.lower, bounds.upper)
+        # np.clip's bits for finite positions, without its overhead
+        pos = np.minimum(np.maximum(
+            update_position(pos, wolves[:3], a, rng), bounds.lower),
+            bounds.upper)
 
-    return GwoRun(best_position=trio_pos[0], best_value=float(trio_val[0]),
+    return GwoRun(best_position=wolves[0].copy(), best_value=float(-neg[0]),
                   convergence=convergence,
                   evaluations=cfg.agents * cfg.max_iter)

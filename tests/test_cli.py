@@ -360,6 +360,17 @@ def rank_tables(*rows):
             "o/zone_shares.csv": "zone,total_power_wpm,share\nA,3.0,1.0"}
 
 
+def feature_tables(*rows):
+    """features.csv of one point per (power_irregular_wpm,
+    power_regular_wpm) row, and a reference.csv, as files for MALFORMED."""
+    features = ",".join(data_io.FEATURE_COLUMNS) + "".join(
+        f"\nP{i},A,0.5,4.0,10.0,{p_irr},{p_reg}"
+        for i, (p_irr, p_reg) in enumerate(rows, 1))
+    return {"o/features.csv": features,
+            "o/reference.csv": ",".join(data_io.REFERENCE_COLUMNS)
+            + "\n0.6,4.1,79.0,3000.0"}
+
+
 # name -> (argv without --out, files to create first: text gets a final
 # newline, bytes are written as they are); {tmp} in an argument is the
 # test's temporary directory
@@ -423,6 +434,11 @@ MALFORMED = {
         ("-1.0", "1.0", "1"), ("2.0", "2.0", "2"))),
     "negative regular power": (["report"], rank_tables(
         ("1.0", "1.0", "1"), ("2.0", "-2.0", "2"))),
+    # rank would write them into results.csv and the zone totals
+    "negative irregular power in features": (["rank"], feature_tables(
+        ("-5.0", "1.0"), ("2.0", "2.0"))),
+    "negative regular power in features": (["rank"], feature_tables(
+        ("1.0", "1.0"), ("2.0", "-2.0"))),
     "period too long for the dispersion solve": (
         ["optimize", "--bounds", "0.1,0.6,2,1e200,5,100"], {}),
 }

@@ -265,6 +265,75 @@ def test_periods_inside_the_limits_are_solved():
         wavenumber(2 * np.pi / np.sqrt(2e-306), 10.0)
 
 
+# (period, depth): omega^2 and omega^2/g are normal, but the Newton start
+# y = omega^2 d/g is subnormal or overflows
+START_PAIR_NOT_NORMAL = [(5.0, 1e-307), (1e-153, 1e4), (1e-153, 45.0)]
+
+
+@pytest.mark.parametrize("period", [5.0, 1e-153])
+def test_dispersion_rejects_subnormal_depth(period):
+    # 1e-153 s: y = 4e-14 is normal, but k = kd/d would overflow
+    with pytest.raises(DomainError, match="depth at least 2.2250738585"):
+        wavenumber(period, 1e-320)
+    with pytest.raises(DomainError, match="depth at least 2.2250738585"):
+        wavenumber([7.0, period], [10.0, 1e-320])
+
+
+@pytest.mark.parametrize("period,depth", START_PAIR_NOT_NORMAL)
+def test_dispersion_rejects_pair_whose_start_is_not_normal(period, depth):
+    # the tier-1 filter turns any RuntimeWarning on the way into an error
+    match = f"depth {depth!r} m are out of range for g=9.81"
+    with pytest.raises(DomainError, match=match):
+        wavenumber(period, depth)
+    with pytest.raises(DomainError, match=match):
+        regular_wave_power(1.0, period, depth)
+    T, d = np.full(4, 7.0), np.full(4, 10.0)
+    T[2], d[2] = period, depth
+    with pytest.raises(DomainError, match=match):
+        wavenumber(T, d)
+
+
+def test_pairs_inside_the_start_limits_are_solved():
+    # y = 1.77e308 and 3.2e-308, just inside the normal floats
+    assert wavenumber(1e-153, 44.0) == pytest.approx(4.0243e306, rel=1e-4)
+    with pytest.raises(SolverError):
+        wavenumber(5.0, 2e-307)
+    # the shortest period and the deepest depth would overflow y together,
+    # but they are not a pair
+    T, d = np.array([1e-153, 10.0]), np.array([10.0, 1e4])
+    assert same_bits(wavenumber(T, d), [wavenumber(1e-153, 10.0),
+                                        wavenumber(10.0, 1e4)])
+
+
+EDGE_PERIODS = [1e-153, 5e-154, 5.0, 1e3, 1e150]
+EDGE_DEPTHS = [1e-320, 2.3e-308, 1e-307, 2e-307, 1e-300, 10.0, 44.0, 45.0,
+               1e4, 1e300]
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type of the WavePowerError it raises."""
+    try:
+        return fn(*args)
+    except (DomainError, SolverError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs=st.lists(st.tuples(st.sampled_from(EDGE_PERIODS),
+                                 st.sampled_from(EDGE_DEPTHS)),
+                       min_size=1, max_size=6))
+def test_batch_is_refused_exactly_when_one_of_its_pairs_is(pairs):
+    T, d = np.array(pairs).T
+    alone = [outcome(wavenumber, t, x) for t, x in pairs]
+    batch = outcome(wavenumber, T, d)
+    if DomainError in alone:
+        assert batch is DomainError
+    elif SolverError in alone:
+        assert batch is SolverError
+    else:
+        assert same_bits(batch, alone)
+
+
 def test_empty_batch_solves_to_empty():
     assert wavenumber(np.array([]), np.array([])).shape == (0,)
 
@@ -426,6 +495,65 @@ def test_kernel_agrees_with_the_cosh_reference(data, n):
         expected = np.tanh(kd) * (1.0 + 2.0 * kd / np.sinh(2.0 * kd))
     np.testing.assert_allclose(power_transfer_factor(kd), expected,
                                rtol=1e-14, atol=0)
+
+
+# The dispersion loop as it was before Newton ran in x = kd: k from the
+# deep-water k0 = omega^2/g, with the residual |omega^2 - g k tanh(kd)|
+# relative to omega^2 and one tanh per step, in the same operation order.
+# The kd form takes the same Newton path, scaled by d/g, so the two should
+# differ only in their last bits; another path, such as a start nearer the
+# root, moves the result by up to the tolerance. The one exception is a
+# residual within rounding of DISPERSION_TOL, which the two forms of the
+# check may put on opposite sides, so that one takes a step more (2 in 10^7
+# random pairs of the wide domain, and 1 of the 10^6-point paper box).
+def reference_omega2_solve(T, depth, g=9.81):
+    """(k, kd, near) from the omega^2-form loop, each element stopping at
+    its own convergence; near marks the elements one of whose residuals
+    came within 1e-3 relative of DISPERSION_TOL."""
+    omega = 2.0 * np.pi / T
+    omega2 = omega * omega
+    k = omega2 / g
+    near = np.zeros(np.shape(k), dtype=bool)
+    for _ in range(mechanics.DISPERSION_MAX_ITER):
+        kd = k * depth
+        th = np.tanh(kd)
+        f = omega2 - k * g * th
+        resid = np.abs(f) / omega2
+        near |= np.abs(resid / DISPERSION_TOL - 1.0) < 1e-3
+        done = resid <= DISPERSION_TOL
+        if np.all(done):
+            return k, kd, near
+        step = f / (((1.0 - th * th) * kd + th) * g)
+        k = np.where(done, k, k + step)
+    raise AssertionError("the reference solve did not converge")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40))
+def test_kd_form_agrees_with_the_omega2_reference(data, n):
+    def column(lo, hi):
+        return data.draw(arrays(float, n, elements=st.floats(lo, hi)))
+
+    H, T, d = column(0.0, 5.0), column(1.0, 20.0), column(0.01, 5000.0)
+    k, kd, near = reference_omega2_solve(T, d)
+    power = power_transfer_factor(kd) * (
+        np.square(H) * (1025.0 * 9.81 ** 2) * T / (32.0 * np.pi))
+    far = ~near
+    np.testing.assert_allclose(wavenumber(T, d)[far], k[far], rtol=2e-15,
+                               atol=0)
+    np.testing.assert_allclose(regular_wave_power(H, T, d)[far], power[far],
+                               rtol=2e-15, atol=0)
+
+
+def test_kd_form_agrees_with_the_omega2_reference_on_the_paper_box():
+    tt, dd = np.meshgrid(np.linspace(2.0, 6.0, 1000),
+                         np.linspace(5.0, 100.0, 1000), indexing="ij")
+    k, _, near = reference_omega2_solve(tt, dd)
+    # 55 of the 10^6 points come near the tolerance; one of them steps once
+    # more in the kd form
+    assert np.count_nonzero(near) <= 100
+    np.testing.assert_allclose(wavenumber(tt, dd)[~near], k[~near],
+                               rtol=2e-15, atol=0)
 
 
 def wide_grid():
