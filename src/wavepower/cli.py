@@ -5,6 +5,7 @@ outputs through `wavepower.data_io` and echoes its settings.
 """
 
 import argparse
+import atexit
 import json
 import math
 import os
@@ -48,17 +49,19 @@ ECHO_KEYS = [k for k in DEFAULTS if k != "catalog"]
 
 
 def build_parser():
+    # the stage options, built once and shared by every stage's parser
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="JSON config file")
+    common.add_argument("--out", default="out", help="output directory")
+    for key, (_, typ, text) in DEFAULTS.items():
+        kind = "choices" if isinstance(typ, tuple) else "type"
+        common.add_argument("--" + key.replace("_", "-"), dest=key,
+                            help=text, **{kind: typ})
     p = argparse.ArgumentParser(
         prog="wavepower", description="Wave-energy resource assessment")
     sub = p.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        sp = sub.add_parser(name, help=command.__doc__)
-        sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--out", default="out", help="output directory")
-        for key, (_, typ, text) in DEFAULTS.items():
-            kind = "choices" if isinstance(typ, tuple) else "type"
-            sp.add_argument("--" + key.replace("_", "-"), dest=key,
-                            help=text, **{kind: typ})
+        sub.add_parser(name, help=command.__doc__, parents=[common])
     return p
 
 
@@ -267,5 +270,23 @@ def main(argv=None):
         return 2
 
 
+def process_entry():
+    """Run `main()` as the whole process: the console script and
+    `python -m wavepower.cli` start here.
+
+    After `main()` returns, the exit handlers run and stdout and stderr
+    are flushed, then the process ends with `os._exit`, skipping the
+    interpreter's teardown of every module and object numpy and wavepower
+    made. Every stage has closed its files before `main()` returns. A
+    `SystemExit` (argparse's `--help` and usage errors) or an uncaught
+    exception leaves by the normal exit path.
+    """
+    code = main()
+    atexit._run_exitfuncs()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    process_entry()

@@ -279,7 +279,8 @@ class _RowFault(DataError):
         self.row, self.reason = row, reason
 
 
-@dataclass(frozen=True)
+# eq=False: its array fields make == ambiguous, so compare by identity
+@dataclass(frozen=True, eq=False)
 class SeaStateSeries:
     """Hourly (or otherwise sampled) Hs/Te summaries for one point; `times`
     is a datetime64 array, kept as datetime64[s]."""

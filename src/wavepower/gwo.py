@@ -21,7 +21,8 @@ import numpy as np
 from .errors import ContractError, DomainError, EvaluationError
 
 
-@dataclass(frozen=True)
+# eq=False: its array fields make == ambiguous, so compare by identity
+@dataclass(frozen=True, eq=False)
 class SearchBounds:
     """Per-dimension finite (lower, upper) box with optional labels."""
 
@@ -63,7 +64,8 @@ class GwoConfig:
             raise DomainError("max_iter must be >= 1")
 
 
-@dataclass(frozen=True)
+# eq=False: its array fields make == ambiguous, so compare by identity
+@dataclass(frozen=True, eq=False)
 class GwoRun:
     """Result of one optimizer run."""
 

@@ -21,7 +21,8 @@ TAPER_RAISED_COSINE = "raised-cosine"
 SYNTHESIS_BLOCK = 128
 
 
-@dataclass(frozen=True)
+# eq=False: its array fields make == ambiguous, so compare by identity
+@dataclass(frozen=True, eq=False)
 class ElevationRecord:
     """Uniformly sampled sea-surface elevation time series."""
 
@@ -71,7 +72,8 @@ class SegmentationConfig:
         return cls(segment_length=n, **kw)
 
 
-@dataclass(frozen=True)
+# eq=False: its array fields make == ambiguous, so compare by identity
+@dataclass(frozen=True, eq=False)
 class VarianceDensitySpectrum:
     """Discrete one-sided variance density spectrum (m^2/Hz)."""
 

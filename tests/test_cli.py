@@ -1,7 +1,11 @@
+import atexit
 import csv
+import gc
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -563,3 +567,77 @@ def test_non_finite_stage_table_field_fails_closed(
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err, err
     assert f"line 2: {out / table}: non-finite {column} {value}" in err, err
+
+
+# The process entry point, run as `python -m wavepower.cli` in a child
+# process: it ends the process with os._exit once main() returns.
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
+    __file__))), "src")
+SMALL_RUN = ["--hours", "48", "--depth-range", "5,100"]
+
+
+def run_process(argv, cwd, code=None):
+    """(exit code, stdout, stderr) of a child running the entry point:
+    `python -m wavepower.cli argv`, or the script `code` if given."""
+    command = ["-c", code] if code else ["-m", "wavepower.cli"]
+    # buffered stdout, as by default, so that a missing flush loses output
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run([sys.executable, *command, *argv], cwd=cwd,
+                          env=dict(env, PYTHONPATH=SRC),
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestProcessEntry:
+    def test_stages_write_the_tree_of_in_process_calls(self, tmp_path,
+                                                       capsys):
+        handlers, gc_state = atexit._ncallbacks(), (gc.isenabled(),
+                                                     gc.get_threshold())
+        for stage in STAGES:
+            assert main([stage, "--out", str(tmp_path / "a")]
+                        + SMALL_RUN) == 0
+        # in-process main() leaves exit handlers and the collector alone
+        assert atexit._ncallbacks() == handlers
+        assert (gc.isenabled(), gc.get_threshold()) == gc_state
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("rank: raw norm mixes units")
+        runs = [run_process([stage, "--out", "b"] + SMALL_RUN, tmp_path)
+                for stage in STAGES]
+        assert [run[:2] for run in runs] == [(0, "")] * len(STAGES)
+        assert "".join(run[2] for run in runs) == stderr
+        assert len(tree_bytes(tmp_path / "b")) > 100
+        assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+
+    def test_failed_point_exits_1(self, tmp_path):
+        argv = ["--out", "o", "--points", "K4,Z1"] + SMALL_RUN
+        assert run_process(["synth"] + argv, tmp_path)[0] == 0
+        os.remove(tmp_path / "o" / "sea_states" / "Z1.npy")
+        rc, stdout, stderr = run_process(["analyze"] + argv, tmp_path)
+        assert (rc, stdout) == (1, "")
+        assert stderr.startswith("analyze: point Z1 failed: no input data")
+        assert stderr.count("\n") == 1
+        assert len(read_lines(tmp_path / "o" / "features.csv")) == 2
+
+    def test_refused_input_exits_2_with_one_line(self, tmp_path):
+        assert run_process(["optimize", "--out", "o", "--bounds", "1,2"],
+                           tmp_path) == (
+            2, "", "optimize: bounds needs 6 comma-separated numbers\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_help_exits_0_on_stdout(self, tmp_path):
+        rc, stdout, stderr = run_process(["--help"], tmp_path)
+        assert (rc, stderr) == (0, "")
+        assert stdout.startswith("usage: wavepower [-h]")
+        assert all(stage in stdout for stage in STAGES)
+
+    def test_exit_handlers_run(self, tmp_path):
+        code = ("import atexit, sys\n"
+                "from wavepower import cli\n"
+                "atexit.register(print, 'exit handler ran')\n"
+                "sys.argv[1:] = ['optimize', '--out', 'o', '--bounds',\n"
+                "                '0.1,0.6,2,6,5,100', '--iters', '5']\n"
+                "cli.process_entry()\n"
+                "print('not reached')\n")
+        assert run_process([], tmp_path, code) == (0, "exit handler ran\n",
+                                                   "")
+        assert (tmp_path / "o" / "reference.csv").exists()

@@ -18,7 +18,8 @@ from hypothesis.extra.numpy import arrays
 from wavepower import data_io
 from wavepower.assessment import PointFeatures, rank_points
 from wavepower.errors import DataError, ParseError
-from wavepower.spectral import ElevationRecord
+from wavepower.gwo import GwoRun, SearchBounds
+from wavepower.spectral import ElevationRecord, VarianceDensitySpectrum
 
 from test_assessment import make_assessment
 
@@ -772,3 +773,29 @@ def test_non_finite_stage_table_field_names_line_and_column(data, table,
         with pytest.raises(ParseError, match=re.escape(
                 f"line {row + 1}: {path}: non-finite {column} {value}")):
             load(path)
+
+
+# The frozen dataclasses that hold arrays compare and hash by identity: a
+# field-wise == would compare arrays, whose truth value is ambiguous.
+ARRAY_DATACLASSES = {
+    "SeaStateSeries": lambda: data_io.SeaStateSeries(
+        hs=[0.4, 0.5], te=[3.0, 4.0], **SERIES_KW),
+    "ElevationRecord": lambda: ElevationRecord(dt=0.5,
+                                               samples=[0.1, -0.2, 0.3]),
+    "VarianceDensitySpectrum": lambda: VarianceDensitySpectrum(
+        f=[0.15, 0.25], S=[1.0, 2.0], df=0.1),
+    "SearchBounds": lambda: SearchBounds(lower=[0.1, 2.0, 5.0],
+                                         upper=[0.6, 6.0, 100.0]),
+    "GwoRun": lambda: GwoRun(best_position=np.array([0.6, 6.0, 5.0]),
+                             best_value=1.0, convergence=np.ones(3),
+                             evaluations=30),
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_DATACLASSES))
+def test_array_dataclass_compares_and_hashes_by_identity(name):
+    a, b = ARRAY_DATACLASSES[name](), ARRAY_DATACLASSES[name]()
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert hash(a) == hash(a) and hash(a) != hash(b)
+    assert len({a, a, b}) == 2

@@ -459,16 +459,23 @@ def reference_group_factor(kd):
 
 
 def reference_power(H, T, depth, rho=1025.0, g=9.81):
+    """(power, near), near marking as in reference_omega2_solve the
+    elements one of whose residuals came within rounding of
+    DISPERSION_TOL, which the kernel may take one Newton step more or
+    less on."""
     H, T, depth = (np.asarray(x, dtype=float) for x in (H, T, depth))
     omega = 2.0 * np.pi / T
     omega2 = omega * omega
     k = omega2 / g
+    near = np.zeros(np.shape(k), dtype=bool)
     with np.errstate(over="ignore"):
         for _ in range(mechanics.DISPERSION_MAX_ITER):
             kd = k * depth
             th = np.tanh(kd)
             f = omega2 - g * k * th
-            done = np.abs(f) / omega2 <= DISPERSION_TOL
+            resid = np.abs(f) / omega2
+            near |= np.abs(resid / DISPERSION_TOL - 1.0) < 1e-3
+            done = resid <= DISPERSION_TOL
             if np.all(done):
                 break
             fprime = -g * (th + kd * np.where(
@@ -478,7 +485,7 @@ def reference_power(H, T, depth, rho=1025.0, g=9.81):
             raise AssertionError("the reference solve did not converge")
     kd = k * depth
     factor = np.tanh(kd) * 2.0 * reference_group_factor(kd)
-    return rho * g ** 2 * H ** 2 * T / (32.0 * np.pi) * factor
+    return rho * g ** 2 * H ** 2 * T / (32.0 * np.pi) * factor, near
 
 
 @settings(max_examples=200, deadline=None)
@@ -488,8 +495,9 @@ def test_kernel_agrees_with_the_cosh_reference(data, n):
         return data.draw(arrays(float, n, elements=st.floats(lo, hi)))
 
     H, T, d = column(0.0, 5.0), column(1.0, 20.0), column(0.01, 5000.0)
-    np.testing.assert_allclose(regular_wave_power(H, T, d),
-                               reference_power(H, T, d), rtol=1e-14, atol=0)
+    expected, near = reference_power(H, T, d)
+    np.testing.assert_allclose(regular_wave_power(H, T, d)[~near],
+                               expected[~near], rtol=1e-14, atol=0)
     kd = wavenumber(T, d) * d
     with np.errstate(over="ignore"):
         expected = np.tanh(kd) * (1.0 + 2.0 * kd / np.sinh(2.0 * kd))
