@@ -7,8 +7,6 @@ site ranking.
 
 from .assessment import (
     OptimalReference,
-    PointFeatures,
-    SiteAssessment,
     correlation_score,
     deviation_norm,
     rank_points,

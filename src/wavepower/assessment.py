@@ -1,12 +1,12 @@
 """Site scoring against the optimizer's reference point.
 
-Each site is a (mean height, mean period, depth) feature vector; sites
-are ranked by Euclidean distance to the reference (optionally after
-min-max scaling, since raw units let depth dominate) with Pearson
-correlation as the first tie-breaker.
+Each site is a (mean height, mean period, depth) row; sites are ranked
+by Euclidean distance to the reference (optionally after min-max
+scaling, since raw units let depth dominate) with Pearson correlation
+as the first tie-breaker.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,51 +36,14 @@ class OptimalReference:
         return np.array([self.h_opt, self.t_opt, self.d_opt])
 
 
-@dataclass(frozen=True)
-class PointFeatures:
-    """Per-site time-averaged wave height/period plus local depth."""
-
-    point_id: str
-    zone: str
-    h_bar: float
-    t_bar: float
-    depth: float
-
-    def __post_init__(self):
-        if not 0 < self.depth < np.inf:
-            raise DomainError(
-                f"{self.point_id}: depth must be positive and finite")
-        if not (0 <= self.h_bar < np.inf and 0 < self.t_bar < np.inf):
-            raise DomainError(f"{self.point_id}: invalid mean wave state")
-
-    def as_array(self):
-        return np.array([self.h_bar, self.t_bar, self.depth])
-
-
-@dataclass(frozen=True)
-class SiteAssessment:
-    """Scored site; rank is assigned by rank_points."""
-
-    point_id: str
-    zone: str
-    h_bar: float
-    t_bar: float
-    depth: float
-    power_irregular: float
-    power_regular: float
-    norm: float
-    correlation: float
-    rank: int = 0
-
-
-def deviation_norm(features, ref, mode=NORM_RAW, ranges=None):
-    """Euclidean distance between a site's features and the reference.
+def deviation_norm(row, ref, mode=NORM_RAW, ranges=None):
+    """Euclidean distance between a site's (H, T, d) row and the reference.
 
     In minmax mode each dimension is mapped affinely to [0, 1] using the
-    (min, max) `ranges` of the assessed set; the reference is mapped with
-    the same transform.
+    (min, max) `ranges` of the assessed set, one pair per dimension; the
+    reference is mapped with the same transform.
     """
-    x = features.as_array()
+    x = np.asarray(row, dtype=float)
     r = ref.as_array()
     if mode == NORM_RAW:
         return float(np.linalg.norm(x - r))
@@ -98,30 +61,28 @@ def deviation_norm(features, ref, mode=NORM_RAW, ranges=None):
     return float(np.linalg.norm((x - lo) / span - (r - lo) / span))
 
 
-def correlation_score(features, ref):
-    """Pearson correlation of the (H, T, d) vector with the reference."""
-    x = features.as_array()
+def correlation_score(row, ref):
+    """Pearson correlation of a site's (H, T, d) row with the reference."""
+    x = np.asarray(row, dtype=float)
     r = ref.as_array()
     if np.ptp(x) == 0 or np.ptp(r) == 0:
         raise DomainError("correlation undefined for a constant vector")
     return float(np.corrcoef(x, r)[0, 1])
 
 
-def feature_ranges(features_list):
-    """Per-dimension (min, max) over an assessed set, for minmax scaling."""
-    arr = np.array([f.as_array() for f in features_list])
-    return tuple((float(lo), float(hi))
-                 for lo, hi in zip(arr.min(axis=0), arr.max(axis=0)))
-
-
 def rank_points(assessed):
-    """Order assessments: ascending norm, then descending correlation,
-    then descending irregular power, then point id. Ranks are 1-based."""
-    if not assessed:
+    """A results array ordered by ascending norm, then descending
+    correlation, then descending irregular power, then point id, with its
+    1-based ranks set; a copy, in rank order."""
+    if not len(assessed):
         raise DataError("nothing to rank")
-    ordered = sorted(assessed, key=lambda s: (
-        s.norm, -s.correlation, -s.power_irregular, s.point_id))
-    return [replace(s, rank=i + 1) for i, s in enumerate(ordered)]
+    keys = list(zip(assessed["norm"].tolist(),
+                    (-assessed["correlation"]).tolist(),
+                    (-assessed["power_irregular_wpm"]).tolist(),
+                    assessed["point"].tolist()))
+    ranked = assessed[sorted(range(len(keys)), key=keys.__getitem__)]
+    ranked["rank"] = np.arange(1, len(ranked) + 1)
+    return ranked
 
 
 def zone_shares(powers_by_zone):

@@ -120,6 +120,8 @@ def resolve_config(args):
             raise ConfigError("depth_range must be positive")
     names = [n.strip() for n in (raw["points"] or "").split(",")]
     cfg["points"] = [n for n in names if n] or None
+    if cfg["points"] and len(set(cfg["points"])) < len(cfg["points"]):
+        raise ConfigError("points must name each point once")
     (cfg["start"],) = data_io.parse_timestamps([raw["start"]])
     if np.isnat(cfg["start"]):
         raise ConfigError("start must be like 2006-01-01T00:00:00Z")
@@ -156,14 +158,17 @@ def cmd_synth(cfg):
     if kind != "sea-states":
         pipeline.check_record_sampling(cfg["te_base"], cfg["duration"],
                                        cfg["dt"])
-    means = pipeline.schedule_means(catalog, cfg["hs_base"], cfg["te_base"])
+        pipeline.check_record_scale(cfg["hs_base"], cfg["te_base"])
     if kind != "elevation":
+        pipeline.check_series_scale(cfg["hs_base"], cfg["te_base"],
+                                    cfg["hours"])
         # in Python integers, before an axis of `hours` times exists
         last = int(cfg["start"].astype(np.int64)) + (cfg["hours"] - 1) * 3600
         if last > int(data_io.LAST_TIME.astype(np.int64)):
             raise ConfigError(f"start plus hours runs past "
                               f"{data_io.LAST_TIME}Z, the last writable time")
         times = pipeline.timestamps(cfg["start"], cfg["hours"])
+    means = pipeline.schedule_means(catalog, cfg["hs_base"], cfg["te_base"])
     os.makedirs(out, exist_ok=True)
     data_io.write_catalog(catalog, join(out, "catalog.csv"))
     for e in points:
@@ -193,15 +198,17 @@ def cmd_analyze(cfg):
         except (WavePowerError, OSError) as exc:
             failures[entry.name] = str(exc)
     try:
-        rows = pipeline.feature_rows(points, cfg["env"])
+        features = pipeline.feature_rows(points, cfg["env"])
     except WavePowerError:  # find the failing points one at a time
-        rows = []
+        solved = []
         for point in points:
             try:
-                rows += pipeline.feature_rows([point], cfg["env"])
+                pipeline.feature_rows([point], cfg["env"])
+                solved.append(point)
             except WavePowerError as exc:
                 failures[point[0].name] = str(exc)
-    data_io.write_features(rows, join(out, "features.csv"))
+        features = pipeline.feature_rows(solved, cfg["env"])
+    data_io.write_features(features, join(out, "features.csv"))
     _echo(cfg, "analyze")
     for entry in entries:
         if entry.name in failures:
@@ -213,8 +220,8 @@ def cmd_analyze(cfg):
 def cmd_optimize(cfg):
     """find the power-maximizing (H, T, d) reference"""
     out = cfg["out"]
-    bounds = cfg["bounds"] or pipeline.derived_bounds(f for f, _, _ in (
-        _stage_input(cfg, "features.csv", "analyze", data_io.load_features)))
+    bounds = cfg["bounds"] or pipeline.derived_bounds(
+        _stage_input(cfg, "features.csv", "analyze", data_io.load_features))
     run = pipeline.optimize(bounds, cfg["env"], cfg["agents"], cfg["iters"],
                             cfg["seed"])
     os.makedirs(out, exist_ok=True)
@@ -228,21 +235,23 @@ def cmd_optimize(cfg):
 def cmd_rank(cfg):
     """score and rank points against the reference"""
     out = cfg["out"]
-    rows = _stage_input(cfg, "features.csv", "analyze", data_io.load_features)
+    features = _stage_input(cfg, "features.csv", "analyze",
+                            data_io.load_features)
     ref = _stage_input(cfg, "reference.csv", "optimize",
                        data_io.load_reference)
-    rows = pipeline.select_points({r[0].point_id: r for r in rows},
-                                  cfg["points"])
+    features = features[pipeline.select_points(
+        {p: i for i, p in enumerate(features["point"].tolist())},
+        cfg["points"])]
     if cfg["norm_mode"] == "raw":
         print("rank: raw norm mixes units; the depth dimension dominates "
               "(use --norm-mode minmax to rescale)", file=sys.stderr)
-    ranked = pipeline.assess(rows, ref, cfg["norm_mode"])
-    totals, shares = pipeline.zone_totals(ranked, [f.zone for f, _, _ in rows])
+    ranked = pipeline.assess(features, ref, cfg["norm_mode"])
+    shares = pipeline.zone_totals(ranked, features["zone"].tolist())
     data_io.write_results(ranked, join(out, "results.csv"))
     if cfg["format"] == "structured":
         data_io.write_results(ranked, join(out, "results.json"),
                               format="structured", config=cfg["echo"])
-    data_io.write_zone_shares(totals, shares, join(out, "zone_shares.csv"))
+    data_io.write_zone_shares(shares, join(out, "zone_shares.csv"))
     _echo(cfg, "rank")
     return 0
 
@@ -250,9 +259,9 @@ def cmd_rank(cfg):
 def cmd_report(cfg):
     """emit plot-ready tables"""
     ranked = _stage_input(cfg, "results.csv", "rank", data_io.load_results)
-    totals, shares = _stage_input(cfg, "zone_shares.csv", "rank",
-                                  data_io.load_zone_shares)
-    data_io.write_report(ranked, totals, shares, join(cfg["out"], "report"))
+    shares = _stage_input(cfg, "zone_shares.csv", "rank",
+                          data_io.load_zone_shares)
+    data_io.write_report(ranked, shares, join(cfg["out"], "report"))
     _echo(cfg, "report")
     return 0
 

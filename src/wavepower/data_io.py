@@ -1,14 +1,14 @@
 """Site catalog, CSV ingestion and result serialization.
 
-Delimited files are comma-separated UTF-8 with a header row, "." decimal
-separator and ISO-8601 UTC timestamps, read and written with the csv
-module, so a field holding a comma or a quote is quoted. Floats are
-written with repr so write-then-load round-trips exactly and identical
-inputs produce byte-identical files.
+Every table is one structured array of its own dtype, and one reader and
+one writer take each to and from comma-separated UTF-8 with a header row
+by field kind (see _write_columns): floats with repr, so write-then-load
+round-trips exactly and identical inputs give byte-identical files. The
+csv module quotes a field holding a comma or a quote.
 
 Per-point data (sea states, elevation records) may also be an .npy file
-holding one structured array whose fields are the CSV's columns; the
-stages hand it on that way, so no float goes through text between them.
+of the array; the stages hand it on that way, so no float goes through
+text between them.
 """
 
 import csv
@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .assessment import OptimalReference, PointFeatures, SiteAssessment
+from .assessment import OptimalReference
 from .errors import DataError, DomainError, ParseError
 from .mechanics import _positive_finite
 from .spectral import ElevationRecord
@@ -62,15 +62,25 @@ _CATALOG_ROWS = [
      [48.9, 49.0, 49.1, 48.9, 49.0, 49.1, 48.9, 49.0, 49.1, 49.0, 49.1]),
 ]
 
-CATALOG_COLUMNS = ["index", "name", "zone", "lat_deg", "lon_deg", "depth_m"]
-RESULTS_COLUMNS = ["point", "zone", "h_bar_m", "t_bar_s", "depth_m",
-                   "power_irregular_wpm", "power_regular_wpm", "norm",
-                   "correlation", "rank"]
-ZONE_SHARE_COLUMNS = ["zone", "total_power_wpm", "share"]
-FEATURE_COLUMNS = ["point", "zone", "h_bar_m", "t_bar_s", "depth_m",
-                   "power_irregular_wpm", "power_regular_wpm"]
-REFERENCE_COLUMNS = ["h_opt_m", "t_opt_s", "d_opt_m", "best_power_wpm"]
-# the per-point files: the fields of the .npy, the columns of the CSV
+# the tables, one dtype each: its fields are the columns of its CSV;
+# the catalog's depth_m is text, empty where the catalog has no depth
+CATALOG_DTYPE = np.dtype([("index", "<i8"), ("name", "O"), ("zone", "O"),
+                          ("lat_deg", "<f8"), ("lon_deg", "<f8"),
+                          ("depth_m", "O")])
+FEATURE_DTYPE = np.dtype([("point", "O"), ("zone", "O")] + [
+    (name, "<f8") for name in ("h_bar_m", "t_bar_s", "depth_m",
+                               "power_irregular_wpm", "power_regular_wpm")])
+RESULT_DTYPE = np.dtype(FEATURE_DTYPE.descr + [
+    ("norm", "<f8"), ("correlation", "<f8"), ("rank", "<i8")])
+ZONE_SHARE_DTYPE = np.dtype([("zone", "O"), ("total_power_wpm", "<f8"),
+                             ("share", "<f8")])
+REFERENCE_DTYPE = np.dtype([("h_opt_m", "<f8"), ("t_opt_s", "<f8"),
+                            ("d_opt_m", "<f8"), ("best_power_wpm", "<f8")])
+BOUNDS_DTYPE = np.dtype([("dimension", "O"), ("lower", "<f8"),
+                         ("upper", "<f8")])
+CONVERGENCE_DTYPE = np.dtype([("iteration", "<i8"),
+                              ("best_power_wpm", "<f8")])
+# the per-point files, also as .npy
 SEA_STATE_DTYPE = np.dtype([("timestamp", "<M8[s]"), ("hs_m", "<f8"),
                             ("te_s", "<f8")])
 ELEVATION_DTYPE = np.dtype([("time_s", "<f8"), ("eta_m", "<f8")])
@@ -141,14 +151,10 @@ class SiteCatalog:
 
 def builtin_catalog():
     """The built-in 105-point southern-Caspian catalog (no depths)."""
-    entries = []
-    idx = 1
-    for zone, names, lats, lons in _CATALOG_ROWS:
-        for name, lat, lon in zip(names, lats, lons):
-            entries.append(CatalogEntry(index=idx, name=name, zone=zone,
-                                        lat=lat, lon=lon))
-            idx += 1
-    return SiteCatalog(entries=tuple(entries))
+    points = [(name, zone, lat, lon) for zone, names, lats, lons in
+              _CATALOG_ROWS for name, lat, lon in zip(names, lats, lons)]
+    return SiteCatalog(entries=tuple(
+        CatalogEntry(index, *point) for index, point in enumerate(points, 1)))
 
 
 def _read_rows(path, required_columns):
@@ -182,16 +188,17 @@ def _read_rows(path, required_columns):
 
 
 def load_catalog(path):
-    """Parse a catalog CSV (schema: index,name,zone,lat_deg,lon_deg,depth_m)."""
-    rows = _read_rows(path, CATALOG_COLUMNS)
-    entries = []
-    seen = set()
-    for lineno, (idx, name, zone, lat, lon, depth) in rows:
+    """Parse a catalog CSV (CATALOG_DTYPE's fields). A catalog may have no
+    rows, and its depths are optional, so it keeps its own loop."""
+    entries, seen = [], set()
+    for lineno, (idx, name, zone, lat, lon, depth) in _read_rows(
+            path, CATALOG_DTYPE.names):
         try:  # a DataError from CatalogEntry is a ValueError too
-            entries.append(CatalogEntry(
-                index=int(idx), name=name, zone=zone, lat=float(lat),
-                lon=float(lon), depth=float(depth) if depth else None))
-        except ValueError as exc:
+            entries.append(CatalogEntry(  # an index CATALOG_DTYPE holds
+                index=int(np.int64(idx)), name=name, zone=zone,
+                lat=float(lat), lon=float(lon),
+                depth=float(depth) if depth else None))
+        except (ValueError, OverflowError) as exc:
             raise ParseError(f"{path}: {exc}", line=lineno) from None
         if name in seen:
             raise ParseError(f"{path}: duplicate point name {name!r}",
@@ -201,9 +208,10 @@ def load_catalog(path):
 
 
 def write_catalog(catalog, path):
-    _write_table(path, CATALOG_COLUMNS, (
-        (str(e.index), e.name, e.zone, e.lat, e.lon,
-         "" if e.depth is None else e.depth) for e in catalog))
+    _write_columns(path, np.array([
+        (e.index, e.name, e.zone, e.lat, e.lon,
+         "" if e.depth is None else repr(float(e.depth))) for e in catalog],
+        dtype=CATALOG_DTYPE))
 
 
 def parse_timestamps(stamps):
@@ -388,62 +396,87 @@ def _read_npy(path, dtype):
 
 
 def _load_columns(path, dtype):
-    """The rows of a per-point file as an array of `dtype`, and each row's
-    line (None for .npy). The file is .npy, or else CSV whose columns are
-    the fields, datetime fields first and as YYYY-MM-DDTHH:MM:SSZ text. A
-    file with no rows is an error."""
+    """A table as an array of `dtype`, and its rows as (line, fields)
+    pairs, None for .npy. The file is .npy, or else CSV whose columns are
+    the fields (see _write_columns). A file with no rows is an error."""
     if _is_npy(path):
         arr = _read_npy(path, dtype)
         if arr.size == 0:
             raise DataError(f"{path}: no data rows")
         return arr, None
-    stamps = [n for n in dtype.names if dtype[n].kind == "M"]
-    # SeaStateSeries and load_elevation report non-finite values themselves
-    rows = _records(path, dtype.names, n_text=len(stamps), finite=False)
+    rows = _read_rows(path, dtype.names)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    # text, and datetimes until they are parsed by column, stay as they are
+    parse = [{"f": float, "i": np.int64}.get(dtype[name].kind, str)
+             for name in dtype.names]
+    values = []
+    for line, fields in rows:
+        try:
+            values.append([p(v) for p, v in zip(parse, fields)])
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(f"{path}: {exc}", line=line) from None
     arr = np.empty(len(rows), dtype=dtype)
     for i, name in enumerate(dtype.names):
-        column = [values[i] for _, values in rows]
-        arr[name] = parse_timestamps(column) if name in stamps else column
-        if name in stamps and np.isnat(arr[name]).any():
+        column = [v[i] for v in values]
+        stamps = dtype[name].kind == "M"
+        arr[name] = parse_timestamps(column) if stamps else column
+        if stamps and np.isnat(arr[name]).any():
             k = int(np.argmax(np.isnat(arr[name])))
             raise ParseError(f"{path}: " + _BAD_STAMP.format(stamp=column[k]),
                              line=rows[k][0])
-    return arr, [line for line, _ in rows]
+    return arr, rows
 
 
-def _write_columns(path, dtype, *columns):
-    """`columns` as the fields of `dtype`: one structured array in an .npy
-    file, or else CSV, datetime fields as YYYY-MM-DDTHH:MM:SSZ text."""
+def _table(dtype, *columns):
+    """The array of `dtype` whose fields are `columns`."""
+    arr = np.empty(len(columns[0]), dtype=dtype)
+    for name, values in zip(dtype.names, columns):
+        arr[name] = values
+    return arr
+
+
+def _write_columns(path, table):
+    """A structured array as .npy if the path ends so, else as CSV: its
+    field names, then text as is, integers in decimal, floats with repr
+    and datetimes as YYYY-MM-DDTHH:MM:SSZ; only fields needing quotes get
+    them."""
     if _is_npy(path):
-        arr = np.empty(len(columns[0]), dtype=dtype)
-        for name, values in zip(dtype.names, columns):
-            arr[name] = values
         with open(path, "wb") as fh:
-            np.save(fh, arr, allow_pickle=False)
-    else:
-        _write_table(path, dtype.names, zip(*(
-            format_timestamps(c) if dtype[n].kind == "M" else c
-            for n, c in zip(dtype.names, columns))))
+            np.save(fh, table, allow_pickle=False)
+        return
+    columns = []
+    for name in table.dtype.names:
+        kind = table.dtype[name].kind
+        values = format_timestamps(table[name]) if kind == "M" \
+            else table[name]
+        columns.append(list(map(repr if kind == "f" else str,
+                                values.tolist())))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(table.dtype.names)
+        writer.writerows(zip(*columns))
 
 
 def load_sea_states(path):
     """Parse a sea-state file, .npy or else CSV, with the fields of
     SEA_STATE_DTYPE, as the series of the point the file stem names."""
     point = os.path.splitext(os.path.basename(path))[0]
-    arr, lines = _load_columns(path, SEA_STATE_DTYPE)
+    arr, rows = _load_columns(path, SEA_STATE_DTYPE)
     try:
         return SeaStateSeries(point=point, times=arr["timestamp"],
                               hs=arr["hs_m"].copy(), te=arr["te_s"].copy())
     except _RowFault as exc:
-        if lines is None:
+        if rows is None:
             raise ParseError(f"{path}: {exc}") from None
         raise ParseError(f"{path}: {exc.reason}",
-                         line=lines[exc.row]) from None
+                         line=rows[exc.row][0]) from None
 
 
 def write_sea_states(series, path):
     """Write .npy if the path ends so, else CSV (SEA_STATE_DTYPE's fields)."""
-    _write_columns(path, SEA_STATE_DTYPE, series.times, series.hs, series.te)
+    _write_columns(path, _table(SEA_STATE_DTYPE, series.times, series.hs,
+                                series.te))
 
 
 def load_elevation(path):
@@ -469,17 +502,17 @@ def load_elevation(path):
 
 def write_elevation(record, path):
     """Write .npy if the path ends so, else CSV (ELEVATION_DTYPE's fields)."""
-    _write_columns(path, ELEVATION_DTYPE,
-                   np.arange(record.samples.size) * record.dt, record.samples)
+    _write_columns(path, _table(
+        ELEVATION_DTYPE, np.arange(record.samples.size) * record.dt,
+        record.samples))
 
 
 def write_point(directory, name, data):
     """Write a SeaStateSeries or ElevationRecord as the .npy that
     load_point reads."""
-    if isinstance(data, SeaStateSeries):
-        kind, write = "sea_states", write_sea_states
-    else:
-        kind, write = "elevation", write_elevation
+    kind, write = (("sea_states", write_sea_states)
+                   if isinstance(data, SeaStateSeries)
+                   else ("elevation", write_elevation))
     os.makedirs(os.path.join(directory, kind), exist_ok=True)
     write(data, os.path.join(directory, kind, f"{name}.npy"))
 
@@ -504,171 +537,136 @@ def load_point(directory, name):
         f"no input data for point {name} (looked for {', '.join(looked)})")
 
 
-def write_results(assessments, path, format="delimited", config=None):
-    """Ranked assessments as the results CSV ("delimited") or as one JSON
+def write_results(results, path, format="delimited", config=None):
+    """A RESULT_DTYPE array as the results CSV ("delimited") or as one JSON
     document of the config echo and the assessments ("structured")."""
     if format == "delimited":
-        _write_table(path, RESULTS_COLUMNS, (
-            (s.point_id, s.zone, s.h_bar, s.t_bar, s.depth, s.power_irregular,
-             s.power_regular, s.norm, s.correlation, str(s.rank))
-            for s in assessments))
+        _write_columns(path, results)
         return
     if format != "structured":
         raise DomainError(f"unknown results format {format!r}")
-    doc = {
-        "config": config or {},
-        "assessments": [
-            {"point": s.point_id, "zone": s.zone, "h_bar_m": s.h_bar,
-             "t_bar_s": s.t_bar, "depth_m": s.depth,
-             "power_irregular_wpm": s.power_irregular,
-             "power_regular_wpm": s.power_regular, "norm": s.norm,
-             "correlation": s.correlation, "rank": s.rank}
-            for s in assessments],
-    }
+    doc = {"config": config or {},
+           "assessments": [dict(zip(RESULT_DTYPE.names, row))
+                           for row in results.tolist()]}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def write_zone_shares(totals, shares, path):
-    """Zone share table (zone,total_power_wpm,share) in zone order."""
-    _write_table(path, ZONE_SHARE_COLUMNS,
-                 ((z, totals[z], shares[z]) for z in totals))
+def write_zone_shares(shares, path):
+    """A ZONE_SHARE_DTYPE array as zone_shares.csv."""
+    _write_columns(path, shares)
+
+
+def _repeated(values):
+    """True where a value equals one before it."""
+    repeated = np.ones(values.size, dtype=bool)
+    repeated[np.unique(values, return_index=True)[1]] = False
+    return repeated
+
+
+def _load_table(path, dtype, checks):
+    """The CSV table at `path` as an array of `dtype`, else ParseError at
+    the first row with a non-finite float or flagged by one of
+    `checks(arr)`, (mask, reason) pairs, in that order; the reason is
+    formatted with the row's fields as the file has them."""
+    arr, rows = _load_columns(path, dtype)
+    checks = [(~np.isfinite(arr[name]), f"non-finite {name} {{{name}}}")
+              for name in dtype.names if dtype[name].kind == "f"] + checks(arr)
+    faults = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(checks)
+              if bad.any()]
+    if faults:
+        row, k = min(faults)
+        line, fields = rows[row]
+        raise ParseError(f"{path}: " + checks[k][1].format(
+            **dict(zip(dtype.names, fields))), line=line)
+    return arr
 
 
 def load_zone_shares(path):
-    """Zone share table as ({zone: total}, {zone: share}) in file order."""
-    rows = [values for _, values in
-            _records(path, ZONE_SHARE_COLUMNS, n_text=1)]
-    return ({z: total for z, total, _ in rows},
-            {z: share for z, _, share in rows})
+    """zone_shares.csv as a ZONE_SHARE_DTYPE array; each zone once."""
+    return _load_table(path, ZONE_SHARE_DTYPE, lambda a: [
+        (_repeated(a["zone"]), "duplicate zone {zone!r}")])
 
 
-def _records(path, columns, n_text, finite=True):
-    """(line, values) for each data row of a table: the first n_text
-    fields as text, the rest as floats, which must be finite unless
-    `finite` is false. A table with no data rows is an error."""
-    rows = _read_rows(path, columns)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    out = []
-    for lineno, fields in rows:
-        try:
-            values = [float(v) for v in fields[n_text:]]
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}", line=lineno) from None
-        if finite:
-            for column, text, v in zip(columns[n_text:], fields[n_text:],
-                                       values):
-                if not math.isfinite(v):
-                    raise ParseError(f"{path}: non-finite {column} {text}",
-                                     line=lineno)
-        out.append((lineno, fields[:n_text] + values))
-    return out
+def write_features(features, path):
+    """A FEATURE_DTYPE array as features.csv."""
+    _write_columns(path, features)
 
 
-def write_features(rows, path):
-    """features.csv: (PointFeatures, irregular power, regular power) rows."""
-    _write_table(path, FEATURE_COLUMNS, (
-        (f.point_id, f.zone, f.h_bar, f.t_bar, f.depth, p_irr, p_reg)
-        for f, p_irr, p_reg in rows))
-
-
-def _check_powers(path, line, p_irr, p_reg):
-    """ParseError at `line` of `path` unless both powers are >= 0."""
-    if p_irr < 0 or p_reg < 0:
-        raise ParseError(f"{path}: powers must be non-negative, got "
-                         f"{p_irr!r} and {p_reg!r}", line=line)
+def _power_check(a):
+    return ((a["power_irregular_wpm"] < 0) | (a["power_regular_wpm"] < 0),
+            "powers must be non-negative, got {power_irregular_wpm} and "
+            "{power_regular_wpm}")
 
 
 def load_features(path):
-    """features.csv back as (PointFeatures, irregular, regular power) rows.
-    Powers must be non-negative."""
-    rows = []
-    for line, (name, zone, h, t, d, p_irr, p_reg) in _records(
-            path, FEATURE_COLUMNS, n_text=2):
-        _check_powers(path, line, p_irr, p_reg)
-        rows.append((PointFeatures(point_id=name, zone=zone, h_bar=h,
-                                   t_bar=t, depth=d), p_irr, p_reg))
-    return rows
+    """features.csv as a FEATURE_DTYPE array. Powers and mean heights must
+    be non-negative, depths and mean periods positive, each point once."""
+    return _load_table(path, FEATURE_DTYPE, lambda a: [
+        _power_check(a),
+        (a["depth_m"] <= 0, "non-positive depth_m {depth_m}"),
+        (a["h_bar_m"] < 0, "negative h_bar_m {h_bar_m}"),
+        (a["t_bar_s"] <= 0, "non-positive t_bar_s {t_bar_s}"),
+        (_repeated(a["point"]), "duplicate point {point!r}")])
 
 
 def write_reference(run, path):
     """reference.csv: the optimizer's best (H, T, d) and its power."""
-    _write_table(path, REFERENCE_COLUMNS,
-                 [(*run.best_position, run.best_value)])
+    _write_columns(path, np.array([(*run.best_position, run.best_value)],
+                                  dtype=REFERENCE_DTYPE))
 
 
 def load_reference(path):
-    _, (h, t, d, _) = _records(path, REFERENCE_COLUMNS, n_text=0)[0]
-    return OptimalReference(h_opt=h, t_opt=t, d_opt=d)
+    """reference.csv as the OptimalReference of its first row."""
+    return OptimalReference(
+        *_load_table(path, REFERENCE_DTYPE, lambda a: []).tolist()[0][:3])
 
 
 def write_bounds(bounds, path):
     """bounds.csv: the (H, T, d) search box the optimizer ran in."""
-    _write_table(path, ["dimension", "lower", "upper"],
-                 zip(("H", "T", "d"), bounds.lower, bounds.upper))
+    _write_columns(path, _table(BOUNDS_DTYPE, ["H", "T", "d"], bounds.lower,
+                                bounds.upper))
 
 
 def write_convergence(run, path):
     """convergence.csv: best power after each optimizer iteration."""
-    _write_table(path, ["iteration", "best_power_wpm"],
-                 ((str(i), v) for i, v in enumerate(run.convergence)))
+    _write_columns(path, _table(CONVERGENCE_DTYPE, np.arange(
+        run.convergence.size), run.convergence))
 
 
 def load_results(path):
-    """A delimited results file back as ranked SiteAssessments. Powers
-    must be non-negative, and the ranks the integers 1..n, each once."""
-    rows = _records(path, RESULTS_COLUMNS, n_text=2)
-    ranked, seen = [], set()
-    for line, (p, z, h, t, d, p_irr, p_reg, nm, c, rk) in rows:
-        _check_powers(path, line, p_irr, p_reg)
-        if not (rk.is_integer() and 1 <= rk <= len(rows)) or rk in seen:
-            raise ParseError(f"{path}: rank {rk:g} is not one of "
-                             f"1..{len(rows)} taken once", line=line)
-        seen.add(rk)
-        ranked.append(SiteAssessment(
-            point_id=p, zone=z, h_bar=h, t_bar=t, depth=d,
-            power_irregular=p_irr, power_regular=p_reg, norm=nm,
-            correlation=c, rank=int(rk)))
-    return ranked
+    """results.csv as a RESULT_DTYPE array. Powers must be non-negative,
+    the ranks the integers 1..n each once, and each point listed once."""
+    return _load_table(path, RESULT_DTYPE, lambda a: [
+        _power_check(a),
+        ((a["rank"] < 1) | (a["rank"] > a.size) | _repeated(a["rank"]),
+         f"rank {{rank}} is not one of 1..{a.size} taken once"),
+        (_repeated(a["point"]), "duplicate point {point!r}")])
 
 
-def write_report(ranked, totals, shares, directory):
-    """The plot-ready tables under `directory`: powers by point and zone,
-    norms, correlation vs power, power vs height and depth, and the zone
-    shares as write_zone_shares writes them. The largest irregular power,
-    which normalizes the powers, must be positive; the tables are built
-    and that is checked before the first write."""
-    p_max = max(s.power_irregular for s in ranked)
+def write_report(results, shares, directory):
+    """The plot-ready tables under `directory`, columns of the results and
+    zone shares, and the zone shares through write_zone_shares. They are
+    built, and the largest irregular power, which normalizes the powers,
+    checked to be positive, before the first write."""
+    power = results["power_irregular_wpm"]
+    p_max = power.max().item()
     if not p_max > 0:
         raise DomainError(f"largest irregular power is {p_max!r}; powers "
                           f"need a positive one to be normalized")
     tables = {
-        "power_by_point.csv": ("point,zone,power_irregular_wpm", [
-            (s.point_id, s.zone, s.power_irregular) for s in ranked]),
-        "power_by_zone.csv": ("zone,total_power_wpm", list(totals.items())),
-        "norm_by_point.csv": ("point,norm", [
-            (s.point_id, s.norm) for s in ranked]),
-        "correlation_vs_power.csv": ("point,correlation,normalized_power", [
-            (s.point_id, s.correlation, s.power_irregular / p_max)
-            for s in ranked]),
-        "power_vs_hs_depth.csv": (
-            "point,h_bar_m,depth_m,power_irregular_wpm", [
-                (s.point_id, s.h_bar, s.depth, s.power_irregular)
-                for s in ranked]),
+        "power_by_point.csv": results[["point", "zone",
+                                       "power_irregular_wpm"]],
+        "power_by_zone.csv": shares[["zone", "total_power_wpm"]],
+        "norm_by_point.csv": results[["point", "norm"]],
+        "correlation_vs_power.csv": _table(
+            np.dtype([("point", "O"), ("correlation", "<f8"),
+                      ("normalized_power", "<f8")]),
+            results["point"], results["correlation"], power / p_max),
+        "power_vs_hs_depth.csv": results[["point", "h_bar_m", "depth_m",
+                                          "power_irregular_wpm"]],
     }
     os.makedirs(directory, exist_ok=True)
-    for name, (header, rows) in tables.items():
-        _write_table(os.path.join(directory, name), header.split(","), rows)
-    write_zone_shares(totals, shares,
-                      os.path.join(directory, "zone_shares.csv"))
-
-
-def _write_table(path, columns, rows):
-    """A delimited table: text as is, numbers as floats with repr; only a
-    field that needs quotes gets them."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows([v if isinstance(v, str) else repr(float(v))
-                          for v in row] for row in rows)
+    for name, table in tables.items():
+        _write_columns(os.path.join(directory, name), table)
+    write_zone_shares(shares, os.path.join(directory, "zone_shares.csv"))

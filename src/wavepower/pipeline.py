@@ -72,6 +72,27 @@ def check_record_sampling(te_base, duration, dt):
                           f"(max frequency {f_hi:.4g} Hz)")
 
 
+def check_series_scale(hs_base, te_base, hours):
+    """Reject bases under which the last point's series, of the largest
+    means hs_base * 1.4 and te_base * 1.2, cannot be summed: `hours`
+    values, each below 1.5 times its mean. In Python floats, which
+    overflow to inf where numpy would warn."""
+    if not hours * 1.5 * max(hs_base * (0.6 + 0.8),
+                             te_base * (0.8 + 0.4)) < np.inf:
+        raise ConfigError(f"hs_base={hs_base} or te_base={te_base} "
+                          f"overflows a sea-state series of {hours} hours")
+
+
+def check_record_scale(hs_base, te_base):
+    """Reject bases under which the last point's target density in
+    elevation_record is not finite when doubled, as synthesize_record
+    doubles it; in Python floats, as above."""
+    quarter_hs, te = hs_base * (0.6 + 0.8) / 4.0, te_base * (0.8 + 0.4)
+    if not 2.0 * (quarter_hs * quarter_hs / (1.2 / te - 0.8 / te)) < np.inf:
+        raise ConfigError(f"hs_base={hs_base} with te_base={te_base} "
+                          f"overflows a record's target spectrum")
+
+
 def elevation_record(entry, mean, duration, dt, seed):
     """Random-phase record of a flat band [0.8, 1.2] / Te with m0 of Hs."""
     hs_mean, te_mean = mean
@@ -85,7 +106,7 @@ def elevation_record(entry, mean, duration, dt, seed):
 def point_features(entry, data, env, segments=8, taper="raised-cosine"):
     """(entry, h_bar, t_bar, irregular power) of one point from a
     SeaStateSeries or an ElevationRecord; feature_rows turns these into
-    feature rows, with the regular power of many points at once."""
+    the features array, with the regular power of many points at once."""
     if isinstance(data, data_io.SeaStateSeries):
         h_bar, t_bar = float(data.hs.mean()), float(data.te.mean())
         p_irr = float(spectral.parametric_power(data.hs, data.te, env).mean())
@@ -100,23 +121,27 @@ def point_features(entry, data, env, segments=8, taper="raised-cosine"):
 
 
 def feature_rows(points, env):
-    """(PointFeatures, irregular power, regular power) rows, the rows of
-    features.csv, for point_features results. The regular powers at every
-    point's (h_bar, t_bar, depth) come from one batched regular_wave_power
-    call, with the bits of one call per point; its checks cover those of
-    PointFeatures, which is built after it."""
+    """The features array, the rows of features.csv, of point_features
+    results. The regular powers at every point's (h_bar, t_bar, depth) come
+    from one batched regular_wave_power call, with the bits of one call per
+    point, which checks those three values."""
     h, t, d = np.array([(h_bar, t_bar, e.depth) for e, h_bar, t_bar, _ in
                         points], dtype=float).reshape(-1, 3).T
     p_reg = mechanics.regular_wave_power(h, t, d, env)
-    return [(assessment.PointFeatures(point_id=e.name, zone=e.zone,
-                                      h_bar=h_bar, t_bar=t_bar,
-                                      depth=e.depth), p_irr, p)
-            for (e, h_bar, t_bar, p_irr), p in zip(points, p_reg.tolist())]
+    return np.array([(e.name, e.zone, h_bar, t_bar, e.depth, p_irr, p)
+                     for (e, h_bar, t_bar, p_irr), p in
+                     zip(points, p_reg.tolist())], dtype=data_io.FEATURE_DTYPE)
+
+
+def _vectors(features):
+    """The (H, T, d) rows of a features array."""
+    return np.column_stack([features["h_bar_m"], features["t_bar_s"],
+                            features["depth_m"]])
 
 
 def derived_bounds(features):
-    """The (H, T, d) search box spanned by the features themselves."""
-    arr = np.array([f.as_array() for f in features])
+    """The (H, T, d) search box spanned by the features array itself."""
+    arr = _vectors(features)
     lower, upper = arr.min(axis=0), arr.max(axis=0)
     if np.any(lower >= upper):
         labels = np.array(assessment.DIMENSION_NAMES)[lower >= upper]
@@ -135,25 +160,32 @@ def optimize(bounds, env, agents=10, iters=200, seed=0):
         agents=agents, max_iter=iters, seed=seed))
 
 
-def assess(rows, ref, mode=assessment.NORM_RAW):
-    """Score feature rows (see point_features) against `ref`; ranked."""
-    feats = [f for f, _, _ in rows]
-    ranges = (assessment.feature_ranges(feats)
+def assess(features, ref, mode=assessment.NORM_RAW):
+    """Score a features array against `ref`: the results array in rank
+    order. Norms and correlations take one call per row, whose bits
+    whole-array forms would not keep."""
+    vectors = _vectors(features)
+    ranges = (list(zip(vectors.min(axis=0), vectors.max(axis=0)))
               if mode == assessment.NORM_MINMAX else None)
-    return assessment.rank_points([assessment.SiteAssessment(
-        point_id=f.point_id, zone=f.zone, h_bar=f.h_bar, t_bar=f.t_bar,
-        depth=f.depth, power_irregular=p_irr, power_regular=p_reg,
-        norm=assessment.deviation_norm(f, ref, mode=mode, ranges=ranges),
-        correlation=assessment.correlation_score(f, ref))
-        for f, p_irr, p_reg in rows])
+    results = np.empty(len(features), dtype=data_io.RESULT_DTYPE)
+    for name in features.dtype.names:
+        results[name] = features[name]
+    results["norm"] = [assessment.deviation_norm(x, ref, mode, ranges)
+                       for x in vectors]
+    results["correlation"] = [assessment.correlation_score(x, ref)
+                              for x in vectors]
+    return assessment.rank_points(results)
 
 
-def zone_totals(ranked, zones):
-    """Irregular power per zone as ({zone: total}, {zone: share of the
-    grand total}); totals follow the first appearance of each zone in
-    `zones`, e.g. the points' zones in catalog order."""
+def zone_totals(results, zones):
+    """The zone-share array (data_io.ZONE_SHARE_DTYPE): irregular power
+    per zone and its share of the grand total. Zones follow their first
+    appearance in `zones`, e.g. the points' zones in catalog order."""
     by_zone = {}
-    for s in ranked:
-        by_zone.setdefault(s.zone, []).append(s.power_irregular)
-    totals = {z: float(np.sum(by_zone[z])) for z in dict.fromkeys(zones)}
-    return totals, assessment.zone_shares(by_zone)
+    for zone, power in zip(results["zone"].tolist(),
+                           results["power_irregular_wpm"].tolist()):
+        by_zone.setdefault(zone, []).append(power)
+    shares = assessment.zone_shares(by_zone)
+    return np.array([(z, float(np.sum(by_zone[z])), shares[z])
+                     for z in dict.fromkeys(zones)],
+                    dtype=data_io.ZONE_SHARE_DTYPE)

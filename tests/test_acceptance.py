@@ -11,7 +11,6 @@ import pytest
 from wavepower import data_io
 from wavepower.assessment import (
     OptimalReference,
-    SiteAssessment,
     correlation_score,
     deviation_norm,
     rank_points,
@@ -206,29 +205,23 @@ def test_criterion_8_ranking_coherence():
     zones = {}
     for i, h in enumerate(heights):
         h = float(h)
-        pid = f"P{i:02d}"
         zone = "East" if i % 2 else "West"
-        from wavepower.assessment import PointFeatures
-        f = PointFeatures(point_id=pid, zone=zone, h_bar=h, t_bar=4.0,
-                          depth=30.0)
         power = parametric_power(h, 4.0, ENV)
-        assessed.append(SiteAssessment(
-            point_id=pid, zone=zone, h_bar=h, t_bar=4.0, depth=30.0,
-            power_irregular=power, power_regular=0.0,
-            norm=deviation_norm(f, ref), correlation=correlation_score(f, ref)))
+        assessed.append((f"P{i:02d}", zone, h, 4.0, 30.0, power, 0.0,
+                         deviation_norm((h, 4.0, 30.0), ref),
+                         correlation_score((h, 4.0, 30.0), ref), 0))
         zones.setdefault(zone, []).append(power)
-    by_norm = [s.point_id for s in rank_points(assessed)]
-    by_power = [s.point_id
-                for s in sorted(assessed, key=lambda s: -s.power_irregular)]
+    assessed = np.array(assessed, dtype=data_io.RESULT_DTYPE)
+    by_norm = rank_points(assessed)["point"].tolist()
+    by_power = assessed["point"][np.argsort(
+        -assessed["power_irregular_wpm"], kind="stable")].tolist()
     shares = zone_shares(zones)
     share_err = abs(sum(shares.values()) - 1.0)
 
     # tie-break chain total and deterministic on identical features
-    dup = [SiteAssessment(point_id=p, zone="Z", h_bar=0.5, t_bar=4.0,
-                          depth=30.0, power_irregular=1.0, power_regular=0.0,
-                          norm=1.0, correlation=0.9)
-           for p in ["B", "A", "C"]]
-    tie_order = [s.point_id for s in rank_points(dup)]
+    dup = np.array([(p, "Z", 0.5, 4.0, 30.0, 1.0, 0.0, 1.0, 0.9, 0)
+                    for p in ["B", "A", "C"]], dtype=data_io.RESULT_DTYPE)
+    tie_order = rank_points(dup)["point"].tolist()
     ok = by_norm == by_power and share_err <= 1e-12 \
         and tie_order == ["A", "B", "C"]
     report(8, ok,

@@ -3,27 +3,39 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from wavepower import pipeline
+from wavepower import data_io, pipeline
 from wavepower.assessment import (
     OptimalReference,
-    PointFeatures,
-    SiteAssessment,
     correlation_score,
     deviation_norm,
-    feature_ranges,
     rank_points,
     zone_shares,
 )
 from wavepower.data_io import CatalogEntry, SeaStateSeries
-from wavepower.errors import DataError, DomainError, ScalingError
+from wavepower.errors import DataError, DomainError, ParseError, ScalingError
 from wavepower.mechanics import FluidEnvironment
 from wavepower.spectral import parametric_power
 
 TABLE_REF = OptimalReference(h_opt=0.595, t_opt=4.102, d_opt=79.218)
 
 
-def features(h, t, d, pid="P", zone="Z"):
-    return PointFeatures(point_id=pid, zone=zone, h_bar=h, t_bar=t, depth=d)
+def features(h, t, d):
+    """One site's (H, T, d) row."""
+    return (h, t, d)
+
+
+def feature_ranges(rows):
+    """Per-dimension (min, max) over (H, T, d) rows, as pipeline.assess
+    takes them for minmax scaling."""
+    return tuple(zip(np.min(rows, axis=0), np.max(rows, axis=0)))
+
+
+def features_table(tmp_path, h="0.5", t="4.0", d="30.0"):
+    """A one-row features.csv with the given mean height, period, depth."""
+    path = tmp_path / "features.csv"
+    path.write_text(",".join(data_io.FEATURE_DTYPE.names)
+                    + f"\nP,Z,{h},{t},{d},100.0,110.0\n")
+    return path
 
 
 def pearson(x, y):
@@ -36,13 +48,30 @@ def pearson(x, y):
 NON_FINITE = [np.nan, np.inf, -np.inf]
 
 
+# the features.csv column of each field
+COLUMN = {"h_bar": "h_bar_m", "t_bar": "t_bar_s", "depth": "depth_m"}
+
+
 @pytest.mark.parametrize("bad", NON_FINITE)
 @pytest.mark.parametrize("field", ["h_bar", "t_bar", "depth"])
-def test_point_features_reject_non_finite(field, bad):
-    kwargs = dict(point_id="P", zone="Z", h_bar=0.5, t_bar=4.0, depth=30.0)
-    kwargs[field] = bad
-    with pytest.raises(DomainError, match="P: "):
-        PointFeatures(**kwargs)
+def test_point_features_reject_non_finite(tmp_path, field, bad):
+    path = features_table(tmp_path, **{field[0]: repr(bad)})
+    with pytest.raises(ParseError, match=f"line 2: .*non-finite "
+                                         f"{COLUMN[field]} {bad!r}"):
+        data_io.load_features(path)
+
+
+@pytest.mark.parametrize("field,bad,reason", [
+    ("h", "-0.1", "negative h_bar_m -0.1"),
+    ("t", "0.0", "non-positive t_bar_s 0.0"),
+    ("t", "-4", "non-positive t_bar_s -4"),
+    ("d", "0", "non-positive depth_m 0"),
+    ("d", "-5e-324", "non-positive depth_m -5e-324")])
+def test_point_features_reject_out_of_domain_means(tmp_path, field, bad,
+                                                   reason):
+    # the checks that feature_rows leaves to regular_wave_power
+    with pytest.raises(ParseError, match=f"line 2: .*: {reason}$"):
+        data_io.load_features(features_table(tmp_path, **{field: bad}))
 
 
 @pytest.mark.parametrize("bad", NON_FINITE)
@@ -54,12 +83,13 @@ def test_reference_rejects_non_finite(field, bad):
         OptimalReference(**kwargs)
 
 
-def test_zero_mean_height_is_a_valid_feature():
-    assert features(0.0, 4.0, 30.0).h_bar == 0.0
+def test_zero_mean_height_is_a_valid_feature(tmp_path):
+    features = data_io.load_features(features_table(tmp_path, h="0.0"))
+    assert features["h_bar_m"].tolist() == [0.0]
 
 
 def mean_features(history, depth):
-    """The PointFeatures pipeline.feature_rows builds from an hourly
+    """The features row pipeline.feature_rows builds from an hourly
     sea-state series of (H, T) states."""
     hs = [h for h, _ in history]
     te = [t for _, t in history]
@@ -70,22 +100,23 @@ def mean_features(history, depth):
                          depth=depth)
     env = FluidEnvironment()
     return pipeline.feature_rows(
-        [pipeline.point_features(entry, series, env)], env)[0][0]
+        [pipeline.point_features(entry, series, env)], env)[0]
 
 
 class TestFeatureVector:
     def test_constant_history(self):
         f = mean_features([(1.0, 4.0), (1.0, 4.0)], depth=10.0)
-        assert (f.h_bar, f.t_bar) == (1.0, 4.0)
+        assert (f["h_bar_m"], f["t_bar_s"]) == (1.0, 4.0)
 
     def test_two_point_mean(self):
         f = mean_features([(0.4, 3.0), (0.8, 5.0)], depth=10.0)
-        assert f.h_bar == pytest.approx(0.6)
-        assert f.t_bar == pytest.approx(4.0)
+        assert f["h_bar_m"] == pytest.approx(0.6)
+        assert f["t_bar_s"] == pytest.approx(4.0)
 
     def test_single_entry(self):
         f = mean_features([(0.7, 6.0)], depth=2.0)
-        assert (f.h_bar, f.t_bar, f.depth) == (0.7, 6.0, 2.0)
+        assert (f["point"], f["zone"]) == ("P", "Z")
+        assert (f["h_bar_m"], f["t_bar_s"], f["depth_m"]) == (0.7, 6.0, 2.0)
 
     def test_empty_history(self):
         with pytest.raises(DataError):
@@ -118,7 +149,7 @@ class TestDeviationNorm:
         base = [deviation_norm(p, TABLE_REF, "minmax", ranges) for p in pts]
 
         def scale(f, c):
-            return features(f.h_bar, f.t_bar, f.depth * c)
+            return features(f[0], f[1], f[2] * c)
 
         scaled = [scale(p, 3.28) for p in pts]
         ref2 = OptimalReference(TABLE_REF.h_opt, TABLE_REF.t_opt,
@@ -162,35 +193,40 @@ class TestCorrelationScore:
 
 
 def make_assessment(pid, norm, corr=0.9, power=100.0, zone="Z"):
-    return SiteAssessment(point_id=pid, zone=zone, h_bar=0.5, t_bar=4.0,
-                          depth=30.0, power_irregular=power,
-                          power_regular=power, norm=norm, correlation=corr)
+    """One row of a results array, rank unset."""
+    return (pid, zone, 0.5, 4.0, 30.0, power, power, norm, corr, 0)
+
+
+def assessed(*rows):
+    """The results array (data_io.RESULT_DTYPE) of make_assessment rows."""
+    return np.array(list(rows), dtype=data_io.RESULT_DTYPE)
 
 
 class TestRankPoints:
     def test_single(self):
-        out = rank_points([make_assessment("A", 1.0)])
-        assert out[0].rank == 1
+        out = rank_points(assessed(make_assessment("A", 1.0)))
+        assert out[0]["rank"] == 1
 
     def test_norm_primary(self):
-        out = rank_points([make_assessment("A", 2.0),
-                           make_assessment("B", 1.0)])
-        assert [s.point_id for s in out] == ["B", "A"]
-        assert [s.rank for s in out] == [1, 2]
+        given = assessed(make_assessment("A", 2.0), make_assessment("B", 1.0))
+        out = rank_points(given)
+        assert out["point"].tolist() == ["B", "A"]
+        assert out["rank"].tolist() == [1, 2]
+        assert given["point"].tolist() == ["A", "B"]  # a copy is ranked
 
     def test_tie_break_chain(self):
-        out = rank_points([
+        out = rank_points(assessed(
             make_assessment("C", 1.0, corr=0.5, power=10.0),
             make_assessment("B", 1.0, corr=0.5, power=20.0),
             make_assessment("A", 1.0, corr=0.9, power=5.0),
             make_assessment("D", 1.0, corr=0.5, power=20.0),
-        ])
+        ))
         # corr desc, then power desc, then id
-        assert [s.point_id for s in out] == ["A", "B", "D", "C"]
+        assert out["point"].tolist() == ["A", "B", "D", "C"]
 
     def test_empty(self):
         with pytest.raises(DataError):
-            rank_points([])
+            rank_points(assessed())
 
     def test_ranking_coherence_with_power(self):
         # sites differing only in mean height, reference at the maximum:
@@ -198,17 +234,14 @@ class TestRankPoints:
         rng = np.random.default_rng(17)
         heights = rng.uniform(0.1, 0.9, 20)
         ref = OptimalReference(float(heights.max()), 4.0, 30.0)
-        assessed = []
-        for i, h in enumerate(heights):
-            f = features(float(h), 4.0, 30.0, pid=f"P{i:02d}")
-            assessed.append(SiteAssessment(
-                point_id=f.point_id, zone="Z", h_bar=f.h_bar, t_bar=f.t_bar,
-                depth=f.depth, power_irregular=parametric_power(f.h_bar, 4.0),
-                power_regular=0.0, norm=deviation_norm(f, ref),
-                correlation=correlation_score(f, ref)))
-        by_norm = [s.point_id for s in rank_points(assessed)]
-        by_power = [s.point_id for s in sorted(
-            assessed, key=lambda s: -s.power_irregular)]
+        rows = assessed(*(
+            (f"P{i:02d}", "Z", h, 4.0, 30.0, parametric_power(h, 4.0), 0.0,
+             deviation_norm(features(h, 4.0, 30.0), ref),
+             correlation_score(features(h, 4.0, 30.0), ref), 0)
+            for i, h in enumerate(heights.tolist())))
+        by_norm = rank_points(rows)["point"].tolist()
+        by_power = rows["point"][np.argsort(-rows["power_irregular_wpm"],
+                                            kind="stable")].tolist()
         assert by_norm == by_power
 
 

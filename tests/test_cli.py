@@ -133,7 +133,7 @@ class TestAnalyze:
         # no point left: features.csv holds its header alone
         assert main(["analyze"] + args + ["--points", "Z1"]) == 1
         assert read_lines(out / "features.csv") == [
-            ",".join(data_io.FEATURE_COLUMNS)]
+            ",".join(data_io.FEATURE_DTYPE.names)]
 
     def test_non_utf8_point_data_fails_that_point(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -175,12 +175,14 @@ class TestAnalyze:
                 "--depth-range", "5,100", *kind]
         assert main(["synth"] + args) == 0
         assert main(["analyze"] + args) == 0
-        rows = data_io.load_features(out / "features.csv")
-        assert len(rows) == 105
-        scalar = [regular_wave_power(f.h_bar, f.t_bar, f.depth,
-                                     FluidEnvironment()) for f, _, _ in rows]
-        assert np.array_equal(np.array([p for _, _, p in rows]).view(np.int64),
-                              np.array(scalar).view(np.int64))
+        features = data_io.load_features(out / "features.csv")
+        assert len(features) == 105
+        scalar = [regular_wave_power(h, t, d, FluidEnvironment())
+                  for h, t, d in features[["h_bar_m", "t_bar_s",
+                                           "depth_m"]].tolist()]
+        assert np.array_equal(
+            features["power_regular_wpm"].copy().view(np.int64),
+            np.array(scalar).view(np.int64))
 
     def test_point_with_extreme_period_fails_alone(self, tmp_path, capsys):
         out = tmp_path / "o"
@@ -357,7 +359,7 @@ def test_quoted_zones_through_every_stage(tmp_path):
 def rank_tables(*rows):
     """results.csv of one point per (power_irregular_wpm, power_regular_wpm,
     rank) row, and a zone_shares.csv, as files for MALFORMED."""
-    results = ",".join(data_io.RESULTS_COLUMNS) + "".join(
+    results = ",".join(data_io.RESULT_DTYPE.names) + "".join(
         f"\nP{i},A,0.5,4.0,10.0,{p_irr},{p_reg},1.0,0.9,{rank}"
         for i, (p_irr, p_reg, rank) in enumerate(rows, 1))
     return {"o/results.csv": results,
@@ -367,11 +369,11 @@ def rank_tables(*rows):
 def feature_tables(*rows):
     """features.csv of one point per (power_irregular_wpm,
     power_regular_wpm) row, and a reference.csv, as files for MALFORMED."""
-    features = ",".join(data_io.FEATURE_COLUMNS) + "".join(
+    features = ",".join(data_io.FEATURE_DTYPE.names) + "".join(
         f"\nP{i},A,0.5,4.0,10.0,{p_irr},{p_reg}"
         for i, (p_irr, p_reg) in enumerate(rows, 1))
     return {"o/features.csv": features,
-            "o/reference.csv": ",".join(data_io.REFERENCE_COLUMNS)
+            "o/reference.csv": ",".join(data_io.REFERENCE_DTYPE.names)
             + "\n0.6,4.1,79.0,3000.0"}
 
 
@@ -445,6 +447,28 @@ MALFORMED = {
         ("1.0", "1.0"), ("2.0", "-2.0"))),
     "period too long for the dispersion solve": (
         ["optimize", "--bounds", "0.1,0.6,2,1e200,5,100"], {}),
+    # rank and report would keep one of the rows, or the last zone total
+    "repeated point in features": (["rank"], {
+        name: text.replace("\nP2,", "\nP1,") for name, text in
+        feature_tables(("1.0", "1.0"), ("2.0", "2.0")).items()}),
+    "repeated point in results": (["report"], {
+        name: text.replace("\nP2,", "\nP1,") for name, text in
+        rank_tables(("1.0", "1.0", "1"), ("2.0", "2.0", "2")).items()}),
+    "repeated zone in zone shares": (["report"], dict(rank_tables(
+        ("1.0", "1.0", "1"), ("2.0", "2.0", "2")), **{
+            "o/zone_shares.csv": "zone,total_power_wpm,share\n"
+                                 "A,3.0,1.0\nA,5.0,0.5"})),
+    "repeated --points name": (
+        ["synth", "--depth", "30", "--hours", "3", "--points", "K1,K1,Z1"],
+        {}),
+    # numpy would warn of an overflow, then refuse a point after
+    # catalog.csv is written
+    "sea-state series that overflows": (
+        ["synth", "--hours", "3", "--depth-range", "5,100",
+         "--hs-base", "1e308"], {}),
+    "record spectrum that overflows": (
+        ["synth", "--kind", "elevation", "--depth-range", "5,100",
+         "--hs-base", "1e300", "--duration", "16"], {}),
 }
 
 

@@ -16,12 +16,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from wavepower import data_io
-from wavepower.assessment import PointFeatures, rank_points
+from wavepower.assessment import rank_points
 from wavepower.errors import DataError, ParseError
 from wavepower.gwo import GwoRun, SearchBounds
 from wavepower.spectral import ElevationRecord, VarianceDensitySpectrum
 
-from test_assessment import make_assessment
+from test_assessment import assessed, make_assessment
 
 
 class TestBuiltinCatalog:
@@ -649,22 +649,80 @@ def hand_joined_table(columns, rows):
 # text the hand-joined writer wrote correctly: no comma, quote or newline
 PLAIN_TEXT = st.text(st.characters(exclude_categories=("Cs",),
                                    exclude_characters=',"\r\n'))
+# text as a table holds it: commas, quotes and non-ASCII, but no control
+# character and nothing the reader would strip
+TABLE_TEXT = st.text(st.sampled_from(',"é ñ') | st.characters(
+    exclude_categories=("Cs", "Cc", "Zs", "Zl", "Zp")), max_size=8).map(
+    str.strip)
+# a value of each field kind, floats with their extremes
+FIELD_VALUES = {
+    "O": TABLE_TEXT,
+    "f": st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1.7976931348623157e308]),
+    "i": st.integers(-2 ** 63, 2 ** 63 - 1),
+    "M": st.integers(int(data_io.FIRST_TIME.astype(np.int64)),
+                     int(data_io.LAST_TIME.astype(np.int64))).map(
+        lambda s: np.datetime64(s, "s")),
+}
+TABLE_DTYPES = {
+    "catalog": data_io.CATALOG_DTYPE, "features": data_io.FEATURE_DTYPE,
+    "results": data_io.RESULT_DTYPE, "zone_shares": data_io.ZONE_SHARE_DTYPE,
+    "reference": data_io.REFERENCE_DTYPE, "bounds": data_io.BOUNDS_DTYPE,
+    "convergence": data_io.CONVERGENCE_DTYPE,
+    "sea_states": data_io.SEA_STATE_DTYPE,
+    "elevation": data_io.ELEVATION_DTYPE,
+}
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), width=st.integers(2, 6))
-def test_write_table_matches_hand_joined_table(data, width):
-    def row(fields):
-        return st.lists(fields, min_size=width, max_size=width)
+def same_fields(a, b):
+    """Equal text, and the same bits in every other field."""
+    return a.dtype == b.dtype and all(
+        a[n].tolist() == b[n].tolist() if a.dtype[n].kind == "O"
+        else a[n].tobytes() == b[n].tobytes() for n in a.dtype.names)
 
-    columns = data.draw(row(PLAIN_TEXT))
-    rows = data.draw(st.lists(row(
-        PLAIN_TEXT | st.floats() | st.floats().map(np.float64)), max_size=8))
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "t.csv"
-        data_io._write_table(path, columns, rows)
-        assert path.read_bytes() == \
-            hand_joined_table(columns, rows).encode("utf-8")
+
+@pytest.mark.parametrize("table", ["hand-joined", *TABLE_DTYPES])
+def test_write_table_matches_hand_joined_table(table):
+    # hand-joined: any plain-text and float columns, NaN and inf included,
+    # as the old writer wrote them; a table dtype: write then load gives
+    # the same bits, and writing that again the same bytes
+    hand_joined = table == "hand-joined"
+
+    @settings(max_examples=200 if hand_joined else 80, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        if hand_joined:
+            width = data.draw(st.integers(2, 6))
+            columns = data.draw(st.lists(PLAIN_TEXT.filter(bool),
+                                         min_size=width, max_size=width,
+                                         unique=True))
+            dtype = np.dtype([(name, data.draw(st.sampled_from(["O", "<f8"])))
+                              for name in columns])
+            fields = [PLAIN_TEXT if dtype[n].kind == "O" else st.floats()
+                      for n in columns]
+        else:
+            dtype = TABLE_DTYPES[table]
+            fields = [FIELD_VALUES[dtype[n].kind] for n in dtype.names]
+        # a loaded table has rows; four of them meet every field kind often
+        rows = data.draw(st.lists(st.tuples(*fields),
+                                  min_size=not hand_joined,
+                                  max_size=8 if hand_joined else 4))
+        arr = np.empty(len(rows), dtype=dtype)
+        for i, name in enumerate(dtype.names):
+            arr[name] = [row[i] for row in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            path, again = Path(tmp) / "t.csv", Path(tmp) / "again.csv"
+            data_io._write_columns(path, arr)
+            if hand_joined:
+                assert path.read_bytes() == \
+                    hand_joined_table(columns, rows).encode("utf-8")
+                return
+            loaded, _ = data_io._load_columns(path, dtype)
+            assert same_fields(loaded, arr)
+            data_io._write_columns(again, loaded)
+            assert again.read_bytes() == path.read_bytes()
+
+    check()
 
 
 class TestLoadPoint:
@@ -704,11 +762,12 @@ class TestLoadPoint:
 class TestResults:
     def test_empty_assessments_header_only(self, tmp_path):
         path = tmp_path / "r.csv"
-        data_io.write_results([], path)
-        assert path.read_text() == ",".join(data_io.RESULTS_COLUMNS) + "\n"
+        data_io.write_results(assessed(), path)
+        assert path.read_text() == ",".join(data_io.RESULT_DTYPE.names) + "\n"
 
     def test_byte_stable(self, tmp_path):
-        ranked = [make_assessment("A", 1.0), make_assessment("B", 2.0)]
+        ranked = assessed(make_assessment("A", 1.0),
+                          make_assessment("B", 2.0))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         data_io.write_results(ranked, p1)
         data_io.write_results(ranked, p2)
@@ -717,7 +776,7 @@ class TestResults:
     def test_structured_document(self, tmp_path):
         import json
         path = tmp_path / "r.json"
-        data_io.write_results([make_assessment("A", 1.0)], path,
+        data_io.write_results(assessed(make_assessment("A", 1.0)), path,
                               format="structured", config={"seed": 0})
         doc = json.loads(path.read_text())
         assert sorted(doc) == ["assessments", "config"]
@@ -725,13 +784,12 @@ class TestResults:
         assert doc["config"] == {"seed": 0}
 
 
-# stage table -> (its columns, how many lead as text, its loader)
+# stage table -> (its dtype, its loader)
 STAGE_TABLES = {
-    "features.csv": (data_io.FEATURE_COLUMNS, 2, data_io.load_features),
-    "reference.csv": (data_io.REFERENCE_COLUMNS, 0, data_io.load_reference),
-    "results.csv": (data_io.RESULTS_COLUMNS, 2, data_io.load_results),
-    "zone_shares.csv": (data_io.ZONE_SHARE_COLUMNS, 1,
-                        data_io.load_zone_shares),
+    "features.csv": (data_io.FEATURE_DTYPE, data_io.load_features),
+    "reference.csv": (data_io.REFERENCE_DTYPE, data_io.load_reference),
+    "results.csv": (data_io.RESULT_DTYPE, data_io.load_results),
+    "zone_shares.csv": (data_io.ZONE_SHARE_DTYPE, data_io.load_zone_shares),
 }
 NON_FINITE_TEXT = ["nan", "inf", "-inf", "NaN", "-nan", "+inf", "Infinity",
                    "-INFINITY"]
@@ -739,19 +797,19 @@ NON_FINITE_TEXT = ["nan", "inf", "-inf", "NaN", "-nan", "+inf", "Infinity",
 
 def write_stage_tables(directory):
     """Two-row features, results and zone shares, and a reference."""
-    data_io.write_features(
-        [(PointFeatures("A", "Z1", 0.5, 4.0, 30.0), 100.0, 110.0),
-         (PointFeatures("B", "Z2", 0.6, 4.5, 40.0), 120.0, 130.0)],
-        directory / "features.csv")
+    data_io.write_features(np.array(
+        [("A", "Z1", 0.5, 4.0, 30.0, 100.0, 110.0),
+         ("B", "Z2", 0.6, 4.5, 40.0, 120.0, 130.0)],
+        dtype=data_io.FEATURE_DTYPE), directory / "features.csv")
     data_io.write_reference(SimpleNamespace(best_position=(0.6, 4.1, 79.0),
                                             best_value=3000.0),
                             directory / "reference.csv")
-    data_io.write_results(rank_points([make_assessment("A", 1.0, zone="Z1"),
-                                       make_assessment("B", 2.0, zone="Z2")]),
-                          directory / "results.csv")
-    data_io.write_zone_shares({"Z1": 100.0, "Z2": 120.0},
-                              {"Z1": 100 / 220, "Z2": 120 / 220},
-                              directory / "zone_shares.csv")
+    data_io.write_results(rank_points(assessed(
+        make_assessment("A", 1.0, zone="Z1"),
+        make_assessment("B", 2.0, zone="Z2"))), directory / "results.csv")
+    data_io.write_zone_shares(np.array(
+        [("Z1", 100.0, 100 / 220), ("Z2", 120.0, 120 / 220)],
+        dtype=data_io.ZONE_SHARE_DTYPE), directory / "zone_shares.csv")
 
 
 @settings(max_examples=200, deadline=None)
@@ -759,20 +817,51 @@ def write_stage_tables(directory):
        value=st.sampled_from(NON_FINITE_TEXT))
 def test_non_finite_stage_table_field_names_line_and_column(data, table,
                                                              value):
-    columns, n_text, load = STAGE_TABLES[table]
+    dtype, load = STAGE_TABLES[table]
     with tempfile.TemporaryDirectory() as tmp:
         write_stage_tables(Path(tmp))
         path = Path(tmp) / table
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         row = data.draw(st.integers(1, len(rows) - 1))
-        column = data.draw(st.sampled_from(columns[n_text:]))
+        column = data.draw(st.sampled_from(
+            [name for name in dtype.names if dtype[name].kind == "f"]))
         rows[row][rows[0].index(column)] = value
         with open(path, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh, lineterminator="\n").writerows(rows)
         with pytest.raises(ParseError, match=re.escape(
                 f"line {row + 1}: {path}: non-finite {column} {value}")):
             load(path)
+
+
+@pytest.mark.parametrize("table,key", [("features.csv", "point"),
+                                       ("results.csv", "point"),
+                                       ("zone_shares.csv", "zone")])
+def test_repeated_key_names_its_line(tmp_path, table, key):
+    write_stage_tables(tmp_path)
+    path = tmp_path / table
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[2][rows[0].index(key)] = rows[1][rows[0].index(key)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    with pytest.raises(ParseError, match=f"line 3: .*: duplicate {key} "
+                                         f"'{rows[1][rows[0].index(key)]}'"):
+        STAGE_TABLES[table][1](path)
+
+
+def test_stage_tables_load_back_as_written(tmp_path):
+    write_stage_tables(tmp_path)
+    features = data_io.load_features(tmp_path / "features.csv")
+    assert features.dtype == data_io.FEATURE_DTYPE
+    assert features.tolist() == [("A", "Z1", 0.5, 4.0, 30.0, 100.0, 110.0),
+                                 ("B", "Z2", 0.6, 4.5, 40.0, 120.0, 130.0)]
+    results = data_io.load_results(tmp_path / "results.csv")
+    assert results["point"].tolist() == ["A", "B"]
+    assert results["rank"].tolist() == [1, 2]
+    shares = data_io.load_zone_shares(tmp_path / "zone_shares.csv")
+    assert shares.tolist() == [("Z1", 100.0, 100 / 220),
+                               ("Z2", 120.0, 120 / 220)]
 
 
 # The frozen dataclasses that hold arrays compare and hash by identity: a

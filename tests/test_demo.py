@@ -14,7 +14,7 @@ def test_demo_ranks_five_sites_and_splits_by_zone(capsys):
     lines = capsys.readouterr().out.splitlines()
     ranked = [ln.split()[0] for ln in lines if ln.lstrip().startswith("#")]
     assert ranked == ["#1", "#2", "#3", "#4", "#5"]
-    assert sum(ns["shares"].values()) == pytest.approx(1.0, abs=1e-12)
+    assert ns["zones"]["share"].sum() == pytest.approx(1.0, abs=1e-12)
     percents = [float(ln.split()[-2]) for ln in lines if ln.endswith(" %")]
     assert len(percents) == 9
     assert sum(percents) == pytest.approx(100.0, abs=0.05 * len(percents))
@@ -33,5 +33,5 @@ def test_readme_python_blocks_run(capsys):
     lines = capsys.readouterr().out.splitlines()
     # the first block's comment promises ~5441 W/m for the flat band
     assert float(lines[0]) == pytest.approx(5441, rel=1e-3)
-    assert ns["ranked"][0].rank == 1
-    assert sum(ns["shares"].values()) == pytest.approx(1.0, abs=1e-12)
+    assert ns["ranked"][0]["rank"] == 1
+    assert ns["zones"]["share"].sum() == pytest.approx(1.0, abs=1e-12)
