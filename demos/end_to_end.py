@@ -14,14 +14,15 @@ env = wp.FluidEnvironment()
 # 1. The site catalog: 105 points around nine southern-Caspian ports. It
 # carries no bathymetry, so spread synthetic depths of 5-100 m over it.
 catalog = pipeline.apply_depths(wp.builtin_catalog(), depth_range=(5.0, 100.0))
-print(f"{len(catalog)} points in zones: {', '.join(catalog.zones())}")
+zone_order = dict.fromkeys(catalog["zone"].tolist())
+print(f"{len(catalog)} points in zones: {', '.join(zone_order)}")
 
 # 2. Per-point features and powers. Real use would ingest hourly Hs/Te
 # or elevation records; here each point gets a year of noisy hourly values.
 means = pipeline.schedule_means(catalog, hs_base=0.5, te_base=4.0)
 times = pipeline.timestamps(datetime(2006, 1, 1), hours=8760)
 features = pipeline.feature_rows([pipeline.point_features(
-    e, pipeline.sea_state_series(e, means[e.name], times, seed=0), env)
+    e, pipeline.sea_state_series(e, means[e["name"]], times, seed=0), env)
     for e in catalog], env)
 
 # 3. Optimize regular-wave power over the data's own bounds.
@@ -41,7 +42,7 @@ for s in ranked[:5]:
           f"P={s['power_irregular_wpm']:.0f} W/m")
 
 # 5. Zone totals and shares of the total resource.
-zones = pipeline.zone_totals(ranked, catalog.zones())
+zones = pipeline.zone_totals(ranked, zone_order)
 print("\nzone shares:")
 for z in zones:
     print(f"  {z['zone']:13s} {z['total_power_wpm']:8.0f} W/m "

@@ -12,7 +12,7 @@ from .assessment import (
     rank_points,
     zone_shares,
 )
-from .data_io import SeaStateSeries, SiteCatalog, builtin_catalog
+from .data_io import SeaStateSeries, builtin_catalog
 from .gwo import GwoConfig, GwoRun, SearchBounds, gwo_maximize
 from .mechanics import (
     FluidEnvironment,

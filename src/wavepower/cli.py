@@ -153,8 +153,7 @@ def _stage_input(cfg, name, stage, loader):
 def cmd_synth(cfg):
     """generate seeded synthetic input data"""
     out, kind, catalog = cfg["out"], cfg["kind"], _catalog(cfg)
-    points = pipeline.select_points({e.name: e for e in catalog},
-                                    cfg["points"])
+    points = catalog[pipeline.select_points(catalog["name"], cfg["points"])]
     if kind != "sea-states":
         pipeline.check_record_sampling(cfg["te_base"], cfg["duration"],
                                        cfg["dt"])
@@ -172,12 +171,13 @@ def cmd_synth(cfg):
     os.makedirs(out, exist_ok=True)
     data_io.write_catalog(catalog, join(out, "catalog.csv"))
     for e in points:
+        name = e["name"]
         if kind != "elevation":
-            data_io.write_point(out, e.name, pipeline.sea_state_series(
-                e, means[e.name], times, cfg["seed"]))
+            data_io.write_point(out, name, pipeline.sea_state_series(
+                e, means[name], times, cfg["seed"]))
         if kind != "sea-states":
-            data_io.write_point(out, e.name, pipeline.elevation_record(
-                e, means[e.name], cfg["duration"], cfg["dt"], cfg["seed"]))
+            data_io.write_point(out, name, pipeline.elevation_record(
+                e, means[name], cfg["duration"], cfg["dt"], cfg["seed"]))
     _echo(cfg, "synth")
     return 0
 
@@ -187,16 +187,15 @@ def cmd_analyze(cfg):
     out = cfg["out"]
     catalog_path = join(out, "catalog.csv")
     catalog = _catalog(cfg, catalog_path if exists(catalog_path) else None)
-    entries = pipeline.select_points({e.name: e for e in catalog},
-                                     cfg["points"])
+    entries = catalog[pipeline.select_points(catalog["name"], cfg["points"])]
     points, failures = [], {}
     for entry in entries:
         try:
             points.append(pipeline.point_features(
-                entry, data_io.load_point(out, entry.name), cfg["env"],
+                entry, data_io.load_point(out, entry["name"]), cfg["env"],
                 cfg["segments"], cfg["taper"]))
         except (WavePowerError, OSError) as exc:
-            failures[entry.name] = str(exc)
+            failures[entry["name"]] = str(exc)
     try:
         features = pipeline.feature_rows(points, cfg["env"])
     except WavePowerError:  # find the failing points one at a time
@@ -206,14 +205,14 @@ def cmd_analyze(cfg):
                 pipeline.feature_rows([point], cfg["env"])
                 solved.append(point)
             except WavePowerError as exc:
-                failures[point[0].name] = str(exc)
+                failures[point[0]["name"]] = str(exc)
         features = pipeline.feature_rows(solved, cfg["env"])
     data_io.write_features(features, join(out, "features.csv"))
     _echo(cfg, "analyze")
-    for entry in entries:
-        if entry.name in failures:
-            print(f"analyze: point {entry.name} failed: "
-                  f"{failures[entry.name]}", file=sys.stderr)
+    for name in entries["name"].tolist():
+        if name in failures:
+            print(f"analyze: point {name} failed: {failures[name]}",
+                  file=sys.stderr)
     return 1 if failures else 0
 
 
@@ -239,9 +238,8 @@ def cmd_rank(cfg):
                             data_io.load_features)
     ref = _stage_input(cfg, "reference.csv", "optimize",
                        data_io.load_reference)
-    features = features[pipeline.select_points(
-        {p: i for i, p in enumerate(features["point"].tolist())},
-        cfg["points"])]
+    features = features[pipeline.select_points(features["point"],
+                                               cfg["points"])]
     if cfg["norm_mode"] == "raw":
         print("rank: raw norm mixes units; the depth dimension dominates "
               "(use --norm-mode minmax to rescale)", file=sys.stderr)

@@ -18,7 +18,7 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,124 +94,55 @@ SAMPLING_REL_TOL = 1e-6
 # C0 and C1 control characters; a lone carriage return among them would
 # be written unquoted and split its row
 _CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")
-
-
-@dataclass(frozen=True)
-class CatalogEntry:
-    index: int
-    name: str
-    zone: str
-    lat: float
-    lon: float
-    depth: float | None = None
-
-    def __post_init__(self):
-        for text in (self.name, self.zone):
-            if text != text.strip() or _CONTROL.search(text):
-                raise DataError(f"name or zone {text!r} has control "
-                                f"characters or surrounding whitespace")
-        # synth writes <dir>/<name>.npy, so a name must stay one file name
-        if self.name in ("", ".", "..") or any(c in self.name for c in "/\\"):
-            raise DataError(f"point name {self.name!r} is not one file "
-                            f"name: empty, '.', '..', or holding '/' or '\\'")
-        if not (-90 <= self.lat <= 90 and -180 <= self.lon <= 180):
-            raise DataError(
-                f"coordinates ({self.lat}, {self.lon}) out of range")
-        if self.depth is not None and not 0 < self.depth < math.inf:
-            raise DataError(
-                f"depth must be positive and finite, got {self.depth}")
-
-
-@dataclass(frozen=True)
-class SiteCatalog:
-    """Ordered collection of assessed points."""
-
-    entries: tuple
-
-    def __post_init__(self):
-        names = [e.name for e in self.entries]
-        if len(set(names)) != len(names):
-            dupes = sorted({n for n in names if names.count(n) > 1})
-            raise DataError(f"duplicate point names: {', '.join(dupes)}")
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def zones(self):
-        return list(dict.fromkeys(e.zone for e in self.entries))
-
-    def with_depths(self, depths):
-        """Copy with per-point depths (mapping name -> depth)."""
-        return SiteCatalog(tuple(
-            replace(e, depth=float(depths[e.name])) for e in self.entries))
+# a point name that is not one file name (synth writes <dir>/<name>.npy):
+# empty, ".", "..", or holding "/" or "\\"
+_NOT_FILE_NAME = re.compile(r"\A\.{0,2}\Z|[/\\]")
 
 
 def builtin_catalog():
-    """The built-in 105-point southern-Caspian catalog (no depths)."""
-    points = [(name, zone, lat, lon) for zone, names, lats, lons in
+    """The built-in 105-point southern-Caspian catalog, a CATALOG_DTYPE
+    array with no depths."""
+    points = [(name, zone, lat, lon, "") for zone, names, lats, lons in
               _CATALOG_ROWS for name, lat, lon in zip(names, lats, lons)]
-    return SiteCatalog(entries=tuple(
-        CatalogEntry(index, *point) for index, point in enumerate(points, 1)))
+    return np.array([(index, *point) for index, point in
+                     enumerate(points, 1)], dtype=CATALOG_DTYPE)
 
 
-def _read_rows(path, required_columns):
-    """(line, fields) for each data row of a delimited file: the required
-    columns, stripped, in the order asked for. Blank lines are skipped."""
-    rows = []
+def _flags(test, column):
+    """True where `test` holds for a value of `column`."""
+    return np.array([bool(test(v)) for v in column.tolist()], dtype=bool)
+
+
+def _bad_depth(text):
+    """Whether a catalog depth is neither empty nor positive and finite."""
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise ParseError(f"{path}: empty file")
-            header = [c.strip() for c in header]
-            missing = [c for c in required_columns if c not in header]
-            if missing:
-                raise ParseError(
-                    f"{path}: missing columns {', '.join(missing)}", line=1)
-            col = [header.index(c) for c in required_columns]
-            for parts in reader:
-                if len(parts) < 2 and not "".join(parts).strip():
-                    continue
-                if len(parts) != len(header):
-                    raise ParseError(f"{path}: expected {len(header)} fields",
-                                     line=reader.line_num)
-                rows.append((reader.line_num, [parts[i].strip() for i in col]))
-    except UnicodeDecodeError:
-        raise ParseError(f"{path}: not UTF-8 text") from None
-    except csv.Error as exc:
-        raise ParseError(f"{path}: {exc}", line=reader.line_num) from None
-    return rows
+        return bool(text) and not 0 < float(text) < math.inf
+    except ValueError:
+        return True
 
 
 def load_catalog(path):
-    """Parse a catalog CSV (CATALOG_DTYPE's fields). A catalog may have no
-    rows, and its depths are optional, so it keeps its own loop."""
-    entries, seen = [], set()
-    for lineno, (idx, name, zone, lat, lon, depth) in _read_rows(
-            path, CATALOG_DTYPE.names):
-        try:  # a DataError from CatalogEntry is a ValueError too
-            entries.append(CatalogEntry(  # an index CATALOG_DTYPE holds
-                index=int(np.int64(idx)), name=name, zone=zone,
-                lat=float(lat), lon=float(lon),
-                depth=float(depth) if depth else None))
-        except (ValueError, OverflowError) as exc:
-            raise ParseError(f"{path}: {exc}", line=lineno) from None
-        if name in seen:
-            raise ParseError(f"{path}: duplicate point name {name!r}",
-                             line=lineno)
-        seen.add(name)
-    return SiteCatalog(entries=tuple(entries))
+    """A catalog CSV as a CATALOG_DTYPE array. Indices must be
+    non-negative, names and zones free of control characters, each name
+    one file name and used once, coordinates in range, and each depth
+    empty or positive and finite."""
+    return _load_table(path, CATALOG_DTYPE, lambda a: [
+        (a["index"] < 0, "negative index {index}"),
+        (_flags(_CONTROL.search, a["name"] + a["zone"]),
+         "name {name!r} or zone {zone!r} has control characters"),
+        (_flags(_NOT_FILE_NAME.search, a["name"]),
+         "point name {name!r} is not one file name: empty, '.', '..', "
+         "or holding '/' or '\\'"),
+        ((np.abs(a["lat_deg"]) > 90) | (np.abs(a["lon_deg"]) > 180),
+         "coordinates ({lat_deg}, {lon_deg}) out of range"),
+        (_flags(_bad_depth, a["depth_m"]),
+         "depth must be positive and finite, got {depth_m}"),
+        (_repeated(a["name"]), "duplicate point name {name!r}")])
 
 
 def write_catalog(catalog, path):
-    _write_columns(path, np.array([
-        (e.index, e.name, e.zone, e.lat, e.lon,
-         "" if e.depth is None else repr(float(e.depth))) for e in catalog],
-        dtype=CATALOG_DTYPE))
+    """A CATALOG_DTYPE array as catalog.csv."""
+    _write_columns(path, catalog)
 
 
 def parse_timestamps(stamps):
@@ -340,7 +271,8 @@ def _saved_array(raw, dtype):
     for byte the one np.save writes for a 1-D array of `dtype` with as
     many rows as follow it; else None. Bytes short of one more row are
     left out, as np.load leaves them."""
-    if raw[6:8] != b"\x01\x00":  # format version 1.0
+    # format version 1.0, and no object fields: np.frombuffer cannot make them
+    if raw[6:8] != b"\x01\x00" or dtype.hasobject:
         return None
     start = 10 + int.from_bytes(raw[8:10], "little")
     n = (len(raw) - start) // dtype.itemsize
@@ -397,14 +329,39 @@ def _read_npy(path, dtype):
 
 def _load_columns(path, dtype):
     """A table as an array of `dtype`, and its rows as (line, fields)
-    pairs, None for .npy. The file is .npy, or else CSV whose columns are
-    the fields (see _write_columns). A file with no rows is an error."""
+    pairs, the fields stripped as the file has them; None for .npy. The
+    file is .npy, or else CSV with a header naming at least the fields
+    (see _write_columns), and blank lines skipped. A file with no rows is
+    an error."""
     if _is_npy(path):
         arr = _read_npy(path, dtype)
         if arr.size == 0:
             raise DataError(f"{path}: no data rows")
         return arr, None
-    rows = _read_rows(path, dtype.names)
+    rows = []
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(f"{path}: empty file")
+            header = [c.strip() for c in header]
+            missing = [c for c in dtype.names if c not in header]
+            if missing:
+                raise ParseError(
+                    f"{path}: missing columns {', '.join(missing)}", line=1)
+            col = [header.index(c) for c in dtype.names]
+            for parts in reader:
+                if len(parts) < 2 and not "".join(parts).strip():
+                    continue
+                if len(parts) != len(header):
+                    raise ParseError(f"{path}: expected {len(header)} fields",
+                                     line=reader.line_num)
+                rows.append((reader.line_num, [parts[i].strip() for i in col]))
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise ParseError(f"{path}: {exc}", line=reader.line_num) from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     # text, and datetimes until they are parsed by column, stay as they are

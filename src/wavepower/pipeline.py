@@ -5,32 +5,38 @@ totals. The CLI stages and the demo call these functions."""
 import numpy as np
 
 from . import assessment, data_io, gwo, mechanics, spectral
-from .errors import ConfigError, JoinError
+from .errors import ConfigError, DomainError, JoinError
 
 
 def apply_depths(catalog, depth_range=None, depth=None):
-    """Catalog with depths spread over (lo, hi), else all `depth`, else own."""
+    """Copy of a catalog array with depths spread over (lo, hi), else all
+    `depth`, else its own, each written as the repr of its float."""
+    n = len(catalog)
     if depth_range:
         lo, hi = depth_range
-        n = len(catalog)
-        return catalog.with_depths({e.name: lo + (hi - lo) * i / max(n - 1, 1)
-                                    for i, e in enumerate(catalog)})
-    if depth is not None:
-        return catalog.with_depths({e.name: depth for e in catalog})
-    if all(e.depth is not None for e in catalog):
-        return catalog
-    raise ConfigError(
-        "catalog carries no depths; pass --depth or --depth-range")
+        depths = [lo + (hi - lo) * i / max(n - 1, 1) for i in range(n)]
+    elif depth is not None:
+        depths = [depth] * n
+    elif all(catalog["depth_m"].tolist()):
+        depths = catalog["depth_m"].tolist()
+    else:
+        raise ConfigError(
+            "catalog carries no depths; pass --depth or --depth-range")
+    catalog = catalog.copy()
+    catalog["depth_m"] = [repr(float(d)) for d in depths]
+    return catalog
 
 
-def select_points(by_name, names=None):
-    """The values of `by_name` for `names` in order; all if no names."""
+def select_points(column, names=None):
+    """Indices of `names` in the name column `column`, in that order; all
+    indices if no names."""
+    index = {name: i for i, name in enumerate(column.tolist())}
     if not names:
-        return list(by_name.values())
-    missing = [n for n in names if n not in by_name]
+        return list(index.values())
+    missing = [n for n in names if n not in index]
     if missing:
         raise JoinError(f"unknown points: {', '.join(missing)}")
-    return [by_name[n] for n in names]
+    return [index[n] for n in names]
 
 
 def schedule_means(catalog, hs_base, te_base):
@@ -38,7 +44,8 @@ def schedule_means(catalog, hs_base, te_base):
     frac = np.arange(len(catalog)) / max(len(catalog) - 1, 1)
     hs = hs_base * (0.6 + 0.8 * frac)
     te = te_base * (0.8 + 0.4 * frac)
-    return {e.name: (hs[i], te[i]) for i, e in enumerate(catalog)}
+    return {name: (hs[i], te[i])
+            for i, name in enumerate(catalog["name"].tolist())}
 
 
 def timestamps(start, hours):
@@ -51,12 +58,13 @@ def timestamps(start, hours):
 def sea_state_series(entry, mean, times, seed):
     """Noisy Hs/Te recentred so the series mean is the schedule mean."""
     hs_mean, te_mean = mean
-    rng = np.random.default_rng(seed + entry.index)
+    rng = np.random.default_rng(seed + int(entry["index"]))
     hs = hs_mean * (1.0 + 0.4 * rng.uniform(-1, 1, len(times)))
     te = te_mean * (1.0 + 0.2 * rng.uniform(-1, 1, len(times)))
     hs += hs_mean - hs.mean()
     te += te_mean - te.mean()
-    return data_io.SeaStateSeries(point=entry.name, times=times, hs=hs, te=te)
+    return data_io.SeaStateSeries(point=entry["name"], times=times, hs=hs,
+                                  te=te)
 
 
 def check_record_sampling(te_base, duration, dt):
@@ -100,23 +108,31 @@ def elevation_record(entry, mean, duration, dt, seed):
     target = spectral.uniform_spectrum((hs_mean / 4.0) ** 2 / (f_hi - f_lo),
                                        f_lo, f_hi, (f_hi - f_lo) / 32)
     return spectral.synthesize_record(target, duration, dt,
-                                      seed=seed + entry.index)
+                                      seed=seed + int(entry["index"]))
 
 
 def point_features(entry, data, env, segments=8, taper="raised-cosine"):
-    """(entry, h_bar, t_bar, irregular power) of one point from a
-    SeaStateSeries or an ElevationRecord; feature_rows turns these into
-    the features array, with the regular power of many points at once."""
-    if isinstance(data, data_io.SeaStateSeries):
-        h_bar, t_bar = float(data.hs.mean()), float(data.te.mean())
-        p_irr = float(spectral.parametric_power(data.hs, data.te, env).mean())
-    else:
-        seg = spectral.SegmentationConfig.for_record(data, segments=segments,
-                                                     taper=taper)
-        spec = spectral.estimate_spectrum(data, seg)
-        stats = spectral.sea_state_stats(spec)
-        h_bar, t_bar = stats.Hs, stats.Te
-        p_irr = spectral.irregular_wave_power(spec, env)
+    """(entry, h_bar, t_bar, irregular power) of one point (a catalog row)
+    from a SeaStateSeries or an ElevationRecord; feature_rows turns these
+    into the features array, with the regular power of many points at
+    once. DomainError if the irregular power is not finite."""
+    # an overflow or invalid value leaves a non-finite spectrum, mean or
+    # power, which VarianceDensitySpectrum, regular_wave_power or the
+    # check below refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(data, data_io.SeaStateSeries):
+            h_bar, t_bar = float(data.hs.mean()), float(data.te.mean())
+            p_irr = float(spectral.parametric_power(data.hs, data.te,
+                                                    env).mean())
+        else:
+            seg = spectral.SegmentationConfig.for_record(
+                data, segments=segments, taper=taper)
+            spec = spectral.estimate_spectrum(data, seg)
+            stats = spectral.sea_state_stats(spec)
+            h_bar, t_bar = stats.Hs, stats.Te
+            p_irr = spectral.irregular_wave_power(spec, env)
+    if not p_irr < np.inf:
+        raise DomainError(f"irregular power {p_irr} W/m is not finite")
     return entry, h_bar, t_bar, p_irr
 
 
@@ -124,13 +140,20 @@ def feature_rows(points, env):
     """The features array, the rows of features.csv, of point_features
     results. The regular powers at every point's (h_bar, t_bar, depth) come
     from one batched regular_wave_power call, with the bits of one call per
-    point, which checks those three values."""
-    h, t, d = np.array([(h_bar, t_bar, e.depth) for e, h_bar, t_bar, _ in
-                        points], dtype=float).reshape(-1, 3).T
-    p_reg = mechanics.regular_wave_power(h, t, d, env)
-    return np.array([(e.name, e.zone, h_bar, t_bar, e.depth, p_irr, p)
-                     for (e, h_bar, t_bar, p_irr), p in
-                     zip(points, p_reg.tolist())], dtype=data_io.FEATURE_DTYPE)
+    point, which checks those three values; DomainError if one of those
+    powers is not finite."""
+    h, t, d = np.array([(h_bar, t_bar, float(e["depth_m"]))
+                        for e, h_bar, t_bar, _ in points],
+                       dtype=float).reshape(-1, 3).T
+    with np.errstate(over="ignore"):  # an overflow is refused below
+        p_reg = mechanics.regular_wave_power(h, t, d, env)
+    if not np.isfinite(p_reg).all():
+        raise DomainError(f"regular-wave power {p_reg.max()} W/m is not "
+                          f"finite")
+    return np.array([(e["name"], e["zone"], h_bar, t_bar, depth, p_irr, p)
+                     for (e, h_bar, t_bar, p_irr), depth, p in
+                     zip(points, d.tolist(), p_reg.tolist())],
+                    dtype=data_io.FEATURE_DTYPE)
 
 
 def _vectors(features):

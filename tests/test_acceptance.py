@@ -231,16 +231,14 @@ def test_criterion_8_ranking_coherence():
 
 def test_criterion_9_catalog_fidelity():
     cat = data_io.builtin_catalog()
-    by_name = {e.name: e for e in cat}
+    by_name = {name: (lat, lon) for name, lat, lon in
+               cat[["name", "lat_deg", "lon_deg"]].tolist()}
     k4, t1 = by_name["K4"], by_name["T1"]
-    zone_sizes = tuple(Counter(e.zone for e in cat).values())
+    zone_sizes = tuple(Counter(cat["zone"].tolist()).values())
     ok = (len(cat) == 105
           and zone_sizes == (12, 11, 13, 12, 12, 11, 12, 11, 11)
-          and (k4.lat, k4.lon) == (37.7, 50.1)
-          and (t1.lat, t1.lon) == (37.3, 53.7))
-    report(9, ok,
-           f"105 entries, zone sizes {zone_sizes}, "
-           f"K4=({k4.lat}, {k4.lon}), T1=({t1.lat}, {t1.lon})")
+          and k4 == (37.7, 50.1) and t1 == (37.3, 53.7))
+    report(9, ok, f"105 entries, zone sizes {zone_sizes}, K4={k4}, T1={t1}")
 
 
 def test_criterion_10_end_to_end_determinism(tmp_path):

@@ -11,7 +11,7 @@ from wavepower.assessment import (
     rank_points,
     zone_shares,
 )
-from wavepower.data_io import CatalogEntry, SeaStateSeries
+from wavepower.data_io import SeaStateSeries
 from wavepower.errors import DataError, DomainError, ParseError, ScalingError
 from wavepower.mechanics import FluidEnvironment
 from wavepower.spectral import parametric_power
@@ -96,8 +96,8 @@ def mean_features(history, depth):
     series = SeaStateSeries(
         point="P", times=pipeline.timestamps(datetime(2006, 1, 1), len(hs)),
         hs=hs, te=te)
-    entry = CatalogEntry(index=1, name="P", zone="Z", lat=37.0, lon=50.0,
-                         depth=depth)
+    entry = np.array([(1, "P", "Z", 37.0, 50.0, repr(float(depth)))],
+                     dtype=data_io.CATALOG_DTYPE)[0]
     env = FluidEnvironment()
     return pipeline.feature_rows(
         [pipeline.point_features(entry, series, env)], env)[0]

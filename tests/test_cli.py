@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from wavepower import data_io, pipeline
 from wavepower.cli import main
 from wavepower.mechanics import FluidEnvironment, regular_wave_power
+from wavepower.spectral import ElevationRecord
 
 
 STAGES = ["synth", "analyze", "optimize", "rank", "report"]
@@ -213,8 +215,7 @@ class TestAnalyze:
             synthesize_record
         out = tmp_path / "o"
         os.makedirs(out / "elevation")
-        cat = data_io.builtin_catalog().with_depths(
-            {e.name: 1000.0 for e in data_io.builtin_catalog()})
+        cat = pipeline.apply_depths(data_io.builtin_catalog(), depth=1000.0)
         data_io.write_catalog(cat, out / "catalog.csv")
         n, dt = 2 ** 14, 0.5
         f0 = 1638 / (n * dt)  # on the analysis grid, ~0.2 Hz
@@ -356,6 +357,72 @@ def test_quoted_zones_through_every_stage(tmp_path):
     assert zones == ['"Bandar, Anzali"', '"Say ""Hi"""']
 
 
+def test_user_catalog_depths_are_written_as_floats(tmp_path):
+    catalog = tmp_path / "catalog.csv"
+    catalog.write_text("index,name,zone,lat_deg,lon_deg,depth_m\n"
+                       "1,P1,A,37.5,49.5,12.50\n"
+                       "2,P2,A,37.6,49.6,1e1\n")
+    out = tmp_path / "o"
+    assert main(["synth", "--out", str(out), "--catalog", str(catalog),
+                 "--hours", "3"]) == 0
+    assert read_lines(out / "catalog.csv")[1:] == [
+        "1,P1,A,37.5,49.5,12.5", "2,P2,A,37.6,49.6,10.0"]
+
+
+def test_point_whose_power_overflows_fails_alone(tmp_path, capsys):
+    # the series sums, so synth takes it, but Hs^2 overflows in both powers
+    out = tmp_path / "o"
+    args = ["--out", str(out), "--hours", "3", "--depth", "30"]
+    assert main(["synth"] + args + ["--points", "K1",
+                                     "--hs-base", "1e153"]) == 0
+    assert main(["synth"] + args + ["--points", "K2"]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["analyze"] + args + ["--points", "K1,K2"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert err.startswith("analyze: point K1 failed: irregular power inf"), err
+    assert [ln.split(",")[0] for ln in
+            read_lines(out / "features.csv")[1:]] == ["K2"]
+
+
+def test_record_too_large_to_analyze_fails_alone(tmp_path, capsys):
+    # the segment means overflow, so the mean-removed, tapered segments
+    # hold NaN; neither may surface as a numpy warning
+    out = tmp_path / "o"
+    out.mkdir()
+    data_io.write_catalog(pipeline.apply_depths(data_io.builtin_catalog(),
+                                                depth=30), out / "catalog.csv")
+    data_io.write_point(out, "K1", ElevationRecord(
+        dt=0.5, samples=np.full(2048, 1e307)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["analyze", "--out", str(out), "--points", "K1"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert err.startswith("analyze: point K1 failed: variance density"), err
+
+
+def test_regular_power_that_overflows_fails_that_point(tmp_path, capsys):
+    # the large Hs comes with a short Te in the irregular power, which is
+    # finite, but with the mean Te in the regular power, which is not
+    out = tmp_path / "o"
+    args = ["--out", str(out), "--hours", "2", "--depth", "30",
+            "--points", "K1"]
+    assert main(["synth"] + args) == 0
+    times = data_io.load_sea_states(out / "sea_states" / "K1.npy").times
+    data_io.write_point(out, "K1", data_io.SeaStateSeries(
+        point="K1", times=times, hs=[1e151, 0.0], te=[1.0, 1e6]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["analyze"] + args) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert err.startswith("analyze: point K1 failed: regular-wave power "
+                          "inf W/m is not finite"), err
+
+
 def rank_tables(*rows):
     """results.csv of one point per (power_irregular_wpm, power_regular_wpm,
     rank) row, and a zone_shares.csv, as files for MALFORMED."""
@@ -469,6 +536,15 @@ MALFORMED = {
     "record spectrum that overflows": (
         ["synth", "--kind", "elevation", "--depth-range", "5,100",
          "--hs-base", "1e300", "--duration", "16"], {}),
+    # numpy's default_rng would refuse the seed after catalog.csv is written
+    "negative catalog index": (
+        ["synth", "--hours", "3", "--catalog", "{tmp}/cat.csv"],
+        {"cat.csv": "index,name,zone,lat_deg,lon_deg,depth_m\n"
+                    "-5,P1,A,37.0,50.0,3"}),
+    "header-only catalog": (
+        ["synth", "--hours", "3", "--depth", "30", "--catalog",
+         "{tmp}/cat.csv"],
+        {"cat.csv": "index,name,zone,lat_deg,lon_deg,depth_m"}),
 }
 
 

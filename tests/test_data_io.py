@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wavepower import data_io
+from wavepower import data_io, pipeline
 from wavepower.assessment import rank_points
 from wavepower.errors import DataError, ParseError
 from wavepower.gwo import GwoRun, SearchBounds
@@ -27,67 +27,91 @@ from test_assessment import assessed, make_assessment
 class TestBuiltinCatalog:
     def test_count_and_zones(self):
         cat = data_io.builtin_catalog()
-        assert len(cat) == 105
-        assert tuple(Counter(e.zone for e in cat).values()) == (
+        assert cat.dtype == data_io.CATALOG_DTYPE and len(cat) == 105
+        assert tuple(Counter(cat["zone"].tolist()).values()) == (
             12, 11, 13, 12, 12, 11, 12, 11, 11)
-        assert [e.index for e in cat] == list(range(1, 106))
+        assert cat["index"].tolist() == list(range(1, 106))
 
     def test_spot_coordinates(self):
-        by_name = {e.name: e for e in data_io.builtin_catalog()}
+        by_name = {e["name"]: e for e in data_io.builtin_catalog()}
         k4 = by_name["K4"]
-        assert (k4.lat, k4.lon, k4.zone) == (37.7, 50.1, "Kiashahr")
+        assert (k4["lat_deg"], k4["lon_deg"], k4["zone"]) == (
+            37.7, 50.1, "Kiashahr")
         t1 = by_name["T1"]
-        assert (t1.lat, t1.lon, t1.zone) == (37.3, 53.7, "Torkaman")
+        assert (t1["lat_deg"], t1["lon_deg"], t1["zone"]) == (
+            37.3, 53.7, "Torkaman")
 
     def test_coordinate_window(self):
-        for e in data_io.builtin_catalog():
-            assert 36 <= e.lat <= 39
-            assert 48 <= e.lon <= 54
+        cat = data_io.builtin_catalog()
+        assert ((36 <= cat["lat_deg"]) & (cat["lat_deg"] <= 39)).all()
+        assert ((48 <= cat["lon_deg"]) & (cat["lon_deg"] <= 54)).all()
 
     def test_no_depths(self):
-        assert all(e.depth is None for e in data_io.builtin_catalog())
+        assert data_io.builtin_catalog()["depth_m"].tolist() == [""] * 105
 
     def test_with_depths(self):
         cat = data_io.builtin_catalog()
-        deep = cat.with_depths({e.name: 10.0 + e.index for e in cat})
-        assert {e.name: e.depth for e in deep}["T1"] == 11.0
+        deep = pipeline.apply_depths(cat, depth=11)
+        assert deep["depth_m"].tolist() == ["11.0"] * 105
+        assert cat["depth_m"].tolist() == [""] * 105  # a copy is changed
+        spread = pipeline.apply_depths(cat, depth_range=(5.0, 109.0))
+        assert spread["depth_m"][[0, 52, 104]].tolist() == [
+            "5.0", "57.0", "109.0"]
+        assert pipeline.apply_depths(spread) is not spread
+        assert same_fields(pipeline.apply_depths(spread), spread)
+
+
+CATALOG_HEADER = "index,name,zone,lat_deg,lon_deg,depth_m\n"
+
+
+def one_row_catalog(directory, **fields):
+    """catalog.csv under `directory` of one row, point P1 of zone A at
+    (37.0, 49.0) with no depth, unless `fields` says otherwise; every text
+    field is quoted, so a carriage return stays inside its field."""
+    row = dict(dict(index=1, name="P1", zone="A", lat_deg=37.0, lon_deg=49.0,
+                    depth_m=""), **fields)
+    path = directory / "catalog.csv"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n",
+                            quoting=csv.QUOTE_NONNUMERIC)
+        writer.writerow(data_io.CATALOG_DTYPE.names)
+        writer.writerow([row[n] for n in data_io.CATALOG_DTYPE.names])
+    return path
 
 
 class TestCatalogIO:
     def test_round_trip(self, tmp_path):
-        cat = data_io.builtin_catalog().with_depths(
-            {e.name: float(e.index) for e in data_io.builtin_catalog()})
+        cat = data_io.builtin_catalog()
+        cat["depth_m"] = [repr(float(i)) for i in cat["index"].tolist()]
         path = tmp_path / "catalog.csv"
         data_io.write_catalog(cat, path)
-        loaded = data_io.load_catalog(path)
-        assert loaded == cat
+        assert same_fields(data_io.load_catalog(path), cat)
 
     def test_round_trip_quoted_zones(self, tmp_path):
-        cat = data_io.SiteCatalog((
-            data_io.CatalogEntry(1, "P1", "Bandar, Anzali", 37.5, 49.5, 12.5),
-            data_io.CatalogEntry(2, "P2", 'Say "Hi"', 37.6, 49.6)))
+        cat = np.array([(1, "P1", "Bandar, Anzali", 37.5, 49.5, "12.5"),
+                        (2, "P2", 'Say "Hi"', 37.6, 49.6, "")],
+                       dtype=data_io.CATALOG_DTYPE)
         path = tmp_path / "catalog.csv"
         data_io.write_catalog(cat, path)
         assert path.read_text().splitlines()[1:] == [
             '1,P1,"Bandar, Anzali",37.5,49.5,12.5',
             '2,P2,"Say ""Hi""",37.6,49.6,']
-        assert data_io.load_catalog(path) == cat
+        assert same_fields(data_io.load_catalog(path), cat)
 
     def test_small_file(self, tmp_path):
         path = tmp_path / "c.csv"
-        path.write_text("index,name,zone,lat_deg,lon_deg,depth_m\n"
-                        "1,P1,Alpha,37.0,50.0,12.5\n"
-                        "2,P2,Alpha,37.1,50.1,\n")
+        path.write_text(CATALOG_HEADER + "1,P1,Alpha,37.0,50.0,12.5\n"
+                                         "2,P2,Alpha,37.1,50.1,\n")
         cat = data_io.load_catalog(path)
-        assert [(e.name, e.depth) for e in cat] == [("P1", 12.5),
-                                                    ("P2", None)]
+        assert cat[["name", "depth_m"]].tolist() == [("P1", "12.5"),
+                                                     ("P2", "")]
 
     def test_duplicate_names(self, tmp_path):
         path = tmp_path / "c.csv"
-        path.write_text("index,name,zone,lat_deg,lon_deg,depth_m\n"
-                        "1,P1,A,37.0,50.0,\n"
-                        "2,P1,A,37.1,50.1,\n")
-        with pytest.raises(ParseError, match="P1"):
+        path.write_text(CATALOG_HEADER + "1,P1,A,37.0,50.0,\n"
+                                         "2,P1,A,37.1,50.1,\n")
+        with pytest.raises(ParseError, match="line 3: .*duplicate point "
+                                             "name 'P1'"):
             data_io.load_catalog(path)
 
     def test_missing_columns(self, tmp_path):
@@ -98,17 +122,15 @@ class TestCatalogIO:
 
     def test_out_of_range_coordinates(self, tmp_path):
         path = tmp_path / "c.csv"
-        path.write_text("index,name,zone,lat_deg,lon_deg,depth_m\n"
-                        "1,P1,A,95.0,50.0,\n")
+        path.write_text(CATALOG_HEADER + "1,P1,A,95.0,50.0,\n")
         with pytest.raises(ParseError, match="out of range"):
             data_io.load_catalog(path)
 
     @pytest.mark.parametrize("depth", ["inf", "nan", "-inf", "0"])
     def test_depth_must_be_positive_and_finite(self, tmp_path, depth):
         path = tmp_path / "c.csv"
-        path.write_text("index,name,zone,lat_deg,lon_deg,depth_m\n"
-                        "1,P1,A,37.0,50.0,3\n"
-                        f"2,P2,A,37.0,50.0,{depth}\n")
+        path.write_text(CATALOG_HEADER + "1,P1,A,37.0,50.0,3\n"
+                                         f"2,P2,A,37.0,50.0,{depth}\n")
         with pytest.raises(ParseError, match="line 3: .*depth must be "
                                              "positive and finite"):
             data_io.load_catalog(path)
@@ -118,55 +140,91 @@ class TestCatalogIO:
                                      "2,P2,A,37.0,50.0"])
     def test_row_with_another_field_count(self, tmp_path, row):
         path = tmp_path / "c.csv"
-        path.write_text("index,name,zone,lat_deg,lon_deg,depth_m\n"
-                        f"1,P1,A,37.0,50.0,3\n{row}\n")
+        path.write_text(CATALOG_HEADER + f"1,P1,A,37.0,50.0,3\n{row}\n")
         with pytest.raises(ParseError, match="line 3: .*expected 6 fields"):
+            data_io.load_catalog(path)
+
+    def test_negative_index(self, tmp_path):
+        path = tmp_path / "c.csv"
+        path.write_text(CATALOG_HEADER + "0,P1,A,37.0,50.0,\n"
+                                         "-5,P2,A,37.0,50.0,\n")
+        with pytest.raises(ParseError, match="line 3: .*negative index -5"):
+            data_io.load_catalog(path)
+
+    def test_npy_with_the_catalog_header_is_refused(self, tmp_path):
+        # object fields cannot be taken from an .npy file's bytes
+        path = tmp_path / "catalog.npy"
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(header, {
+            "descr": np.lib.format.dtype_to_descr(data_io.CATALOG_DTYPE),
+            "fortran_order": False, "shape": (1,)})
+        path.write_bytes(header.getvalue()
+                         + bytes(data_io.CATALOG_DTYPE.itemsize))
+        with pytest.raises(ParseError, match="unreadable .npy file"):
             data_io.load_catalog(path)
 
     @pytest.mark.parametrize("text", ["a\rb", "a\nb", "\x00", "a\x85",
                                       "a\x1fb", " P", "P\t"])
     @pytest.mark.parametrize("field", ["name", "zone"])
-    def test_control_characters_rejected(self, text, field):
-        fields = {"name": "P1", "zone": "A", field: text}
-        with pytest.raises(DataError, match="control characters"):
-            data_io.CatalogEntry(1, lat=37.0, lon=49.0, **fields)
+    def test_control_characters_rejected(self, tmp_path, text, field):
+        path = one_row_catalog(tmp_path, **{field: text})
+        if text != text.strip():
+            # the reader strips surrounding whitespace, "\x85" included,
+            # so no loaded name or zone holds any
+            assert data_io.load_catalog(path)[field].tolist() == [
+                text.strip()]
+            return
+        with pytest.raises(ParseError, match="control characters"):
+            data_io.load_catalog(path)
 
     @pytest.mark.parametrize("name", ["", ".", "..", "a/b", "../../x",
                                       "a\\b", "/"])
-    def test_name_must_be_one_file_name(self, name):
-        with pytest.raises(DataError, match="point name"):
-            data_io.CatalogEntry(1, name, "A", 37.0, 49.0)
+    def test_name_must_be_one_file_name(self, tmp_path, name):
+        with pytest.raises(ParseError, match="line 2: .*point name"):
+            data_io.load_catalog(one_row_catalog(tmp_path, name=name))
 
     @pytest.mark.parametrize("name", ["P.1", "...", "a..b", "Bandar Anzali"])
-    def test_dotted_and_spaced_names_accepted(self, name):
-        assert data_io.CatalogEntry(1, name, "A", 37.0, 49.0).name == name
+    def test_dotted_and_spaced_names_accepted(self, tmp_path, name):
+        path = one_row_catalog(tmp_path, name=name)
+        assert data_io.load_catalog(path)["name"].tolist() == [name]
 
 
-def _entry_or_none(args):
-    """The CatalogEntry of `args`, or None where the entry is refused."""
-    try:
-        return data_io.CatalogEntry(*args)
-    except DataError:
-        return None
+def catalog_row_ok(index, name, zone, lat, lon, depth):
+    """Whether load_catalog takes a catalog row of these fields."""
+    clean = not any(_CONTROL_CHARS.search(t) for t in (name, zone))
+    return (index >= 0 and clean and name not in ("", ".", "..")
+            and not any(c in name for c in "/\\")
+            and -90 <= lat <= 90 and -180 <= lon <= 180
+            and (depth == "" or 0 < float(depth) < float("inf")))
 
 
-COORDINATE = st.floats(-180, 180) | st.floats()
-ENTRY_ARGS = st.tuples(
-    st.integers(-10 ** 6, 10 ** 6), st.text(max_size=6),
-    st.text(max_size=6), COORDINATE, COORDINATE,
-    st.none() | st.floats(0, 1e4) | st.floats())
+_CONTROL_CHARS = re.compile("[\x00-\x1f\x7f-\x9f]")
+# catalog rows as write_catalog may be given them: any index, text
+# without surrounding whitespace (which the reader strips), coordinates
+# in and out of range, and no depth or the repr of any float
+CATALOG_ROWS = st.tuples(
+    st.integers(-2 ** 63, 2 ** 63 - 1),
+    st.text(max_size=6).filter(lambda t: t == t.strip()),
+    st.text(max_size=6).filter(lambda t: t == t.strip()),
+    st.floats(-180, 180) | st.floats(), st.floats(-180, 180) | st.floats(),
+    st.just("") | (st.floats(0, 1e4) | st.floats()).map(repr))
 
 
 @settings(max_examples=300, deadline=None)
-@given(args=st.lists(ENTRY_ARGS, max_size=6, unique_by=lambda a: a[1]))
-def test_written_catalog_loads_back_equal(args):
-    # whatever write_catalog is given, load_catalog reads back equal
-    entries = [e for e in map(_entry_or_none, args) if e is not None]
-    catalog = data_io.SiteCatalog(tuple(entries))
+@given(rows=st.lists(CATALOG_ROWS, min_size=1, max_size=6,
+                     unique_by=lambda r: r[1]))
+def test_written_catalog_loads_back_equal(rows):
+    # a catalog write_catalog is given loads back with the same fields if
+    # every row is one load_catalog takes, else it is refused
+    catalog = np.array(rows, dtype=data_io.CATALOG_DTYPE)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "catalog.csv"
         data_io.write_catalog(catalog, path)
-        assert data_io.load_catalog(path) == catalog
+        if all(catalog_row_ok(*row) for row in rows):
+            assert same_fields(data_io.load_catalog(path), catalog)
+        else:
+            with pytest.raises(ParseError):
+                data_io.load_catalog(path)
 
 
 class TestSeaStateIO:
