@@ -6,34 +6,15 @@ scaling, since raw units let depth dominate) with Pearson correlation
 as the first tie-breaker.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
+# the reference type lives with reference.csv's loader; it is this
+# module's yardstick, so its name stays importable here
+from .data_io import DIMENSION_NAMES, OptimalReference  # noqa: F401
 from .errors import DataError, DomainError, ScalingError
 
 NORM_RAW = "raw"
 NORM_MINMAX = "minmax"
-
-DIMENSION_NAMES = ("H", "T", "d")
-
-
-@dataclass(frozen=True)
-class OptimalReference:
-    """Power-maximizing (height, period, depth) used as ranking yardstick."""
-
-    h_opt: float
-    t_opt: float
-    d_opt: float
-
-    def __post_init__(self):
-        if not all(0 < x < np.inf
-                   for x in (self.h_opt, self.t_opt, self.d_opt)):
-            raise DomainError("reference components must be positive "
-                              "and finite")
-
-    def as_array(self):
-        return np.array([self.h_opt, self.t_opt, self.d_opt])
 
 
 def deviation_norm(row, ref, mode=NORM_RAW, ranges=None):

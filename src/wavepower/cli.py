@@ -1,7 +1,9 @@
 """Command-line pipeline: synth -> analyze -> optimize -> rank -> report.
 
 Each stage reads its inputs, calls `wavepower.pipeline`, writes its
-outputs through `wavepower.data_io` and echoes its settings.
+outputs through `wavepower.data_io` and echoes its settings. Every stage
+runs as its own process, so each imports only the wavepower modules it
+runs: `report` needs data_io alone.
 """
 
 import argparse
@@ -14,7 +16,7 @@ from os.path import exists, join
 
 import numpy as np
 
-from . import data_io, gwo, mechanics, pipeline
+from . import data_io
 from .errors import ConfigError, WavePowerError
 
 # name -> (default, type or tuple of choices, help); every stage takes
@@ -108,12 +110,12 @@ def resolve_config(args):
             ok, want = isinstance(value, str), "a string"
         if not (ok or (value is None and default is None)):
             raise ConfigError(f"{key} must be {want}, got {value!r}")
-    cfg = dict(raw, out=args.out, echo={k: raw[k] for k in ECHO_KEYS},
-               env=mechanics.FluidEnvironment(raw["rho"], raw["gravity"]))
+    cfg = dict(raw, out=args.out, echo={k: raw[k] for k in ECHO_KEYS})
     if raw["bounds"] is not None:
+        from . import gwo
         b = _numbers("bounds", raw["bounds"], 6)
         cfg["bounds"] = gwo.SearchBounds(lower=b[0::2], upper=b[1::2],
-                                         labels=("H", "T", "d"))
+                                         labels=data_io.DIMENSION_NAMES)
     if raw["depth_range"] is not None:
         cfg["depth_range"] = _numbers("depth_range", raw["depth_range"], 2)
         if min(cfg["depth_range"]) <= 0:
@@ -135,8 +137,16 @@ def _echo(cfg, stage):
         fh.write("\n")
 
 
+def _env(cfg):
+    """The FluidEnvironment of the checked rho and gravity, for the stages
+    that compute powers."""
+    from . import mechanics
+    return mechanics.FluidEnvironment(cfg["rho"], cfg["gravity"])
+
+
 def _catalog(cfg, path=None):
     """The configured catalog with depths; `path` replaces the built-in."""
+    from . import pipeline
     if cfg["catalog"] != "builtin":
         path = cfg["catalog"]
     catalog = data_io.load_catalog(path) if path else data_io.builtin_catalog()
@@ -152,6 +162,7 @@ def _stage_input(cfg, name, stage, loader):
 
 def cmd_synth(cfg):
     """generate seeded synthetic input data"""
+    from . import pipeline
     out, kind, catalog = cfg["out"], cfg["kind"], _catalog(cfg)
     points = catalog[pipeline.select_points(catalog["name"], cfg["points"])]
     if kind != "sea-states":
@@ -184,7 +195,8 @@ def cmd_synth(cfg):
 
 def cmd_analyze(cfg):
     """compute per-point powers and feature vectors"""
-    out = cfg["out"]
+    from . import pipeline
+    out, env = cfg["out"], _env(cfg)
     catalog_path = join(out, "catalog.csv")
     catalog = _catalog(cfg, catalog_path if exists(catalog_path) else None)
     entries = catalog[pipeline.select_points(catalog["name"], cfg["points"])]
@@ -192,21 +204,21 @@ def cmd_analyze(cfg):
     for entry in entries:
         try:
             points.append(pipeline.point_features(
-                entry, data_io.load_point(out, entry["name"]), cfg["env"],
+                entry, data_io.load_point(out, entry["name"]), env,
                 cfg["segments"], cfg["taper"]))
         except (WavePowerError, OSError) as exc:
             failures[entry["name"]] = str(exc)
     try:
-        features = pipeline.feature_rows(points, cfg["env"])
+        features = pipeline.feature_rows(points, env)
     except WavePowerError:  # find the failing points one at a time
         solved = []
         for point in points:
             try:
-                pipeline.feature_rows([point], cfg["env"])
+                pipeline.feature_rows([point], env)
                 solved.append(point)
             except WavePowerError as exc:
                 failures[point[0]["name"]] = str(exc)
-        features = pipeline.feature_rows(solved, cfg["env"])
+        features = pipeline.feature_rows(solved, env)
     data_io.write_features(features, join(out, "features.csv"))
     _echo(cfg, "analyze")
     for name in entries["name"].tolist():
@@ -218,10 +230,11 @@ def cmd_analyze(cfg):
 
 def cmd_optimize(cfg):
     """find the power-maximizing (H, T, d) reference"""
+    from . import pipeline
     out = cfg["out"]
     bounds = cfg["bounds"] or pipeline.derived_bounds(
         _stage_input(cfg, "features.csv", "analyze", data_io.load_features))
-    run = pipeline.optimize(bounds, cfg["env"], cfg["agents"], cfg["iters"],
+    run = pipeline.optimize(bounds, _env(cfg), cfg["agents"], cfg["iters"],
                             cfg["seed"])
     os.makedirs(out, exist_ok=True)
     data_io.write_reference(run, join(out, "reference.csv"))
@@ -233,6 +246,7 @@ def cmd_optimize(cfg):
 
 def cmd_rank(cfg):
     """score and rank points against the reference"""
+    from . import pipeline
     out = cfg["out"]
     features = _stage_input(cfg, "features.csv", "analyze",
                             data_io.load_features)

@@ -22,10 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assessment import OptimalReference
-from .errors import DataError, DomainError, ParseError
-from .mechanics import _positive_finite
-from .spectral import ElevationRecord
+from .errors import (DataError, DomainError, JoinError, ParseError,
+                     _positive_finite)
 
 # Southern Caspian point catalog: nine port zones, 105 points.
 # Per zone: (zone name, point name prefix, latitudes, longitudes), one
@@ -78,6 +76,9 @@ REFERENCE_DTYPE = np.dtype([("h_opt_m", "<f8"), ("t_opt_s", "<f8"),
                             ("d_opt_m", "<f8"), ("best_power_wpm", "<f8")])
 BOUNDS_DTYPE = np.dtype([("dimension", "O"), ("lower", "<f8"),
                          ("upper", "<f8")])
+# the dimensions of a (height, period, depth) vector, as bounds.csv names
+# them
+DIMENSION_NAMES = ("H", "T", "d")
 CONVERGENCE_DTYPE = np.dtype([("iteration", "<i8"),
                               ("best_power_wpm", "<f8")])
 # the per-point files, also as .npy
@@ -446,7 +447,13 @@ def load_elevation(path):
     if not np.all(np.isfinite(t)):
         raise ParseError(f"{path}: non-finite time")
     steps = np.diff(t)
-    dt = float(np.median(steps))
+    # the median step, as np.median takes it (the mean of the two middle
+    # steps of an even count), without np.median's numpy.ma NaN check:
+    # the times are finite, so no step is NaN
+    half = steps.size // 2
+    mid = np.partition(steps, [half - 1, half])
+    dt = float(mid[half] if steps.size % 2
+               else (mid[half - 1] + mid[half]) / 2)
     if dt <= 0:
         raise ParseError(f"{path}: non-increasing time column")
     worst = float(np.max(np.abs(steps - dt)))
@@ -454,6 +461,8 @@ def load_elevation(path):
         raise ParseError(
             f"{path}: non-uniform sampling, worst step deviation "
             f"{worst:.3e} s against dt={dt}")
+    # here, so that only a stage that reads records loads spectral
+    from .spectral import ElevationRecord
     return ElevationRecord(dt=dt, samples=eta)
 
 
@@ -522,10 +531,11 @@ def _repeated(values):
 
 
 def _load_table(path, dtype, checks):
-    """The CSV table at `path` as an array of `dtype`, else ParseError at
-    the first row with a non-finite float or flagged by one of
-    `checks(arr)`, (mask, reason) pairs, in that order; the reason is
-    formatted with the row's fields as the file has them."""
+    """The table at `path` as an array of `dtype`, else ParseError at the
+    first row with a non-finite float or flagged by one of `checks(arr)`,
+    (mask, reason) pairs, in that order; the reason is formatted with the
+    row's fields as a CSV has them, or with its values in an .npy, whose
+    rows are counted from 0."""
     arr, rows = _load_columns(path, dtype)
     checks = [(~np.isfinite(arr[name]), f"non-finite {name} {{{name}}}")
               for name in dtype.names if dtype[name].kind == "f"] + checks(arr)
@@ -533,8 +543,11 @@ def _load_table(path, dtype, checks):
               if bad.any()]
     if faults:
         row, k = min(faults)
-        line, fields = rows[row]
-        raise ParseError(f"{path}: " + checks[k][1].format(
+        if rows is None:  # .npy: the row by its index, with its values
+            line, fields, where = None, arr[row].tolist(), f"row {row}: "
+        else:
+            (line, fields), where = rows[row], ""
+        raise ParseError(f"{path}: {where}" + checks[k][1].format(
             **dict(zip(dtype.names, fields))), line=line)
     return arr
 
@@ -567,6 +580,24 @@ def load_features(path):
         (_repeated(a["point"]), "duplicate point {point!r}")])
 
 
+@dataclass(frozen=True)
+class OptimalReference:
+    """Power-maximizing (height, period, depth) used as ranking yardstick."""
+
+    h_opt: float
+    t_opt: float
+    d_opt: float
+
+    def __post_init__(self):
+        if not all(0 < x < np.inf
+                   for x in (self.h_opt, self.t_opt, self.d_opt)):
+            raise DomainError("reference components must be positive "
+                              "and finite")
+
+    def as_array(self):
+        return np.array([self.h_opt, self.t_opt, self.d_opt])
+
+
 def write_reference(run, path):
     """reference.csv: the optimizer's best (H, T, d) and its power."""
     _write_columns(path, np.array([(*run.best_position, run.best_value)],
@@ -581,7 +612,7 @@ def load_reference(path):
 
 def write_bounds(bounds, path):
     """bounds.csv: the (H, T, d) search box the optimizer ran in."""
-    _write_columns(path, _table(BOUNDS_DTYPE, ["H", "T", "d"], bounds.lower,
+    _write_columns(path, _table(BOUNDS_DTYPE, DIMENSION_NAMES, bounds.lower,
                                 bounds.upper))
 
 
@@ -601,16 +632,47 @@ def load_results(path):
         (_repeated(a["point"]), "duplicate point {point!r}")])
 
 
+def _check_zone_shares(results, shares):
+    """JoinError unless `shares` name the zones of `results`, and DataError
+    unless each zone's total is its n points' summed irregular power within
+    n * eps relative, and the m zones' shares sum to 1 within m * eps. Two
+    sums of the same n non-negative terms, in the orders rank and this
+    check take them, differ by at most (n - 1) * eps of their value; m
+    shares, each rounded once more, add m * eps / 2 at most."""
+    eps = np.finfo(float).eps
+    by_zone = {}
+    for zone, power in zip(results["zone"].tolist(),
+                           results["power_irregular_wpm"].tolist()):
+        by_zone.setdefault(zone, []).append(power)
+    zones = shares["zone"].tolist()
+    odd = set(by_zone).symmetric_difference(zones)
+    if odd:
+        raise JoinError(f"zone shares and results differ in zones "
+                        f"{', '.join(map(repr, sorted(odd)))}")
+    for zone, total in zip(zones, shares["total_power_wpm"].tolist()):
+        powers = by_zone[zone]
+        summed = sum(powers)  # inf if it overflows, which no total matches
+        if not (summed < math.inf
+                and abs(total - summed) <= len(powers) * eps * summed):
+            raise DataError(f"zone {zone!r} total {total!r} W/m is not its "
+                            f"points' summed power {summed!r} W/m")
+    share_sum = sum(shares["share"].tolist())
+    if not abs(share_sum - 1.0) <= len(zones) * eps:
+        raise DataError(f"zone shares sum to {share_sum!r}, not 1")
+
+
 def write_report(results, shares, directory):
     """The plot-ready tables under `directory`, columns of the results and
     zone shares, and the zone shares through write_zone_shares. They are
-    built, and the largest irregular power, which normalizes the powers,
-    checked to be positive, before the first write."""
+    built, and checked before the first write: the largest irregular
+    power, which normalizes the powers, must be positive, and the zone
+    shares those of the results (see _check_zone_shares)."""
     power = results["power_irregular_wpm"]
     p_max = power.max().item()
     if not p_max > 0:
         raise DomainError(f"largest irregular power is {p_max!r}; powers "
                           f"need a positive one to be normalized")
+    _check_zone_shares(results, shares)
     tables = {
         "power_by_point.csv": results[["point", "zone",
                                        "power_irregular_wpm"]],

@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the positive-and-finite
+check of the data types and kernels that raise them."""
+
+import math
+
+
+def _positive_finite(x, zero_ok=False):
+    """Whether every element of array x lies in (0, inf), or in [0, inf)
+    with zero_ok; NaN does not. Two reductions and no temporary array,
+    whatever the size of x."""
+    if x.size == 0:
+        return True
+    low = x.min()
+    return bool((low >= 0 if zero_ok else low > 0) and x.max() < math.inf)
 
 
 class WavePowerError(Exception):

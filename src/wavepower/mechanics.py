@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, SolverError
+from .errors import DomainError, SolverError, _positive_finite
 
 # Defaults are configurable: Caspian water is brackish (~1010 kg/m^3),
 # open-ocean conventions use 1025.
@@ -38,16 +38,6 @@ class FluidEnvironment:
                 f"rho must be positive and finite, got {self.rho}")
         if not 0 < self.g < np.inf:
             raise DomainError(f"g must be positive and finite, got {self.g}")
-
-
-def _positive_finite(x, zero_ok=False):
-    """Whether every element of array x lies in (0, inf), or in [0, inf)
-    with zero_ok; NaN does not. Two reductions and no temporary array,
-    whatever the size of x."""
-    if x.size == 0:
-        return True
-    low = x.min()
-    return bool((low >= 0 if zero_ok else low > 0) and x.max() < np.inf)
 
 
 def _transfer_factor(kd, th, out, tmp):

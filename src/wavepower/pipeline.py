@@ -1,10 +1,13 @@
 """The assessment chain without file I/O: synthetic sea states -> point
 features and powers -> GWO optimum over (H, T, d) -> ranking -> zone
-totals. The CLI stages and the demo call these functions."""
+totals. The CLI stages and the demo call these functions.
+
+Each function imports the wavepower modules beyond data_io that it
+runs, so a stage process loads only those of its own stage."""
 
 import numpy as np
 
-from . import assessment, data_io, gwo, mechanics, spectral
+from . import data_io
 from .errors import ConfigError, DomainError, JoinError
 
 
@@ -103,6 +106,7 @@ def check_record_scale(hs_base, te_base):
 
 def elevation_record(entry, mean, duration, dt, seed):
     """Random-phase record of a flat band [0.8, 1.2] / Te with m0 of Hs."""
+    from . import spectral
     hs_mean, te_mean = mean
     f_lo, f_hi = 0.8 / te_mean, 1.2 / te_mean
     target = spectral.uniform_spectrum((hs_mean / 4.0) ** 2 / (f_hi - f_lo),
@@ -116,6 +120,7 @@ def point_features(entry, data, env, segments=8, taper="raised-cosine"):
     from a SeaStateSeries or an ElevationRecord; feature_rows turns these
     into the features array, with the regular power of many points at
     once. DomainError if the irregular power is not finite."""
+    from . import spectral
     # an overflow or invalid value leaves a non-finite spectrum, mean or
     # power, which VarianceDensitySpectrum, regular_wave_power or the
     # check below refuses
@@ -142,6 +147,7 @@ def feature_rows(points, env):
     from one batched regular_wave_power call, with the bits of one call per
     point, which checks those three values; DomainError if one of those
     powers is not finite."""
+    from . import mechanics
     h, t, d = np.array([(h_bar, t_bar, float(e["depth_m"]))
                         for e, h_bar, t_bar, _ in points],
                        dtype=float).reshape(-1, 3).T
@@ -164,18 +170,21 @@ def _vectors(features):
 
 def derived_bounds(features):
     """The (H, T, d) search box spanned by the features array itself."""
+    from . import gwo
     arr = _vectors(features)
     lower, upper = arr.min(axis=0), arr.max(axis=0)
     if np.any(lower >= upper):
-        labels = np.array(assessment.DIMENSION_NAMES)[lower >= upper]
+        labels = np.array(data_io.DIMENSION_NAMES)[lower >= upper]
         raise ConfigError(f"degenerate data-derived bounds in "
                           f"{', '.join(labels)}; pass --bounds explicitly")
     return gwo.SearchBounds(lower=lower, upper=upper,
-                            labels=assessment.DIMENSION_NAMES)
+                            labels=data_io.DIMENSION_NAMES)
 
 
 def optimize(bounds, env, agents=10, iters=200, seed=0):
     """GWO run maximizing regular-wave power over (H, T, d) in `bounds`."""
+    from . import gwo, mechanics
+
     def objective(x):
         return mechanics.regular_wave_power(x[0], x[1], x[2], env)
 
@@ -183,10 +192,12 @@ def optimize(bounds, env, agents=10, iters=200, seed=0):
         agents=agents, max_iter=iters, seed=seed))
 
 
-def assess(features, ref, mode=assessment.NORM_RAW):
-    """Score a features array against `ref`: the results array in rank
-    order. Norms and correlations take one call per row, whose bits
-    whole-array forms would not keep."""
+def assess(features, ref, mode="raw"):
+    """Score a features array against `ref`, in assessment.NORM_RAW or
+    NORM_MINMAX `mode`: the results array in rank order. Norms and
+    correlations take one call per row, whose bits whole-array forms
+    would not keep."""
+    from . import assessment
     vectors = _vectors(features)
     ranges = (list(zip(vectors.min(axis=0), vectors.max(axis=0)))
               if mode == assessment.NORM_MINMAX else None)
@@ -204,6 +215,7 @@ def zone_totals(results, zones):
     """The zone-share array (data_io.ZONE_SHARE_DTYPE): irregular power
     per zone and its share of the grand total. Zones follow their first
     appearance in `zones`, e.g. the points' zones in catalog order."""
+    from . import assessment
     by_zone = {}
     for zone, power in zip(results["zone"].tolist(),
                            results["power_irregular_wpm"].tolist()):

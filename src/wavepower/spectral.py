@@ -9,8 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, DomainError, SamplingError, SizingError
-from .mechanics import FluidEnvironment, _positive_finite
+from .errors import (DataError, DomainError, SamplingError, SizingError,
+                     _positive_finite)
+from .mechanics import FluidEnvironment
 
 TAPER_NONE = "none"
 TAPER_RAISED_COSINE = "raised-cosine"

@@ -525,6 +525,20 @@ MALFORMED = {
         ("1.0", "1.0", "1"), ("2.0", "2.0", "2")), **{
             "o/zone_shares.csv": "zone,total_power_wpm,share\n"
                                  "A,3.0,1.0\nA,5.0,0.5"})),
+    # report would write zone shares that are not those of the results
+    "zone shares naming a zone the results lack": (["report"], dict(
+        rank_tables(("1.0", "1.0", "1"), ("2.0", "2.0", "2")), **{
+            "o/zone_shares.csv": "zone,total_power_wpm,share\n"
+                                 "A,3.0,1.0\nB,0.0,0.0"})),
+    "results zone the zone shares lack": (["report"], {
+        name: text.replace("\nP2,A,", "\nP2,B,") for name, text in
+        rank_tables(("1.0", "1.0", "1"), ("2.0", "2.0", "2")).items()}),
+    "zone total that is not its points' power": (["report"], dict(
+        rank_tables(("1.0", "1.0", "1"), ("2.0", "2.0", "2")), **{
+            "o/zone_shares.csv": "zone,total_power_wpm,share\nA,3.5,1.0"})),
+    "zone shares summing to 2": (["report"], dict(
+        rank_tables(("1.0", "1.0", "1"), ("2.0", "2.0", "2")), **{
+            "o/zone_shares.csv": "zone,total_power_wpm,share\nA,3.0,2.0"})),
     "repeated --points name": (
         ["synth", "--depth", "30", "--hours", "3", "--points", "K1,K1,Z1"],
         {}),
@@ -686,6 +700,53 @@ def run_process(argv, cwd, code=None):
                           env=dict(env, PYTHONPATH=SRC),
                           capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+# A child that runs the entry point on its argv, if any, and prints as
+# it ends the wavepower modules it loaded, then whether `import numpy`
+# alone loaded numpy.ma (numpy 1.x does) and whether it is loaded at the
+# end.
+SHOW_MODULES = (
+    "import atexit, sys\n"
+    "import numpy\n"
+    "bare = 'numpy.ma' in sys.modules\n"
+    "atexit.register(lambda: print(*sorted(\n"
+    "    m for m in sys.modules if m.partition('.')[0] == 'wavepower'),\n"
+    "    bare, 'numpy.ma' in sys.modules))\n"
+    "from wavepower import cli\n"
+    "if sys.argv[1:]:\n"
+    "    cli.process_entry()\n")
+CLI_MODULES = ["wavepower", "wavepower.cli", "wavepower.data_io",
+               "wavepower.errors"]
+# (stage, --kind) -> the modules a stage process loads beyond those of
+# `import wavepower.cli`: those of the code it runs, and no more
+STAGE_MODULES = {
+    ("synth", "sea-states"): ["pipeline"],
+    ("analyze", "sea-states"): ["mechanics", "pipeline", "spectral"],
+    ("optimize", "sea-states"): ["gwo", "mechanics", "pipeline"],
+    ("rank", "sea-states"): ["assessment", "pipeline"],
+    ("report", "sea-states"): [],
+    ("synth", "elevation"): ["mechanics", "pipeline", "spectral"],
+    ("analyze", "elevation"): ["mechanics", "pipeline", "spectral"],
+    ("synth", "both"): ["mechanics", "pipeline", "spectral"],
+}
+
+
+def test_each_stage_process_loads_only_its_modules(tmp_path):
+    loaded = {("import wavepower.cli", None): run_process(
+        [], tmp_path, SHOW_MODULES)}
+    for stage, kind in STAGE_MODULES:
+        loaded[stage, kind] = run_process(
+            [stage, "--out", kind, "--kind", kind, "--hours", "3",
+             "--duration", "256", "--points", "K1,K2,Z1",
+             "--depth-range", "5,100"], tmp_path, SHOW_MODULES)
+    for key, (rc, stdout, stderr) in loaded.items():
+        *modules, bare, ma = stdout.split()
+        extra = STAGE_MODULES.get(key, [])
+        assert (rc, modules) == (0, sorted(
+            CLI_MODULES + [f"wavepower.{m}" for m in extra])), (key, stderr)
+        # np.median would load numpy.ma in analyze on elevation records
+        assert ma == bare, key
 
 
 class TestProcessEntry:

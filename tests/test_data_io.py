@@ -696,6 +696,21 @@ def test_elevation_csv_and_npy_load_the_same_bits(dt, samples):
     assert same_bits(a.samples, b.samples) and same_bits(a.samples, samples)
 
 
+@settings(max_examples=200, deadline=None)
+@given(dt=st.floats(1e-3, 1e3),
+       jitter=arrays(np.float64, st.integers(1, 40),
+                     elements=st.floats(-4e-7, 4e-7)))
+def test_elevation_dt_is_the_bits_of_np_median(dt, jitter):
+    # steps within SAMPLING_REL_TOL of each other, an odd or even count
+    times = np.concatenate([[0.0], np.cumsum(dt * (1.0 + jitter))])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "e.npy"
+        np.save(path, data_io._table(data_io.ELEVATION_DTYPE, times,
+                                     np.zeros(times.size)))
+        loaded = data_io.load_elevation(path).dt
+    assert same_bits(np.float64(loaded), np.median(np.diff(times)))
+
+
 def hand_joined_table(columns, rows):
     """The table writer that the csv module replaced: fields joined with
     commas, text as is, numbers as floats with repr, nothing quoted."""
@@ -906,6 +921,34 @@ def test_repeated_key_names_its_line(tmp_path, table, key):
     with pytest.raises(ParseError, match=f"line 3: .*: duplicate {key} "
                                          f"'{rows[1][rows[0].index(key)]}'"):
         STAGE_TABLES[table][1](path)
+
+
+def test_npy_stage_table_row_fault_names_the_row(tmp_path):
+    path = tmp_path / "r.npy"
+    np.save(path, np.array([(0.6, 4.1, 79.0, 3000.0), (np.nan, 4.1, 79.0,
+                                                       3000.0)],
+                           dtype=data_io.REFERENCE_DTYPE))
+    with pytest.raises(ParseError, match=re.escape(
+            f"{path}: row 1: non-finite h_opt_m nan")) as info:
+        data_io.load_reference(path)
+    assert info.value.line is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), powers=st.lists(
+    st.floats(0, 1e12), min_size=1, max_size=120).filter(any))
+def test_report_takes_the_zone_shares_rank_writes(tmp_path_factory, data,
+                                                  powers):
+    # rank sums each zone in catalog order, report checks in rank order
+    zones = data.draw(st.lists(st.sampled_from("ABCDEFGHI"),
+                               min_size=len(powers), max_size=len(powers)))
+    results = np.zeros(len(powers), dtype=data_io.RESULT_DTYPE)
+    results["point"] = [f"P{i}" for i in range(len(powers))]
+    results["zone"], results["power_irregular_wpm"] = zones, powers
+    shares = pipeline.zone_totals(results, zones)
+    order = data.draw(st.permutations(range(len(powers))))
+    data_io.write_report(results[list(order)], shares,
+                         tmp_path_factory.mktemp("report"))
 
 
 def test_stage_tables_load_back_as_written(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -326,6 +328,9 @@ def synthesis_cases(draw):
     n = draw(st.one_of(st.integers(2, block - 1), st.just(block),
                        st.integers(1, 64).map(lambda m: m * block),
                        st.integers(block + 1, 64 * block)))
+    # a flat band's last bin centre lies df / 2 (at least 7e-6 * nyquist)
+    # below nyquist, far more than the rounding of synthesize_record's
+    # Nyquist test dt <= 1 / (2 f); a single bin may lie at nyquist itself
     if draw(st.booleans()):
         nbins = draw(st.integers(1, 64))
         df = draw(st.floats(0.001, 1.0)) * nyquist / nbins
@@ -334,7 +339,12 @@ def synthesis_cases(draw):
                                   f_lo, f_lo + nbins * df, df)
     else:
         df = draw(st.floats(0.001, 0.5)) * nyquist
-        f = draw(st.floats(df / 2, nyquist))
+        # the largest f that passes that test: 1 / (2 * nyquist) can
+        # round 1 ulp below dt
+        f_max = nyquist
+        while dt > 1.0 / (2.0 * f_max):
+            f_max = math.nextafter(f_max, 0.0)
+        f = draw(st.floats(df / 2, f_max))
         a = draw(st.floats(1e-3, 10.0))
         target = single_bin_spectrum(a=a, f=f, df=df)
     return target, n, dt
