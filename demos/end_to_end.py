@@ -33,8 +33,7 @@ print(f"optimum: H={h:.3f} m, T={t:.3f} s, d={d:.1f} m "
 
 # 4. Score each site against the optimum (min-max scaling keeps the
 # depth dimension from dominating) and rank.
-ref = wp.OptimalReference(h_opt=h, t_opt=t, d_opt=d)
-ranked = pipeline.assess(features, ref, mode="minmax")
+ranked = pipeline.assess(features, run.best_position, mode="minmax")
 print("\ntop five sites:")
 for s in ranked[:5]:
     print(f"  #{s['rank']} {s['point']:4s} ({s['zone']}): "

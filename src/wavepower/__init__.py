@@ -15,9 +15,8 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines, re-exported here
 _EXPORTS = {
-    "assessment": ("correlation_score", "deviation_norm", "rank_points",
-                   "zone_shares"),
-    "data_io": ("OptimalReference", "SeaStateSeries", "builtin_catalog"),
+    "assessment": ("correlation_score", "deviation_norm", "rank_points"),
+    "data_io": ("SeaStateSeries", "builtin_catalog"),
     "gwo": ("GwoConfig", "GwoRun", "SearchBounds", "gwo_maximize"),
     "mechanics": ("FluidEnvironment", "power_transfer_factor",
                   "regular_wave_power"),

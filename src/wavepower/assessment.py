@@ -3,52 +3,61 @@
 Each site is a (mean height, mean period, depth) row; sites are ranked
 by Euclidean distance to the reference (optionally after min-max
 scaling, since raw units let depth dominate) with Pearson correlation
-as the first tie-breaker.
+as the first tie-breaker. Both scores take every row at once, by the
+steps numpy's per-row forms take, so with their bits.
 """
 
 import numpy as np
 
-# the reference type lives with reference.csv's loader; it is this
-# module's yardstick, so its name stays importable here
-from .data_io import DIMENSION_NAMES, OptimalReference  # noqa: F401
+from .data_io import DIMENSION_NAMES
 from .errors import DataError, DomainError, ScalingError
 
 NORM_RAW = "raw"
 NORM_MINMAX = "minmax"
 
 
-def deviation_norm(row, ref, mode=NORM_RAW, ranges=None):
-    """Euclidean distance between a site's (H, T, d) row and the reference.
-
-    In minmax mode each dimension is mapped affinely to [0, 1] using the
-    (min, max) `ranges` of the assessed set, one pair per dimension; the
-    reference is mapped with the same transform.
-    """
-    x = np.asarray(row, dtype=float)
-    r = ref.as_array()
-    if mode == NORM_RAW:
-        return float(np.linalg.norm(x - r))
-    if mode != NORM_MINMAX:
+def deviation_norm(vectors, ref, mode=NORM_RAW):
+    """Euclidean distance of each (H, T, d) row of the (n, 3) `vectors` to
+    the (3,) `ref`, as np.linalg.norm takes it: sqrt(dot(x, x)). In minmax
+    mode each dimension is first mapped affinely to [0, 1] by its min and
+    max in `vectors`, the reference by the same map; ScalingError, naming
+    the dimension, where they are equal."""
+    x = np.asarray(vectors, dtype=float)
+    r = np.asarray(ref, dtype=float)
+    if mode == NORM_MINMAX:
+        lo = x.min(axis=0)
+        span = x.max(axis=0) - lo
+        for name, s in zip(DIMENSION_NAMES, span.tolist()):
+            if s <= 0:
+                raise ScalingError(
+                    f"degenerate range for dimension {name}", dimension=name)
+        x, r = (x - lo) / span, (r - lo) / span
+    elif mode != NORM_RAW:
         raise DomainError(f"unknown norm mode {mode!r}")
-    if ranges is None:
-        raise ScalingError("minmax mode needs per-dimension ranges")
-    lo = np.array([p[0] for p in ranges], dtype=float)
-    hi = np.array([p[1] for p in ranges], dtype=float)
-    span = hi - lo
-    for i, name in enumerate(DIMENSION_NAMES):
-        if span[i] <= 0:
-            raise ScalingError(
-                f"degenerate range for dimension {name}", dimension=name)
-    return float(np.linalg.norm((x - lo) / span - (r - lo) / span))
+    diff = x - r
+    # each row's dot with itself, through the dot that np.linalg.norm calls
+    return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]))[:, 0, 0]
 
 
-def correlation_score(row, ref):
-    """Pearson correlation of a site's (H, T, d) row with the reference."""
-    x = np.asarray(row, dtype=float)
-    r = ref.as_array()
-    if np.ptp(x) == 0 or np.ptp(r) == 0:
+def correlation_score(vectors, ref):
+    """Pearson correlation of each (H, T, d) row of the (n, 3) `vectors`
+    with the (3,) reference `ref`: np.corrcoef(row, ref)[0, 1], by the
+    steps np.cov and np.corrcoef take. DomainError if a row or the
+    reference is constant."""
+    x = np.asarray(vectors, dtype=float)
+    r = np.asarray(ref, dtype=float)
+    if np.ptp(r) == 0 or (np.ptp(x, axis=1) == 0).any():
         raise DomainError("correlation undefined for a constant vector")
-    return float(np.corrcoef(x, r)[0, 1])
+    # np.cov: each (row, ref) pair centred, times its transpose, over 3 - 1
+    pair = np.stack([x, np.broadcast_to(r, x.shape)], axis=1)
+    pair -= pair.mean(axis=-1, keepdims=True)
+    c = np.matmul(pair, pair.transpose(0, 2, 1))
+    c *= np.true_divide(1, 2)
+    # np.corrcoef: over the standard deviations, rows then columns
+    std = np.sqrt(np.diagonal(c, axis1=1, axis2=2))
+    c /= std[:, :, None]
+    c /= std[:, None, :]
+    return np.clip(c[:, 0, 1], -1, 1)
 
 
 def rank_points(assessed):
@@ -64,13 +73,3 @@ def rank_points(assessed):
     ranked = assessed[sorted(range(len(keys)), key=keys.__getitem__)]
     ranked["rank"] = np.arange(1, len(ranked) + 1)
     return ranked
-
-
-def zone_shares(powers_by_zone):
-    """Fraction of the grand total contributed by each zone."""
-    totals = {zone: float(np.sum(np.asarray(list(p), dtype=float)))
-              for zone, p in powers_by_zone.items()}
-    grand = sum(totals.values())
-    if grand <= 0:
-        raise DomainError("total power must be positive")
-    return {zone: t / grand for zone, t in totals.items()}

@@ -114,8 +114,7 @@ def resolve_config(args):
     if raw["bounds"] is not None:
         from . import gwo
         b = _numbers("bounds", raw["bounds"], 6)
-        cfg["bounds"] = gwo.SearchBounds(lower=b[0::2], upper=b[1::2],
-                                         labels=data_io.DIMENSION_NAMES)
+        cfg["bounds"] = gwo.SearchBounds(lower=b[0::2], upper=b[1::2])
     if raw["depth_range"] is not None:
         cfg["depth_range"] = _numbers("depth_range", raw["depth_range"], 2)
         if min(cfg["depth_range"]) <= 0:

@@ -553,8 +553,11 @@ def _load_table(path, dtype, checks):
 
 
 def load_zone_shares(path):
-    """zone_shares.csv as a ZONE_SHARE_DTYPE array; each zone once."""
+    """zone_shares.csv as a ZONE_SHARE_DTYPE array. Totals and shares must
+    be non-negative, each zone listed once."""
     return _load_table(path, ZONE_SHARE_DTYPE, lambda a: [
+        ((a["total_power_wpm"] < 0) | (a["share"] < 0),
+         "negative total {total_power_wpm} or share {share}"),
         (_repeated(a["zone"]), "duplicate zone {zone!r}")])
 
 
@@ -580,24 +583,6 @@ def load_features(path):
         (_repeated(a["point"]), "duplicate point {point!r}")])
 
 
-@dataclass(frozen=True)
-class OptimalReference:
-    """Power-maximizing (height, period, depth) used as ranking yardstick."""
-
-    h_opt: float
-    t_opt: float
-    d_opt: float
-
-    def __post_init__(self):
-        if not all(0 < x < np.inf
-                   for x in (self.h_opt, self.t_opt, self.d_opt)):
-            raise DomainError("reference components must be positive "
-                              "and finite")
-
-    def as_array(self):
-        return np.array([self.h_opt, self.t_opt, self.d_opt])
-
-
 def write_reference(run, path):
     """reference.csv: the optimizer's best (H, T, d) and its power."""
     _write_columns(path, np.array([(*run.best_position, run.best_value)],
@@ -605,9 +590,12 @@ def write_reference(run, path):
 
 
 def load_reference(path):
-    """reference.csv as the OptimalReference of its first row."""
-    return OptimalReference(
-        *_load_table(path, REFERENCE_DTYPE, lambda a: []).tolist()[0][:3])
+    """The (H, T, d) of reference.csv's first row, a float array. Every
+    row's H, T and d must be positive."""
+    table = _load_table(path, REFERENCE_DTYPE, lambda a: [
+        (a[name] <= 0, f"non-positive {name} {{{name}}}")
+        for name in REFERENCE_DTYPE.names[:3]])
+    return np.array(table.tolist()[0][:3])
 
 
 def write_bounds(bounds, path):
@@ -632,33 +620,57 @@ def load_results(path):
         (_repeated(a["point"]), "duplicate point {point!r}")])
 
 
-def _check_zone_shares(results, shares):
-    """JoinError unless `shares` name the zones of `results`, and DataError
-    unless each zone's total is its n points' summed irregular power within
-    n * eps relative, and the m zones' shares sum to 1 within m * eps. Two
-    sums of the same n non-negative terms, in the orders rank and this
-    check take them, differ by at most (n - 1) * eps of their value; m
-    shares, each rounded once more, add m * eps / 2 at most."""
-    eps = np.finfo(float).eps
+def zone_powers(results):
+    """zone -> the irregular powers of a results array's rows in that zone,
+    in results order; the zones in the order they first appear."""
     by_zone = {}
     for zone, power in zip(results["zone"].tolist(),
                            results["power_irregular_wpm"].tolist()):
         by_zone.setdefault(zone, []).append(power)
+    return by_zone
+
+
+def _check_zone_shares(results, shares):
+    """JoinError unless `shares` name the zones of `results`, and DataError
+    unless each zone's total is its n points' summed irregular power within
+    n * eps relative, the m shares sum to 1 within m * eps, and each share
+    is its total over the totals' sum within m * eps relative.
+
+    Two sums of n non-negative terms, in any two orders, differ by at most
+    (n - 1) * eps of their value; m shares, each rounded once more, add
+    m * eps / 2 at most. rank divides by the totals' sum term by term,
+    within (m - 1) * eps / 2 of the exact sum (Rump 2012, BIT 52:201), and
+    this check by their math.fsum, within eps / 2: with both quotients
+    rounded, (m + 2) * eps / 2 to first order, which leaves eps / 2 for
+    higher orders at m >= 3; at m <= 2 the two sums are the same float."""
+    eps = np.finfo(float).eps
+    by_zone = zone_powers(results)
     zones = shares["zone"].tolist()
     odd = set(by_zone).symmetric_difference(zones)
     if odd:
         raise JoinError(f"zone shares and results differ in zones "
                         f"{', '.join(map(repr, sorted(odd)))}")
-    for zone, total in zip(zones, shares["total_power_wpm"].tolist()):
+    totals = shares["total_power_wpm"].tolist()
+    fractions = shares["share"].tolist()
+    for zone, total in zip(zones, totals):
         powers = by_zone[zone]
         summed = sum(powers)  # inf if it overflows, which no total matches
         if not (summed < math.inf
                 and abs(total - summed) <= len(powers) * eps * summed):
             raise DataError(f"zone {zone!r} total {total!r} W/m is not its "
                             f"points' summed power {summed!r} W/m")
-    share_sum = sum(shares["share"].tolist())
+    share_sum = sum(fractions)
     if not abs(share_sum - 1.0) <= len(zones) * eps:
         raise DataError(f"zone shares sum to {share_sum!r}, not 1")
+    try:
+        grand = math.fsum(totals)  # > 0: it holds write_report's p_max
+    except OverflowError:  # rank's sum of the totals is inf
+        raise DataError("zone totals sum past the largest float") from None
+    for zone, total, share in zip(zones, totals, fractions):
+        if not abs(share - total / grand) <= len(zones) * eps * (
+                total / grand):
+            raise DataError(f"zone {zone!r} share {share!r} is not its total "
+                            f"over the zones' {grand!r} W/m")
 
 
 def write_report(results, shares, directory):

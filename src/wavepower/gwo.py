@@ -24,11 +24,10 @@ from .errors import ContractError, DomainError, EvaluationError
 # eq=False: its array fields make == ambiguous, so compare by identity
 @dataclass(frozen=True, eq=False)
 class SearchBounds:
-    """Per-dimension finite (lower, upper) box with optional labels."""
+    """Per-dimension finite (lower, upper) box."""
 
     lower: np.ndarray
     upper: np.ndarray
-    labels: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "lower", np.asarray(self.lower, dtype=float))
@@ -41,8 +40,6 @@ class SearchBounds:
             raise DomainError("every bound must be finite")
         if np.any(self.lower >= self.upper):
             raise DomainError("every lower bound must be below its upper bound")
-        if self.labels and len(self.labels) != self.lower.size:
-            raise ContractError("labels must match the dimension count")
 
     @property
     def ndim(self):

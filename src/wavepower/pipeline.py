@@ -177,8 +177,7 @@ def derived_bounds(features):
         labels = np.array(data_io.DIMENSION_NAMES)[lower >= upper]
         raise ConfigError(f"degenerate data-derived bounds in "
                           f"{', '.join(labels)}; pass --bounds explicitly")
-    return gwo.SearchBounds(lower=lower, upper=upper,
-                            labels=data_io.DIMENSION_NAMES)
+    return gwo.SearchBounds(lower=lower, upper=upper)
 
 
 def optimize(bounds, env, agents=10, iters=200, seed=0):
@@ -193,34 +192,29 @@ def optimize(bounds, env, agents=10, iters=200, seed=0):
 
 
 def assess(features, ref, mode="raw"):
-    """Score a features array against `ref`, in assessment.NORM_RAW or
-    NORM_MINMAX `mode`: the results array in rank order. Norms and
-    correlations take one call per row, whose bits whole-array forms
-    would not keep."""
+    """Score a features array against `ref`, the (H, T, d) array of the
+    optimum, in assessment.NORM_RAW or NORM_MINMAX `mode`: the results
+    array in rank order. Every row's norm comes before any correlation."""
     from . import assessment
     vectors = _vectors(features)
-    ranges = (list(zip(vectors.min(axis=0), vectors.max(axis=0)))
-              if mode == assessment.NORM_MINMAX else None)
     results = np.empty(len(features), dtype=data_io.RESULT_DTYPE)
     for name in features.dtype.names:
         results[name] = features[name]
-    results["norm"] = [assessment.deviation_norm(x, ref, mode, ranges)
-                       for x in vectors]
-    results["correlation"] = [assessment.correlation_score(x, ref)
-                              for x in vectors]
+    results["norm"] = assessment.deviation_norm(vectors, ref, mode)
+    results["correlation"] = assessment.correlation_score(vectors, ref)
     return assessment.rank_points(results)
 
 
 def zone_totals(results, zones):
-    """The zone-share array (data_io.ZONE_SHARE_DTYPE): irregular power
-    per zone and its share of the grand total. Zones follow their first
-    appearance in `zones`, e.g. the points' zones in catalog order."""
-    from . import assessment
-    by_zone = {}
-    for zone, power in zip(results["zone"].tolist(),
-                           results["power_irregular_wpm"].tolist()):
-        by_zone.setdefault(zone, []).append(power)
-    shares = assessment.zone_shares(by_zone)
-    return np.array([(z, float(np.sum(by_zone[z])), shares[z])
+    """The zone-share array (data_io.ZONE_SHARE_DTYPE): each zone's total,
+    np.sum of its irregular powers in results order, and its share, that
+    over the totals' sum in the order zones first appear in the results.
+    Zones follow their first appearance in `zones`, e.g. catalog order."""
+    totals = {zone: float(np.sum(powers)) for zone, powers in
+              data_io.zone_powers(results).items()}
+    grand = sum(totals.values())
+    if grand <= 0:
+        raise DomainError("total power must be positive")
+    return np.array([(z, totals[z], totals[z] / grand)
                      for z in dict.fromkeys(zones)],
                     dtype=data_io.ZONE_SHARE_DTYPE)

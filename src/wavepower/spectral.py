@@ -104,8 +104,6 @@ class VarianceDensitySpectrum:
 class SeaStateStats:
     """Summary statistics of a sea state derived from its spectrum."""
 
-    m0: float
-    m_minus1: float
     Hs: float
     Te: float
 
@@ -178,13 +176,12 @@ def irregular_wave_power(spectrum, env=None):
 
 
 def sea_state_stats(spectrum):
-    """m0, m_{-1}, significant height Hs = 4*sqrt(m0), energy period Te."""
+    """Significant height Hs = 4*sqrt(m0) and energy period Te = m_{-1}/m0."""
     m0 = spectral_moment(spectrum, 0)
     m_minus1 = spectral_moment(spectrum, -1)
     if m0 <= 0:
         raise DomainError("energy period undefined for a zero spectrum")
-    return SeaStateStats(m0=m0, m_minus1=m_minus1,
-                         Hs=4.0 * np.sqrt(m0), Te=m_minus1 / m0)
+    return SeaStateStats(Hs=4.0 * np.sqrt(m0), Te=m_minus1 / m0)
 
 
 def parametric_power(Hs, Te, env=None):

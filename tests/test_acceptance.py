@@ -8,13 +8,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from wavepower import data_io
+from wavepower import data_io, pipeline
 from wavepower.assessment import (
-    OptimalReference,
     correlation_score,
     deviation_norm,
     rank_points,
-    zone_shares,
 )
 from wavepower.cli import main
 from wavepower.gwo import GwoConfig, SearchBounds, a_schedule, gwo_maximize
@@ -145,8 +143,7 @@ def _power_objective(x):
     return regular_wave_power(x[0], x[1], x[2], ENV)
 
 
-POWER_BOX = SearchBounds(lower=[0.1, 2.0, 5.0], upper=[0.6, 6.0, 100.0],
-                         labels=("H", "T", "d"))
+POWER_BOX = SearchBounds(lower=[0.1, 2.0, 5.0], upper=[0.6, 6.0, 100.0])
 
 
 def test_criterion_5_gwo_vs_brute_force():
@@ -200,23 +197,20 @@ def test_criterion_7_reference_pattern():
 def test_criterion_8_ranking_coherence():
     rng = np.random.default_rng(8)
     heights = rng.uniform(0.1, 0.9, 20)
-    ref = OptimalReference(float(heights.max()), 4.0, 30.0)
-    assessed = []
-    zones = {}
-    for i, h in enumerate(heights):
-        h = float(h)
-        zone = "East" if i % 2 else "West"
-        power = parametric_power(h, 4.0, ENV)
-        assessed.append((f"P{i:02d}", zone, h, 4.0, 30.0, power, 0.0,
-                         deviation_norm((h, 4.0, 30.0), ref),
-                         correlation_score((h, 4.0, 30.0), ref), 0))
-        zones.setdefault(zone, []).append(power)
-    assessed = np.array(assessed, dtype=data_io.RESULT_DTYPE)
+    vectors = np.column_stack([heights, np.full(20, 4.0), np.full(20, 30.0)])
+    ref = vectors[heights.argmax()]
+    assessed = np.zeros(20, dtype=data_io.RESULT_DTYPE)
+    assessed["point"] = [f"P{i:02d}" for i in range(20)]
+    assessed["zone"] = ["East" if i % 2 else "West" for i in range(20)]
+    assessed["h_bar_m"], assessed["t_bar_s"], assessed["depth_m"] = vectors.T
+    assessed["power_irregular_wpm"] = parametric_power(heights, 4.0, ENV)
+    assessed["norm"] = deviation_norm(vectors, ref)
+    assessed["correlation"] = correlation_score(vectors, ref)
     by_norm = rank_points(assessed)["point"].tolist()
     by_power = assessed["point"][np.argsort(
         -assessed["power_irregular_wpm"], kind="stable")].tolist()
-    shares = zone_shares(zones)
-    share_err = abs(sum(shares.values()) - 1.0)
+    shares = pipeline.zone_totals(assessed, assessed["zone"].tolist())
+    share_err = abs(sum(shares["share"].tolist()) - 1.0)
 
     # tie-break chain total and deterministic on identical features
     dup = np.array([(p, "Z", 0.5, 4.0, 30.0, 1.0, 0.0, 1.0, 0.9, 0)

@@ -1,33 +1,29 @@
+import re
 from datetime import datetime
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from wavepower import data_io, pipeline
 from wavepower.assessment import (
-    OptimalReference,
     correlation_score,
     deviation_norm,
     rank_points,
-    zone_shares,
 )
 from wavepower.data_io import SeaStateSeries
 from wavepower.errors import DataError, DomainError, ParseError, ScalingError
 from wavepower.mechanics import FluidEnvironment
 from wavepower.spectral import parametric_power
 
-TABLE_REF = OptimalReference(h_opt=0.595, t_opt=4.102, d_opt=79.218)
+TABLE_REF = np.array([0.595, 4.102, 79.218])
 
 
-def features(h, t, d):
-    """One site's (H, T, d) row."""
-    return (h, t, d)
-
-
-def feature_ranges(rows):
-    """Per-dimension (min, max) over (H, T, d) rows, as pipeline.assess
-    takes them for minmax scaling."""
-    return tuple(zip(np.min(rows, axis=0), np.max(rows, axis=0)))
+def features(*rows):
+    """(H, T, d) rows as the (n, 3) array the scores take."""
+    return np.array(rows, dtype=float)
 
 
 def features_table(tmp_path, h="0.5", t="4.0", d="30.0"):
@@ -43,6 +39,24 @@ def pearson(x, y):
     x, y = np.asarray(x, float), np.asarray(y, float)
     xc, yc = x - x.mean(), y - y.mean()
     return float(np.sum(xc * yc) / np.sqrt(np.sum(xc ** 2) * np.sum(yc ** 2)))
+
+
+# The per-row forms the batched scores replace, kept as their reference:
+# the batched scores must give these bits.
+def norms_by_row(vectors, ref, mode="raw"):
+    """np.linalg.norm of each row's difference to ref, in minmax mode after
+    scaling each dimension by the rows' own min and max."""
+    if mode == "raw":
+        return [float(np.linalg.norm(x - ref)) for x in vectors]
+    lo, hi = vectors.min(axis=0), vectors.max(axis=0)
+    span = hi - lo
+    return [float(np.linalg.norm((x - lo) / span - (ref - lo) / span))
+            for x in vectors]
+
+
+def correlations_by_row(vectors, ref):
+    """np.corrcoef of each row with ref."""
+    return [float(np.corrcoef(x, ref)[0, 1]) for x in vectors]
 
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
@@ -74,13 +88,53 @@ def test_point_features_reject_out_of_domain_means(tmp_path, field, bad,
         data_io.load_features(features_table(tmp_path, **{field: bad}))
 
 
+# the reference.csv column of each field
+REFERENCE_COLUMN = {"h_opt": "h_opt_m", "t_opt": "t_opt_s",
+                    "d_opt": "d_opt_m"}
+
+
+def reference_file(path, field, value):
+    """A one-row reference table at `path`, .csv or .npy by its suffix,
+    with `value` as its `field`."""
+    position = {"h_opt": 0.6, "t_opt": 4.1, "d_opt": 79.0}
+    position[field] = value
+    data_io.write_reference(SimpleNamespace(
+        best_position=tuple(position.values()), best_value=3000.0), path)
+    return path
+
+
+def reference_fault(path, reason):
+    """The ParseError message load_reference gives for `reason`: at line 2
+    of a CSV, at row 0 of an .npy."""
+    if path.suffix == ".csv":
+        return f"^line 2: {re.escape(f'{path}: {reason}')}$"
+    return f"^{re.escape(f'{path}: row 0: {reason}')}$"
+
+
 @pytest.mark.parametrize("bad", NON_FINITE)
 @pytest.mark.parametrize("field", ["h_opt", "t_opt", "d_opt"])
-def test_reference_rejects_non_finite(field, bad):
-    kwargs = dict(h_opt=0.6, t_opt=4.1, d_opt=79.0)
-    kwargs[field] = bad
-    with pytest.raises(DomainError, match="positive and finite"):
-        OptimalReference(**kwargs)
+def test_reference_rejects_non_finite(tmp_path, field, bad):
+    for name in ("reference.csv", "reference.npy"):
+        path = reference_file(tmp_path / name, field, bad)
+        with pytest.raises(ParseError, match=reference_fault(
+                path, f"non-finite {REFERENCE_COLUMN[field]} {bad!r}")):
+            data_io.load_reference(path)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, -5e-324, -79.0])
+@pytest.mark.parametrize("field", ["h_opt", "t_opt", "d_opt"])
+def test_reference_rejects_non_positive(tmp_path, field, bad):
+    for name in ("reference.csv", "reference.npy"):
+        path = reference_file(tmp_path / name, field, bad)
+        with pytest.raises(ParseError, match=reference_fault(
+                path, f"non-positive {REFERENCE_COLUMN[field]} {bad!r}")):
+            data_io.load_reference(path)
+
+
+def test_reference_is_the_first_rows_position(tmp_path):
+    ref = data_io.load_reference(reference_file(tmp_path / "r.csv", "d_opt",
+                                                79.218))
+    assert ref.dtype == float and ref.tolist() == [0.6, 4.1, 79.218]
 
 
 def test_zero_mean_height_is_a_valid_feature(tmp_path):
@@ -125,71 +179,159 @@ class TestFeatureVector:
 
 class TestDeviationNorm:
     def test_identity(self):
-        f = features(0.595, 4.102, 79.218)
-        assert deviation_norm(f, TABLE_REF) == 0.0
-        ranges = ((0.1, 1.0), (2.0, 6.0), (5.0, 100.0))
-        assert deviation_norm(f, TABLE_REF, mode="minmax", ranges=ranges) == 0.0
+        assert deviation_norm(features(TABLE_REF), TABLE_REF).tolist() == [0.0]
+        rows = features((0.1, 2.0, 5.0), (1.0, 6.0, 100.0), TABLE_REF)
+        assert deviation_norm(rows, TABLE_REF, mode="minmax")[2] == 0.0
 
     def test_3_4_5(self):
-        ref = OptimalReference(h_opt=1.0, t_opt=2.0, d_opt=3.0)
-        f = features(4.0, 6.0, 3.0)
-        assert deviation_norm(f, ref) == pytest.approx(5.0)
+        ref = np.array([1.0, 2.0, 3.0])
+        assert deviation_norm(features((4.0, 6.0, 3.0)), ref) == \
+            pytest.approx([5.0])
 
     def test_depth_dominates_raw(self):
-        f = features(0.5, 3.5, 40.0)
+        f = features((0.5, 3.5, 40.0))
         expected = np.sqrt(0.095 ** 2 + 0.602 ** 2 + 39.218 ** 2)
-        assert deviation_norm(f, TABLE_REF) == pytest.approx(expected)
-        assert deviation_norm(f, TABLE_REF) == pytest.approx(39.223, abs=1e-3)
+        assert deviation_norm(f, TABLE_REF) == pytest.approx([expected])
+        assert deviation_norm(f, TABLE_REF) == pytest.approx([39.223],
+                                                             abs=1e-3)
 
     def test_minmax_unit_invariance(self):
         # rescaling a dimension (unit change) must not alter minmax norms
-        pts = [features(h, t, d) for h, t, d in
-               [(0.2, 3.0, 10.0), (0.5, 4.0, 50.0), (0.9, 5.5, 90.0)]]
-        ranges = feature_ranges(pts)
-        base = [deviation_norm(p, TABLE_REF, "minmax", ranges) for p in pts]
-
-        def scale(f, c):
-            return features(f[0], f[1], f[2] * c)
-
-        scaled = [scale(p, 3.28) for p in pts]
-        ref2 = OptimalReference(TABLE_REF.h_opt, TABLE_REF.t_opt,
-                                TABLE_REF.d_opt * 3.28)
-        r2 = feature_ranges(scaled)
-        out = [deviation_norm(p, ref2, "minmax", r2) for p in scaled]
+        pts = features((0.2, 3.0, 10.0), (0.5, 4.0, 50.0), (0.9, 5.5, 90.0))
+        base = deviation_norm(pts, TABLE_REF, "minmax")
+        unit = np.array([1.0, 1.0, 3.28])
+        out = deviation_norm(pts * unit, TABLE_REF * unit, "minmax")
         assert out == pytest.approx(base, rel=1e-12)
 
     def test_degenerate_range(self):
         with pytest.raises(ScalingError) as exc:
-            deviation_norm(features(1.0, 4.0, 10.0), TABLE_REF, "minmax",
-                           ranges=((0.1, 1.0), (4.0, 4.0), (5.0, 100.0)))
+            deviation_norm(features((0.1, 4.0, 5.0), (1.0, 4.0, 100.0)),
+                           TABLE_REF, "minmax")
         assert exc.value.dimension == "T"
 
     def test_minmax_needs_ranges(self):
-        with pytest.raises(ScalingError):
-            deviation_norm(features(1.0, 4.0, 10.0), TABLE_REF, "minmax")
+        # one row spans no range in any dimension
+        with pytest.raises(ScalingError) as exc:
+            deviation_norm(features((1.0, 4.0, 10.0)), TABLE_REF, "minmax")
+        assert exc.value.dimension == "H"
 
 
 class TestCorrelationScore:
     def test_positive_affine(self):
-        f = features(1.0, 2.0, 3.0)
-        ref = OptimalReference(2.0, 4.0, 6.0)
-        assert correlation_score(f, ref) == pytest.approx(1.0)
+        score = correlation_score(features((1.0, 2.0, 3.0)),
+                                  np.array([2.0, 4.0, 6.0]))
+        assert score == pytest.approx([1.0])
 
     def test_negative_affine(self):
-        f = features(1.0, 2.0, 3.0)
-        ref = OptimalReference(3.0, 2.0, 1.0)
-        assert correlation_score(f, ref) == pytest.approx(-1.0)
+        score = correlation_score(features((1.0, 2.0, 3.0)),
+                                  np.array([3.0, 2.0, 1.0]))
+        assert score == pytest.approx([-1.0])
 
     def test_against_hand_pearson(self):
-        f = features(0.5, 3.5, 40.0)
+        f = features((0.5, 3.5, 40.0))
         expected = pearson([0.5, 3.5, 40.0], [0.595, 4.102, 79.218])
-        assert correlation_score(f, ref=TABLE_REF) == pytest.approx(expected)
         assert correlation_score(f, ref=TABLE_REF) == pytest.approx(
-            0.9996, abs=2e-4)
+            [expected])
+        assert correlation_score(f, ref=TABLE_REF) == pytest.approx(
+            [0.9996], abs=2e-4)
 
     def test_constant_vector(self):
         with pytest.raises(DomainError):
-            correlation_score(features(2.0, 2.0, 2.0), TABLE_REF)
+            correlation_score(features((0.5, 3.5, 40.0), (2.0, 2.0, 2.0)),
+                              TABLE_REF)
+        with pytest.raises(DomainError):
+            correlation_score(features((0.5, 3.5, 40.0)), np.full(3, 2.0))
+
+
+# (H, T, d) values in and around the paper's box, and far outside it: 0
+# or 1e-50 to 1e50 in magnitude, so that no square of a difference, raw
+# or min-max scaled, overflows or underflows to zero
+PAPER_BOX = (st.floats(0.05, 3.0), st.floats(1.0, 20.0),
+             st.floats(1.0, 200.0))
+WIDE = (st.just(0.0) | st.floats(1e-50, 1e50) | st.floats(-1e50, -1e-50),) * 3
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), box=st.sampled_from([PAPER_BOX, WIDE]))
+def test_batched_scores_are_the_per_row_bits(data, box):
+    vectors = np.array(data.draw(st.lists(st.tuples(*box), min_size=2,
+                                          max_size=40)))
+    ref = np.array(data.draw(st.tuples(*box)))
+    assert deviation_norm(vectors, ref).tolist() == norms_by_row(vectors,
+                                                                  ref)
+    if (np.ptp(vectors, axis=0) > 0).all():
+        assert deviation_norm(vectors, ref, "minmax").tolist() == \
+            norms_by_row(vectors, ref, "minmax")
+    if np.ptp(ref) > 0 and (np.ptp(vectors, axis=1) > 0).all():
+        assert correlation_score(vectors, ref).tolist() == \
+            correlations_by_row(vectors, ref)
+
+
+def site_rows():
+    """Distinct-enough (H, T, d) rows in the paper's box: every dimension
+    spans 1e-3 or more, and no row is constant."""
+    return st.lists(st.tuples(*PAPER_BOX), min_size=2,
+                    max_size=30).map(np.array).filter(
+        lambda v: np.ptp(v, axis=0).min() >= 1e-3
+        and (np.ptp(v, axis=1) > 0).all())
+
+
+def features_array(vectors):
+    """A features array of the (H, T, d) rows, points P0, P1, ..."""
+    table = np.zeros(len(vectors), dtype=data_io.FEATURE_DTYPE)
+    table["point"] = [f"P{i}" for i in range(len(vectors))]
+    table["zone"] = "Z"
+    table["h_bar_m"], table["t_bar_s"], table["depth_m"] = vectors.T
+    return table
+
+
+@settings(max_examples=100, deadline=None)
+@given(vectors=site_rows(), ref=st.tuples(*PAPER_BOX), data=st.data(),
+       mode=st.sampled_from(["raw", "minmax"]))
+def test_assess_ranks_alike_in_any_row_order(vectors, ref, data, mode):
+    ref = np.array(ref)
+    assume(np.ptp(ref) > 0)
+    table = features_array(vectors)
+    order = data.draw(st.permutations(range(len(table))))
+    ranked = pipeline.assess(table, ref, mode)
+    again = pipeline.assess(table[list(order)], ref, mode)
+    assert again.tolist() == ranked.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(vectors=site_rows(), data=st.data())
+def test_norm_is_zero_at_the_reference(vectors, data):
+    k = data.draw(st.integers(0, len(vectors) - 1))
+    for mode in ("raw", "minmax"):
+        assert deviation_norm(vectors, vectors[k], mode)[k] == 0.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(vectors=site_rows(), ref=st.tuples(*PAPER_BOX))
+def test_correlation_lies_in_minus_one_to_one(vectors, ref):
+    assume(np.ptp(ref) > 0)
+    score = correlation_score(vectors, np.array(ref))
+    assert ((-1 <= score) & (score <= 1)).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(vectors=site_rows(), ref=st.tuples(*PAPER_BOX),
+       dim=st.integers(0, 2), scale=st.floats(0.01, 100.0),
+       shift=st.floats(-100.0, 100.0))
+def test_minmax_norm_survives_an_affine_map_of_a_dimension(vectors, ref,
+                                                          dim, scale,
+                                                          shift):
+    # x -> scale * (x + shift) in one dimension, of the rows and the
+    # reference alike. Rounding the map and the min-max scaling moves a
+    # scaled coordinate by about 8 * eps * (200 + 100) / 1e-3 of its size
+    # at most, 5e-10, for values to 200, shifts to 100 and spans of 1e-3
+    ref = np.array(ref)
+    base = deviation_norm(vectors, ref, "minmax")
+    vectors = vectors.copy()
+    vectors[:, dim] = scale * (vectors[:, dim] + shift)
+    ref[dim] = scale * (ref[dim] + shift)
+    assert deviation_norm(vectors, ref, "minmax") == pytest.approx(
+        base, rel=1e-8, abs=1e-8)
 
 
 def make_assessment(pid, norm, corr=0.9, power=100.0, zone="Z"):
@@ -233,37 +375,57 @@ class TestRankPoints:
         # distance order must equal descending parametric power order
         rng = np.random.default_rng(17)
         heights = rng.uniform(0.1, 0.9, 20)
-        ref = OptimalReference(float(heights.max()), 4.0, 30.0)
+        vectors = features(*((h, 4.0, 30.0) for h in heights.tolist()))
+        ref = vectors[heights.argmax()]
         rows = assessed(*(
             (f"P{i:02d}", "Z", h, 4.0, 30.0, parametric_power(h, 4.0), 0.0,
-             deviation_norm(features(h, 4.0, 30.0), ref),
-             correlation_score(features(h, 4.0, 30.0), ref), 0)
-            for i, h in enumerate(heights.tolist())))
+             0.0, 0.0, 0) for i, h in enumerate(heights.tolist())))
+        rows["norm"] = deviation_norm(vectors, ref)
+        rows["correlation"] = correlation_score(vectors, ref)
         by_norm = rank_points(rows)["point"].tolist()
         by_power = rows["point"][np.argsort(-rows["power_irregular_wpm"],
                                             kind="stable")].tolist()
         assert by_norm == by_power
 
 
+def zone_results(powers_by_zone):
+    """A results array of one point per power, zone by zone."""
+    pairs = [(zone, p) for zone, powers in powers_by_zone.items()
+             for p in powers]
+    results = np.zeros(len(pairs), dtype=data_io.RESULT_DTYPE)
+    results["point"] = [f"P{i}" for i in range(len(pairs))]
+    results["zone"] = [zone for zone, _ in pairs]
+    results["power_irregular_wpm"] = [p for _, p in pairs]
+    return results
+
+
+def shares_of(powers_by_zone):
+    """zone -> share, from pipeline.zone_totals on zone_results."""
+    table = pipeline.zone_totals(zone_results(powers_by_zone),
+                                 list(powers_by_zone))
+    return dict(zip(table["zone"].tolist(), table["share"].tolist()))
+
+
 class TestZoneShares:
     def test_even_split(self):
-        shares = zone_shares({"A": [1.0, 1.0], "B": [2.0]})
-        assert shares == pytest.approx({"A": 0.5, "B": 0.5})
+        table = pipeline.zone_totals(zone_results(
+            {"A": [1.0, 1.0], "B": [2.0]}), ["A", "B"])
+        assert table.tolist() == [("A", 2.0, 0.5), ("B", 2.0, 0.5)]
 
     def test_single_zone(self):
-        assert zone_shares({"A": [3.0]}) == {"A": 1.0}
+        assert shares_of({"A": [3.0]}) == {"A": 1.0}
 
     def test_scale_invariance(self):
         z = {"A": [1.0, 2.0], "B": [4.0], "C": [0.5]}
-        s1 = zone_shares(z)
-        s2 = zone_shares({k: [10 * v for v in vs] for k, vs in z.items()})
+        s1 = shares_of(z)
+        s2 = shares_of({k: [10 * v for v in vs] for k, vs in z.items()})
         for k in z:
             assert s2[k] == pytest.approx(s1[k], rel=1e-12)
 
     def test_sums_to_one(self):
-        shares = zone_shares({"A": [1.1, 2.2], "B": [3.3], "C": [0.7, 0.1]})
+        shares = shares_of({"A": [1.1, 2.2], "B": [3.3], "C": [0.7, 0.1]})
         assert abs(sum(shares.values()) - 1.0) <= 1e-12
 
     def test_zero_total(self):
         with pytest.raises(DomainError):
-            zone_shares({"A": [0.0]})
+            shares_of({"A": [0.0]})

@@ -539,6 +539,23 @@ MALFORMED = {
     "zone shares summing to 2": (["report"], dict(
         rank_tables(("1.0", "1.0", "1"), ("2.0", "2.0", "2")), **{
             "o/zone_shares.csv": "zone,total_power_wpm,share\nA,3.0,2.0"})),
+    # zone A's points sum to 1.0 and zone B's to 2.0, so the shares are 1/3
+    # and 2/3; these sum to 1
+    "zone share that is not its total over the totals' sum": (["report"], {
+        name: text.replace("\nP2,A,", "\nP2,B,") for name, text in dict(
+            rank_tables(("1.0", "1.0", "1"), ("2.0", "2.0", "2")), **{
+                "o/zone_shares.csv": "zone,total_power_wpm,share\n"
+                                     "A,1.0,0.5\nB,2.0,0.5"}).items()}),
+    "negative zone share": (["report"], {
+        name: text.replace("\nP2,A,", "\nP2,B,") for name, text in dict(
+            rank_tables(("1.0", "1.0", "1"), ("2.0", "2.0", "2")), **{
+                "o/zone_shares.csv": "zone,total_power_wpm,share\n"
+                                     "A,1.0,1.5\nB,2.0,-0.5"}).items()}),
+    # optimize writes one row; every row's H, T and d must be positive
+    "non-positive depth in a reference row": (["rank"], {
+        name: text + ("\n0.6,4.1,0.0,3000.0" if "reference" in name else "")
+        for name, text in feature_tables(("1.0", "1.0"),
+                                         ("2.0", "2.0")).items()}),
     "repeated --points name": (
         ["synth", "--depth", "30", "--hours", "3", "--points", "K1,K1,Z1"],
         {}),

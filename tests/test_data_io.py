@@ -923,6 +923,31 @@ def test_repeated_key_names_its_line(tmp_path, table, key):
         STAGE_TABLES[table][1](path)
 
 
+@pytest.mark.parametrize("total,share", [("-100.0", "0.5"), ("-5e-324", "0.5"),
+                                         ("2.0", "-0.5")])
+def test_negative_zone_total_or_share_names_its_line(tmp_path, total, share):
+    path = tmp_path / "zone_shares.csv"
+    path.write_text(f"zone,total_power_wpm,share\nA,1.0,1.5\n"
+                    f"B,{total},{share}\n")
+    with pytest.raises(ParseError, match=re.escape(
+            f"line 3: {path}: negative total {total} or share {share}")):
+        data_io.load_zone_shares(path)
+
+
+def test_zone_totals_past_the_largest_float_are_refused(tmp_path):
+    # each total is finite and its share 1/2, but rank's sum of the two is
+    # inf, and so its shares 0
+    results = np.zeros(2, dtype=data_io.RESULT_DTYPE)
+    results["point"], results["zone"] = ["P1", "P2"], ["A", "B"]
+    results["power_irregular_wpm"], results["rank"] = 1e308, [1, 2]
+    shares = np.array([("A", 1e308, 0.5), ("B", 1e308, 0.5)],
+                      dtype=data_io.ZONE_SHARE_DTYPE)
+    with pytest.raises(DataError, match="zone totals sum past the largest "
+                                        "float"):
+        data_io.write_report(results, shares, tmp_path / "report")
+    assert not (tmp_path / "report").exists()
+
+
 def test_npy_stage_table_row_fault_names_the_row(tmp_path):
     path = tmp_path / "r.npy"
     np.save(path, np.array([(0.6, 4.1, 79.0, 3000.0), (np.nan, 4.1, 79.0,

@@ -36,8 +36,6 @@ class TestTypes:
             SearchBounds(lower=[1.0, 0.0], upper=[1.0, 2.0])
         with pytest.raises(ContractError):
             SearchBounds(lower=[0.0], upper=[1.0, 2.0])
-        with pytest.raises(ContractError):
-            SearchBounds(lower=[0.0, 0.0], upper=[1.0, 1.0], labels=("x",))
 
     @pytest.mark.parametrize("lower,upper", [
         ([0.0, np.nan], [np.inf, 1.0]),
