@@ -3,6 +3,8 @@ check of the data types and kernels that raise them."""
 
 import math
 
+import numpy as np
+
 
 def _positive_finite(x, zero_ok=False):
     """Whether every element of array x lies in (0, inf), or in [0, inf)
@@ -10,8 +12,9 @@ def _positive_finite(x, zero_ok=False):
     whatever the size of x."""
     if x.size == 0:
         return True
-    low = x.min()
-    return bool((low >= 0 if zero_ok else low > 0) and x.max() < math.inf)
+    low = np.minimum.reduce(x, axis=None)
+    return bool((low >= 0 if zero_ok else low > 0)
+                and np.maximum.reduce(x, axis=None) < math.inf)
 
 
 class WavePowerError(Exception):

@@ -2,9 +2,10 @@
 
 Alpha/beta/delta are the three best-ever evaluations (elitist memory),
 updated synchronously once per iteration; the pack moves as one array
-and is clamped to the bounds after each move. Each move draws all its
-random numbers at once, in a fixed documented order (agent, then r1
-before r2, then leader, then dimension), so runs are bit-reproducible.
+and is clamped to the bounds after each move. The random numbers of a
+move come in a fixed documented order (agent, then r1 before r2, then
+leader, then dimension), so runs are bit-reproducible; the optimizer
+draws those of many iterations at once, as one block of the same stream.
 
 The objective sees the whole pack at once: one call per iteration on an
 array of shape (ndim, agents), so x[0] holds every agent's first
@@ -19,6 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DomainError, EvaluationError
+
+# Doubles per random draw of gwo_maximize: a draw covers as many
+# iterations as fit, and at least one.
+_DRAW_BLOCK = 2 ** 14
 
 
 # eq=False: its array fields make == ambiguous, so compare by identity
@@ -79,6 +84,20 @@ def a_schedule(iteration, max_iter):
     return 2.0 - iteration * (2.0 / max_iter)
 
 
+def _a_values(start, stop, max_iter):
+    """a_schedule(t, max_iter) for t in range(start, stop), as an array
+    with the bits of those calls."""
+    return 2.0 - np.arange(start, stop) * (2.0 / max_iter)
+
+
+def _move(x, L, A, C):
+    """The positions (..., ndim) x moved toward the leaders L (3, ndim)
+    with coefficients A and C (..., 3, ndim): the mean of the three
+    L - A*|C*L - x|, as np.mean forms it, their sum over 3."""
+    D = np.abs(C * L - x[..., None, :])
+    return np.add.reduce(L - A * D, -2) / 3.0
+
+
 def update_position(agent, leaders, a, rng):
     """Move one agent (ndim,) or a pack (agents, ndim) toward the leaders.
 
@@ -94,11 +113,7 @@ def update_position(agent, leaders, a, rng):
         raise ContractError(f"expected agents (ndim,) or (agents, ndim) and "
                             f"leaders (3, ndim), got {x.shape}, {L.shape}")
     r = rng.random((*x.shape[:-1], 2, *L.shape))
-    A = 2.0 * a * r[..., 0, :, :] - a
-    C = 2.0 * r[..., 1, :, :]
-    D = np.abs(C * L - x[..., None, :])
-    # the mean of the three X_L' as np.mean forms it, their sum over 3
-    return np.add.reduce(L - A * D, -2) / 3.0
+    return _move(x, L, 2.0 * a * r[..., 0, :, :] - a, 2.0 * r[..., 1, :, :])
 
 
 def gwo_maximize(objective, bounds, cfg=None):
@@ -125,29 +140,37 @@ def gwo_maximize(objective, bounds, cfg=None):
     neg = np.full(3 + n, np.inf)
     convergence = np.empty(cfg.max_iter)
 
-    for it in range(cfg.max_iter):
-        values = np.asarray(objective(pos.T), dtype=float)
-        if values.shape != (n,):
-            raise ContractError(f"objective returned shape {values.shape}, "
-                                f"expected ({n},)")
-        finite = np.isfinite(values)
-        if np.count_nonzero(finite) < n:
-            i = np.flatnonzero(~finite)[0]
-            raise EvaluationError(
-                f"objective returned {values[i]} at {pos[i].tolist()}",
-                position=pos[i].copy())
-        np.negative(values, neg[3:])
-        wolves[3:] = pos
-        top = neg.argsort(kind="stable")[:3]
-        neg[:3] = neg[top]
-        wolves[:3] = wolves[top]
-        convergence[it] = -neg[0]
+    # the draws of update_position for `block` iterations at a time, one
+    # (agents, 2, 3, ndim) slab per iteration, in one call on the stream
+    block = max(1, _DRAW_BLOCK // (n * 6 * bounds.ndim))
+    for start in range(0, cfg.max_iter, block):
+        stop = min(start + block, cfg.max_iter)
+        r = rng.random((stop - start, n, 2, 3, bounds.ndim))
+        a = _a_values(start, stop, cfg.max_iter)[:, None, None, None]
+        A = 2.0 * a * r[:, :, 0] - a
+        C = 2.0 * r[:, :, 1]
+        for it, A_it, C_it in zip(range(start, stop), A, C):
+            values = np.asarray(objective(pos.T), dtype=float)
+            if values.shape != (n,):
+                raise ContractError(f"objective returned shape "
+                                    f"{values.shape}, expected ({n},)")
+            finite = np.isfinite(values)
+            if np.count_nonzero(finite) < n:
+                i = np.flatnonzero(~finite)[0]
+                raise EvaluationError(
+                    f"objective returned {values[i]} at {pos[i].tolist()}",
+                    position=pos[i].copy())
+            np.negative(values, neg[3:])
+            wolves[3:] = pos
+            top = neg.argsort(kind="stable")[:3]
+            neg[:3] = neg[top]
+            wolves[:3] = wolves[top]
+            convergence[it] = -neg[0]
 
-        a = a_schedule(it, cfg.max_iter)
-        # np.clip's bits for finite positions, without its overhead
-        pos = np.minimum(np.maximum(
-            update_position(pos, wolves[:3], a, rng), bounds.lower),
-            bounds.upper)
+            # np.clip's bits for finite positions, without its overhead
+            pos = np.minimum(np.maximum(
+                _move(pos, wolves[:3], A_it, C_it), bounds.lower),
+                bounds.upper)
 
     return GwoRun(best_position=wolves[0].copy(), best_value=float(-neg[0]),
                   convergence=convergence,

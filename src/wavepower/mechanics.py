@@ -59,7 +59,10 @@ def _transfer_factor(kd, th, out, tmp):
 def _extremes(x):
     """(min, max) of array x as floats, NaN if x holds one, or (1.0, 1.0)
     if x is empty."""
-    return (float(x.min()), float(x.max())) if x.size else (1.0, 1.0)
+    if not x.size:
+        return 1.0, 1.0
+    return (float(np.minimum.reduce(x, axis=None)),
+            float(np.maximum.reduce(x, axis=None)))
 
 
 def _normal(x):
@@ -83,22 +86,67 @@ def _check_starts(period, depth, g):
                           f"normal float")
 
 
+def _solve_block(block_fn, blocks, out, scratch, done, g, max_iter):
+    """Solve the dispersion relation on one block. `blocks` (period and
+    depth first) broadcast to the shape of out; scratch holds six rows of
+    that shape, contiguous, and done is a bool array of it. Newton
+    iteration in x = kd on y = x*tanh(x), y = omega^2 d/g, runs in place
+    in the scratch rows and stops as soon as all of the block's elements
+    are within DISPERSION_TOL; then block_fn(out, kd, th, tmp, *blocks)
+    fills out from kd, th = tanh(kd) and a scratch row tmp."""
+    period, depth = blocks[:2]
+    m = out.size
+    y, tol, x, th, f, step = (scratch[i, ...] for i in range(6))
+    # y = omega^2/g * d, which is also the start x0: the deep-water
+    # k0 = omega^2/g times d
+    np.divide(2.0 * np.pi, period, y)
+    np.multiply(y, y, y)
+    np.divide(y, g, y)
+    np.multiply(y, depth, y)
+    np.multiply(y, DISPERSION_TOL, tol)
+    np.copyto(x, y)
+    for _ in range(max_iter):
+        np.tanh(x, th)
+        # f = y - x tanh(x)
+        np.multiply(x, th, f)
+        np.subtract(y, f, f)
+        np.absolute(f, step)
+        np.less_equal(step, tol, done)
+        if np.count_nonzero(done) == m:
+            break
+        # f' = -(th + x sech^2(x)) with sech^2 = 1 - th^2
+        np.multiply(th, th, step)
+        np.subtract(1.0, step, step)
+        np.multiply(step, x, step)
+        np.add(step, th, step)
+        np.divide(f, step, step)
+        # x - f/f' = x + step; only elements not yet within
+        # DISPERSION_TOL (done, negated in place) move
+        np.logical_not(done, done)
+        np.add(x, step, x, where=done)
+    else:
+        worst = float((np.absolute(f) / y).max())
+        raise SolverError(
+            f"dispersion solve did not converge within "
+            f"{max_iter} iterations (worst relative residual "
+            f"{worst:.3e})", residual=worst)
+    block_fn(out, x, th, f, *blocks)
+
+
 def _solve_by_blocks(block_fn, arrays, g, max_iter):
     """Fill an array of the broadcast shape of `arrays` (period and depth
-    first), or a float for 0-d inputs, taking them in C order in blocks
-    of at most SOLVE_BLOCK elements. On each block, Newton iteration
-    solves the dispersion relation in x = kd, y = x*tanh(x) with
-    y = omega^2 d/g, and stops as soon as all of the block's elements
-    are within DISPERSION_TOL; then block_fn(out, kd, th, tmp, *blocks)
-    fills the block's out from kd, th = tanh(kd) and a scratch array tmp.
-    Each step runs in place in buffers reused from block to block.
+    first), or a float for 0-d inputs, by _solve_block(block_fn, ...).
+    Up to SOLVE_BLOCK elements are one block of the broadcast shape
+    itself; larger inputs are taken in C order in blocks of at most
+    SOLVE_BLOCK elements, with buffers reused from block to block.
 
     Period and depth must be positive and finite, and the depth normal,
     so that k = x/d stays finite; every period must give a finite normal
-    omega^2 = (2 pi/T)^2 and omega^2/g, and every pair a finite normal y. All three fall as the period grows and y rises with
-    the depth, so the extremes of period and depth decide for all pairs;
-    only when they fail is y formed per pair, to find one that fails.
-    Python floats overflow to inf and underflow to 0 without a warning."""
+    omega^2 = (2 pi/T)^2 and omega^2/g, and every pair a finite normal y.
+    All three fall as the period grows and y rises with the depth, so
+    the extremes of period and depth decide for all pairs; only when
+    they fail is y formed per pair, to find one that fails. Python
+    floats overflow to inf and underflow to 0 without a warning."""
     period, depth = arrays[:2]
     (t_lo, t_hi), (d_lo, d_hi) = _extremes(period), _extremes(depth)
     if not (0 < t_lo and t_hi < math.inf and _TINY <= d_lo
@@ -118,55 +166,25 @@ def _solve_by_blocks(block_fn, arrays, g, max_iter):
         _check_starts(period, depth, g)
     if max_iter < 1:
         raise DomainError("max_iter must be at least 1")
+    shape = np.broadcast(*arrays).shape
+    if math.prod(shape) <= SOLVE_BLOCK:
+        out = np.empty(shape)
+        _solve_block(block_fn, arrays, out, np.empty((6, *shape)),
+                     np.empty(shape, dtype=bool), g, max_iter)
+        return out if out.ndim else float(out)
     it = np.nditer([*arrays, None],
-                   flags=["external_loop", "buffered", "zerosize_ok"],
+                   flags=["external_loop", "buffered"],
                    op_flags=[["readonly"]] * len(arrays)
                    + [["writeonly", "allocate"]],
                    order="C", buffersize=SOLVE_BLOCK)
     with it:
-        scratch = np.empty((6, min(it.itersize, SOLVE_BLOCK)))
-        done_buf = np.empty(scratch.shape[1], dtype=bool)
+        scratch = np.empty((6, SOLVE_BLOCK))
+        done = np.empty(SOLVE_BLOCK, dtype=bool)
         for *blocks, out in it:
-            period, depth = blocks[:2]
             m = out.shape[0]
-            y, tol, x, th, f, step = (a[:m] for a in scratch)
-            done = done_buf[:m]
-            # y = omega^2/g * d, which is also the start x0: the deep-water
-            # k0 = omega^2/g times d
-            np.divide(2.0 * np.pi, period, y)
-            np.multiply(y, y, y)
-            np.divide(y, g, y)
-            np.multiply(y, depth, y)
-            np.multiply(y, DISPERSION_TOL, tol)
-            np.copyto(x, y)
-            for _ in range(max_iter):
-                np.tanh(x, th)
-                # f = y - x tanh(x)
-                np.multiply(x, th, f)
-                np.subtract(y, f, f)
-                np.absolute(f, step)
-                np.less_equal(step, tol, done)
-                if np.count_nonzero(done) == m:
-                    break
-                # f' = -(th + x sech^2(x)) with sech^2 = 1 - th^2
-                np.multiply(th, th, step)
-                np.subtract(1.0, step, step)
-                np.multiply(step, x, step)
-                np.add(step, th, step)
-                np.divide(f, step, step)
-                # x - f/f' = x + step; only elements not yet within
-                # DISPERSION_TOL (done, negated in place) move
-                np.logical_not(done, done)
-                np.add(x, step, x, where=done)
-            else:
-                worst = float((np.absolute(f) / y).max())
-                raise SolverError(
-                    f"dispersion solve did not converge within "
-                    f"{max_iter} iterations (worst relative residual "
-                    f"{worst:.3e})", residual=worst)
-            block_fn(out, x, th, f, *blocks)
-        out = it.operands[-1]
-    return out if out.ndim else float(out)
+            _solve_block(block_fn, blocks, out, scratch[:, :m], done[:m], g,
+                         max_iter)
+        return it.operands[-1]
 
 
 def wavenumber(period, depth, g=DEFAULT_G, max_iter=DISPERSION_MAX_ITER):

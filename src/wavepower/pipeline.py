@@ -8,7 +8,7 @@ runs, so a stage process loads only those of its own stage."""
 import numpy as np
 
 from . import data_io
-from .errors import ConfigError, DomainError, JoinError
+from .errors import ConfigError, DataError, DomainError, JoinError
 
 
 def apply_depths(catalog, depth_range=None, depth=None):
@@ -194,8 +194,11 @@ def optimize(bounds, env, agents=10, iters=200, seed=0):
 def assess(features, ref, mode="raw"):
     """Score a features array against `ref`, the (H, T, d) array of the
     optimum, in assessment.NORM_RAW or NORM_MINMAX `mode`: the results
-    array in rank order. Every row's norm comes before any correlation."""
+    array in rank order. Every row's norm comes before any correlation;
+    DataError for an empty array, before either."""
     from . import assessment
+    if not len(features):
+        raise DataError("nothing to rank")
     vectors = _vectors(features)
     results = np.empty(len(features), dtype=data_io.RESULT_DTYPE)
     for name in features.dtype.names:
@@ -209,12 +212,14 @@ def zone_totals(results, zones):
     """The zone-share array (data_io.ZONE_SHARE_DTYPE): each zone's total,
     np.sum of its irregular powers in results order, and its share, that
     over the totals' sum in the order zones first appear in the results.
-    Zones follow their first appearance in `zones`, e.g. catalog order."""
+    Zones follow their first appearance in `zones`, e.g. catalog order.
+    DomainError unless that sum is positive and finite."""
     totals = {zone: float(np.sum(powers)) for zone, powers in
               data_io.zone_powers(results).items()}
     grand = sum(totals.values())
-    if grand <= 0:
-        raise DomainError("total power must be positive")
+    if not 0 < grand < np.inf:
+        raise DomainError(f"total power must be positive and finite, got "
+                          f"{grand}")
     return np.array([(z, totals[z], totals[z] / grand)
                      for z in dict.fromkeys(zones)],
                     dtype=data_io.ZONE_SHARE_DTYPE)

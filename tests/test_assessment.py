@@ -370,6 +370,12 @@ class TestRankPoints:
         with pytest.raises(DataError):
             rank_points(assessed())
 
+    @pytest.mark.parametrize("mode", ["raw", "minmax"])
+    def test_assess_refuses_no_rows_in_either_mode(self, mode):
+        empty = np.zeros(0, dtype=data_io.FEATURE_DTYPE)
+        with pytest.raises(DataError, match="nothing to rank"):
+            pipeline.assess(empty, np.array([1.0, 2.0, 3.0]), mode)
+
     def test_ranking_coherence_with_power(self):
         # sites differing only in mean height, reference at the maximum:
         # distance order must equal descending parametric power order
@@ -429,3 +435,8 @@ class TestZoneShares:
     def test_zero_total(self):
         with pytest.raises(DomainError):
             shares_of({"A": [0.0]})
+
+    def test_totals_whose_sum_overflows(self):
+        # each zone total is finite, their sum is not
+        with pytest.raises(DomainError, match="positive and finite"):
+            shares_of({"A": [1e308], "B": [1e308]})

@@ -572,6 +572,11 @@ MALFORMED = {
         ["synth", "--hours", "3", "--catalog", "{tmp}/cat.csv"],
         {"cat.csv": "index,name,zone,lat_deg,lon_deg,depth_m\n"
                     "-5,P1,A,37.0,50.0,3"}),
+    # the zone totals' sum overflows, and every share would read 0.0
+    "zone totals whose sum overflows": (["rank", "--norm-mode", "minmax"], {
+        name: text.replace("\nP2,A,0.5,4.0,10.0,", "\nP2,B,0.6,5.0,20.0,")
+        for name, text in
+        feature_tables(("1e308", "1.0"), ("1e308", "2.0")).items()}),
     "header-only catalog": (
         ["synth", "--hours", "3", "--depth", "30", "--catalog",
          "{tmp}/cat.csv"],

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from wavepower import gwo
 from wavepower.errors import ContractError, DomainError, EvaluationError
 from wavepower.gwo import (
     GwoConfig,
@@ -71,6 +72,18 @@ class TestASchedule:
             a_schedule(-1, 10)
         with pytest.raises(DomainError):
             a_schedule(11, 10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(max_iter=st.integers(1, 2 ** 40), data=st.data())
+def test_block_schedule_has_the_bits_of_a_schedule(max_iter, data):
+    # gwo_maximize forms a(t) for a block of iterations at once
+    start = data.draw(st.integers(0, max_iter))
+    stop = data.draw(st.integers(start, min(start + 64, max_iter + 1)))
+    got = gwo._a_values(start, stop, max_iter)
+    want = np.array([a_schedule(t, max_iter) for t in range(start, stop)])
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestUpdatePosition:
@@ -224,7 +237,18 @@ def reference_gwo(objective, bounds, cfg):
 
 PAPER_BOX = SearchBounds(lower=[0.1, 2.0, 5.0], upper=[0.6, 6.0, 100.0])
 CUBE = SearchBounds(lower=[-2.0, -2.0], upper=[2.0, 2.0])
-# objective, box; the last four are plateaus where most values tie
+LINE = SearchBounds(lower=[-1.0], upper=[3.0])
+
+
+def draw_block(agents, ndim):
+    """Iterations per random draw of gwo_maximize."""
+    return max(1, gwo._DRAW_BLOCK // (agents * 6 * ndim))
+
+
+# objective, box and, for the last four, (agents, max_iter) at an edge of
+# gwo_maximize's blocks of random draws (else 4 + seed % 7 agents and 40
+# iterations, within one block); "floor" to "signed zero" are plateaus
+# where most values tie
 REFERENCE_CASES = {
     "paper power": (lambda x: regular_wave_power(*x), PAPER_BOX),
     "sphere": (sphere, TestGwoMaximize.bounds3),
@@ -232,14 +256,26 @@ REFERENCE_CASES = {
     "floor": (lambda x: np.floor(x[0] + x[1]), CUBE),
     "round": (lambda x: np.round(x[0]), CUBE),
     "signed zero": (lambda x: np.where(x[0] > 0, 0.0, -0.0), CUBE),
+    # full blocks, then a partial one
+    "paper power past two blocks": (
+        lambda x: regular_wave_power(*x), PAPER_BOX,
+        (10, 2 * draw_block(10, 3) + 18)),
+    "line past one block": (
+        lambda x: -np.abs(x[0] - 0.5), LINE, (4, draw_block(4, 1) + 18)),
+    # too many agents for more than one iteration per draw
+    "sphere, one iteration per block": (
+        sphere, CUBE, (gwo._DRAW_BLOCK // 12 + 1, 4)),
+    "paper power, one iteration": (
+        lambda x: regular_wave_power(*x), PAPER_BOX, (10, 1)),
 }
 
 
 @pytest.mark.parametrize("case", list(REFERENCE_CASES))
 @pytest.mark.parametrize("seed", [0, 1, 7, 123])
 def test_pack_run_bit_identical_to_per_agent_reference(case, seed):
-    objective, bounds = REFERENCE_CASES[case]
-    cfg = GwoConfig(agents=4 + seed % 7, max_iter=40, seed=seed)
+    objective, bounds, *size = REFERENCE_CASES[case]
+    agents, max_iter = size[0] if size else (4 + seed % 7, 40)
+    cfg = GwoConfig(agents=agents, max_iter=max_iter, seed=seed)
     want = reference_gwo(objective, bounds, cfg)
     got = gwo_maximize(objective, bounds, cfg)
     assert np.array_equal(got.best_position, want.best_position)

@@ -434,18 +434,24 @@ def test_inputs_are_checked_before_any_block(monkeypatch):
     def no_block(*args, **kwargs):
         raise AssertionError("a block was solved before validation")
 
-    # np.nditer hands out the blocks, so no block is solved without it
-    monkeypatch.setattr(np, "nditer", no_block)
-    H = np.full(3 * SMALL_BLOCK, 1.0)
-    H[-1] = -0.1
-    with pytest.raises(DomainError, match="H must be non-negative"):
-        regular_wave_power(H, 7.0, 10.0)
-    d = np.full(3 * SMALL_BLOCK, 10.0)
-    d[-1] = np.nan
-    with pytest.raises(DomainError, match="positive and finite"):
-        regular_wave_power(1.0, 7.0, d)
-    with pytest.raises(DomainError, match="positive and finite"):
-        wavenumber(7.0, d)
+    # every block, the one of a small input too, is solved by _solve_block
+    monkeypatch.setattr(mechanics, "_solve_block", no_block)
+    # 3 * SMALL_BLOCK elements are one block, then three
+    for block in (mechanics.SOLVE_BLOCK, SMALL_BLOCK):
+        monkeypatch.setattr(mechanics, "SOLVE_BLOCK", block)
+        H = np.full(3 * SMALL_BLOCK, 1.0)
+        H[-1] = -0.1
+        with pytest.raises(DomainError, match="H must be non-negative"):
+            regular_wave_power(H, 7.0, 10.0)
+        d = np.full(3 * SMALL_BLOCK, 10.0)
+        d[-1] = np.nan
+        with pytest.raises(DomainError, match="positive and finite"):
+            regular_wave_power(1.0, 7.0, d)
+        with pytest.raises(DomainError, match="positive and finite"):
+            wavenumber(7.0, d)
+        # a valid input of the same size reaches the block solver
+        with pytest.raises(AssertionError, match="before validation"):
+            wavenumber(7.0, np.full(3 * SMALL_BLOCK, 10.0))
 
 
 # The power kernel as it was before each Newton step took a single tanh:
