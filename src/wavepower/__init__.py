@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines, re-exported here
 _EXPORTS = {
     "assessment": ("correlation_score", "deviation_norm", "rank_points"),
-    "data_io": ("SeaStateSeries", "builtin_catalog"),
+    "data_io": ("builtin_catalog",),
     "gwo": ("GwoConfig", "GwoRun", "SearchBounds", "gwo_maximize"),
     "mechanics": ("FluidEnvironment", "power_transfer_factor",
                   "regular_wave_power"),

@@ -18,7 +18,6 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -211,50 +210,22 @@ def _sea_state_fault(times, hs, te):
     return row, checks[k][1]
 
 
-class _RowFault(DataError):
-    """A sea-state series rejected at `row` (from 0) for `reason`."""
+def _series_fault(series):
+    """(row, reason) of the first faulty row of a SEA_STATE_DTYPE array
+    (see _sea_state_fault), the reason filled in with that row's values;
+    None for a valid series."""
+    times, hs, te = series["timestamp"], series["hs_m"], series["te_s"]
+    fault = _sea_state_fault(times, hs, te)
+    if fault:
+        row, reason = fault
+        return row, reason.format(
+            stamp=str(format_timestamps(times[row:row + 1])[0]),
+            hs=hs[row], te=te[row])
+    return None
 
-    def __init__(self, point, row, reason):
-        super().__init__(f"{point}: row {row}: {reason}")
-        self.row, self.reason = row, reason
 
-
-# eq=False: its array fields make == ambiguous, so compare by identity
-@dataclass(frozen=True, eq=False)
-class SeaStateSeries:
-    """Hourly (or otherwise sampled) Hs/Te summaries for one point; `times`
-    is a datetime64 array, kept as datetime64[s]."""
-
-    point: str
-    times: np.ndarray  # datetime64[s], strictly increasing
-    hs: np.ndarray
-    te: np.ndarray
-
-    def __post_init__(self):
-        point, times = self.point, np.asarray(self.times)
-        if times.dtype.kind != "M":
-            raise DataError(f"{point}: times must be datetime64, got "
-                            f"{times.dtype}")
-        times = times.astype("<M8[s]")
-        hs = np.asarray(self.hs, dtype=float)
-        te = np.asarray(self.te, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "hs", hs)
-        object.__setattr__(self, "te", te)
-        n = times.size
-        if n == 0:
-            raise DataError(f"{point}: empty sea-state series")
-        if hs.shape != (n,) or te.shape != (n,):
-            raise DataError(f"{point}: column length mismatch")
-        fault = _sea_state_fault(times, hs, te)
-        if fault:
-            row, reason = fault
-            raise _RowFault(point, row, reason.format(
-                stamp=str(format_timestamps(times[row:row + 1])[0]),
-                hs=hs[row], te=te[row]))
-
-    def __len__(self):
-        return self.times.size
+def _stem(path):
+    return os.path.splitext(os.path.basename(path))[0]
 
 
 def _is_npy(path):
@@ -417,24 +388,36 @@ def _write_columns(path, table):
 
 
 def load_sea_states(path):
-    """Parse a sea-state file, .npy or else CSV, with the fields of
-    SEA_STATE_DTYPE, as the series of the point the file stem names."""
-    point = os.path.splitext(os.path.basename(path))[0]
+    """A sea-state file, .npy or else CSV, as a SEA_STATE_DTYPE array: one
+    point's series, checked row by row (see _sea_state_fault). A faulty
+    row is a ParseError at its line of a CSV, or at its row (from 0) of an
+    .npy, named with the point of the file stem."""
     arr, rows = _load_columns(path, SEA_STATE_DTYPE)
-    try:
-        return SeaStateSeries(point=point, times=arr["timestamp"],
-                              hs=arr["hs_m"].copy(), te=arr["te_s"].copy())
-    except _RowFault as exc:
+    fault = _series_fault(arr)
+    if fault:
+        row, reason = fault
         if rows is None:
-            raise ParseError(f"{path}: {exc}") from None
-        raise ParseError(f"{path}: {exc.reason}",
-                         line=rows[exc.row][0]) from None
+            raise ParseError(f"{path}: {_stem(path)}: row {row}: {reason}")
+        raise ParseError(f"{path}: {reason}", line=rows[row][0])
+    return arr
 
 
 def write_sea_states(series, path):
-    """Write .npy if the path ends so, else CSV (SEA_STATE_DTYPE's fields)."""
-    _write_columns(path, _table(SEA_STATE_DTYPE, series.times, series.hs,
-                                series.te))
+    """A SEA_STATE_DTYPE array as .npy if the path ends so, else as CSV.
+    DataError, naming the point of the file stem, before anything is
+    written, unless the series is one that load_sea_states would accept:
+    a 1-D array of that dtype with at least one row, and no faulty row."""
+    point = _stem(path)
+    if series.dtype != SEA_STATE_DTYPE or series.ndim != 1:
+        raise DataError(f"{point}: expected a 1-D array of fields "
+                        f"{_fields(SEA_STATE_DTYPE)}, got shape "
+                        f"{series.shape} of {_fields(series.dtype)}")
+    if not series.size:
+        raise DataError(f"{point}: empty sea-state series")
+    fault = _series_fault(series)
+    if fault:
+        raise DataError(f"{point}: row {fault[0]}: {fault[1]}")
+    _write_columns(path, series)
 
 
 def load_elevation(path):
@@ -474,10 +457,10 @@ def write_elevation(record, path):
 
 
 def write_point(directory, name, data):
-    """Write a SeaStateSeries or ElevationRecord as the .npy that
-    load_point reads."""
+    """Write a sea-state series (a SEA_STATE_DTYPE array) or an
+    ElevationRecord as the .npy that load_point reads."""
     kind, write = (("sea_states", write_sea_states)
-                   if isinstance(data, SeaStateSeries)
+                   if isinstance(data, np.ndarray)
                    else ("elevation", write_elevation))
     os.makedirs(os.path.join(directory, kind), exist_ok=True)
     write(data, os.path.join(directory, kind, f"{name}.npy"))

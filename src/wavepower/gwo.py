@@ -92,28 +92,11 @@ def _a_values(start, stop, max_iter):
 
 def _move(x, L, A, C):
     """The positions (..., ndim) x moved toward the leaders L (3, ndim)
-    with coefficients A and C (..., 3, ndim): the mean of the three
-    L - A*|C*L - x|, as np.mean forms it, their sum over 3."""
+    with coefficients A = 2a*r1 - a and C = 2*r2 (..., 3, ndim): the
+    mean of the three L - A*|C*L - x|, as np.mean forms it, their sum
+    over 3."""
     D = np.abs(C * L - x[..., None, :])
     return np.add.reduce(L - A * D, -2) / 3.0
-
-
-def update_position(agent, leaders, a, rng):
-    """Move one agent (ndim,) or a pack (agents, ndim) toward the leaders.
-
-    Per leader L and dimension: C = 2*r2, D = |C*X_L - X|, A = 2*a*r1 - a,
-    X_L' = X_L - A*D; the new position is the mean of the three X_L'.
-    The draws come from one rng.random((*lead, 2, 3, ndim)), `lead` being
-    the agent shape less its last axis: per agent, r1 before r2, each
-    leader-major. So a pack moves exactly as its agents would one by one.
-    """
-    x = np.asarray(agent, dtype=float)
-    L = np.asarray(leaders, dtype=float)
-    if x.ndim not in (1, 2) or L.shape != (3, x.shape[-1]):
-        raise ContractError(f"expected agents (ndim,) or (agents, ndim) and "
-                            f"leaders (3, ndim), got {x.shape}, {L.shape}")
-    r = rng.random((*x.shape[:-1], 2, *L.shape))
-    return _move(x, L, 2.0 * a * r[..., 0, :, :] - a, 2.0 * r[..., 1, :, :])
 
 
 def gwo_maximize(objective, bounds, cfg=None):
@@ -140,8 +123,8 @@ def gwo_maximize(objective, bounds, cfg=None):
     neg = np.full(3 + n, np.inf)
     convergence = np.empty(cfg.max_iter)
 
-    # the draws of update_position for `block` iterations at a time, one
-    # (agents, 2, 3, ndim) slab per iteration, in one call on the stream
+    # the draws of `block` iterations at a time, in one call on the
+    # stream: per iteration one (agents, 2, 3, ndim) slab, r1 before r2
     block = max(1, _DRAW_BLOCK // (n * 6 * bounds.ndim))
     for start in range(0, cfg.max_iter, block):
         stop = min(start + block, cfg.max_iter)

@@ -59,15 +59,17 @@ def timestamps(start, hours):
 
 
 def sea_state_series(entry, mean, times, seed):
-    """Noisy Hs/Te recentred so the series mean is the schedule mean."""
+    """Noisy Hs/Te at `times`, recentred so the series mean is the
+    schedule mean: a data_io.SEA_STATE_DTYPE array."""
     hs_mean, te_mean = mean
     rng = np.random.default_rng(seed + int(entry["index"]))
     hs = hs_mean * (1.0 + 0.4 * rng.uniform(-1, 1, len(times)))
     te = te_mean * (1.0 + 0.2 * rng.uniform(-1, 1, len(times)))
     hs += hs_mean - hs.mean()
     te += te_mean - te.mean()
-    return data_io.SeaStateSeries(point=entry["name"], times=times, hs=hs,
-                                  te=te)
+    series = np.empty(len(times), dtype=data_io.SEA_STATE_DTYPE)
+    series["timestamp"], series["hs_m"], series["te_s"] = times, hs, te
+    return series
 
 
 def check_record_sampling(te_base, duration, dt):
@@ -117,18 +119,19 @@ def elevation_record(entry, mean, duration, dt, seed):
 
 def point_features(entry, data, env, segments=8, taper="raised-cosine"):
     """(entry, h_bar, t_bar, irregular power) of one point (a catalog row)
-    from a SeaStateSeries or an ElevationRecord; feature_rows turns these
-    into the features array, with the regular power of many points at
-    once. DomainError if the irregular power is not finite."""
+    from a sea-state series (a data_io.SEA_STATE_DTYPE array) or an
+    ElevationRecord; feature_rows turns these into the features array,
+    with the regular power of many points at once. DomainError if the
+    irregular power is not finite."""
     from . import spectral
     # an overflow or invalid value leaves a non-finite spectrum, mean or
     # power, which VarianceDensitySpectrum, regular_wave_power or the
     # check below refuses
     with np.errstate(over="ignore", invalid="ignore"):
-        if isinstance(data, data_io.SeaStateSeries):
-            h_bar, t_bar = float(data.hs.mean()), float(data.te.mean())
-            p_irr = float(spectral.parametric_power(data.hs, data.te,
-                                                    env).mean())
+        if isinstance(data, np.ndarray):
+            hs, te = data["hs_m"], data["te_s"]
+            h_bar, t_bar = float(hs.mean()), float(te.mean())
+            p_irr = float(spectral.parametric_power(hs, te, env).mean())
         else:
             seg = spectral.SegmentationConfig.for_record(
                 data, segments=segments, taper=taper)
@@ -169,8 +172,11 @@ def _vectors(features):
 
 
 def derived_bounds(features):
-    """The (H, T, d) search box spanned by the features array itself."""
+    """The (H, T, d) search box spanned by the features array itself;
+    DataError for an empty array, before any reduction."""
     from . import gwo
+    if not len(features):
+        raise DataError("no features to bound")
     arr = _vectors(features)
     lower, upper = arr.min(axis=0), arr.max(axis=0)
     if np.any(lower >= upper):

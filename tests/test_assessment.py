@@ -1,5 +1,7 @@
 import re
+import tempfile
 from datetime import datetime
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,7 +15,6 @@ from wavepower.assessment import (
     deviation_norm,
     rank_points,
 )
-from wavepower.data_io import SeaStateSeries
 from wavepower.errors import DataError, DomainError, ParseError, ScalingError
 from wavepower.mechanics import FluidEnvironment
 from wavepower.spectral import parametric_power
@@ -144,12 +145,16 @@ def test_zero_mean_height_is_a_valid_feature(tmp_path):
 
 def mean_features(history, depth):
     """The features row pipeline.feature_rows builds from an hourly
-    sea-state series of (H, T) states."""
-    hs = [h for h, _ in history]
-    te = [t for _, t in history]
-    series = SeaStateSeries(
-        point="P", times=pipeline.timestamps(datetime(2006, 1, 1), len(hs)),
-        hs=hs, te=te)
+    sea-state series of (H, T) states, written and loaded back as synth
+    and analyze hand it on."""
+    series = np.empty(len(history), dtype=data_io.SEA_STATE_DTYPE)
+    series["timestamp"] = pipeline.timestamps(datetime(2006, 1, 1),
+                                              len(history))
+    series["hs_m"] = [h for h, _ in history]
+    series["te_s"] = [t for _, t in history]
+    with tempfile.TemporaryDirectory() as tmp:
+        data_io.write_sea_states(series, Path(tmp) / "P.npy")
+        series = data_io.load_sea_states(Path(tmp) / "P.npy")
     entry = np.array([(1, "P", "Z", 37.0, 50.0, repr(float(depth)))],
                      dtype=data_io.CATALOG_DTYPE)[0]
     env = FluidEnvironment()
@@ -173,8 +178,25 @@ class TestFeatureVector:
         assert (f["h_bar_m"], f["t_bar_s"], f["depth_m"]) == (0.7, 6.0, 2.0)
 
     def test_empty_history(self):
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^P: empty sea-state series$"):
             mean_features([], depth=10.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 30000), seed=st.integers(0, 2 ** 32 - 1))
+def test_series_fields_give_the_bits_of_contiguous_columns(n, seed):
+    # point_features reduces the strided hs_m and te_s fields of a series
+    # in place; its means and power are those of contiguous copies
+    rng = np.random.default_rng(seed)
+    series = np.empty(n, dtype=data_io.SEA_STATE_DTYPE)
+    series["hs_m"] = rng.uniform(0.0, 3.0, n)
+    series["te_s"] = rng.uniform(1.0, 12.0, n)
+    hs, te = series["hs_m"].copy(), series["te_s"].copy()
+    env = FluidEnvironment()
+    _, h_bar, t_bar, p_irr = pipeline.point_features(None, series, env)
+    assert (h_bar, t_bar, p_irr) == (float(hs.mean()), float(te.mean()),
+                                     float(parametric_power(hs, te,
+                                                            env).mean()))
 
 
 class TestDeviationNorm:
@@ -375,6 +397,11 @@ class TestRankPoints:
         empty = np.zeros(0, dtype=data_io.FEATURE_DTYPE)
         with pytest.raises(DataError, match="nothing to rank"):
             pipeline.assess(empty, np.array([1.0, 2.0, 3.0]), mode)
+
+    def test_derived_bounds_refuses_no_rows(self):
+        empty = np.zeros(0, dtype=data_io.FEATURE_DTYPE)
+        with pytest.raises(DataError, match="no features to bound"):
+            pipeline.derived_bounds(empty)
 
     def test_ranking_coherence_with_power(self):
         # sites differing only in mean height, reference at the maximum:

@@ -1,15 +1,21 @@
 import atexit
+import contextlib
 import csv
 import gc
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wavepower import data_io, pipeline
 from wavepower.cli import main
@@ -64,8 +70,8 @@ class TestSynth:
                      "--points", "T1"]) == 0
         series = data_io.load_sea_states(out / "sea_states" / "T1.npy")
         # T1 is catalog index 0: schedule mean hs_base*0.6, te_base*0.8
-        assert series.hs.mean() == pytest.approx(0.5 * 0.6, abs=1e-12)
-        assert series.te.mean() == pytest.approx(4.0 * 0.8, abs=1e-12)
+        assert series["hs_m"].mean() == pytest.approx(0.5 * 0.6, abs=1e-12)
+        assert series["te_s"].mean() == pytest.approx(4.0 * 0.8, abs=1e-12)
 
     def test_nyquist_violation_writes_nothing(self, tmp_path):
         out = tmp_path / "o"
@@ -411,9 +417,9 @@ def test_regular_power_that_overflows_fails_that_point(tmp_path, capsys):
     args = ["--out", str(out), "--hours", "2", "--depth", "30",
             "--points", "K1"]
     assert main(["synth"] + args) == 0
-    times = data_io.load_sea_states(out / "sea_states" / "K1.npy").times
-    data_io.write_point(out, "K1", data_io.SeaStateSeries(
-        point="K1", times=times, hs=[1e151, 0.0], te=[1.0, 1e6]))
+    series = data_io.load_sea_states(out / "sea_states" / "K1.npy")
+    series["hs_m"], series["te_s"] = [1e151, 0.0], [1.0, 1e6]
+    data_io.write_point(out, "K1", series)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["analyze"] + args) == 1
@@ -661,6 +667,77 @@ def test_malformed_point_file_fails_that_point(case, tmp_path, capsys):
         assert err.rstrip().endswith("/Z1.csv exist; remove the stale one")
     assert [ln.split(",")[0] for ln in
             read_lines(out / "features.csv")[1:]] == ["K4"]
+
+
+THREE_POINTS = ["--hours", "3", "--depth", "30", "--points", "K1,K2,K3"]
+
+
+@pytest.fixture(scope="module")
+def three_point_synth(tmp_path_factory):
+    """--out of synth for K1, K2 and K3, three hours each."""
+    out = tmp_path_factory.mktemp("three") / "o"
+    assert main(["synth", "--out", str(out)] + THREE_POINTS) == 0
+    return out
+
+
+def _series_edit(data, series):
+    """`series` with one drawn edit of a cell, a timestamp or the rows."""
+    row = data.draw(st.integers(0, series.size - 1))
+    kind = data.draw(st.sampled_from(["cell", "stamp", "rows"]))
+    if kind == "cell":
+        series[data.draw(st.sampled_from(["hs_m", "te_s"]))][row] = \
+            data.draw(st.sampled_from([np.nan, np.inf, -np.inf, -0.1,
+                                       -5e-324, 1e300, 1.7e308]))
+    elif kind == "stamp":
+        series["timestamp"][row] = data.draw(st.sampled_from([
+            series["timestamp"][row - 1],  # repeated, or row 0 last
+            series["timestamp"][row] - np.timedelta64(7200, "s"),
+            np.datetime64("10000-01-01T00:00:00", "s")]))
+    else:
+        series = np.delete(series, row) if data.draw(st.booleans()) \
+            else np.insert(series, row, series[row])
+    return series
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_sea_state_file_fails_closed(three_point_synth, data):
+    # K2's series, edited as an array and saved to .npy or .csv with no
+    # checks, or as the bytes of its .npy; analyze either refuses K2
+    # alone or takes all three points, and numpy never warns
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        shutil.copytree(three_point_synth, out)
+        npy = out / "sea_states" / "K2.npy"
+        if data.draw(st.booleans()):
+            raw = bytearray(npy.read_bytes())
+            for at, new in data.draw(st.lists(st.tuples(
+                    st.integers(0, len(raw) - 1),
+                    st.binary(min_size=0, max_size=3)), min_size=1,
+                    max_size=3)):
+                raw[at:at + 1] = new
+            npy.write_bytes(bytes(raw))
+        else:
+            series = _series_edit(data, data_io.load_sea_states(npy))
+            if data.draw(st.booleans()):
+                npy.unlink()
+                npy = npy.with_suffix(".csv")
+            data_io._write_columns(npy, series)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = main(["analyze", "--out", str(out)] + THREE_POINTS)
+        points = [ln.split(",")[0] for ln in
+                  read_lines(out / "features.csv")[1:]]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    if rc == 1:
+        err = err.getvalue()
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+        assert err.startswith("analyze: point K2 failed: "), err
+        assert points == ["K1", "K3"]
+    else:
+        assert (rc, err.getvalue(), points) == (0, "", ["K1", "K2", "K3"])
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from wavepower import gwo
 from wavepower.errors import ContractError, DomainError, EvaluationError
@@ -12,19 +11,15 @@ from wavepower.gwo import (
     SearchBounds,
     a_schedule,
     gwo_maximize,
-    update_position,
 )
 from wavepower.mechanics import regular_wave_power
 
 
-class ConstantRng:
-    """Stand-in generator returning a fixed value for every draw."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def random(self, shape=None):
-        return np.full(shape, self.value) if shape else self.value
+def coefficients(a, ndim, r=0.5):
+    """The move's A and C, shape (3, ndim), with every r1 and r2 equal to
+    r."""
+    return (np.full((3, ndim), 2.0 * a * r - a),
+            np.full((3, ndim), 2.0 * r))
 
 
 def sphere(x):
@@ -87,31 +82,20 @@ def test_block_schedule_has_the_bits_of_a_schedule(max_iter, data):
 
 
 class TestUpdatePosition:
+    """The position update of one agent, gwo._move."""
+
     def test_fixed_point(self):
-        # agent at the leaders with C forced to 1: every D is zero
+        # agent at the leaders with C = 1 (r2 = 0.5): every D is zero
         p = np.array([1.0, -2.0, 3.0])
-        out = update_position(p, np.stack([p, p, p]), a=1.5,
-                              rng=ConstantRng(0.5))
+        out = gwo._move(p, np.stack([p, p, p]), *coefficients(1.5, 3))
         assert out == pytest.approx(p)
 
     def test_a_zero_gives_leader_mean(self):
         # r1 = 0.5 makes A = 0, so the agent jumps to the leader centroid
         leaders = np.array([[0.0, 0.0], [3.0, 6.0], [6.0, 0.0]])
-        out = update_position(np.array([100.0, -50.0]), leaders, a=0.0,
-                              rng=ConstantRng(0.5))
+        out = gwo._move(np.array([100.0, -50.0]), leaders,
+                        *coefficients(0.0, 2))
         assert out == pytest.approx(leaders.mean(axis=0))
-
-    def test_determinism(self):
-        agent = np.array([0.5, 0.5])
-        leaders = np.array([[0.0, 1.0], [1.0, 0.0], [0.2, 0.2]])
-        o1 = update_position(agent, leaders, 1.0, np.random.default_rng(9))
-        o2 = update_position(agent, leaders, 1.0, np.random.default_rng(9))
-        assert np.array_equal(o1, o2)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ContractError):
-            update_position(np.zeros(2), np.zeros((3, 4)), 1.0,
-                            np.random.default_rng(0))
 
 
 class TestGwoMaximize:
@@ -328,17 +312,3 @@ def test_objective_sees_the_pack_as_ndim_by_agents():
 def test_objective_must_return_one_value_per_agent(objective):
     with pytest.raises(ContractError, match=r"expected \(5,\)"):
         gwo_maximize(objective, CUBE, GwoConfig(agents=5, max_iter=3))
-
-
-@settings(max_examples=50, deadline=None)
-@given(agents=st.integers(1, 8), ndim=st.integers(1, 4),
-       seed=st.integers(0, 2 ** 32 - 1), a=st.floats(0.0, 2.0),
-       data=st.data())
-def test_pack_update_equals_per_agent_updates(agents, ndim, seed, a, data):
-    finite = st.floats(-1e3, 1e3)
-    pack = data.draw(arrays(float, (agents, ndim), elements=finite))
-    leaders = data.draw(arrays(float, (3, ndim), elements=finite))
-    rng = np.random.default_rng(seed)
-    one_by_one = [update_position(x, leaders, a, rng) for x in pack]
-    got = update_position(pack, leaders, a, np.random.default_rng(seed))
-    assert np.array_equal(got, np.array(one_by_one))
