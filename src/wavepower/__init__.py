@@ -20,11 +20,10 @@ _EXPORTS = {
     "gwo": ("GwoConfig", "GwoRun", "SearchBounds", "gwo_maximize"),
     "mechanics": ("FluidEnvironment", "power_transfer_factor",
                   "regular_wave_power"),
-    "spectral": ("ElevationRecord", "SeaStateStats", "SegmentationConfig",
-                 "VarianceDensitySpectrum", "estimate_spectrum",
-                 "irregular_wave_power", "parametric_power",
-                 "sea_state_stats", "spectral_moment", "synthesize_record",
-                 "total_variance", "uniform_spectrum"),
+    "spectral": ("ElevationRecord", "VarianceDensitySpectrum",
+                 "estimate_spectrum", "irregular_wave_power",
+                 "parametric_power", "sea_state_stats", "spectral_moment",
+                 "synthesize_record", "total_variance", "uniform_spectrum"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names}

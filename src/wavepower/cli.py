@@ -253,9 +253,6 @@ def cmd_rank(cfg):
                        data_io.load_reference)
     features = features[pipeline.select_points(features["point"],
                                                cfg["points"])]
-    if cfg["norm_mode"] == "raw":
-        print("rank: raw norm mixes units; the depth dimension dominates "
-              "(use --norm-mode minmax to rescale)", file=sys.stderr)
     ranked = pipeline.assess(features, ref, cfg["norm_mode"])
     shares = pipeline.zone_totals(ranked, features["zone"].tolist())
     data_io.write_results(ranked, join(out, "results.csv"))
@@ -264,6 +261,10 @@ def cmd_rank(cfg):
                               format="structured", config=cfg["echo"])
     data_io.write_zone_shares(shares, join(out, "zone_shares.csv"))
     _echo(cfg, "rank")
+    # last, so that a refusal is the one line on stderr
+    if cfg["norm_mode"] == "raw":
+        print("rank: raw norm mixes units; the depth dimension dominates "
+              "(use --norm-mode minmax to rescale)", file=sys.stderr)
     return 0
 
 

@@ -233,9 +233,14 @@ def _is_npy(path):
 
 
 def _fields(dtype):
+    """The fields of `dtype` as "name type, ..." for a message. A name can
+    come from a file's header, so each of its characters that is not
+    printable, such as a line break, is written as its escape."""
     if dtype.names is None:
         return dtype.str
-    return ", ".join(f"{n} {dtype.fields[n][0].str}" for n in dtype.names)
+    return ", ".join(
+        "".join(c if c.isprintable() else repr(c)[1:-1] for c in n)
+        + " " + dtype.fields[n][0].str for n in dtype.names)
 
 
 def _saved_array(raw, dtype):

@@ -133,11 +133,8 @@ def point_features(entry, data, env, segments=8, taper="raised-cosine"):
             h_bar, t_bar = float(hs.mean()), float(te.mean())
             p_irr = float(spectral.parametric_power(hs, te, env).mean())
         else:
-            seg = spectral.SegmentationConfig.for_record(
-                data, segments=segments, taper=taper)
-            spec = spectral.estimate_spectrum(data, seg)
-            stats = spectral.sea_state_stats(spec)
-            h_bar, t_bar = stats.Hs, stats.Te
+            spec = spectral.estimate_spectrum(data, segments, taper)
+            h_bar, t_bar = spectral.sea_state_stats(spec)
             p_irr = spectral.irregular_wave_power(spec, env)
     if not p_irr < np.inf:
         raise DomainError(f"irregular power {p_irr} W/m is not finite")
@@ -191,7 +188,9 @@ def optimize(bounds, env, agents=10, iters=200, seed=0):
     from . import gwo, mechanics
 
     def objective(x):
-        return mechanics.regular_wave_power(x[0], x[1], x[2], env)
+        # an overflow leaves an inf power, which gwo_maximize refuses
+        with np.errstate(over="ignore"):
+            return mechanics.regular_wave_power(x[0], x[1], x[2], env)
 
     return gwo.gwo_maximize(objective, bounds, gwo.GwoConfig(
         agents=agents, max_iter=iters, seed=seed))
@@ -201,7 +200,8 @@ def assess(features, ref, mode="raw"):
     """Score a features array against `ref`, the (H, T, d) array of the
     optimum, in assessment.NORM_RAW or NORM_MINMAX `mode`: the results
     array in rank order. Every row's norm comes before any correlation;
-    DataError for an empty array, before either."""
+    DataError for an empty array, before either, and DomainError, naming
+    the first such point, if a score is not finite."""
     from . import assessment
     if not len(features):
         raise DataError("nothing to rank")
@@ -209,8 +209,15 @@ def assess(features, ref, mode="raw"):
     results = np.empty(len(features), dtype=data_io.RESULT_DTYPE)
     for name in features.dtype.names:
         results[name] = features[name]
-    results["norm"] = assessment.deviation_norm(vectors, ref, mode)
-    results["correlation"] = assessment.correlation_score(vectors, ref)
+    # values near the largest float overflow the squares and sums that the
+    # scores take; the check below refuses the scores they leave
+    with np.errstate(over="ignore", invalid="ignore"):
+        results["norm"] = assessment.deviation_norm(vectors, ref, mode)
+        results["correlation"] = assessment.correlation_score(vectors, ref)
+    finite = np.isfinite(results["norm"]) & np.isfinite(results["correlation"])
+    if not finite.all():
+        raise DomainError(f"point {results['point'][~finite][0]}: score "
+                          f"against the reference is not finite")
     return assessment.rank_points(results)
 
 

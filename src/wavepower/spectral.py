@@ -44,35 +44,6 @@ class ElevationRecord:
         return float(np.var(self.samples))
 
 
-@dataclass(frozen=True)
-class SegmentationConfig:
-    """Segment-averaging settings for spectrum estimation.
-
-    segment_length must be a power of two (>= 16); segments do not
-    overlap. The raised-cosine taper is variance-compensated so Parseval
-    holds on average.
-    """
-
-    segment_length: int
-    taper: str = TAPER_RAISED_COSINE
-
-    def __post_init__(self):
-        n = self.segment_length
-        if n < 16 or (n & (n - 1)) != 0:
-            raise DomainError(
-                f"segment_length must be a power of two >= 16, got {n}")
-        if self.taper not in (TAPER_NONE, TAPER_RAISED_COSINE):
-            raise DomainError(f"unknown taper {self.taper!r}")
-
-    @classmethod
-    def for_record(cls, record, segments=8, **kw):
-        """Largest power-of-two segment length giving >= `segments` pieces."""
-        n = 16
-        while n * 2 * segments <= record.samples.size:
-            n *= 2
-        return cls(segment_length=n, **kw)
-
-
 # eq=False: its array fields make == ambiguous, so compare by identity
 @dataclass(frozen=True, eq=False)
 class VarianceDensitySpectrum:
@@ -100,14 +71,6 @@ class VarianceDensitySpectrum:
             raise DomainError("f[0] must be at least df/2")
 
 
-@dataclass(frozen=True)
-class SeaStateStats:
-    """Summary statistics of a sea state derived from its spectrum."""
-
-    Hs: float
-    Te: float
-
-
 def uniform_spectrum(value, f_lo, f_hi, df):
     """Flat spectrum of the given density on [f_lo, f_hi] (bin centers)."""
     if not (-np.inf < f_lo < f_hi < np.inf and 0 < df < np.inf):
@@ -124,23 +87,31 @@ def _taper_window(n, taper):
     return w, float(np.mean(w * w))
 
 
-def estimate_spectrum(record, cfg=None):
+def estimate_spectrum(record, segments=8, taper=TAPER_RAISED_COSINE):
     """Segment-averaged variance density spectrum of an elevation record.
 
+    The segment length L is the largest power of two >= 16 with
+    L * segments <= the record's samples, else 16; segments do not
+    overlap, and the samples past the last whole segment are left out.
     Each segment is mean-removed, tapered, Fourier transformed; one-sided
     squared amplitudes are converted to density a^2/(2 df) and averaged
     across segments. The taper is compensated by its mean-square so the
     integral of the spectrum tracks the record variance.
     """
-    if cfg is None:
-        cfg = SegmentationConfig.for_record(record)
+    if type(segments) is not int or segments < 1:
+        raise DomainError(f"segments must be an integer >= 1, got "
+                          f"{segments!r}")
+    if taper not in (TAPER_NONE, TAPER_RAISED_COSINE):
+        raise DomainError(f"unknown taper {taper!r}")
     x = record.samples
-    L = cfg.segment_length
+    L = 16
+    while L * 2 * segments <= x.size:
+        L *= 2
     if x.size < L:
         raise SizingError(
             f"record of {x.size} samples is shorter than one "
             f"segment of {L}")
-    w, wpow = _taper_window(L, cfg.taper)
+    w, wpow = _taper_window(L, taper)
     df = 1.0 / (L * record.dt)
 
     segs = x[:x.size - x.size % L].reshape(-1, L)
@@ -176,12 +147,12 @@ def irregular_wave_power(spectrum, env=None):
 
 
 def sea_state_stats(spectrum):
-    """Significant height Hs = 4*sqrt(m0) and energy period Te = m_{-1}/m0."""
+    """(Hs, Te): significant height 4*sqrt(m0), energy period m_{-1}/m0."""
     m0 = spectral_moment(spectrum, 0)
     m_minus1 = spectral_moment(spectrum, -1)
     if m0 <= 0:
         raise DomainError("energy period undefined for a zero spectrum")
-    return SeaStateStats(Hs=4.0 * np.sqrt(m0), Te=m_minus1 / m0)
+    return 4.0 * np.sqrt(m0), m_minus1 / m0
 
 
 def parametric_power(Hs, Te, env=None):

@@ -583,6 +583,17 @@ MALFORMED = {
         name: text.replace("\nP2,A,0.5,4.0,10.0,", "\nP2,B,0.6,5.0,20.0,")
         for name, text in
         feature_tables(("1e308", "1.0"), ("1e308", "2.0")).items()}),
+    # numpy would warn of an overflow in a score, after rank's raw-norm
+    # warning
+    "reference too large to score": (["rank"], {
+        name: text.replace("0.6,4.1,79.0", "1e308,4.1,79.0")
+        for name, text in feature_tables(("1.0", "1.0"),
+                                         ("2.0", "2.0")).items()}),
+    # the bounds span up to H = 1e308, whose power overflows
+    "mean height too large for the optimizer": (["optimize"], {
+        name: text.replace("\nP2,A,0.5,4.0,10.0,", "\nP2,A,1e308,5.0,20.0,")
+        for name, text in feature_tables(("1.0", "1.0"),
+                                         ("2.0", "2.0")).items()}),
     "header-only catalog": (
         ["synth", "--hours", "3", "--depth", "30", "--catalog",
          "{tmp}/cat.csv"],
@@ -733,7 +744,8 @@ def test_mutated_sea_state_file_fails_closed(three_point_synth, data):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     if rc == 1:
         err = err.getvalue()
-        assert err.count("\n") == 1 and err.endswith("\n"), err
+        # splitlines breaks at every line boundary, not at \n alone
+        assert len(err.splitlines()) == 1 and err.endswith("\n"), err
         assert err.startswith("analyze: point K2 failed: "), err
         assert points == ["K1", "K3"]
     else:
@@ -751,13 +763,21 @@ def ranked_run(tmp_path_factory):
     return out
 
 
-def _set_field(path, column, value):
-    """Set `column` of the first data row of a CSV table to `value`."""
+def _csv_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    rows[1][rows[0].index(column)] = value
+        return list(csv.reader(fh))
+
+
+def _write_csv_rows(path, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def _set_field(path, column, value):
+    """Set `column` of the first data row of a CSV table to `value`."""
+    rows = _csv_rows(path)
+    rows[1][rows[0].index(column)] = value
+    _write_csv_rows(path, rows)
 
 
 # (stage, table it reads, numeric column set to a non-finite value)
@@ -780,6 +800,110 @@ def test_non_finite_stage_table_field_fails_closed(
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err, err
     assert f"line 2: {out / table}: non-finite {column} {value}" in err, err
+
+
+TINY_POINTS = ["K1", "K2", "Z1", "Z2", "S1", "S2"]
+
+
+@pytest.fixture(scope="module")
+def tiny_runs(tmp_path_factory):
+    """n -> (stage arguments, --out of synth to report) for the first n
+    of TINY_POINTS, n from 3 to 6."""
+    runs = {}
+    for n in range(3, 7):
+        out = tmp_path_factory.mktemp(f"tiny{n}") / "o"
+        args = ["--hours", "3", "--depth-range", "5,100",
+                "--points", ",".join(TINY_POINTS[:n])]
+        for cmd in STAGES:
+            assert main([cmd, "--out", str(out)] + args) == 0
+        runs[n] = args, out
+    return runs
+
+
+# stage table -> (its key column, the stages that read it)
+STAGE_TABLES = {"features.csv": ("point", ["optimize", "rank"]),
+                "reference.csv": (None, ["rank"]),
+                "results.csv": ("point", ["report"]),
+                "zone_shares.csv": ("zone", ["report"])}
+REPORT_TABLES = ["correlation_vs_power.csv", "norm_by_point.csv",
+                 "power_by_point.csv", "power_by_zone.csv",
+                 "power_vs_hs_depth.csv", "zone_shares.csv"]
+
+
+def _table_edit(data, rows, key):
+    """The rows of a CSV table, header first, with one drawn edit: a cell
+    set to text, a non-finite, negative or huge number, a repeated key,
+    or a row dropped or doubled."""
+    body = rows[1:]
+    row = data.draw(st.integers(0, len(body) - 1))
+    kinds = ["cell", "drop", "double"] + (["key"] if len(body) > 1 and key
+                                          else [])
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "cell":
+        col = data.draw(st.integers(0, len(rows[0]) - 1))
+        old = body[row][col]
+        body[row][col] = data.draw(st.sampled_from(
+            ["text", "nan", "inf", "-inf", "1e308",
+             old[1:] if old.startswith("-") else "-" + old]))
+    elif kind == "key":
+        col = rows[0].index(key)
+        other = data.draw(st.integers(0, len(body) - 1).filter(
+            lambda i: i != row))
+        body[row][col] = body[other][col]
+    elif kind == "drop":
+        del body[row]
+    else:
+        body.insert(row, list(body[row]))
+    return [rows[0]] + body
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_stage_table_fails_closed(tiny_runs, data):
+    # one edit of a table a stage reads: the stage either refuses with one
+    # line and leaves every file as it was, or writes outputs that hold
+    # the benchmark's checks; numpy never warns
+    args, run = tiny_runs[data.draw(st.integers(3, 6))]
+    table = data.draw(st.sampled_from(sorted(STAGE_TABLES)))
+    key, readers = STAGE_TABLES[table]
+    stage = data.draw(st.sampled_from(readers))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "o"
+        shutil.copytree(run, out)
+        _write_csv_rows(out / table,
+                        _table_edit(data, _csv_rows(out / table), key))
+        before = tree_bytes(out)
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            rc = main([stage, "--out", str(out)] + args)
+        after = tree_bytes(out)
+        outputs = {name: _csv_rows(out / name) for name in after
+                   if name.endswith(".csv")}
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = err.getvalue()
+    if rc == 2:
+        assert len(err.splitlines()) == 1 and err.endswith("\n"), err
+        assert err.startswith(f"{stage}: ") and "Traceback" not in err, err
+        assert after == before
+        return
+    assert rc == 0, err
+    if stage == "optimize":
+        (row,) = outputs["reference.csv"][1:]
+        assert all(0 < float(v) < np.inf for v in row), row
+    elif stage == "rank":
+        ranks = [int(r[-1]) for r in outputs["results.csv"][1:]]
+        n = len(args[-1].split(","))
+        assert sorted(ranks) == list(range(1, n + 1))
+        shares = [float(r[2]) for r in outputs["zone_shares.csv"][1:]]
+        assert abs(sum(shares) - 1.0) <= 1e-9
+    else:
+        assert {name for name in after
+                if os.path.dirname(name) == "report"} == {
+            os.path.join("report", name) for name in REPORT_TABLES}
+        assert (len(outputs[os.path.join("report", "power_by_point.csv")])
+                == len(outputs["results.csv"]))
 
 
 # The process entry point, run as `python -m wavepower.cli` in a child

@@ -433,6 +433,23 @@ class TestSeaStateSeries:
         assert not (tmp_path / "P1.npy").exists()
 
 
+def test_field_names_are_escaped_in_messages(tmp_path):
+    # a name from a file's header keeps each message on one line; a
+    # printable name is written as it is
+    series = sea_states([0.4, 0.5], [3.0, 4.0]).astype(
+        [("\x0bimestamp", "<M8[s]"), ("hs\u2028m", "<f8"), ("te s", "<f8")])
+    got = r"\x0bimestamp <M8[s], hs\u2028m <f8, te s <f8"
+    with pytest.raises(DataError) as write:
+        data_io.write_sea_states(series, tmp_path / "P1.npy")
+    np.save(tmp_path / "P1.npy", series, allow_pickle=False)
+    with pytest.raises(ParseError) as load:
+        data_io.load_sea_states(tmp_path / "P1.npy")
+    for message, end in ((str(write.value), f"got shape (2,) of {got}"),
+                         (str(load.value), f"got {got}")):
+        assert len(message.splitlines()) == 1, message
+        assert message.endswith(end), message
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), n=st.integers(1, 4))
 def test_writer_refuses_what_the_loader_refuses(data, n):

@@ -15,7 +15,6 @@ from wavepower.mechanics import regular_wave_power
 from wavepower.spectral import (
     SYNTHESIS_BLOCK,
     ElevationRecord,
-    SegmentationConfig,
     VarianceDensitySpectrum,
     estimate_spectrum,
     irregular_wave_power,
@@ -51,10 +50,12 @@ class TestTypes:
             ElevationRecord(dt=0.5, samples=[0.0, np.nan])
 
     def test_segmentation_validation(self):
-        with pytest.raises(DomainError):
-            SegmentationConfig(segment_length=100)  # not a power of two
-        with pytest.raises(DomainError):
-            SegmentationConfig(segment_length=8)
+        rec = ElevationRecord(dt=0.5, samples=np.zeros(64))
+        for segments in (0, -1, 1.5, True):
+            with pytest.raises(DomainError, match="segments must be an int"):
+                estimate_spectrum(rec, segments=segments)
+        with pytest.raises(DomainError, match="unknown taper 'hann'"):
+            estimate_spectrum(rec, taper="hann")
 
     def test_spectrum_validation(self):
         with pytest.raises(DataError):
@@ -97,15 +98,14 @@ class TestEstimateSpectrum:
         f0 = 1638 / (n * dt)  # exact bin
         t = np.arange(n) * dt
         rec = ElevationRecord(dt=dt, samples=0.5 * np.cos(2 * np.pi * f0 * t))
-        cfg = SegmentationConfig(segment_length=n, taper="none")
-        spec = estimate_spectrum(rec, cfg)
+        spec = estimate_spectrum(rec, segments=1, taper="none")
         assert total_variance(spec) == pytest.approx(0.125, rel=1e-6)
         assert spec.f[np.argmax(spec.S)] == pytest.approx(f0, abs=spec.df)
 
     def test_zero_record(self):
         rec = ElevationRecord(dt=0.5, samples=np.zeros(256))
-        spec = estimate_spectrum(rec, SegmentationConfig(segment_length=64))
-        assert np.all(spec.S == 0)
+        spec = estimate_spectrum(rec, segments=4)
+        assert spec.S.size == 32 and np.all(spec.S == 0)
 
     def test_round_trip_flat_target(self):
         target = flat_unit_spectrum()
@@ -114,31 +114,32 @@ class TestEstimateSpectrum:
         assert total_variance(spec) == pytest.approx(0.1, rel=0.03)
 
     def test_too_short(self):
-        rec = ElevationRecord(dt=0.5, samples=np.zeros(32))
-        with pytest.raises(SizingError):
-            estimate_spectrum(rec, SegmentationConfig(segment_length=64))
+        # every segment holds at least 16 samples
+        rec = ElevationRecord(dt=0.5, samples=np.zeros(15))
+        with pytest.raises(SizingError, match="shorter than one segment of "
+                                              "16"):
+            estimate_spectrum(rec, segments=1)
 
     def test_parseval_single_segment_no_taper(self):
         rng = np.random.default_rng(5)
         rec = ElevationRecord(dt=0.25, samples=rng.normal(size=1024))
-        spec = estimate_spectrum(
-            rec, SegmentationConfig(segment_length=1024, taper="none"))
+        spec = estimate_spectrum(rec, segments=1, taper="none")
         assert total_variance(spec) == pytest.approx(rec.variance(), rel=1e-6)
         assert np.all(spec.S >= 0)
 
     def test_taper_compensation(self):
         rng = np.random.default_rng(6)
         rec = ElevationRecord(dt=0.5, samples=rng.normal(size=2 ** 13))
-        spec = estimate_spectrum(
-            rec, SegmentationConfig(segment_length=512))
+        spec = estimate_spectrum(rec, segments=16)
         # white noise: compensated taper keeps the integral near the variance
         assert total_variance(spec) == pytest.approx(rec.variance(), rel=0.1)
 
 
-def reference_spectrum(record, cfg):
-    """Segment averaging one segment at a time, in record order."""
-    x, L = record.samples, cfg.segment_length
-    if cfg.taper == "none":
+def reference_spectrum(record, L, taper):
+    """Segment averaging over segments of L samples, one at a time, in
+    record order."""
+    x = record.samples
+    if taper == "none":
         w, wpow = np.ones(L), 1.0
     else:
         w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(L) / L)
@@ -166,9 +167,10 @@ def test_spectrum_bit_identical_to_per_segment_reference(taper):
             for length in (16, 64, 512):
                 if length > n:
                     continue
-                cfg = SegmentationConfig(length, taper)
-                f, S, df = reference_spectrum(rec, cfg)
-                spec = estimate_spectrum(rec, cfg)
+                # n // length segments: length is then the largest power
+                # of two that many segments fit in
+                f, S, df = reference_spectrum(rec, length, taper)
+                spec = estimate_spectrum(rec, n // length, taper)
                 assert np.array_equal(spec.f, f)
                 assert np.array_equal(spec.S, S)
                 assert spec.df == df
@@ -183,8 +185,9 @@ def test_parseval_untapered_without_overlap(log2_length, nseg, tail, seed,
     length = 2 ** log2_length
     rng = np.random.default_rng(seed)
     x = loc + scale * rng.normal(size=nseg * length + tail)
-    spec = estimate_spectrum(ElevationRecord(dt=0.5, samples=x),
-                             SegmentationConfig(length, "none"))
+    # tail < 16 <= length, so nseg segments derive the length `length`
+    spec = estimate_spectrum(ElevationRecord(dt=0.5, samples=x), nseg, "none")
+    assert spec.df == 1.0 / (length * 0.5)
     segment_variance = np.mean([np.var(x[i * length:(i + 1) * length])
                                 for i in range(nseg)])
     assert total_variance(spec) == pytest.approx(segment_variance, rel=1e-12)
@@ -230,22 +233,22 @@ class TestMomentsAndPower:
 
 class TestSeaStateStats:
     def test_flat(self):
-        stats = sea_state_stats(flat_unit_spectrum())
-        assert stats.Hs == pytest.approx(4 * np.sqrt(0.1), rel=1e-6)
-        assert stats.Hs == pytest.approx(1.2649, abs=1e-3)
-        assert stats.Te == pytest.approx(np.log(2) / 0.1, rel=1e-4)
+        hs, te = sea_state_stats(flat_unit_spectrum())
+        assert hs == pytest.approx(4 * np.sqrt(0.1), rel=1e-6)
+        assert hs == pytest.approx(1.2649, abs=1e-3)
+        assert te == pytest.approx(np.log(2) / 0.1, rel=1e-4)
 
     def test_monochromatic(self):
-        stats = sea_state_stats(single_bin_spectrum(a=0.5, f=0.2))
-        assert stats.Hs == pytest.approx(np.sqrt(2), rel=1e-6)
-        assert stats.Te == pytest.approx(5.0, rel=1e-6)
+        hs, te = sea_state_stats(single_bin_spectrum(a=0.5, f=0.2))
+        assert hs == pytest.approx(np.sqrt(2), rel=1e-6)
+        assert te == pytest.approx(5.0, rel=1e-6)
 
     def test_homogeneity(self):
         spec = flat_unit_spectrum()
         scaled = VarianceDensitySpectrum(f=spec.f, S=4 * spec.S, df=spec.df)
-        s1, s2 = sea_state_stats(spec), sea_state_stats(scaled)
-        assert s2.Hs == pytest.approx(2 * s1.Hs)
-        assert s2.Te == pytest.approx(s1.Te)
+        (hs1, te1), (hs2, te2) = sea_state_stats(spec), sea_state_stats(scaled)
+        assert hs2 == pytest.approx(2 * hs1)
+        assert te2 == pytest.approx(te1)
 
     def test_zero_spectrum(self):
         spec = VarianceDensitySpectrum(f=[0.1], S=[0.0], df=0.1)
@@ -284,8 +287,7 @@ class TestParametricPower:
             spec = VarianceDensitySpectrum(
                 f=f0 + np.arange(nbins) * df,
                 S=rng.uniform(0, 5, nbins), df=df)
-            stats = sea_state_stats(spec)
-            assert parametric_power(stats.Hs, stats.Te) == pytest.approx(
+            assert parametric_power(*sea_state_stats(spec)) == pytest.approx(
                 irregular_wave_power(spec), rel=1e-12)
 
 
