@@ -1,9 +1,9 @@
 """Command-line pipeline: synth -> analyze -> optimize -> rank -> report.
 
-Each stage reads its inputs, calls `wavepower.pipeline`, writes its
-outputs through `wavepower.data_io` and echoes its settings. Every stage
-runs as its own process, so each imports only the wavepower modules it
-runs: `report` needs data_io alone.
+Each stage reads its inputs from --out, calls `wavepower.pipeline` and
+writes its outputs through `wavepower.data_io`, staged: `_commit` moves
+them into --out. Every stage runs as its own process, so each imports
+only the wavepower modules it runs: `report` needs data_io alone.
 """
 
 import argparse
@@ -11,8 +11,9 @@ import atexit
 import json
 import math
 import os
+import shutil
 import sys
-from os.path import exists, join
+from os.path import dirname, exists, join
 
 import numpy as np
 
@@ -129,13 +130,6 @@ def resolve_config(args):
     return cfg
 
 
-def _echo(cfg, stage):
-    with open(join(cfg["out"], f"{stage}_config.json"), "w",
-              encoding="utf-8", newline="\n") as fh:
-        json.dump(cfg["echo"], fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _env(cfg):
     """The FluidEnvironment of the checked rho and gravity, for the stages
     that compute powers."""
@@ -159,18 +153,17 @@ def _stage_input(cfg, name, stage, loader):
     return loader(path)
 
 
-def cmd_synth(cfg):
+# A stage reads cfg["out"], writes into `into` and returns its exit code
+# and the stderr lines to print once _commit has moved its outputs.
+def cmd_synth(cfg, into):
     """generate seeded synthetic input data"""
     from . import pipeline
-    out, kind, catalog = cfg["out"], cfg["kind"], _catalog(cfg)
+    kind, catalog = cfg["kind"], _catalog(cfg)
     points = catalog[pipeline.select_points(catalog["name"], cfg["points"])]
     if kind != "sea-states":
         pipeline.check_record_sampling(cfg["te_base"], cfg["duration"],
                                        cfg["dt"])
-        pipeline.check_record_scale(cfg["hs_base"], cfg["te_base"])
     if kind != "elevation":
-        pipeline.check_series_scale(cfg["hs_base"], cfg["te_base"],
-                                    cfg["hours"])
         # in Python integers, before an axis of `hours` times exists
         last = int(cfg["start"].astype(np.int64)) + (cfg["hours"] - 1) * 3600
         if last > int(data_io.LAST_TIME.astype(np.int64)):
@@ -178,21 +171,19 @@ def cmd_synth(cfg):
                               f"{data_io.LAST_TIME}Z, the last writable time")
         times = pipeline.timestamps(cfg["start"], cfg["hours"])
     means = pipeline.schedule_means(catalog, cfg["hs_base"], cfg["te_base"])
-    os.makedirs(out, exist_ok=True)
-    data_io.write_catalog(catalog, join(out, "catalog.csv"))
+    data_io.write_catalog(catalog, join(into, "catalog.csv"))
     for e in points:
         name = e["name"]
         if kind != "elevation":
-            data_io.write_point(out, name, pipeline.sea_state_series(
+            data_io.write_point(into, name, pipeline.sea_state_series(
                 e, means[name], times, cfg["seed"]))
         if kind != "sea-states":
-            data_io.write_point(out, name, pipeline.elevation_record(
+            data_io.write_point(into, name, pipeline.elevation_record(
                 e, means[name], cfg["duration"], cfg["dt"], cfg["seed"]))
-    _echo(cfg, "synth")
-    return 0
+    return 0, []
 
 
-def cmd_analyze(cfg):
+def cmd_analyze(cfg, into):
     """compute per-point powers and feature vectors"""
     from . import pipeline
     out, env = cfg["out"], _env(cfg)
@@ -202,8 +193,8 @@ def cmd_analyze(cfg):
     points, failures = [], {}
     for entry in entries:
         try:
-            points.append(pipeline.point_features(
-                entry, data_io.load_point(out, entry["name"]), env,
+            points.append(pipeline.point_features(entry, data_io.load_point(
+                out, entry["name"], cfg["kind"] == "elevation"), env,
                 cfg["segments"], cfg["taper"]))
         except (WavePowerError, OSError) as exc:
             failures[entry["name"]] = str(exc)
@@ -218,35 +209,28 @@ def cmd_analyze(cfg):
             except WavePowerError as exc:
                 failures[point[0]["name"]] = str(exc)
         features = pipeline.feature_rows(solved, env)
-    data_io.write_features(features, join(out, "features.csv"))
-    _echo(cfg, "analyze")
-    for name in entries["name"].tolist():
-        if name in failures:
-            print(f"analyze: point {name} failed: {failures[name]}",
-                  file=sys.stderr)
-    return 1 if failures else 0
+    data_io.write_features(features, join(into, "features.csv"))
+    notes = [f"point {name} failed: {failures[name]}"
+             for name in entries["name"].tolist() if name in failures]
+    return (1 if notes else 0), notes
 
 
-def cmd_optimize(cfg):
+def cmd_optimize(cfg, into):
     """find the power-maximizing (H, T, d) reference"""
     from . import pipeline
-    out = cfg["out"]
     bounds = cfg["bounds"] or pipeline.derived_bounds(
         _stage_input(cfg, "features.csv", "analyze", data_io.load_features))
     run = pipeline.optimize(bounds, _env(cfg), cfg["agents"], cfg["iters"],
                             cfg["seed"])
-    os.makedirs(out, exist_ok=True)
-    data_io.write_reference(run, join(out, "reference.csv"))
-    data_io.write_convergence(run, join(out, "convergence.csv"))
-    data_io.write_bounds(bounds, join(out, "bounds.csv"))
-    _echo(cfg, "optimize")
-    return 0
+    data_io.write_reference(run, join(into, "reference.csv"))
+    data_io.write_convergence(run, join(into, "convergence.csv"))
+    data_io.write_bounds(bounds, join(into, "bounds.csv"))
+    return 0, []
 
 
-def cmd_rank(cfg):
+def cmd_rank(cfg, into):
     """score and rank points against the reference"""
     from . import pipeline
-    out = cfg["out"]
     features = _stage_input(cfg, "features.csv", "analyze",
                             data_io.load_features)
     ref = _stage_input(cfg, "reference.csv", "optimize",
@@ -255,38 +239,69 @@ def cmd_rank(cfg):
                                                cfg["points"])]
     ranked = pipeline.assess(features, ref, cfg["norm_mode"])
     shares = pipeline.zone_totals(ranked, features["zone"].tolist())
-    data_io.write_results(ranked, join(out, "results.csv"))
+    data_io.write_results(ranked, join(into, "results.csv"))
     if cfg["format"] == "structured":
-        data_io.write_results(ranked, join(out, "results.json"),
+        data_io.write_results(ranked, join(into, "results.json"),
                               format="structured", config=cfg["echo"])
-    data_io.write_zone_shares(shares, join(out, "zone_shares.csv"))
-    _echo(cfg, "rank")
-    # last, so that a refusal is the one line on stderr
-    if cfg["norm_mode"] == "raw":
-        print("rank: raw norm mixes units; the depth dimension dominates "
-              "(use --norm-mode minmax to rescale)", file=sys.stderr)
-    return 0
+    data_io.write_zone_shares(shares, join(into, "zone_shares.csv"))
+    raw = cfg["norm_mode"] == "raw"
+    return 0, ["raw norm mixes units; the depth dimension dominates (use "
+               "--norm-mode minmax to rescale)"] if raw else []
 
 
-def cmd_report(cfg):
+def cmd_report(cfg, into):
     """emit plot-ready tables"""
     ranked = _stage_input(cfg, "results.csv", "rank", data_io.load_results)
     shares = _stage_input(cfg, "zone_shares.csv", "rank",
                           data_io.load_zone_shares)
-    data_io.write_report(ranked, shares, join(cfg["out"], "report"))
-    _echo(cfg, "report")
-    return 0
+    data_io.write_report(ranked, shares, join(into, "report"))
+    return 0, []
 
 
 COMMANDS = {"synth": cmd_synth, "analyze": cmd_analyze,
             "optimize": cmd_optimize, "rank": cmd_rank, "report": cmd_report}
 
 
+def _commit(stage, cfg):
+    """Run `stage` into the cleared `<out>/.<stage>.partial`, move each file
+    it wrote, `<stage>_config.json` last, to its path under `<out>`, then
+    print the stage's notes. A target that is a directory or lies under a
+    file is refused before any parent is made or file moved. On any error
+    the staging directory goes, and `<out>` too if this call made it. A set
+    of renames is not atomic: if one fails, those before it stay done."""
+    out, made = cfg["out"], not os.path.lexists(cfg["out"])
+    tmp, echo = join(out, f".{stage}.partial"), f"{stage}_config.json"
+    try:
+        shutil.rmtree(tmp, ignore_errors=True)  # left by a killed run
+        os.makedirs(tmp)
+        code, notes = COMMANDS[stage](cfg, tmp)
+        names = [os.path.relpath(join(d, f), tmp)
+                 for d, _, files in os.walk(tmp) for f in files] + [echo]
+        with open(join(tmp, echo), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(json.dumps(cfg["echo"], indent=2, sort_keys=True) + "\n")
+        for target in [join(out, name) for name in names]:
+            if os.path.isdir(target) or os.path.isfile(dirname(target)):
+                raise ConfigError(f"cannot write {target}: it is a "
+                                  f"directory, or its parent is a file")
+        for parent in {dirname(join(out, name)) for name in names}:
+            os.makedirs(parent, exist_ok=True)
+        for name in names:
+            os.replace(join(tmp, name), join(out, name))
+    except BaseException:
+        shutil.rmtree(out if made else tmp, ignore_errors=True)
+        raise
+    shutil.rmtree(tmp)
+    for note in notes:
+        print(f"{stage}: {note}", file=sys.stderr)
+    return code
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](resolve_config(args))
-    except (WavePowerError, OSError, json.JSONDecodeError) as exc:
+        return _commit(args.command, resolve_config(args))
+    except (WavePowerError, OSError, json.JSONDecodeError,
+            MemoryError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -471,13 +471,13 @@ def write_point(directory, name, data):
     write(data, os.path.join(directory, kind, f"{name}.npy"))
 
 
-def load_point(directory, name):
+def load_point(directory, name, elevation_first=False):
     """directory/sea_states/<name>.npy or .csv, else the same under
-    elevation/; both suffixes of one kind is an error, so a stale CSV
-    cannot stand in for newer data."""
+    elevation/, or elevation/ first if `elevation_first`; both suffixes of
+    one kind is an error, so a stale CSV cannot stand in for newer data."""
     looked = []
-    for kind, load in (("sea_states", load_sea_states),
-                       ("elevation", load_elevation)):
+    kinds = [("sea_states", load_sea_states), ("elevation", load_elevation)]
+    for kind, load in kinds[::-1] if elevation_first else kinds:
         paths = [os.path.join(directory, kind, f"{name}{ext}")
                  for ext in (".npy", ".csv")]
         found = [p for p in paths if os.path.exists(p)]

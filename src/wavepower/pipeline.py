@@ -42,6 +42,7 @@ def select_points(column, names=None):
     return [index[n] for n in names]
 
 
+@np.errstate(over="ignore")  # the builders below pass an inf mean on
 def schedule_means(catalog, hs_base, te_base):
     """name -> (Hs, Te) mean, spread over catalog order so sites differ."""
     frac = np.arange(len(catalog)) / max(len(catalog) - 1, 1)
@@ -58,9 +59,11 @@ def timestamps(start, hours):
         3600, "s")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def sea_state_series(entry, mean, times, seed):
     """Noisy Hs/Te at `times`, recentred so the series mean is the
-    schedule mean: a data_io.SEA_STATE_DTYPE array."""
+    schedule mean: a data_io.SEA_STATE_DTYPE array. An overflow leaves a
+    non-finite value, which write_sea_states refuses."""
     hs_mean, te_mean = mean
     rng = np.random.default_rng(seed + int(entry["index"]))
     hs = hs_mean * (1.0 + 0.4 * rng.uniform(-1, 1, len(times)))
@@ -85,29 +88,10 @@ def check_record_sampling(te_base, duration, dt):
                           f"(max frequency {f_hi:.4g} Hz)")
 
 
-def check_series_scale(hs_base, te_base, hours):
-    """Reject bases under which the last point's series, of the largest
-    means hs_base * 1.4 and te_base * 1.2, cannot be summed: `hours`
-    values, each below 1.5 times its mean. In Python floats, which
-    overflow to inf where numpy would warn."""
-    if not hours * 1.5 * max(hs_base * (0.6 + 0.8),
-                             te_base * (0.8 + 0.4)) < np.inf:
-        raise ConfigError(f"hs_base={hs_base} or te_base={te_base} "
-                          f"overflows a sea-state series of {hours} hours")
-
-
-def check_record_scale(hs_base, te_base):
-    """Reject bases under which the last point's target density in
-    elevation_record is not finite when doubled, as synthesize_record
-    doubles it; in Python floats, as above."""
-    quarter_hs, te = hs_base * (0.6 + 0.8) / 4.0, te_base * (0.8 + 0.4)
-    if not 2.0 * (quarter_hs * quarter_hs / (1.2 / te - 0.8 / te)) < np.inf:
-        raise ConfigError(f"hs_base={hs_base} with te_base={te_base} "
-                          f"overflows a record's target spectrum")
-
-
+@np.errstate(over="ignore", invalid="ignore")
 def elevation_record(entry, mean, duration, dt, seed):
-    """Random-phase record of a flat band [0.8, 1.2] / Te with m0 of Hs."""
+    """Random-phase record of a flat band [0.8, 1.2] / Te with m0 of Hs;
+    VarianceDensitySpectrum or ElevationRecord refuses one that overflows."""
     from . import spectral
     hs_mean, te_mean = mean
     f_lo, f_hi = 0.8 / te_mean, 1.2 / te_mean

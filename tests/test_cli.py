@@ -143,6 +143,25 @@ class TestAnalyze:
         assert read_lines(out / "features.csv") == [
             ",".join(data_io.FEATURE_DTYPE.names)]
 
+    def test_elevation_kind_reads_records_over_stale_sea_states(
+            self, tmp_path):
+        # the sea states of an earlier synth must not stand in for the
+        # records that --kind elevation asks for
+        args = ["--hours", "48", "--depth-range", "5,100",
+                "--points", "K1,K2"]
+        records = args + ["--kind", "elevation", "--duration", "64"]
+        both, only = tmp_path / "both", tmp_path / "only"
+        assert main(["synth", "--out", str(both)] + args) == 0
+        for out in (both, only):
+            assert main(["synth", "--out", str(out)] + records) == 0
+            assert main(["analyze", "--out", str(out)] + records) == 0
+        assert (both / "features.csv").read_bytes() == \
+            (only / "features.csv").read_bytes()
+        # without --kind elevation, the sea states come first, as before
+        assert main(["analyze", "--out", str(both)] + args) == 0
+        assert (both / "features.csv").read_bytes() != \
+            (only / "features.csv").read_bytes()
+
     def test_non_utf8_point_data_fails_that_point(self, tmp_path, capsys):
         out = tmp_path / "o"
         args = ["--out", str(out), "--seed", "1", "--hours", "48",
@@ -594,6 +613,13 @@ MALFORMED = {
         name: text.replace("\nP2,A,0.5,4.0,10.0,", "\nP2,A,1e308,5.0,20.0,")
         for name, text in feature_tables(("1.0", "1.0"),
                                          ("2.0", "2.0")).items()}),
+    # numpy cannot allocate the optimizer's draws, or its pack
+    "iterations past any address space": (
+        ["optimize", "--bounds", "0.1,0.6,2,6,5,100",
+         "--iters", "1000000000000000"], {}),
+    "pack past any address space": (
+        ["optimize", "--bounds", "0.1,0.6,2,6,5,100",
+         "--agents", "1000000000000000"], {}),
     "header-only catalog": (
         ["synth", "--hours", "3", "--depth", "30", "--catalog",
          "{tmp}/cat.csv"],
@@ -904,6 +930,85 @@ def test_mutated_stage_table_fails_closed(tiny_runs, data):
             os.path.join("report", name) for name in REPORT_TABLES}
         assert (len(outputs[os.path.join("report", "power_by_point.csv")])
                 == len(outputs["results.csv"]))
+
+
+COMMIT_ARGS = ["--hours", "3", "--depth-range", "5,100",
+               "--points", "K1,K2,K3"]
+# another seed and rho change what synth, analyze and optimize write, so
+# on a tree of an earlier run a file they leave shows as changed
+RERUN_ARGS = COMMIT_ARGS + ["--seed", "2", "--rho", "1000"]
+# stage -> the paths it writes under --out with COMMIT_ARGS
+STAGE_OUTPUTS = {
+    "synth": ["catalog.csv", "sea_states/K1.npy", "sea_states/K2.npy",
+              "sea_states/K3.npy", "synth_config.json"],
+    "analyze": ["features.csv", "analyze_config.json"],
+    "optimize": ["reference.csv", "convergence.csv", "bounds.csv",
+                 "optimize_config.json"],
+    "rank": ["results.csv", "zone_shares.csv", "rank_config.json"],
+    "report": ["report/" + name for name in REPORT_TABLES]
+    + ["report_config.json"],
+}
+# (stage, path, what takes the path's place)
+COMMIT_CASES = [(stage, path, "directory") for stage in STAGES
+                for path in STAGE_OUTPUTS[stage]] + [
+    ("synth", "sea_states", "file"), ("report", "report", "file")]
+
+
+@pytest.fixture(scope="module")
+def commit_trees(tmp_path_factory):
+    """(stage -> --out of the stages before it, --out of all five), each
+    run with COMMIT_ARGS; checks that each stage writes STAGE_OUTPUTS."""
+    root = tmp_path_factory.mktemp("commit")
+    out, fresh = root / "o", {}
+    for stage in STAGES:
+        fresh[stage] = root / stage
+        out.mkdir(exist_ok=True)
+        shutil.copytree(out, fresh[stage])
+        before = tree_bytes(out)
+        assert main([stage, "--out", str(out)] + COMMIT_ARGS) == 0
+        after = tree_bytes(out)
+        assert {name for name in after if after[name] != before.get(name)} \
+            == {os.path.normpath(name) for name in STAGE_OUTPUTS[stage]}
+    return fresh, out
+
+
+@pytest.mark.parametrize("start", ["fresh", "earlier"])
+@pytest.mark.parametrize("stage, path, kind", COMMIT_CASES)
+def test_blocked_output_leaves_out_as_it_was(commit_trees, tmp_path, capsys,
+                                             stage, path, kind, start):
+    # a directory where an output goes, or a file where its parent goes,
+    # stands in for a write that fails partway (a full disk, say): the
+    # stage refuses with one line and no file or directory changes
+    fresh, earlier = commit_trees
+    out = tmp_path / "o"
+    shutil.copytree(fresh[stage] if start == "fresh" else earlier, out)
+    blocked = out / path
+    if blocked.is_dir():
+        shutil.rmtree(blocked)
+    elif blocked.exists():
+        blocked.unlink()
+    if kind == "directory":
+        blocked.mkdir(parents=True)
+    else:
+        blocked.write_text("not a directory\n")
+    before, names = tree_bytes(out), tree(out)
+    capsys.readouterr()
+    assert main([stage, "--out", str(out)] + RERUN_ARGS) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.endswith("\n"), err
+    assert err.startswith(f"{stage}: ") and "Traceback" not in err, err
+    assert tree(out) == names
+    assert tree_bytes(out) == before
+
+
+def test_leftover_staging_directory_is_cleared(tmp_path):
+    # a killed synth leaves .synth.partial behind; the next synth clears it
+    out = tmp_path / "o"
+    (out / ".synth.partial" / "sea_states").mkdir(parents=True)
+    (out / ".synth.partial" / "sea_states" / "Q9.npy").write_bytes(b"old")
+    assert main(["synth", "--out", str(out)] + COMMIT_ARGS) == 0
+    assert tree(out) == sorted(os.path.normpath(name) for name in
+                               STAGE_OUTPUTS["synth"] + ["sea_states"])
 
 
 # The process entry point, run as `python -m wavepower.cli` in a child
