@@ -194,8 +194,8 @@ def cmd_analyze(cfg, into):
     for entry in entries:
         try:
             points.append(pipeline.point_features(entry, data_io.load_point(
-                out, entry["name"], cfg["kind"] == "elevation"), env,
-                cfg["segments"], cfg["taper"]))
+                out, entry["name"], cfg["kind"]), env, cfg["segments"],
+                cfg["taper"]))
         except (WavePowerError, OSError) as exc:
             failures[entry["name"]] = str(exc)
     try:
@@ -260,13 +260,17 @@ def cmd_report(cfg, into):
 
 COMMANDS = {"synth": cmd_synth, "analyze": cmd_analyze,
             "optimize": cmd_optimize, "rank": cmd_rank, "report": cmd_report}
+# stage -> the outputs it writes only under some flags; a run that does
+# not write one removes that of an earlier run
+OPTIONAL_OUTPUTS = {"rank": ["results.json"]}
 
 
 def _commit(stage, cfg):
     """Run `stage` into the cleared `<out>/.<stage>.partial`, move each file
     it wrote, `<stage>_config.json` last, to its path under `<out>`, then
     print the stage's notes. A target that is a directory or lies under a
-    file is refused before any parent is made or file moved. On any error
+    file is refused before any parent is made or file moved; then an
+    OPTIONAL_OUTPUTS file this run did not write is removed. On any error
     the staging directory goes, and `<out>` too if this call made it. A set
     of renames is not atomic: if one fails, those before it stay done."""
     out, made = cfg["out"], not os.path.lexists(cfg["out"])
@@ -283,6 +287,9 @@ def _commit(stage, cfg):
             if os.path.isdir(target) or os.path.isfile(dirname(target)):
                 raise ConfigError(f"cannot write {target}: it is a "
                                   f"directory, or its parent is a file")
+        for name in OPTIONAL_OUTPUTS.get(stage, []):
+            if name not in names and os.path.isfile(join(out, name)):
+                os.remove(join(out, name))
         for parent in {dirname(join(out, name)) for name in names}:
             os.makedirs(parent, exist_ok=True)
         for name in names:

@@ -471,24 +471,22 @@ def write_point(directory, name, data):
     write(data, os.path.join(directory, kind, f"{name}.npy"))
 
 
-def load_point(directory, name, elevation_first=False):
-    """directory/sea_states/<name>.npy or .csv, else the same under
-    elevation/, or elevation/ first if `elevation_first`; both suffixes of
-    one kind is an error, so a stale CSV cannot stand in for newer data."""
-    looked = []
-    kinds = [("sea_states", load_sea_states), ("elevation", load_elevation)]
-    for kind, load in kinds[::-1] if elevation_first else kinds:
-        paths = [os.path.join(directory, kind, f"{name}{ext}")
-                 for ext in (".npy", ".csv")]
-        found = [p for p in paths if os.path.exists(p)]
-        if len(found) == 2:
-            raise DataError(f"both {found[0]} and {found[1]} exist; "
-                            f"remove the stale one")
-        if found:
-            return load(found[0])
-        looked += paths
-    raise FileNotFoundError(
-        f"no input data for point {name} (looked for {', '.join(looked)})")
+def load_point(directory, name, kind="sea-states"):
+    """directory/elevation/<name>.npy or .csv if `kind` is "elevation",
+    else directory/sea_states/<name>.npy or .csv; both suffixes is an
+    error, so a stale CSV cannot stand in for newer data."""
+    sub, load = (("elevation", load_elevation) if kind == "elevation"
+                 else ("sea_states", load_sea_states))
+    paths = [os.path.join(directory, sub, f"{name}{ext}")
+             for ext in (".npy", ".csv")]
+    found = [p for p in paths if os.path.exists(p)]
+    if len(found) == 2:
+        raise DataError(f"both {found[0]} and {found[1]} exist; "
+                        f"remove the stale one")
+    if not found:
+        raise FileNotFoundError(
+            f"no input data for point {name} (looked for {', '.join(paths)})")
+    return load(found[0])
 
 
 def write_results(results, path, format="delimited", config=None):

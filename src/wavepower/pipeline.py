@@ -77,11 +77,11 @@ def sea_state_series(entry, mean, times, seed):
 
 def check_record_sampling(te_base, duration, dt):
     """Reject a duration and dt under which no point's record can be
-    synthesized: fewer than 2 samples, or a dt above Nyquist for the
-    shortest per-point mean period, 0.8 * te_base."""
-    if round(duration / dt) < 2:
-        raise ConfigError(f"duration={duration} holds fewer than 2 samples "
-                          f"of dt={dt}")
+    synthesized: fewer than 2 samples or too many to index, or a dt above
+    Nyquist for the shortest per-point mean period, 0.8 * te_base."""
+    if not 1.5 <= duration / dt < np.iinfo(np.intp).max:
+        raise ConfigError(f"duration={duration} holds fewer than 2 or too "
+                          f"many samples of dt={dt}")
     f_hi = 1.2 / (0.8 * te_base)
     if dt > 1.0 / (2.0 * f_hi):
         raise ConfigError(f"dt={dt} violates Nyquist for the synthesis band "

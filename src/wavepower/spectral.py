@@ -193,6 +193,8 @@ def synthesize_record(target, duration, dt, seed):
         raise SamplingError(
             f"dt={dt} violates Nyquist for max frequency {f_max} Hz "
             f"(need dt <= {1.0 / (2.0 * f_max)})")
+    if not duration / dt < np.iinfo(np.intp).max:
+        raise DomainError(f"duration/dt={duration / dt} is too many samples")
     n = int(round(duration / dt))
     if n < 2:
         raise DataError("duration too short for a record")

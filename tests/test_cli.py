@@ -162,6 +162,43 @@ class TestAnalyze:
         assert (both / "features.csv").read_bytes() != \
             (only / "features.csv").read_bytes()
 
+    def test_elevation_kind_never_reads_sea_states(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        args = ["--out", str(out), "--hours", "3", "--depth-range", "5,100",
+                "--points", "K1,K2"]
+        assert main(["synth"] + args) == 0
+        capsys.readouterr()
+        assert main(["analyze"] + args + ["--kind", "elevation"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        for name, line in zip(["K1", "K2"], err):
+            assert line == (
+                f"analyze: point {name} failed: no input data for point "
+                f"{name} (looked for {out / 'elevation' / name}.npy, "
+                f"{out / 'elevation' / name}.csv)")
+        assert read_lines(out / "features.csv") == [
+            ",".join(data_io.FEATURE_DTYPE.names)]
+
+    def test_default_kind_never_reads_records(self, tmp_path, capsys):
+        # records of K1 to K3, then sea states of K1 alone: K2 and K3 have
+        # none to analyze, and their records do not stand in
+        out = tmp_path / "o"
+        args = ["--out", str(out), "--depth-range", "5,100"]
+        assert main(["synth"] + args + ["--kind", "elevation", "--duration",
+                                        "64", "--points", "K1,K2,K3"]) == 0
+        assert main(["synth"] + args + ["--hours", "3", "--points", "K1"]) \
+            == 0
+        capsys.readouterr()
+        assert main(["analyze"] + args + ["--points", "K1,K2,K3"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        for name, line in zip(["K2", "K3"], err):
+            assert line.startswith(
+                f"analyze: point {name} failed: no input data for point "
+                f"{name} (looked for {out / 'sea_states' / name}.npy"), line
+        assert [ln.split(",")[0] for ln in
+                read_lines(out / "features.csv")[1:]] == ["K1"]
+
     def test_non_utf8_point_data_fails_that_point(self, tmp_path, capsys):
         out = tmp_path / "o"
         args = ["--out", str(out), "--seed", "1", "--hours", "48",
@@ -249,7 +286,7 @@ class TestAnalyze:
         rec = synthesize_record(target, n * dt, dt, seed=0)
         data_io.write_elevation(rec, out / "elevation" / "K4.csv")
         assert main(["analyze", "--out", str(out), "--points", "K4",
-                     "--depth", "1000"]) == 0
+                     "--depth", "1000", "--kind", "elevation"]) == 0
         row = read_lines(out / "features.csv")[1].split(",")
         assert float(row[5]) == pytest.approx(4906, rel=0.02)
 
@@ -423,7 +460,8 @@ def test_record_too_large_to_analyze_fails_alone(tmp_path, capsys):
         dt=0.5, samples=np.full(2048, 1e307)))
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        assert main(["analyze", "--out", str(out), "--points", "K1"]) == 1
+        assert main(["analyze", "--out", str(out), "--points", "K1",
+                     "--kind", "elevation"]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err, err
     assert err.startswith("analyze: point K1 failed: variance density"), err
@@ -519,6 +557,14 @@ MALFORMED = {
     "record shorter than two samples": (
         ["synth", "--kind", "elevation", "--duration", "0.5", "--dt", "0.5",
          "--depth-range", "5,100", "--points", "T1"], {}),
+    # round(inf) would overflow, and np.arange refuse the sample count,
+    # after catalog.csv is written
+    "record of infinitely many samples": (
+        ["synth", "--kind", "elevation", "--duration", "1e300", "--dt",
+         "1e-10", "--depth", "30", "--points", "K1"], {}),
+    "record of more samples than an array can index": (
+        ["synth", "--kind", "elevation", "--duration", "1e300", "--dt",
+         "0.5", "--depth", "30", "--points", "K1"], {}),
     # report normalizes by the largest irregular power
     "no positive irregular power": (["report"], rank_tables(
         ("0.0", "1.0", "1"), ("0.0", "2.0", "2"))),
@@ -1009,6 +1055,32 @@ def test_leftover_staging_directory_is_cleared(tmp_path):
     assert main(["synth", "--out", str(out)] + COMMIT_ARGS) == 0
     assert tree(out) == sorted(os.path.normpath(name) for name in
                                STAGE_OUTPUTS["synth"] + ["sea_states"])
+
+
+def structured_rank(commit_trees, tmp_path):
+    """(--out of all five stages plus a structured rank, rank's argv)."""
+    out, argv = tmp_path / "o", ["rank", "--out", str(tmp_path / "o")]
+    shutil.copytree(commit_trees[1], out)
+    assert main(argv + COMMIT_ARGS + ["--format", "structured"]) == 0
+    return out, argv + COMMIT_ARGS + ["--norm-mode", "minmax"]
+
+
+def test_delimited_rank_removes_structured_results(commit_trees, tmp_path):
+    # the raw ranking's results.json would sit beside the min-max
+    # results.csv
+    out, argv = structured_rank(commit_trees, tmp_path)
+    assert main(argv) == 0
+    assert not (out / "results.json").exists()
+
+
+def test_refused_delimited_rank_keeps_structured_results(commit_trees,
+                                                         tmp_path):
+    out, argv = structured_rank(commit_trees, tmp_path)
+    before = (out / "results.json").read_bytes()
+    (out / "zone_shares.csv").unlink()
+    (out / "zone_shares.csv").mkdir()
+    assert main(argv) == 2
+    assert (out / "results.json").read_bytes() == before
 
 
 # The process entry point, run as `python -m wavepower.cli` in a child

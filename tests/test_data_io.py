@@ -909,6 +909,7 @@ class TestLoadPoint:
                             ElevationRecord(dt=0.5, samples=[0.1, 0.2]))
         assert data_io.load_point(tmp_path, "P1").dtype == \
             data_io.SEA_STATE_DTYPE
+        assert data_io.load_point(tmp_path, "P1", kind="elevation").dt == 0.5
 
     def test_both_suffixes_is_an_error(self, tmp_path):
         data_io.write_point(tmp_path, "P1", self.series())
@@ -1050,7 +1051,8 @@ def test_npy_stage_table_row_fault_names_the_row(tmp_path):
     st.floats(0, 1e12), min_size=1, max_size=120).filter(any))
 def test_report_takes_the_zone_shares_rank_writes(tmp_path_factory, data,
                                                   powers):
-    # rank sums each zone in catalog order, report checks in rank order
+    # rank sums each zone in rank order and lists the zones in catalog
+    # order; report checks in rank order
     zones = data.draw(st.lists(st.sampled_from("ABCDEFGHI"),
                                min_size=len(powers), max_size=len(powers)))
     results = np.zeros(len(powers), dtype=data_io.RESULT_DTYPE)

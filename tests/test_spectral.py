@@ -397,6 +397,12 @@ class TestSynthesizeRecord:
         with pytest.raises(DomainError, match="positive and finite"):
             synthesize_record(flat_unit_spectrum(), duration, dt, seed=0)
 
+    @pytest.mark.parametrize("duration,dt", [(1e300, 1e-10), (1e300, 0.5)])
+    def test_more_samples_than_an_array_can_index_rejected(self, duration,
+                                                          dt):
+        with pytest.raises(DomainError, match="too many samples"):
+            synthesize_record(flat_unit_spectrum(), duration, dt, seed=0)
+
     def test_seeded_determinism(self):
         target = flat_unit_spectrum()
         r1 = synthesize_record(target, 512.0, 0.5, seed=42)
