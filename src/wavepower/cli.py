@@ -3,7 +3,8 @@
 Each stage reads its inputs from --out, calls `wavepower.pipeline` and
 writes its outputs through `wavepower.data_io`, staged: `_commit` moves
 them into --out. Every stage runs as its own process, so each imports
-only the wavepower modules it runs: `report` needs data_io alone.
+only the wavepower modules it runs: beyond data_io, `report` needs
+pipeline alone.
 """
 
 import argparse
@@ -251,9 +252,11 @@ def cmd_rank(cfg, into):
 
 def cmd_report(cfg, into):
     """emit plot-ready tables"""
+    from . import pipeline
     ranked = _stage_input(cfg, "results.csv", "rank", data_io.load_results)
     shares = _stage_input(cfg, "zone_shares.csv", "rank",
                           data_io.load_zone_shares)
+    pipeline.check_zone_shares(ranked, shares)
     data_io.write_report(ranked, shares, join(into, "report"))
     return 0, []
 

@@ -21,8 +21,7 @@ import warnings
 
 import numpy as np
 
-from .errors import (DataError, DomainError, JoinError, ParseError,
-                     _positive_finite)
+from .errors import DataError, DomainError, ParseError, _positive_finite
 
 # Southern Caspian point catalog: nine port zones, 105 points.
 # Per zone: (zone name, point name prefix, latitudes, longitudes), one
@@ -91,9 +90,10 @@ _BAD_STAMP = "bad timestamp {stamp!r}, expected YYYY-MM-DDTHH:MM:SSZ"
 # largest deviation of an elevation record's time steps from their
 # median, relative to that median
 SAMPLING_REL_TOL = 1e-6
-# C0 and C1 control characters; a lone carriage return among them would
-# be written unquoted and split its row
-_CONTROL = re.compile("[\x00-\x1f\x7f-\x9f]")
+# C0 and C1 control characters, and the line and paragraph separators,
+# on which str.splitlines also breaks; a lone carriage return among them
+# would be written unquoted and split its row
+_CONTROL = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 # a point name that is not one file name (synth writes <dir>/<name>.npy):
 # empty, ".", "..", or holding "/" or "\\"
 _NOT_FILE_NAME = re.compile(r"\A\.{0,2}\Z|[/\\]")
@@ -123,7 +123,7 @@ def _bad_depth(text):
 
 def load_catalog(path):
     """A catalog CSV as a CATALOG_DTYPE array. Indices must be
-    non-negative, names and zones free of control characters, each name
+    non-negative, names and zones free of _CONTROL characters, each name
     one file name and used once, coordinates in range, and each depth
     empty or positive and finite."""
     return _load_table(path, CATALOG_DTYPE, lambda a: [
@@ -606,71 +606,16 @@ def load_results(path):
         (_repeated(a["point"]), "duplicate point {point!r}")])
 
 
-def zone_powers(results):
-    """zone -> the irregular powers of a results array's rows in that zone,
-    in results order; the zones in the order they first appear."""
-    by_zone = {}
-    for zone, power in zip(results["zone"].tolist(),
-                           results["power_irregular_wpm"].tolist()):
-        by_zone.setdefault(zone, []).append(power)
-    return by_zone
-
-
-def _check_zone_shares(results, shares):
-    """JoinError unless `shares` name the zones of `results`, and DataError
-    unless each zone's total is its n points' summed irregular power within
-    n * eps relative, the m shares sum to 1 within m * eps, and each share
-    is its total over the totals' sum within m * eps relative.
-
-    Two sums of n non-negative terms, in any two orders, differ by at most
-    (n - 1) * eps of their value; m shares, each rounded once more, add
-    m * eps / 2 at most. rank divides by the totals' sum term by term,
-    within (m - 1) * eps / 2 of the exact sum (Rump 2012, BIT 52:201), and
-    this check by their math.fsum, within eps / 2: with both quotients
-    rounded, (m + 2) * eps / 2 to first order, which leaves eps / 2 for
-    higher orders at m >= 3; at m <= 2 the two sums are the same float."""
-    eps = np.finfo(float).eps
-    by_zone = zone_powers(results)
-    zones = shares["zone"].tolist()
-    odd = set(by_zone).symmetric_difference(zones)
-    if odd:
-        raise JoinError(f"zone shares and results differ in zones "
-                        f"{', '.join(map(repr, sorted(odd)))}")
-    totals = shares["total_power_wpm"].tolist()
-    fractions = shares["share"].tolist()
-    for zone, total in zip(zones, totals):
-        powers = by_zone[zone]
-        summed = sum(powers)  # inf if it overflows, which no total matches
-        if not (summed < math.inf
-                and abs(total - summed) <= len(powers) * eps * summed):
-            raise DataError(f"zone {zone!r} total {total!r} W/m is not its "
-                            f"points' summed power {summed!r} W/m")
-    share_sum = sum(fractions)
-    if not abs(share_sum - 1.0) <= len(zones) * eps:
-        raise DataError(f"zone shares sum to {share_sum!r}, not 1")
-    try:
-        grand = math.fsum(totals)  # > 0: it holds write_report's p_max
-    except OverflowError:  # rank's sum of the totals is inf
-        raise DataError("zone totals sum past the largest float") from None
-    for zone, total, share in zip(zones, totals, fractions):
-        if not abs(share - total / grand) <= len(zones) * eps * (
-                total / grand):
-            raise DataError(f"zone {zone!r} share {share!r} is not its total "
-                            f"over the zones' {grand!r} W/m")
-
-
 def write_report(results, shares, directory):
     """The plot-ready tables under `directory`, columns of the results and
     zone shares, and the zone shares through write_zone_shares. They are
     built, and checked before the first write: the largest irregular
-    power, which normalizes the powers, must be positive, and the zone
-    shares those of the results (see _check_zone_shares)."""
+    power, which normalizes the powers, must be positive."""
     power = results["power_irregular_wpm"]
     p_max = power.max().item()
     if not p_max > 0:
         raise DomainError(f"largest irregular power is {p_max!r}; powers "
                           f"need a positive one to be normalized")
-    _check_zone_shares(results, shares)
     tables = {
         "power_by_point.csv": results[["point", "zone",
                                        "power_irregular_wpm"]],

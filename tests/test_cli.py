@@ -157,7 +157,7 @@ class TestAnalyze:
             assert main(["analyze", "--out", str(out)] + records) == 0
         assert (both / "features.csv").read_bytes() == \
             (only / "features.csv").read_bytes()
-        # without --kind elevation, the sea states come first, as before
+        # the default kind reads sea_states/ alone
         assert main(["analyze", "--out", str(both)] + args) == 0
         assert (both / "features.csv").read_bytes() != \
             (only / "features.csv").read_bytes()
@@ -607,6 +607,22 @@ MALFORMED = {
     "zone total that is not its points' power": (["report"], dict(
         rank_tables(("1.0", "1.0", "1"), ("2.0", "2.0", "2")), **{
             "o/zone_shares.csv": "zone,total_power_wpm,share\nA,3.5,1.0"})),
+    # one ulp off rank's total or share: within the float error of
+    # another summation order, but not what rank wrote
+    "zone total one ulp above its points' power": (["report"], dict(
+        rank_tables(("1.0", "1.0", "1"), ("2.0", "2.0", "2")), **{
+            "o/zone_shares.csv": "zone,total_power_wpm,share\n"
+                                 "A,3.0000000000000004,1.0"})),
+    "zone share one ulp below 1": (["report"], dict(
+        rank_tables(("1.0", "1.0", "1"), ("2.0", "2.0", "2")), **{
+            "o/zone_shares.csv": "zone,total_power_wpm,share\n"
+                                 "A,3.0,0.9999999999999999"})),
+    # the points of zone A have no power, and rank writes its total 0.0
+    "negative zero zone total": (["report"], {
+        name: text.replace("\nP2,A,", "\nP2,B,") for name, text in dict(
+            rank_tables(("0.0", "1.0", "2"), ("2.0", "2.0", "1")), **{
+                "o/zone_shares.csv": "zone,total_power_wpm,share\n"
+                                     "A,-0.0,0.0\nB,2.0,1.0"}).items()}),
     "zone shares summing to 2": (["report"], dict(
         rank_tables(("1.0", "1.0", "1"), ("2.0", "2.0", "2")), **{
             "o/zone_shares.csv": "zone,total_power_wpm,share\nA,3.0,2.0"})),
@@ -1125,7 +1141,7 @@ STAGE_MODULES = {
     ("analyze", "sea-states"): ["mechanics", "pipeline", "spectral"],
     ("optimize", "sea-states"): ["gwo", "mechanics", "pipeline"],
     ("rank", "sea-states"): ["assessment", "pipeline"],
-    ("report", "sea-states"): [],
+    ("report", "sea-states"): ["pipeline"],
     ("synth", "elevation"): ["mechanics", "pipeline", "spectral"],
     ("analyze", "elevation"): ["mechanics", "pipeline", "spectral"],
     ("synth", "both"): ["mechanics", "pipeline", "spectral"],

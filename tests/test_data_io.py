@@ -17,7 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from wavepower import data_io, pipeline
 from wavepower.assessment import rank_points
-from wavepower.errors import DataError, ParseError
+from wavepower.errors import DataError, DomainError, ParseError
 from wavepower.gwo import GwoRun, SearchBounds
 from wavepower.spectral import ElevationRecord, VarianceDensitySpectrum
 
@@ -164,7 +164,8 @@ class TestCatalogIO:
             data_io.load_catalog(path)
 
     @pytest.mark.parametrize("text", ["a\rb", "a\nb", "\x00", "a\x85",
-                                      "a\x1fb", " P", "P\t"])
+                                      "a\x1fb", " P", "P\t", "a\u2028b",
+                                      "a\u2029b"])
     @pytest.mark.parametrize("field", ["name", "zone"])
     def test_control_characters_rejected(self, tmp_path, text, field):
         path = one_row_catalog(tmp_path, **{field: text})
@@ -198,7 +199,7 @@ def catalog_row_ok(index, name, zone, lat, lon, depth):
             and (depth == "" or 0 < float(depth) < float("inf")))
 
 
-_CONTROL_CHARS = re.compile("[\x00-\x1f\x7f-\x9f]")
+_CONTROL_CHARS = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 # catalog rows as write_catalog may be given them: any index, text
 # without surrounding whitespace (which the reader strips), coordinates
 # in and out of range, and no depth or the repr of any float
@@ -1021,7 +1022,7 @@ def test_negative_zone_total_or_share_names_its_line(tmp_path, total, share):
         data_io.load_zone_shares(path)
 
 
-def test_zone_totals_past_the_largest_float_are_refused(tmp_path):
+def test_zone_totals_past_the_largest_float_are_refused():
     # each total is finite and its share 1/2, but rank's sum of the two is
     # inf, and so its shares 0
     results = np.zeros(2, dtype=data_io.RESULT_DTYPE)
@@ -1029,10 +1030,9 @@ def test_zone_totals_past_the_largest_float_are_refused(tmp_path):
     results["power_irregular_wpm"], results["rank"] = 1e308, [1, 2]
     shares = np.array([("A", 1e308, 0.5), ("B", 1e308, 0.5)],
                       dtype=data_io.ZONE_SHARE_DTYPE)
-    with pytest.raises(DataError, match="zone totals sum past the largest "
-                                        "float"):
-        data_io.write_report(results, shares, tmp_path / "report")
-    assert not (tmp_path / "report").exists()
+    with pytest.raises(DomainError, match="total power must be positive "
+                                          "and finite"):
+        pipeline.check_zone_shares(results, shares)
 
 
 def test_npy_stage_table_row_fault_names_the_row(tmp_path):
@@ -1049,8 +1049,7 @@ def test_npy_stage_table_row_fault_names_the_row(tmp_path):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), powers=st.lists(
     st.floats(0, 1e12), min_size=1, max_size=120).filter(any))
-def test_report_takes_the_zone_shares_rank_writes(tmp_path_factory, data,
-                                                  powers):
+def test_report_takes_the_zone_shares_rank_writes(data, powers):
     # rank sums each zone in rank order and lists the zones in catalog
     # order; report checks in rank order
     zones = data.draw(st.lists(st.sampled_from("ABCDEFGHI"),
@@ -1058,10 +1057,10 @@ def test_report_takes_the_zone_shares_rank_writes(tmp_path_factory, data,
     results = np.zeros(len(powers), dtype=data_io.RESULT_DTYPE)
     results["point"] = [f"P{i}" for i in range(len(powers))]
     results["zone"], results["power_irregular_wpm"] = zones, powers
+    results["rank"] = np.arange(1, len(powers) + 1)
     shares = pipeline.zone_totals(results, zones)
     order = data.draw(st.permutations(range(len(powers))))
-    data_io.write_report(results[list(order)], shares,
-                         tmp_path_factory.mktemp("report"))
+    pipeline.check_zone_shares(results[list(order)], shares)
 
 
 def test_stage_tables_load_back_as_written(tmp_path):
