@@ -161,9 +161,6 @@ def cmd_synth(cfg, into):
     from . import pipeline
     kind, catalog = cfg["kind"], _catalog(cfg)
     points = catalog[pipeline.select_points(catalog["name"], cfg["points"])]
-    if kind != "sea-states":
-        pipeline.check_record_sampling(cfg["te_base"], cfg["duration"],
-                                       cfg["dt"])
     if kind != "elevation":
         # in Python integers, before an axis of `hours` times exists
         last = int(cfg["start"].astype(np.int64)) + (cfg["hours"] - 1) * 3600

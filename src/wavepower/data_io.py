@@ -182,6 +182,18 @@ def format_timestamps(times):
     return out
 
 
+def _first_fault(checks):
+    """(row, reason) of the first row that one of `checks`, (mask, reason)
+    pairs, flags, with the reason of the first check that flags it; None
+    if no check flags a row."""
+    faults = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(checks)
+              if bad.any()]
+    if not faults:
+        return None
+    row, k = min(faults)
+    return row, checks[k][1]
+
+
 def _sea_state_fault(times, hs, te):
     """(row, reason) of the first invalid row of a sea-state series, or
     None; on one row the checks run in the order listed. "{stamp}" in the
@@ -194,20 +206,14 @@ def _sea_state_fault(times, hs, te):
         return None
     later = np.ones(times.size, dtype=bool)
     later[1:] = times[1:] > times[:-1]
-    checks = [
+    return _first_fault([
         (~((times >= FIRST_TIME) & (times <= LAST_TIME)), _BAD_STAMP),
         (~later, "non-increasing timestamp {stamp}"),
         (~np.isfinite(hs), "non-finite Hs {hs}"),
         (~np.isfinite(te), "non-finite Te {te}"),
         (hs < 0, "negative Hs {hs}"),
         (te <= 0, "non-positive Te {te}"),
-    ]
-    faults = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(checks)
-              if bad.any()]
-    if not faults:
-        return None
-    row, k = min(faults)
-    return row, checks[k][1]
+    ])
 
 
 def _series_fault(series):
@@ -525,15 +531,14 @@ def _load_table(path, dtype, checks):
     arr, rows = _load_columns(path, dtype)
     checks = [(~np.isfinite(arr[name]), f"non-finite {name} {{{name}}}")
               for name in dtype.names if dtype[name].kind == "f"] + checks(arr)
-    faults = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(checks)
-              if bad.any()]
-    if faults:
-        row, k = min(faults)
+    fault = _first_fault(checks)
+    if fault:
+        row, reason = fault
         if rows is None:  # .npy: the row by its index, with its values
             line, fields, where = None, arr[row].tolist(), f"row {row}: "
         else:
             (line, fields), where = rows[row], ""
-        raise ParseError(f"{path}: {where}" + checks[k][1].format(
+        raise ParseError(f"{path}: {where}" + reason.format(
             **dict(zip(dtype.names, fields))), line=line)
     return arr
 
@@ -608,14 +613,10 @@ def load_results(path):
 
 def write_report(results, shares, directory):
     """The plot-ready tables under `directory`, columns of the results and
-    zone shares, and the zone shares through write_zone_shares. They are
-    built, and checked before the first write: the largest irregular
-    power, which normalizes the powers, must be positive."""
+    zone shares, and the zone shares through write_zone_shares; the powers
+    are normalized by the largest, which must be positive (as the zone
+    totals' sum is, which pipeline.zone_totals checks)."""
     power = results["power_irregular_wpm"]
-    p_max = power.max().item()
-    if not p_max > 0:
-        raise DomainError(f"largest irregular power is {p_max!r}; powers "
-                          f"need a positive one to be normalized")
     tables = {
         "power_by_point.csv": results[["point", "zone",
                                        "power_irregular_wpm"]],
@@ -624,7 +625,7 @@ def write_report(results, shares, directory):
         "correlation_vs_power.csv": _table(
             np.dtype([("point", "O"), ("correlation", "<f8"),
                       ("normalized_power", "<f8")]),
-            results["point"], results["correlation"], power / p_max),
+            results["point"], results["correlation"], power / power.max()),
         "power_vs_hs_depth.csv": results[["point", "h_bar_m", "depth_m",
                                           "power_irregular_wpm"]],
     }

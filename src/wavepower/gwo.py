@@ -24,12 +24,16 @@ from .errors import ContractError, DomainError, EvaluationError
 # Doubles per random draw of gwo_maximize: a draw covers as many
 # iterations as fit, and at least one.
 _DRAW_BLOCK = 2 ** 14
+# Largest bound magnitude M: with every |x| <= M a move's sum of three
+# terms stays within 21 M and the first draw's span within 2 M, so the
+# optimizer's own arithmetic never overflows.
+BOUND_LIMIT = float(np.finfo(float).max) / 32
 
 
 # eq=False: its array fields make == ambiguous, so compare by identity
 @dataclass(frozen=True, eq=False)
 class SearchBounds:
-    """Per-dimension finite (lower, upper) box."""
+    """Per-dimension (lower, upper) box within +-BOUND_LIMIT."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -41,8 +45,9 @@ class SearchBounds:
             raise ContractError("lower and upper must be matching 1-D arrays")
         if self.lower.size < 1:
             raise DomainError("need at least one dimension")
-        if not np.all(np.isfinite(self.lower) & np.isfinite(self.upper)):
-            raise DomainError("every bound must be finite")
+        if not np.all(np.abs([self.lower, self.upper]) <= BOUND_LIMIT):
+            raise DomainError(f"every bound must be finite and at most "
+                              f"{BOUND_LIMIT!r} in magnitude")
         if np.any(self.lower >= self.upper):
             raise DomainError("every lower bound must be below its upper bound")
 

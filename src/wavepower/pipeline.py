@@ -75,23 +75,11 @@ def sea_state_series(entry, mean, times, seed):
     return series
 
 
-def check_record_sampling(te_base, duration, dt):
-    """Reject a duration and dt under which no point's record can be
-    synthesized: fewer than 2 samples or too many to index, or a dt above
-    Nyquist for the shortest per-point mean period, 0.8 * te_base."""
-    if not 1.5 <= duration / dt < np.iinfo(np.intp).max:
-        raise ConfigError(f"duration={duration} holds fewer than 2 or too "
-                          f"many samples of dt={dt}")
-    f_hi = 1.2 / (0.8 * te_base)
-    if dt > 1.0 / (2.0 * f_hi):
-        raise ConfigError(f"dt={dt} violates Nyquist for the synthesis band "
-                          f"(max frequency {f_hi:.4g} Hz)")
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def elevation_record(entry, mean, duration, dt, seed):
     """Random-phase record of a flat band [0.8, 1.2] / Te with m0 of Hs;
-    VarianceDensitySpectrum or ElevationRecord refuses one that overflows."""
+    VarianceDensitySpectrum or ElevationRecord refuses one that overflows,
+    and synthesize_record a duration and dt that do not sample the band."""
     from . import spectral
     hs_mean, te_mean = mean
     f_lo, f_hi = 0.8 / te_mean, 1.2 / te_mean

@@ -131,12 +131,10 @@ def total_variance(spectrum):
 
 
 def spectral_moment(spectrum, order):
-    """Moment m_n = sum f^n * S * df for integer n in [-2, 3]."""
+    """Moment m_n = sum f^n * S * df for integer n in [-2, 3]; a
+    VarianceDensitySpectrum's f is at least df/2 > 0, so any n is defined."""
     if not -2 <= order <= 3:
         raise DomainError(f"moment order must be in [-2, 3], got {order}")
-    if order < 0 and spectrum.f[0] <= 0:
-        raise DomainError(
-            "negative-order moment undefined with a zero-frequency bin")
     return float(np.sum(spectrum.f ** order * spectrum.S) * spectrum.df)
 
 
@@ -194,10 +192,12 @@ def synthesize_record(target, duration, dt, seed):
             f"dt={dt} violates Nyquist for max frequency {f_max} Hz "
             f"(need dt <= {1.0 / (2.0 * f_max)})")
     if not duration / dt < np.iinfo(np.intp).max:
-        raise DomainError(f"duration/dt={duration / dt} is too many samples")
+        raise DomainError(f"duration={duration} holds too many samples of "
+                          f"dt={dt}")
     n = int(round(duration / dt))
     if n < 2:
-        raise DataError("duration too short for a record")
+        raise DataError(f"duration={duration} holds fewer than 2 samples of "
+                        f"dt={dt}")
 
     rng = np.random.default_rng(seed)
     amps = np.sqrt(2.0 * target.S * target.df)

@@ -73,12 +73,27 @@ class TestSynth:
         assert series["hs_m"].mean() == pytest.approx(0.5 * 0.6, abs=1e-12)
         assert series["te_s"].mean() == pytest.approx(4.0 * 0.8, abs=1e-12)
 
-    def test_nyquist_violation_writes_nothing(self, tmp_path):
+    def test_nyquist_violation_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "o"
         rc = main(["synth", "--out", str(out), "--kind", "elevation",
                    "--dt", "10.0", "--depth", "30", "--points", "T1"])
         assert rc == 2
-        assert not (out / "elevation").exists()
+        err = capsys.readouterr().err
+        assert err.startswith("synth: dt=10.0 violates Nyquist for max "
+                              "frequency ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    def test_nyquist_is_judged_at_each_selected_points_band(self, tmp_path):
+        # T1's top bin centre is 1.19375 / 3.2 s = 0.373 Hz, so dt must be
+        # at most 1.340 s; S11's is 1.19375 / 4.8 s = 0.249 Hz, so 2.011 s
+        args = ["--kind", "elevation", "--dt", "1.5", "--duration", "64",
+                "--depth", "30"]
+        assert main(["synth", "--out", str(tmp_path / "a"), "--points",
+                     "T1"] + args) == 2
+        assert main(["synth", "--out", str(tmp_path / "b"), "--points",
+                     "S11"] + args) == 0
+        rec = data_io.load_elevation(tmp_path / "b" / "elevation" / "S11.npy")
+        assert rec.samples.size == 43
 
     def test_times_past_year_9999_exit_2(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path / "o"), "--depth", "30",
@@ -309,8 +324,22 @@ class TestOptimizeRankReport:
         assert main(["optimize", "--out", str(out),
                      "--bounds", "0.5,0.5,2,6,5,100"]) == 2
 
-    def test_optimize_without_features(self, tmp_path):
+    def test_optimize_without_features(self, tmp_path, capsys):
         assert main(["optimize", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("features.csv missing; run the `analyze` stage "
+                            "first\n"), err
+
+    def test_degenerate_data_derived_bounds(self, tmp_path, capsys):
+        # every point has H 0.5, T 4.0 and d 10.0
+        for name, text in feature_tables(("1.0", "1.0"),
+                                         ("2.0", "2.0")).items():
+            (tmp_path / name).parent.mkdir(exist_ok=True)
+            (tmp_path / name).write_text(text + "\n")
+        assert main(["optimize", "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "optimize: degenerate data-derived bounds in H, T, d; pass "
+            "--bounds explicitly\n")
 
     def test_rank_join_error(self, tmp_path):
         out = tmp_path / "o"
@@ -325,7 +354,9 @@ class TestOptimizeRankReport:
         out = tmp_path / "o"
         out.mkdir()
         assert main(["report", "--out", str(out)]) == 2
-        assert "rank" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.endswith("results.csv missing; run the `rank` stage "
+                            "first\n"), err
 
 
 class TestPipeline:
@@ -523,9 +554,24 @@ MALFORMED = {
     "missing catalog": (
         ["synth", "--depth", "30", "--catalog", "{tmp}/none.csv"], {}),
     "malformed start": (["synth", "--depth", "30", "--start", "2006"], {}),
+    # records have no timestamps, so only the settings check sees it
+    "malformed start for records": (
+        ["synth", "--kind", "elevation", "--duration", "16", "--depth", "30",
+         "--points", "K1", "--start", "2006"], {}),
+    "config holding a JSON array": (
+        ["synth", "--depth", "30", "--hours", "3", "--points", "K1",
+         "--config", "{tmp}/cfg.json"], {"cfg.json": "[]"}),
+    # synth would give the first catalog point a depth of 0.0
+    "depth range starting at zero": (
+        ["synth", "--hours", "3", "--depth-range", "0,100", "--points",
+         "K1"], {}),
     "header-only features": (["optimize"], {"o/features.csv": (
         "point,zone,h_bar_m,t_bar_s,depth_m,power_irregular_wpm,"
         "power_regular_wpm")}),
+    "empty features file": (["optimize"], {"o/features.csv": b""}),
+    "features field over the csv module's limit": (["optimize"], {
+        "o/features.csv": ",".join(data_io.FEATURE_DTYPE.names)
+        + "\nP1,A,0.5,4.0,10.0,1.0," + "1" * 131073}),
     "zero hours": (["synth", "--depth", "30", "--hours", "0"], {}),
     "non-UTF-8 config": (
         ["synth", "--depth", "30", "--config", "{tmp}/cfg.json"],
@@ -557,15 +603,15 @@ MALFORMED = {
     "record shorter than two samples": (
         ["synth", "--kind", "elevation", "--duration", "0.5", "--dt", "0.5",
          "--depth-range", "5,100", "--points", "T1"], {}),
-    # round(inf) would overflow, and np.arange refuse the sample count,
-    # after catalog.csv is written
+    # synthesize_record refuses a duration/dt that no array could index
     "record of infinitely many samples": (
         ["synth", "--kind", "elevation", "--duration", "1e300", "--dt",
          "1e-10", "--depth", "30", "--points", "K1"], {}),
     "record of more samples than an array can index": (
         ["synth", "--kind", "elevation", "--duration", "1e300", "--dt",
          "0.5", "--depth", "30", "--points", "K1"], {}),
-    # report normalizes by the largest irregular power
+    # zone_totals, which report reruns on the results, refuses a total
+    # power of 0.0
     "no positive irregular power": (["report"], rank_tables(
         ("0.0", "1.0", "1"), ("0.0", "2.0", "2"))),
     "non-integer rank": (["report"], rank_tables(
@@ -670,11 +716,22 @@ MALFORMED = {
         name: text.replace("0.6,4.1,79.0", "1e308,4.1,79.0")
         for name, text in feature_tables(("1.0", "1.0"),
                                          ("2.0", "2.0")).items()}),
-    # the bounds span up to H = 1e308, whose power overflows
+    # the data-derived bounds span up to H = 1e308, beyond
+    # gwo.BOUND_LIMIT, past which the optimizer's moves could overflow
     "mean height too large for the optimizer": (["optimize"], {
         name: text.replace("\nP2,A,0.5,4.0,10.0,", "\nP2,A,1e308,5.0,20.0,")
         for name, text in feature_tables(("1.0", "1.0"),
                                          ("2.0", "2.0")).items()}),
+    "depth too large for the optimizer": (["optimize"], {
+        name: text.replace("\nP1,A,0.5,4.0,10.0,", "\nP1,A,0.6,5.0,1e308,")
+        for name, text in feature_tables(("1.0", "1.0"),
+                                         ("2.0", "2.0")).items()}),
+    # numpy's draw of the first pack would overflow its span
+    "bounds whose span overflows": (
+        ["optimize", "--bounds", "0.1,0.6,2,6,-1e308,1e308"], {}),
+    # the pack's moves would overflow, with numpy warnings
+    "bound too large for the optimizer": (
+        ["optimize", "--bounds", "0.1,0.6,2,6,5,1e308"], {}),
     # numpy cannot allocate the optimizer's draws, or its pack
     "iterations past any address space": (
         ["optimize", "--bounds", "0.1,0.6,2,6,5,100",

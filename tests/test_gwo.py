@@ -43,6 +43,27 @@ class TestTypes:
         with pytest.raises(DomainError, match="finite"):
             SearchBounds(lower=lower, upper=upper)
 
+    @pytest.mark.parametrize("lower,upper", [
+        ([0.0, -np.nextafter(gwo.BOUND_LIMIT, np.inf)], [1.0, 1.0]),
+        ([0.0, 0.0], [1.0, np.nextafter(gwo.BOUND_LIMIT, np.inf)]),
+        ([0.0, -1e308], [1.0, 1e308]),
+    ])
+    def test_bounds_beyond_the_limit_refused(self, lower, upper):
+        with pytest.raises(DomainError, match="in magnitude"):
+            SearchBounds(lower=lower, upper=upper)
+
+    @pytest.mark.parametrize("objective", [
+        lambda x: x[0], lambda x: -x[0], lambda x: np.zeros(x.shape[1])])
+    def test_bounds_at_the_limit_run_without_overflow(self, objective):
+        # objectives that pull the pack to an edge of the box or leave it
+        # spread over all of it; the suite's filterwarnings setting makes
+        # a numpy overflow warning an error
+        m = gwo.BOUND_LIMIT
+        run = gwo_maximize(objective, SearchBounds(lower=[-m, -m],
+                                                   upper=[m, m]),
+                           GwoConfig(agents=12, max_iter=30, seed=3))
+        assert np.all(np.abs(run.best_position) <= m)
+
     def test_config_validation(self):
         with pytest.raises(DomainError):
             GwoConfig(agents=3)
