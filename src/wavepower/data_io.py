@@ -86,7 +86,7 @@ ELEVATION_DTYPE = np.dtype([("time_s", "<f8"), ("eta_m", "<f8")])
 # the times that YYYY-MM-DDTHH:MM:SSZ can spell
 FIRST_TIME = np.datetime64("0000-01-01T00:00:00", "s")
 LAST_TIME = np.datetime64("9999-12-31T23:59:59", "s")
-_BAD_STAMP = "bad timestamp {stamp!r}, expected YYYY-MM-DDTHH:MM:SSZ"
+_BAD_STAMP = "bad timestamp {timestamp!r}, expected YYYY-MM-DDTHH:MM:SSZ"
 # largest deviation of an elevation record's time steps from their
 # median, relative to that median
 SAMPLING_REL_TOL = 1e-6
@@ -126,7 +126,7 @@ def load_catalog(path):
     non-negative, names and zones free of _CONTROL characters, each name
     one file name and used once, coordinates in range, and each depth
     empty or positive and finite."""
-    return _load_table(path, CATALOG_DTYPE, lambda a: [
+    return _load_table(path, CATALOG_DTYPE, lambda a: _finite(a) + [
         (a["index"] < 0, "negative index {index}"),
         (_flags(_CONTROL.search, a["name"] + a["zone"]),
          "name {name!r} or zone {zone!r} has control characters"),
@@ -182,56 +182,58 @@ def format_timestamps(times):
     return out
 
 
-def _first_fault(checks):
-    """(row, reason) of the first row that one of `checks`, (mask, reason)
-    pairs, flags, with the reason of the first check that flags it; None
-    if no check flags a row."""
+def _row_fault(arr, checks, rows=None):
+    """(line, reason) of the first row of `arr` that one of `checks`,
+    (mask, reason) pairs, flags, with the reason of the first check that
+    flags it; None if no check flags a row. The reason is formatted with
+    the row's fields as written, given `rows`, a CSV's (line, fields)
+    pairs; else, with no line, it follows "row R: " (rows counted from 0)
+    and holds the row's values, datetimes as YYYY-MM-DDTHH:MM:SSZ."""
     faults = [(int(np.argmax(bad)), k) for k, (bad, _) in enumerate(checks)
               if bad.any()]
     if not faults:
         return None
     row, k = min(faults)
-    return row, checks[k][1]
+    reason, names = checks[k][1], arr.dtype.names
+    if rows is not None:
+        line, fields = rows[row]
+        return line, reason.format(**dict(zip(names, fields)))
+    fields = [(format_timestamps(column) if column.dtype.kind == "M"
+               else column).tolist()[0]
+              for column in (arr[name][row:row + 1] for name in names)]
+    return None, f"row {row}: " + reason.format(**dict(zip(names, fields)))
 
 
-def _sea_state_fault(times, hs, te):
-    """(row, reason) of the first invalid row of a sea-state series, or
-    None; on one row the checks run in the order listed. "{stamp}" in the
-    reason stands for the row's timestamp."""
+def _finite(a):
+    """The checks that each float field of the array `a` is finite."""
+    return [(~np.isfinite(a[name]), f"non-finite {name} {{{name}}}")
+            for name in a.dtype.names if a.dtype[name].kind == "f"]
+
+
+def _not_after_previous(column):
+    """True where a value is not greater than the one before it."""
+    flags = np.zeros(column.size, dtype=bool)
+    flags[1:] = ~(column[1:] > column[:-1])
+    return flags
+
+
+def _sea_state_checks(series):
+    """The row checks of a SEA_STATE_DTYPE array, in the order they run on
+    one row; none for a valid series."""
+    times, hs, te = series["timestamp"], series["hs_m"], series["te_s"]
     # one pass accepts a valid series; NaT and NaN fail every comparison,
-    # so a series holding one goes on to the ordered checks
+    # so a series holding one goes on to the checks
     if (FIRST_TIME <= times[0] and times[-1] <= LAST_TIME
             and (times[1:] > times[:-1]).all()
             and _positive_finite(hs, zero_ok=True) and _positive_finite(te)):
-        return None
-    later = np.ones(times.size, dtype=bool)
-    later[1:] = times[1:] > times[:-1]
-    return _first_fault([
+        return []
+    return [
         (~((times >= FIRST_TIME) & (times <= LAST_TIME)), _BAD_STAMP),
-        (~later, "non-increasing timestamp {stamp}"),
-        (~np.isfinite(hs), "non-finite Hs {hs}"),
-        (~np.isfinite(te), "non-finite Te {te}"),
-        (hs < 0, "negative Hs {hs}"),
-        (te <= 0, "non-positive Te {te}"),
-    ])
-
-
-def _series_fault(series):
-    """(row, reason) of the first faulty row of a SEA_STATE_DTYPE array
-    (see _sea_state_fault), the reason filled in with that row's values;
-    None for a valid series."""
-    times, hs, te = series["timestamp"], series["hs_m"], series["te_s"]
-    fault = _sea_state_fault(times, hs, te)
-    if fault:
-        row, reason = fault
-        return row, reason.format(
-            stamp=str(format_timestamps(times[row:row + 1])[0]),
-            hs=hs[row], te=te[row])
-    return None
-
-
-def _stem(path):
-    return os.path.splitext(os.path.basename(path))[0]
+        (_not_after_previous(times), "non-increasing timestamp {timestamp}"),
+        (~np.isfinite(hs), "non-finite Hs {hs_m}"),
+        (~np.isfinite(te), "non-finite Te {te_s}"),
+        (hs < 0, "negative Hs {hs_m}"),
+        (te <= 0, "non-positive Te {te_s}")]
 
 
 def _is_npy(path):
@@ -314,8 +316,9 @@ def _load_columns(path, dtype):
     """A table as an array of `dtype`, and its rows as (line, fields)
     pairs, the fields stripped as the file has them; None for .npy. The
     file is .npy, or else CSV with a header naming at least the fields
-    (see _write_columns), and blank lines skipped. A file with no rows is
-    an error."""
+    (see _write_columns), and blank lines skipped; a timestamp that does
+    not parse is NaT, for the table's row checks to refuse. A file with
+    no rows is an error."""
     if _is_npy(path):
         arr = _read_npy(path, dtype)
         if arr.size == 0:
@@ -359,12 +362,8 @@ def _load_columns(path, dtype):
     arr = np.empty(len(rows), dtype=dtype)
     for i, name in enumerate(dtype.names):
         column = [v[i] for v in values]
-        stamps = dtype[name].kind == "M"
-        arr[name] = parse_timestamps(column) if stamps else column
-        if stamps and np.isnat(arr[name]).any():
-            k = int(np.argmax(np.isnat(arr[name])))
-            raise ParseError(f"{path}: " + _BAD_STAMP.format(stamp=column[k]),
-                             line=rows[k][0])
+        arr[name] = parse_timestamps(column) if dtype[name].kind == "M" \
+            else column
     return arr, rows
 
 
@@ -400,17 +399,9 @@ def _write_columns(path, table):
 
 def load_sea_states(path):
     """A sea-state file, .npy or else CSV, as a SEA_STATE_DTYPE array: one
-    point's series, checked row by row (see _sea_state_fault). A faulty
-    row is a ParseError at its line of a CSV, or at its row (from 0) of an
-    .npy, named with the point of the file stem."""
-    arr, rows = _load_columns(path, SEA_STATE_DTYPE)
-    fault = _series_fault(arr)
-    if fault:
-        row, reason = fault
-        if rows is None:
-            raise ParseError(f"{path}: {_stem(path)}: row {row}: {reason}")
-        raise ParseError(f"{path}: {reason}", line=rows[row][0])
-    return arr
+    point's series, checked row by row (see _sea_state_checks and
+    _load_table)."""
+    return _load_table(path, SEA_STATE_DTYPE, _sea_state_checks)
 
 
 def write_sea_states(series, path):
@@ -418,38 +409,42 @@ def write_sea_states(series, path):
     DataError, naming the point of the file stem, before anything is
     written, unless the series is one that load_sea_states would accept:
     a 1-D array of that dtype with at least one row, and no faulty row."""
-    point = _stem(path)
+    point = os.path.splitext(os.path.basename(path))[0]
     if series.dtype != SEA_STATE_DTYPE or series.ndim != 1:
         raise DataError(f"{point}: expected a 1-D array of fields "
                         f"{_fields(SEA_STATE_DTYPE)}, got shape "
                         f"{series.shape} of {_fields(series.dtype)}")
     if not series.size:
         raise DataError(f"{point}: empty sea-state series")
-    fault = _series_fault(series)
+    fault = _row_fault(series, _sea_state_checks(series))
     if fault:
-        raise DataError(f"{point}: row {fault[0]}: {fault[1]}")
+        raise DataError(f"{point}: {fault[1]}")
     _write_columns(path, series)
 
 
 def load_elevation(path):
-    """Parse an elevation file, .npy or else CSV, with the fields of
-    ELEVATION_DTYPE; sampling must be uniform within SAMPLING_REL_TOL."""
-    arr, _ = _load_columns(path, ELEVATION_DTYPE)
+    """An elevation file, .npy or else CSV, with the fields of
+    ELEVATION_DTYPE, as an ElevationRecord: finite times and elevations,
+    the times strictly increasing (checked row by row, see _load_table)
+    and sampled uniformly, within SAMPLING_REL_TOL, at a finite median
+    step."""
+    arr = _load_table(path, ELEVATION_DTYPE, lambda a: _finite(a) + [
+        (_not_after_previous(a["time_s"]), "non-increasing time_s {time_s}")])
     t, eta = arr["time_s"], arr["eta_m"].copy()
     if t.size < 2:
         raise DataError(f"{path}: need at least 2 samples")
-    if not np.all(np.isfinite(t)):
-        raise ParseError(f"{path}: non-finite time")
-    steps = np.diff(t)
     # the median step, as np.median takes it (the mean of the two middle
     # steps of an even count), without np.median's numpy.ma NaN check:
-    # the times are finite, so no step is NaN
-    half = steps.size // 2
-    mid = np.partition(steps, [half - 1, half])
-    dt = float(mid[half] if steps.size % 2
-               else (mid[half - 1] + mid[half]) / 2)
-    if dt <= 0:
-        raise ParseError(f"{path}: non-increasing time column")
+    # the times are finite and increasing, so every step is positive, and
+    # one past the largest float is inf
+    with np.errstate(over="ignore"):
+        steps = np.diff(t)
+        half = steps.size // 2
+        mid = np.partition(steps, [half - 1, half])
+        dt = float(mid[half] if steps.size % 2
+                   else (mid[half - 1] + mid[half]) / 2)
+    if not dt < np.inf:
+        raise ParseError(f"{path}: non-finite median time step {dt}")
     worst = float(np.max(np.abs(steps - dt)))
     if worst > SAMPLING_REL_TOL * dt:
         raise ParseError(
@@ -523,30 +518,21 @@ def _repeated(values):
 
 
 def _load_table(path, dtype, checks):
-    """The table at `path` as an array of `dtype`, else ParseError at the
-    first row with a non-finite float or flagged by one of `checks(arr)`,
-    (mask, reason) pairs, in that order; the reason is formatted with the
-    row's fields as a CSV has them, or with its values in an .npy, whose
-    rows are counted from 0."""
+    """The table at `path` as an array of `dtype`, else ParseError at its
+    first row that one of `checks(arr)`, (mask, reason) pairs, flags: at
+    its line of a CSV, or at its row of an .npy (see _row_fault)."""
     arr, rows = _load_columns(path, dtype)
-    checks = [(~np.isfinite(arr[name]), f"non-finite {name} {{{name}}}")
-              for name in dtype.names if dtype[name].kind == "f"] + checks(arr)
-    fault = _first_fault(checks)
+    fault = _row_fault(arr, checks(arr), rows)
     if fault:
-        row, reason = fault
-        if rows is None:  # .npy: the row by its index, with its values
-            line, fields, where = None, arr[row].tolist(), f"row {row}: "
-        else:
-            (line, fields), where = rows[row], ""
-        raise ParseError(f"{path}: {where}" + reason.format(
-            **dict(zip(dtype.names, fields))), line=line)
+        line, reason = fault
+        raise ParseError(f"{path}: {reason}", line=line)
     return arr
 
 
 def load_zone_shares(path):
     """zone_shares.csv as a ZONE_SHARE_DTYPE array. Totals and shares must
     be non-negative, each zone listed once."""
-    return _load_table(path, ZONE_SHARE_DTYPE, lambda a: [
+    return _load_table(path, ZONE_SHARE_DTYPE, lambda a: _finite(a) + [
         ((a["total_power_wpm"] < 0) | (a["share"] < 0),
          "negative total {total_power_wpm} or share {share}"),
         (_repeated(a["zone"]), "duplicate zone {zone!r}")])
@@ -566,7 +552,7 @@ def _power_check(a):
 def load_features(path):
     """features.csv as a FEATURE_DTYPE array. Powers and mean heights must
     be non-negative, depths and mean periods positive, each point once."""
-    return _load_table(path, FEATURE_DTYPE, lambda a: [
+    return _load_table(path, FEATURE_DTYPE, lambda a: _finite(a) + [
         _power_check(a),
         (a["depth_m"] <= 0, "non-positive depth_m {depth_m}"),
         (a["h_bar_m"] < 0, "negative h_bar_m {h_bar_m}"),
@@ -583,7 +569,7 @@ def write_reference(run, path):
 def load_reference(path):
     """The (H, T, d) of reference.csv's first row, a float array. Every
     row's H, T and d must be positive."""
-    table = _load_table(path, REFERENCE_DTYPE, lambda a: [
+    table = _load_table(path, REFERENCE_DTYPE, lambda a: _finite(a) + [
         (a[name] <= 0, f"non-positive {name} {{{name}}}")
         for name in REFERENCE_DTYPE.names[:3]])
     return np.array(table.tolist()[0][:3])
@@ -604,7 +590,7 @@ def write_convergence(run, path):
 def load_results(path):
     """results.csv as a RESULT_DTYPE array. Powers must be non-negative,
     the ranks the integers 1..n each once, and each point listed once."""
-    return _load_table(path, RESULT_DTYPE, lambda a: [
+    return _load_table(path, RESULT_DTYPE, lambda a: _finite(a) + [
         _power_check(a),
         ((a["rank"] < 1) | (a["rank"] > a.size) | _repeated(a["rank"]),
          f"rank {{rank}} is not one of 1..{a.size} taken once"),
@@ -614,8 +600,12 @@ def load_results(path):
 def write_report(results, shares, directory):
     """The plot-ready tables under `directory`, columns of the results and
     zone shares, and the zone shares through write_zone_shares; the powers
-    are normalized by the largest, which must be positive (as the zone
-    totals' sum is, which pipeline.zone_totals checks)."""
+    are normalized by the largest. Before anything is written,
+    pipeline.check_zone_shares refuses shares other than those of
+    pipeline.zone_totals, which refuses results whose powers do not sum
+    to a positive, finite total; so the largest power is positive."""
+    from .pipeline import check_zone_shares
+    check_zone_shares(results, shares)
     power = results["power_irregular_wpm"]
     tables = {
         "power_by_point.csv": results[["point", "zone",

@@ -782,47 +782,115 @@ def _export_csv(path):
                              path.with_suffix(".csv"))
 
 
-# name -> (edit of synth's sea_states/Z1.npy, text the one error line holds)
+def _as_csv(path, edit):
+    """The .npy at `path` replaced by a CSV of `edit` of its array."""
+    arr = edit(np.load(path, allow_pickle=False))
+    path.unlink()
+    data_io._write_columns(path.with_suffix(".csv"), arr)
+
+
+def _with_times(times):
+    """An edit of a record: its first len(times) rows, at `times`."""
+    def edit(arr):
+        arr = arr[:len(times)].copy()
+        arr["time_s"] = times
+        return arr
+    return edit
+
+
+def _alternate_times(arr):
+    arr["time_s"][::2], arr["time_s"][1::2] = -1e308, 1e308
+    return arr
+
+
+def _nan_eta_row_7(arr):
+    arr["eta_m"][7] = np.nan
+    return arr
+
+
+# times whose steps are finite but whose median step (a + b) / 2 is past
+# the largest float; increasing times whose first step is past it
+HUGE_MEDIAN = _with_times([-1.7e308, 0.0, 1.7e308])
+HUGE_STEP = _with_times([-1e308, 1e308, 1.5e308])
+
+# the file a row edits -> the rest of the synth and analyze arguments,
+# and the point that analyze keeps
+POINT_RUNS = {
+    "sea_states/Z1.npy": (["--seed", "1", "--hours", "48", "--depth", "30",
+                           "--points", "K4,Z1"], "K4"),
+    "elevation/K1.npy": (["--kind", "elevation", "--duration", "64",
+                          "--depth", "30", "--points", "K1,K2"], "K2"),
+}
+SEA, RECORD = POINT_RUNS
+
+# name -> (file synth wrote under --out, edit of it, text the one error
+# line holds with --out/ left out)
 MALFORMED_POINT = {
-    "truncated": (lambda p: p.write_bytes(p.read_bytes()[:-7]),
+    "truncated": (SEA, lambda p: p.write_bytes(p.read_bytes()[:-7]),
                   "Z1.npy: unreadable .npy file"),
-    "header only": (lambda p: p.write_bytes(p.read_bytes()[:60]),
+    "header only": (SEA, lambda p: p.write_bytes(p.read_bytes()[:60]),
                     "Z1.npy: unreadable .npy file"),
-    "not npy": (lambda p: p.write_text("timestamp,hs_m,te_s\n"),
+    "not npy": (SEA, lambda p: p.write_text("timestamp,hs_m,te_s\n"),
                 "Z1.npy: not an .npy file"),
     "pickled object array": (
-        lambda p: _resave(p, lambda a: np.array(list(a), dtype=object)),
+        SEA, lambda p: _resave(p, lambda a: np.array(list(a), dtype=object)),
         "Z1.npy: unreadable .npy file"),
     "wrong field names": (
-        lambda p: _resave(p, lambda a: a.astype(
+        SEA, lambda p: _resave(p, lambda a: a.astype(
             [("time", "<M8[s]"), ("hs", "<f8"), ("te", "<f8")])),
         "Z1.npy: expected fields timestamp <M8[s], hs_m <f8, te_s <f8"),
-    "wrong ndim": (lambda p: _resave(p, lambda a: a.reshape(2, -1)),
+    "wrong ndim": (SEA, lambda p: _resave(p, lambda a: a.reshape(2, -1)),
                    "Z1.npy: expected a 1-D array"),
-    "negative Hs": (lambda p: _resave(p, _negate_hs_row_5),
-                    "Z1.npy: Z1: row 5: negative Hs"),
-    "both csv and npy": (_export_csv, "/Z1.npy and "),
+    "negative Hs": (SEA, lambda p: _resave(p, _negate_hs_row_5),
+                    "Z1.npy: row 5: negative Hs"),
+    "both csv and npy": (SEA, _export_csv, "/Z1.npy and "),
+    "record step past the largest float": (
+        RECORD, lambda p: _resave(p, HUGE_STEP),
+        "elevation/K1.npy: non-finite median time step inf"),
+    "record step past the largest float, csv": (
+        RECORD, lambda p: _as_csv(p, HUGE_STEP),
+        "elevation/K1.csv: non-finite median time step inf"),
+    "record times alternating": (
+        RECORD, lambda p: _resave(p, _alternate_times),
+        "elevation/K1.npy: row 2: non-increasing time_s -1e+308"),
+    "record times alternating, csv": (
+        RECORD, lambda p: _as_csv(p, _alternate_times),
+        "line 4: elevation/K1.csv: non-increasing time_s -1e+308"),
+    "record elevation nan": (
+        RECORD, lambda p: _resave(p, _nan_eta_row_7),
+        "elevation/K1.npy: row 7: non-finite eta_m nan"),
+    "record elevation nan, csv": (
+        RECORD, lambda p: _as_csv(p, _nan_eta_row_7),
+        "line 9: elevation/K1.csv: non-finite eta_m nan"),
+    "record median step past the largest float": (
+        RECORD, lambda p: _resave(p, HUGE_MEDIAN),
+        "elevation/K1.npy: non-finite median time step inf"),
+    "record median step past the largest float, csv": (
+        RECORD, lambda p: _as_csv(p, HUGE_MEDIAN),
+        "elevation/K1.csv: non-finite median time step inf"),
 }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_POINT))
 def test_malformed_point_file_fails_that_point(case, tmp_path, capsys):
-    edit, text = MALFORMED_POINT[case]
+    file, edit, text = MALFORMED_POINT[case]
+    run, kept = POINT_RUNS[file]
     out = tmp_path / "o"
-    args = ["--out", str(out), "--seed", "1", "--hours", "48",
-            "--depth", "30", "--points", "K4,Z1"]
+    args = ["--out", str(out)] + run
     assert main(["synth"] + args) == 0
-    edit(out / "sea_states" / "Z1.npy")
+    edit(out / file)
     capsys.readouterr()
-    assert main(["analyze"] + args) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["analyze"] + args) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Traceback" not in err, err
-    assert err.startswith("analyze: point Z1 failed: ")
-    assert text in err, err
+    assert err.startswith(f"analyze: point {Path(file).stem} failed: ")
+    assert text in err.replace(f"{out}{os.sep}", ""), err
     if case == "both csv and npy":
         assert err.rstrip().endswith("/Z1.csv exist; remove the stale one")
     assert [ln.split(",")[0] for ln in
-            read_lines(out / "features.csv")[1:]] == ["K4"]
+            read_lines(out / "features.csv")[1:]] == [kept]
 
 
 THREE_POINTS = ["--hours", "3", "--depth", "30", "--points", "K1,K2,K3"]
@@ -855,16 +923,34 @@ def _series_edit(data, series):
     return series
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_mutated_sea_state_file_fails_closed(three_point_synth, data):
-    # K2's series, edited as an array and saved to .npy or .csv with no
-    # checks, or as the bytes of its .npy; analyze either refuses K2
-    # alone or takes all three points, and numpy never warns
+def _record_edit(data, record):
+    """`record` with one drawn edit of a cell, two adjacent times or the
+    rows."""
+    row = data.draw(st.integers(0, record.size - 1))
+    kind = data.draw(st.sampled_from(["cell", "times", "rows"]))
+    if kind == "cell":
+        record[data.draw(st.sampled_from(["time_s", "eta_m"]))][row] = \
+            data.draw(st.sampled_from([
+                np.nan, np.inf, -np.inf, 1e308, -1e308, 1.7e308, -1.7e308,
+                record["time_s"][row - 1]]))  # or row 0 the last time
+    elif kind == "times":  # increasing, but the step overflows
+        row = max(row, 1)
+        record["time_s"][row - 1:row + 1] = -1e308, 1e308
+    else:
+        record = np.delete(record, row) if data.draw(st.booleans()) \
+            else np.insert(record, row, record[row])
+    return record
+
+
+def _analyze_mutated_k2(synth_out, data, file, edit, args):
+    """Analyze a copy of `synth_out` whose `file`, K2's, is edited as an
+    array by `edit` and saved to .npy or .csv with no checks, or edited as
+    the bytes of its .npy: analyze either refuses K2 alone or takes all
+    three points, and numpy never warns."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "o"
-        shutil.copytree(three_point_synth, out)
-        npy = out / "sea_states" / "K2.npy"
+        shutil.copytree(synth_out, out)
+        npy = out / file
         if data.draw(st.booleans()):
             raw = bytearray(npy.read_bytes())
             for at, new in data.draw(st.lists(st.tuples(
@@ -874,16 +960,16 @@ def test_mutated_sea_state_file_fails_closed(three_point_synth, data):
                 raw[at:at + 1] = new
             npy.write_bytes(bytes(raw))
         else:
-            series = _series_edit(data, data_io.load_sea_states(npy))
+            arr = edit(data, np.load(npy, allow_pickle=False))
             if data.draw(st.booleans()):
                 npy.unlink()
                 npy = npy.with_suffix(".csv")
-            data_io._write_columns(npy, series)
+            data_io._write_columns(npy, arr)
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stderr(err):
             warnings.simplefilter("always")
-            rc = main(["analyze", "--out", str(out)] + THREE_POINTS)
+            rc = main(["analyze", "--out", str(out)] + args)
         points = [ln.split(",")[0] for ln in
                   read_lines(out / "features.csv")[1:]]
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
@@ -895,6 +981,32 @@ def test_mutated_sea_state_file_fails_closed(three_point_synth, data):
         assert points == ["K1", "K3"]
     else:
         assert (rc, err.getvalue(), points) == (0, "", ["K1", "K2", "K3"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_sea_state_file_fails_closed(three_point_synth, data):
+    _analyze_mutated_k2(three_point_synth, data, "sea_states/K2.npy",
+                        _series_edit, THREE_POINTS)
+
+
+THREE_RECORDS = ["--kind", "elevation", "--duration", "64", "--depth", "30",
+                 "--points", "K1,K2,K3"]
+
+
+@pytest.fixture(scope="module")
+def three_record_synth(tmp_path_factory):
+    """--out of synth for K1, K2 and K3, 128 record samples each."""
+    out = tmp_path_factory.mktemp("records") / "o"
+    assert main(["synth", "--out", str(out)] + THREE_RECORDS) == 0
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_elevation_file_fails_closed(three_record_synth, data):
+    _analyze_mutated_k2(three_record_synth, data, "elevation/K2.npy",
+                        _record_edit, THREE_RECORDS)
 
 
 @pytest.fixture(scope="module")

@@ -301,11 +301,11 @@ def reference_fault(times, hs, te):
             (not data_io.FIRST_TIME <= t <= data_io.LAST_TIME,
              data_io._BAD_STAMP),
             (row > 0 and not t > times[row - 1],
-             "non-increasing timestamp {stamp}"),
-            (not np.isfinite(h), "non-finite Hs {hs}"),
-            (not np.isfinite(p), "non-finite Te {te}"),
-            (h < 0, "negative Hs {hs}"),
-            (p <= 0, "non-positive Te {te}"),
+             "non-increasing timestamp {timestamp}"),
+            (not np.isfinite(h), "non-finite Hs {hs_m}"),
+            (not np.isfinite(p), "non-finite Te {te_s}"),
+            (h < 0, "negative Hs {hs_m}"),
+            (p <= 0, "non-positive Te {te_s}"),
         ]
         for bad, reason in checks:
             if bad:
@@ -348,8 +348,15 @@ def test_row_checks_match_the_one_row_reference(data, n):
                                            min_size=n, max_size=n)))
 
     hs, te = column(VALID_HS), column(VALID_TE)
-    assert data_io._sea_state_fault(times, hs, te) == \
-        reference_fault(times, hs, te)
+    fault = reference_fault(times, hs, te)
+    if fault:  # the reason holds the row's values, its time formatted
+        row, reason = fault
+        fault = None, f"row {row}: " + reason.format(
+            timestamp=str(data_io.format_timestamps(times)[row]),
+            hs_m=hs[row], te_s=te[row])
+    series = sea_states(hs, te, times)
+    assert data_io._row_fault(series, data_io._sea_state_checks(series)) \
+        == fault
 
 
 def refusals(directory, series):
@@ -370,7 +377,7 @@ def refusals(directory, series):
 
 class TestSeaStateSeries:
     """The writer refuses a faulty series with the text the loader gives
-    for the .npy, less its path."""
+    for the .npy, the point in place of the path."""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, tmp_path, bad):
@@ -380,7 +387,7 @@ class TestSeaStateSeries:
             row = 1 if column == "Hs" else 0
             reason = f"non-finite {column} {bad}"
             assert refusals(tmp_path, series) == [
-                f"P1: row {row}: {reason}", f"{npy}: P1: row {row}: {reason}",
+                f"P1: row {row}: {reason}", f"{npy}: row {row}: {reason}",
                 f"line {row + 2}: {csv}: {reason}"]
             for path in (npy, csv):
                 path.unlink()
@@ -390,7 +397,7 @@ class TestSeaStateSeries:
             [0.4, 0.5], [3.0, 4.0], data_io.parse_timestamps(
                 ("2006-01-01T00:00:00Z", "2006-01-02"))))
         assert write.startswith("P1: row 1: bad timestamp 'NaT'")
-        assert npy == f"{tmp_path / 'P1.npy'}: {write}"
+        assert npy == write.replace("P1", str(tmp_path / "P1.npy"), 1)
         assert csv.startswith(f"line 3: {tmp_path / 'P1.csv'}: bad "
                               f"timestamp 'NaT'")
 
@@ -411,7 +418,7 @@ class TestSeaStateSeries:
                                                         [3.0, 4.0], times))
         assert write.startswith(
             "P1: row 1: bad timestamp '10000-01-01T00:00:00Z'")
-        assert npy == f"{tmp_path / 'P1.npy'}: {write}"
+        assert npy == write.replace("P1", str(tmp_path / "P1.npy"), 1)
         assert "line 3: " in csv and "bad timestamp" in csv
 
     def test_empty_series_rejected(self, tmp_path):
@@ -480,7 +487,8 @@ def test_writer_refuses_what_the_loader_refuses(data, n):
                 assert data_io.load_sea_states(out / name).tobytes() == \
                     series.tobytes()
         except DataError as exc:
-            assert refused["P1.npy"] == f"{Path(tmp) / 'P1.npy'}: {exc}"
+            assert refused["P1.npy"] == str(exc).replace(
+                "P1", str(Path(tmp) / "P1.npy"), 1)
             assert "P1.csv" in refused
         else:
             assert not refused
@@ -1061,6 +1069,20 @@ def test_report_takes_the_zone_shares_rank_writes(data, powers):
     shares = pipeline.zone_totals(results, zones)
     order = data.draw(st.permutations(range(len(powers))))
     pipeline.check_zone_shares(results[list(order)], shares)
+
+
+def test_report_of_no_power_is_refused_before_writing(tmp_path):
+    # the zone shares rank cannot write: zone_totals refuses a total of 0
+    results = np.zeros(2, dtype=data_io.RESULT_DTYPE)
+    results["point"], results["zone"], results["rank"] = ["P1", "P2"], "A", \
+        [1, 2]
+    shares = np.array([("A", 0.0, 0.0)], dtype=data_io.ZONE_SHARE_DTYPE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="^total power must be "
+                                              "positive and finite, got 0.0$"):
+            data_io.write_report(results, shares, tmp_path / "report")
+    assert not (tmp_path / "report").exists()
 
 
 def test_stage_tables_load_back_as_written(tmp_path):
