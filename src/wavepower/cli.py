@@ -44,7 +44,6 @@ DEFAULTS = {
     "dt": (0.5, float, "elevation sample interval, s"),
     "segments": (8, int, "minimum spectrum segments per record"),
     "taper": ("raised-cosine", ("none", "raised-cosine"), "segment taper"),
-    "format": ("delimited", ("delimited", "structured"), "results format"),
 }
 # least integer values; the floats are physical, so positive and finite
 INT_MIN = {"agents": 4, "iters": 1, "seed": 0, "hours": 1, "segments": 1}
@@ -89,6 +88,8 @@ def resolve_config(args):
                 doc = json.load(fh)
         except UnicodeDecodeError:
             raise ConfigError(f"{args.config}: not UTF-8 text") from None
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{args.config}: {exc}") from None
         if not isinstance(doc, dict):
             raise ConfigError(f"{args.config}: expected a JSON object")
         unknown = set(doc) - set(DEFAULTS)
@@ -147,9 +148,10 @@ def _catalog(cfg, path=None):
     return pipeline.apply_depths(catalog, cfg["depth_range"], cfg["depth"])
 
 
-def _stage_input(cfg, name, stage, loader):
+def _stage_input(cfg, name, loader):
     path = join(cfg["out"], name)
     if not exists(path):
+        stage = next(s for s, names in OUTPUTS.items() if name in names)
         raise ConfigError(f"{path} missing; run the `{stage}` stage first")
     return loader(path)
 
@@ -217,7 +219,7 @@ def cmd_optimize(cfg, into):
     """find the power-maximizing (H, T, d) reference"""
     from . import pipeline
     bounds = cfg["bounds"] or pipeline.derived_bounds(
-        _stage_input(cfg, "features.csv", "analyze", data_io.load_features))
+        _stage_input(cfg, "features.csv", data_io.load_features))
     run = pipeline.optimize(bounds, _env(cfg), cfg["agents"], cfg["iters"],
                             cfg["seed"])
     data_io.write_reference(run, join(into, "reference.csv"))
@@ -229,18 +231,13 @@ def cmd_optimize(cfg, into):
 def cmd_rank(cfg, into):
     """score and rank points against the reference"""
     from . import pipeline
-    features = _stage_input(cfg, "features.csv", "analyze",
-                            data_io.load_features)
-    ref = _stage_input(cfg, "reference.csv", "optimize",
-                       data_io.load_reference)
+    features = _stage_input(cfg, "features.csv", data_io.load_features)
+    ref = _stage_input(cfg, "reference.csv", data_io.load_reference)
     features = features[pipeline.select_points(features["point"],
                                                cfg["points"])]
     ranked = pipeline.assess(features, ref, cfg["norm_mode"])
     shares = pipeline.zone_totals(ranked, features["zone"].tolist())
     data_io.write_results(ranked, join(into, "results.csv"))
-    if cfg["format"] == "structured":
-        data_io.write_results(ranked, join(into, "results.json"),
-                              format="structured", config=cfg["echo"])
     data_io.write_zone_shares(shares, join(into, "zone_shares.csv"))
     raw = cfg["norm_mode"] == "raw"
     return 0, ["raw norm mixes units; the depth dimension dominates (use "
@@ -249,26 +246,28 @@ def cmd_rank(cfg, into):
 
 def cmd_report(cfg, into):
     """emit plot-ready tables"""
-    ranked = _stage_input(cfg, "results.csv", "rank", data_io.load_results)
-    shares = _stage_input(cfg, "zone_shares.csv", "rank",
-                          data_io.load_zone_shares)
+    ranked = _stage_input(cfg, "results.csv", data_io.load_results)
+    shares = _stage_input(cfg, "zone_shares.csv", data_io.load_zone_shares)
     data_io.write_report(ranked, shares, join(into, "report"))
     return 0, []
 
 
 COMMANDS = {"synth": cmd_synth, "analyze": cmd_analyze,
             "optimize": cmd_optimize, "rank": cmd_rank, "report": cmd_report}
-# stage -> the outputs it writes only under some flags; a run that does
-# not write one removes that of an earlier run
-OPTIONAL_OUTPUTS = {"rank": ["results.json"]}
+# stage -> the files it writes under --out beside <stage>_config.json, a
+# per-point file as one pattern per kind
+OUTPUTS = {"synth": ["catalog.csv", "sea_states/*.npy", "elevation/*.npy"],
+           "analyze": ["features.csv"],
+           "optimize": ["reference.csv", "convergence.csv", "bounds.csv"],
+           "rank": ["results.csv", "zone_shares.csv"],
+           "report": ["report/*.csv"]}
 
 
 def _commit(stage, cfg):
     """Run `stage` into the cleared `<out>/.<stage>.partial`, move each file
     it wrote, `<stage>_config.json` last, to its path under `<out>`, then
     print the stage's notes. A target that is a directory or lies under a
-    file is refused before any parent is made or file moved; then an
-    OPTIONAL_OUTPUTS file this run did not write is removed. On any error
+    file is refused before any parent is made or file moved. On any error
     the staging directory goes, and `<out>` too if this call made it. A set
     of renames is not atomic: if one fails, those before it stay done."""
     out, made = cfg["out"], not os.path.lexists(cfg["out"])
@@ -285,9 +284,6 @@ def _commit(stage, cfg):
             if os.path.isdir(target) or os.path.isfile(dirname(target)):
                 raise ConfigError(f"cannot write {target}: it is a "
                                   f"directory, or its parent is a file")
-        for name in OPTIONAL_OUTPUTS.get(stage, []):
-            if name not in names and os.path.isfile(join(out, name)):
-                os.remove(join(out, name))
         for parent in {dirname(join(out, name)) for name in names}:
             os.makedirs(parent, exist_ok=True)
         for name in names:
@@ -305,8 +301,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _commit(args.command, resolve_config(args))
-    except (WavePowerError, OSError, json.JSONDecodeError,
-            MemoryError) as exc:
+    except (WavePowerError, OSError, MemoryError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

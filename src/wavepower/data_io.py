@@ -13,7 +13,6 @@ text between them.
 
 import csv
 import io
-import json
 import math
 import os
 import re
@@ -21,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DataError, DomainError, ParseError, _positive_finite
+from .errors import DataError, ParseError, _positive_finite
 
 # Southern Caspian point catalog: nine port zones, 105 points.
 # Per zone: (zone name, point name prefix, latitudes, longitudes), one
@@ -236,6 +235,19 @@ def _sea_state_checks(series):
         (te <= 0, "non-positive Te {te_s}")]
 
 
+def _elevation_checks(record):
+    """The row checks of an ELEVATION_DTYPE array, in the order they run on
+    one row; none for a valid record."""
+    t, eta = record["time_s"], record["eta_m"]
+    # one pass accepts a valid record; NaN fails every comparison, and
+    # times that increase from a finite first to a finite last are finite
+    if (-math.inf < t[0] and t[-1] < math.inf and (t[1:] > t[:-1]).all()
+            and np.isfinite(eta).all()):
+        return []
+    return _finite(record) + [
+        (_not_after_previous(t), "non-increasing time_s {time_s}")]
+
+
 def _is_npy(path):
     return os.fspath(path).endswith(".npy")
 
@@ -428,8 +440,7 @@ def load_elevation(path):
     the times strictly increasing (checked row by row, see _load_table)
     and sampled uniformly, within SAMPLING_REL_TOL, at a finite median
     step."""
-    arr = _load_table(path, ELEVATION_DTYPE, lambda a: _finite(a) + [
-        (_not_after_previous(a["time_s"]), "non-increasing time_s {time_s}")])
+    arr = _load_table(path, ELEVATION_DTYPE, _elevation_checks)
     t, eta = arr["time_s"], arr["eta_m"].copy()
     if t.size < 2:
         raise DataError(f"{path}: need at least 2 samples")
@@ -490,19 +501,9 @@ def load_point(directory, name, kind="sea-states"):
     return load(found[0])
 
 
-def write_results(results, path, format="delimited", config=None):
-    """A RESULT_DTYPE array as the results CSV ("delimited") or as one JSON
-    document of the config echo and the assessments ("structured")."""
-    if format == "delimited":
-        _write_columns(path, results)
-        return
-    if format != "structured":
-        raise DomainError(f"unknown results format {format!r}")
-    doc = {"config": config or {},
-           "assessments": [dict(zip(RESULT_DTYPE.names, row))
-                           for row in results.tolist()]}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def write_results(results, path):
+    """A RESULT_DTYPE array as results.csv."""
+    _write_columns(path, results)
 
 
 def write_zone_shares(shares, path):

@@ -185,11 +185,13 @@ def test_criterion_7_reference_pattern():
                           upper=[0.595, 4.102, 100.0])
     run = gwo_maximize(_power_objective, bounds,
                        GwoConfig(agents=10, max_iter=200, seed=0))
+    # at T_max the unclipped depth optimum is about 4.18 m, below d_min,
+    # so the optimum depth is d_min itself
     h, t, d = run.best_position
-    ok = abs(h - 0.595) <= 1e-3 and abs(t - 4.102) <= 1e-3
+    ok = abs(h - 0.595) <= 1e-3 and abs(t - 4.102) <= 1e-3 and d == 5.0
     report(7, ok,
-           f"H_opt={h:.4f} (max 0.595), T_opt={t:.4f} (max 4.102); "
-           f"depth landed at {d:.1f} m on the near-flat depth direction")
+           f"H_opt={h:.4f} (max 0.595), T_opt={t:.4f} (max 4.102), "
+           f"d_opt={d} (d_min, above the unclipped optimum of 4.18 m)")
 
 
 def test_criterion_8_ranking_coherence():

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wavepower import data_io, pipeline
-from wavepower.cli import main
+from wavepower.cli import OUTPUTS, main
 from wavepower.mechanics import FluidEnvironment, regular_wave_power
 from wavepower.spectral import ElevationRecord
 
@@ -410,11 +410,21 @@ class TestPipeline:
         assert main(["synth", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 2
 
-    def test_structured_results(self, tmp_path):
-        out = tmp_path / "o"
-        run_pipeline(out, extra=["--format", "structured"])
-        doc = json.loads((out / "results.json").read_text())
-        assert len(doc["assessments"]) == 6
+    def test_invalid_json_config_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{bad")
+        assert main(["synth", "--config", str(cfg),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"synth: {cfg}: Expecting property name"), err
+        assert err.count("\n") == 1, err
+
+    def test_format_is_not_an_option(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(["rank", "--out", str(tmp_path / "o"),
+                  "--format", "structured"])
+        assert refused.value.code == 2
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
 
     def test_minmax_mode(self, tmp_path):
         out = tmp_path / "o"
@@ -582,6 +592,9 @@ MALFORMED = {
     "out key in config": (
         ["synth", "--depth", "30", "--config", "{tmp}/cfg.json"],
         {"cfg.json": '{"out": "ignored"}'}),
+    "format key in config": (
+        ["rank", "--config", "{tmp}/cfg.json"],
+        {"cfg.json": '{"format": "delimited"}'}),
     "infinite catalog depth": (
         ["synth", "--catalog", "{tmp}/cat.csv"],
         {"cat.csv": "index,name,zone,lat_deg,lon_deg,depth_m\n"
@@ -1168,17 +1181,15 @@ COMMIT_ARGS = ["--hours", "3", "--depth-range", "5,100",
 # another seed and rho change what synth, analyze and optimize write, so
 # on a tree of an earlier run a file they leave shows as changed
 RERUN_ARGS = COMMIT_ARGS + ["--seed", "2", "--rho", "1000"]
+# pattern of cli.OUTPUTS -> the paths it stands for with COMMIT_ARGS
+PATTERN_PATHS = {
+    "sea_states/*.npy": [f"sea_states/{p}.npy" for p in ("K1", "K2", "K3")],
+    "elevation/*.npy": [],
+    "report/*.csv": ["report/" + name for name in REPORT_TABLES]}
 # stage -> the paths it writes under --out with COMMIT_ARGS
 STAGE_OUTPUTS = {
-    "synth": ["catalog.csv", "sea_states/K1.npy", "sea_states/K2.npy",
-              "sea_states/K3.npy", "synth_config.json"],
-    "analyze": ["features.csv", "analyze_config.json"],
-    "optimize": ["reference.csv", "convergence.csv", "bounds.csv",
-                 "optimize_config.json"],
-    "rank": ["results.csv", "zone_shares.csv", "rank_config.json"],
-    "report": ["report/" + name for name in REPORT_TABLES]
-    + ["report_config.json"],
-}
+    stage: [path for name in names for path in PATTERN_PATHS.get(name, [name])]
+    + [f"{stage}_config.json"] for stage, names in OUTPUTS.items()}
 # (stage, path, what takes the path's place)
 COMMIT_CASES = [(stage, path, "directory") for stage in STAGES
                 for path in STAGE_OUTPUTS[stage]] + [
@@ -1242,30 +1253,27 @@ def test_leftover_staging_directory_is_cleared(tmp_path):
                                STAGE_OUTPUTS["synth"] + ["sea_states"])
 
 
-def structured_rank(commit_trees, tmp_path):
-    """(--out of all five stages plus a structured rank, rank's argv)."""
-    out, argv = tmp_path / "o", ["rank", "--out", str(tmp_path / "o")]
+# (stage, a file of --out it reads, the stage cli.OUTPUTS says writes it)
+STAGE_INPUTS = [
+    (stage, name, writer)
+    for stage, names in [("optimize", ["features.csv"]),
+                         ("rank", ["features.csv", "reference.csv"]),
+                         ("report", ["results.csv", "zone_shares.csv"])]
+    for name in names for writer in OUTPUTS if name in OUTPUTS[writer]]
+
+
+@pytest.mark.parametrize("stage, name, writer", STAGE_INPUTS)
+def test_missing_input_names_its_stage(commit_trees, tmp_path, capsys,
+                                       stage, name, writer):
+    out = tmp_path / "o"
     shutil.copytree(commit_trees[1], out)
-    assert main(argv + COMMIT_ARGS + ["--format", "structured"]) == 0
-    return out, argv + COMMIT_ARGS + ["--norm-mode", "minmax"]
-
-
-def test_delimited_rank_removes_structured_results(commit_trees, tmp_path):
-    # the raw ranking's results.json would sit beside the min-max
-    # results.csv
-    out, argv = structured_rank(commit_trees, tmp_path)
-    assert main(argv) == 0
-    assert not (out / "results.json").exists()
-
-
-def test_refused_delimited_rank_keeps_structured_results(commit_trees,
-                                                         tmp_path):
-    out, argv = structured_rank(commit_trees, tmp_path)
-    before = (out / "results.json").read_bytes()
-    (out / "zone_shares.csv").unlink()
-    (out / "zone_shares.csv").mkdir()
-    assert main(argv) == 2
-    assert (out / "results.json").read_bytes() == before
+    (out / name).unlink()
+    before = tree_bytes(out)
+    capsys.readouterr()
+    assert main([stage, "--out", str(out)] + COMMIT_ARGS) == 2
+    assert capsys.readouterr().err == (
+        f"{stage}: {out / name} missing; run the `{writer}` stage first\n")
+    assert tree_bytes(out) == before
 
 
 # The process entry point, run as `python -m wavepower.cli` in a child

@@ -547,6 +547,28 @@ class TestElevationIO:
         with pytest.raises(ParseError, match="non-uniform"):
             data_io.load_elevation(path)
 
+    def test_valid_record_gets_no_row_checks(self):
+        # the one-pass accept: a valid record builds no row mask
+        record = data_io._table(data_io.ELEVATION_DTYPE, np.arange(4) * 0.5,
+                                [-1e308, 0.0, 1e308, 5e-324])
+        assert data_io._elevation_checks(record) == []
+
+
+EDGE_FLOATS = [-np.inf, -1e308, -1.0, 0.0, 1.0, 1e308, np.inf, np.nan]
+
+
+@settings(max_examples=300, deadline=None)
+@given(times=arrays(np.float64, st.integers(1, 6),
+                    elements=st.sampled_from(EDGE_FLOATS)),
+       eta=st.lists(st.sampled_from(EDGE_FLOATS), min_size=6, max_size=6))
+def test_elevation_checks_find_the_fault_of_every_row_mask(times, eta):
+    # the one-pass accept passes only records that no row mask flags
+    record = data_io._table(data_io.ELEVATION_DTYPE, times, eta[:times.size])
+    every_mask = data_io._finite(record) + [
+        (data_io._not_after_previous(times), "non-increasing time_s {time_s}")]
+    assert data_io._row_fault(record, data_io._elevation_checks(record)) \
+        == data_io._row_fault(record, every_mask)
+
 
 class TestNpyHandOff:
     def test_sea_state_layout(self, tmp_path):
@@ -941,16 +963,6 @@ class TestResults:
         data_io.write_results(ranked, p1)
         data_io.write_results(ranked, p2)
         assert p1.read_bytes() == p2.read_bytes()
-
-    def test_structured_document(self, tmp_path):
-        import json
-        path = tmp_path / "r.json"
-        data_io.write_results(assessed(make_assessment("A", 1.0)), path,
-                              format="structured", config={"seed": 0})
-        doc = json.loads(path.read_text())
-        assert sorted(doc) == ["assessments", "config"]
-        assert doc["assessments"][0]["point"] == "A"
-        assert doc["config"] == {"seed": 0}
 
 
 # stage table -> (its dtype, its loader)
