@@ -40,8 +40,8 @@ for s in ranked[:5]:
           f"norm={s['norm']:.3f}, corr={s['correlation']:.4f}, "
           f"P={s['power_irregular_wpm']:.0f} W/m")
 
-# 5. Zone totals and shares of the total resource.
-zones = pipeline.zone_totals(ranked, zone_order)
+# 5. Zone totals and shares of the total resource, zones in rank order.
+zones = pipeline.zone_totals(ranked)
 print("\nzone shares:")
 for z in zones:
     print(f"  {z['zone']:13s} {z['total_power_wpm']:8.0f} W/m "

@@ -122,10 +122,13 @@ def resolve_config(args):
         cfg["depth_range"] = _numbers("depth_range", raw["depth_range"], 2)
         if min(cfg["depth_range"]) <= 0:
             raise ConfigError("depth_range must be positive")
-    names = [n.strip() for n in (raw["points"] or "").split(",")]
-    cfg["points"] = [n for n in names if n] or None
-    if cfg["points"] and len(set(cfg["points"])) < len(cfg["points"]):
-        raise ConfigError("points must name each point once")
+    if raw["points"] is not None:
+        names = [n.strip() for n in raw["points"].split(",")]
+        cfg["points"] = [n for n in names if n]
+        if not cfg["points"]:
+            raise ConfigError("points must name at least one point")
+        if len(set(cfg["points"])) < len(cfg["points"]):
+            raise ConfigError("points must name each point once")
     (cfg["start"],) = data_io.parse_timestamps([raw["start"]])
     if np.isnat(cfg["start"]):
         raise ConfigError("start must be like 2006-01-01T00:00:00Z")
@@ -236,7 +239,7 @@ def cmd_rank(cfg, into):
     features = features[pipeline.select_points(features["point"],
                                                cfg["points"])]
     ranked = pipeline.assess(features, ref, cfg["norm_mode"])
-    shares = pipeline.zone_totals(ranked, features["zone"].tolist())
+    shares = pipeline.zone_totals(ranked)
     data_io.write_results(ranked, join(into, "results.csv"))
     data_io.write_zone_shares(shares, join(into, "zone_shares.csv"))
     raw = cfg["norm_mode"] == "raw"
@@ -247,8 +250,7 @@ def cmd_rank(cfg, into):
 def cmd_report(cfg, into):
     """emit plot-ready tables"""
     ranked = _stage_input(cfg, "results.csv", data_io.load_results)
-    shares = _stage_input(cfg, "zone_shares.csv", data_io.load_zone_shares)
-    data_io.write_report(ranked, shares, join(into, "report"))
+    data_io.write_report(ranked, join(into, "report"))
     return 0, []
 
 

@@ -530,15 +530,6 @@ def _load_table(path, dtype, checks):
     return arr
 
 
-def load_zone_shares(path):
-    """zone_shares.csv as a ZONE_SHARE_DTYPE array. Totals and shares must
-    be non-negative, each zone listed once."""
-    return _load_table(path, ZONE_SHARE_DTYPE, lambda a: _finite(a) + [
-        ((a["total_power_wpm"] < 0) | (a["share"] < 0),
-         "negative total {total_power_wpm} or share {share}"),
-        (_repeated(a["zone"]), "duplicate zone {zone!r}")])
-
-
 def write_features(features, path):
     """A FEATURE_DTYPE array as features.csv."""
     _write_columns(path, features)
@@ -598,15 +589,15 @@ def load_results(path):
         (_repeated(a["point"]), "duplicate point {point!r}")])
 
 
-def write_report(results, shares, directory):
+def write_report(results, directory):
     """The plot-ready tables under `directory`, columns of the results and
-    zone shares, and the zone shares through write_zone_shares; the powers
-    are normalized by the largest. Before anything is written,
-    pipeline.check_zone_shares refuses shares other than those of
-    pipeline.zone_totals, which refuses results whose powers do not sum
-    to a positive, finite total; so the largest power is positive."""
-    from .pipeline import check_zone_shares
-    check_zone_shares(results, shares)
+    of their zone shares, and the zone shares through write_zone_shares;
+    the powers are normalized by the largest. The zone shares are
+    pipeline.zone_totals of the results in rank order, as rank wrote them;
+    it refuses results whose powers do not sum to a positive, finite total
+    before anything is written, so the largest power is positive."""
+    from .pipeline import zone_totals
+    shares = zone_totals(results[np.argsort(results["rank"])])
     power = results["power_irregular_wpm"]
     tables = {
         "power_by_point.csv": results[["point", "zone",

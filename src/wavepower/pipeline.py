@@ -193,12 +193,12 @@ def assess(features, ref, mode="raw"):
     return assessment.rank_points(results)
 
 
-def zone_totals(results, zones):
+def zone_totals(results):
     """The zone-share array (data_io.ZONE_SHARE_DTYPE): each zone's total,
     np.sum of its irregular powers in results order, and its share, that
-    over the totals' sum in the order zones first appear in the results.
-    Zones follow their first appearance in `zones`, e.g. catalog order.
-    DomainError unless that sum is positive and finite."""
+    over the totals' sum, with the zones in the order they first appear in
+    the results; so rank order for rank's results. DomainError unless that
+    sum is positive and finite."""
     by_zone = {}
     for zone, power in zip(results["zone"].tolist(),
                            results["power_irregular_wpm"].tolist()):
@@ -208,26 +208,5 @@ def zone_totals(results, zones):
     if not 0 < grand < np.inf:
         raise DomainError(f"total power must be positive and finite, got "
                           f"{grand}")
-    return np.array([(z, totals[z], totals[z] / grand)
-                     for z in dict.fromkeys(zones)],
+    return np.array([(z, t, t / grand) for z, t in totals.items()],
                     dtype=data_io.ZONE_SHARE_DTYPE)
-
-
-def check_zone_shares(results, shares):
-    """JoinError unless the zone-share array `shares` names the zones of
-    the results array `results`, and DataError at its first row that
-    differs, to the bit, from zone_totals of the results in rank order,
-    the order rank sums in; so the zone shares rank wrote pass, whatever
-    the row order of either file."""
-    zones = shares["zone"].tolist()
-    odd = set(results["zone"].tolist()).symmetric_difference(zones)
-    if odd:
-        raise JoinError(f"zone shares and results differ in zones "
-                        f"{', '.join(map(repr, sorted(odd)))}")
-    expected = zone_totals(results[np.argsort(results["rank"])], zones)
-    for row, want in zip(shares.tolist(), expected.tolist()):
-        if repr(row) != repr(want):  # repr tells -0.0 from 0.0
-            zone, total, share = row
-            raise DataError(f"zone {zone!r}: total {total!r} W/m and share "
-                            f"{share!r}, where the results give "
-                            f"{want[1]!r} W/m and {want[2]!r}")

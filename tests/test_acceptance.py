@@ -209,7 +209,7 @@ def test_criterion_8_ranking_coherence():
     by_norm = rank_points(assessed)["point"].tolist()
     by_power = assessed["point"][np.argsort(
         -assessed["power_irregular_wpm"], kind="stable")].tolist()
-    shares = pipeline.zone_totals(assessed, assessed["zone"].tolist())
+    shares = pipeline.zone_totals(assessed)
     share_err = abs(sum(shares["share"].tolist()) - 1.0)
 
     # tie-break chain total and deterministic on identical features

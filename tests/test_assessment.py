@@ -434,15 +434,14 @@ def zone_results(powers_by_zone):
 
 def shares_of(powers_by_zone):
     """zone -> share, from pipeline.zone_totals on zone_results."""
-    table = pipeline.zone_totals(zone_results(powers_by_zone),
-                                 list(powers_by_zone))
+    table = pipeline.zone_totals(zone_results(powers_by_zone))
     return dict(zip(table["zone"].tolist(), table["share"].tolist()))
 
 
 class TestZoneShares:
     def test_even_split(self):
         table = pipeline.zone_totals(zone_results(
-            {"A": [1.0, 1.0], "B": [2.0]}), ["A", "B"])
+            {"A": [1.0, 1.0], "B": [2.0]}))
         assert table.tolist() == [("A", 2.0, 0.5), ("B", 2.0, 0.5)]
 
     def test_single_zone(self):

@@ -444,6 +444,30 @@ class TestPipeline:
                   for line in read_lines(out / "zone_shares.csv")]
         assert read_lines(out / "report" / "power_by_zone.csv") == shares
 
+    def test_zone_rows_follow_the_ranking(self, tmp_path):
+        # the min-max ranking puts both Anzali points first, where the
+        # catalog lists Kiashahr before Anzali
+        out = tmp_path / "o"
+        extra = ["--norm-mode", "minmax"]
+        run_pipeline(out, extra=extra)
+        rows = [line.split(",") for line in read_lines(out / "results.csv")]
+        assert [int(r[-1]) for r in rows[1:]] == list(range(1, len(rows)))
+        zones = list(dict.fromkeys(r[1] for r in rows[1:]))
+        assert zones == ["Anzali", "Kiashahr"]
+        shares = out / "zone_shares.csv"
+        assert [line.split(",")[0] for line in read_lines(shares)[1:]] == \
+            zones
+        assert (out / "report" / "zone_shares.csv").read_bytes() == \
+            shares.read_bytes()
+        # report reads results.csv alone
+        report = tree_bytes(out / "report")
+        shares.write_text("zone,total_power_wpm,share\nA,1.0,2.0\n")
+        assert main(["report", "--out", str(out)] + extra) == 0
+        assert tree_bytes(out / "report") == report
+        shares.unlink()
+        assert main(["report", "--out", str(out)] + extra) == 0
+        assert tree_bytes(out / "report") == report
+
 
 def test_quoted_zones_through_every_stage(tmp_path):
     catalog = tmp_path / "catalog.csv"
@@ -529,12 +553,11 @@ def test_regular_power_that_overflows_fails_that_point(tmp_path, capsys):
 
 def rank_tables(*rows):
     """results.csv of one point per (power_irregular_wpm, power_regular_wpm,
-    rank) row, and a zone_shares.csv, as files for MALFORMED."""
+    rank) row, as a file for MALFORMED."""
     results = ",".join(data_io.RESULT_DTYPE.names) + "".join(
         f"\nP{i},A,0.5,4.0,10.0,{p_irr},{p_reg},1.0,0.9,{rank}"
         for i, (p_irr, p_reg, rank) in enumerate(rows, 1))
-    return {"o/results.csv": results,
-            "o/zone_shares.csv": "zone,total_power_wpm,share\nA,3.0,1.0"}
+    return {"o/results.csv": results}
 
 
 def feature_tables(*rows):
@@ -623,7 +646,7 @@ MALFORMED = {
     "record of more samples than an array can index": (
         ["synth", "--kind", "elevation", "--duration", "1e300", "--dt",
          "0.5", "--depth", "30", "--points", "K1"], {}),
-    # zone_totals, which report reruns on the results, refuses a total
+    # zone_totals, which report runs on the results, refuses a total
     # power of 0.0
     "no positive irregular power": (["report"], rank_tables(
         ("0.0", "1.0", "1"), ("0.0", "2.0", "2"))),
@@ -651,52 +674,6 @@ MALFORMED = {
     "repeated point in results": (["report"], {
         name: text.replace("\nP2,", "\nP1,") for name, text in
         rank_tables(("1.0", "1.0", "1"), ("2.0", "2.0", "2")).items()}),
-    "repeated zone in zone shares": (["report"], dict(rank_tables(
-        ("1.0", "1.0", "1"), ("2.0", "2.0", "2")), **{
-            "o/zone_shares.csv": "zone,total_power_wpm,share\n"
-                                 "A,3.0,1.0\nA,5.0,0.5"})),
-    # report would write zone shares that are not those of the results
-    "zone shares naming a zone the results lack": (["report"], dict(
-        rank_tables(("1.0", "1.0", "1"), ("2.0", "2.0", "2")), **{
-            "o/zone_shares.csv": "zone,total_power_wpm,share\n"
-                                 "A,3.0,1.0\nB,0.0,0.0"})),
-    "results zone the zone shares lack": (["report"], {
-        name: text.replace("\nP2,A,", "\nP2,B,") for name, text in
-        rank_tables(("1.0", "1.0", "1"), ("2.0", "2.0", "2")).items()}),
-    "zone total that is not its points' power": (["report"], dict(
-        rank_tables(("1.0", "1.0", "1"), ("2.0", "2.0", "2")), **{
-            "o/zone_shares.csv": "zone,total_power_wpm,share\nA,3.5,1.0"})),
-    # one ulp off rank's total or share: within the float error of
-    # another summation order, but not what rank wrote
-    "zone total one ulp above its points' power": (["report"], dict(
-        rank_tables(("1.0", "1.0", "1"), ("2.0", "2.0", "2")), **{
-            "o/zone_shares.csv": "zone,total_power_wpm,share\n"
-                                 "A,3.0000000000000004,1.0"})),
-    "zone share one ulp below 1": (["report"], dict(
-        rank_tables(("1.0", "1.0", "1"), ("2.0", "2.0", "2")), **{
-            "o/zone_shares.csv": "zone,total_power_wpm,share\n"
-                                 "A,3.0,0.9999999999999999"})),
-    # the points of zone A have no power, and rank writes its total 0.0
-    "negative zero zone total": (["report"], {
-        name: text.replace("\nP2,A,", "\nP2,B,") for name, text in dict(
-            rank_tables(("0.0", "1.0", "2"), ("2.0", "2.0", "1")), **{
-                "o/zone_shares.csv": "zone,total_power_wpm,share\n"
-                                     "A,-0.0,0.0\nB,2.0,1.0"}).items()}),
-    "zone shares summing to 2": (["report"], dict(
-        rank_tables(("1.0", "1.0", "1"), ("2.0", "2.0", "2")), **{
-            "o/zone_shares.csv": "zone,total_power_wpm,share\nA,3.0,2.0"})),
-    # zone A's points sum to 1.0 and zone B's to 2.0, so the shares are 1/3
-    # and 2/3; these sum to 1
-    "zone share that is not its total over the totals' sum": (["report"], {
-        name: text.replace("\nP2,A,", "\nP2,B,") for name, text in dict(
-            rank_tables(("1.0", "1.0", "1"), ("2.0", "2.0", "2")), **{
-                "o/zone_shares.csv": "zone,total_power_wpm,share\n"
-                                     "A,1.0,0.5\nB,2.0,0.5"}).items()}),
-    "negative zone share": (["report"], {
-        name: text.replace("\nP2,A,", "\nP2,B,") for name, text in dict(
-            rank_tables(("1.0", "1.0", "1"), ("2.0", "2.0", "2")), **{
-                "o/zone_shares.csv": "zone,total_power_wpm,share\n"
-                                     "A,1.0,1.5\nB,2.0,-0.5"}).items()}),
     # optimize writes one row; every row's H, T and d must be positive
     "non-positive depth in a reference row": (["rank"], {
         name: text + ("\n0.6,4.1,0.0,3000.0" if "reference" in name else "")
@@ -705,6 +682,14 @@ MALFORMED = {
     "repeated --points name": (
         ["synth", "--depth", "30", "--hours", "3", "--points", "K1,K1,Z1"],
         {}),
+    # synth would take the empty list of names for all 105 points
+    "--points of commas alone": (
+        ["synth", "--depth", "30", "--hours", "3", "--points", ","], {}),
+    "empty --points": (
+        ["synth", "--depth", "30", "--hours", "3", "--points", ""], {}),
+    "points of no name in config": (
+        ["synth", "--depth", "30", "--hours", "3", "--config",
+         "{tmp}/cfg.json"], {"cfg.json": '{"points": " , "}'}),
     # numpy would warn of an overflow, then refuse a point after
     # catalog.csv is written
     "sea-state series that overflows": (
@@ -1054,7 +1039,6 @@ def _set_field(path, column, value):
 NON_FINITE_STAGE_TABLES = [
     ("rank", "features.csv", "power_irregular_wpm"),
     ("report", "results.csv", "power_regular_wpm"),
-    ("report", "zone_shares.csv", "total_power_wpm"),
 ]
 
 
@@ -1093,8 +1077,7 @@ def tiny_runs(tmp_path_factory):
 # stage table -> (its key column, the stages that read it)
 STAGE_TABLES = {"features.csv": ("point", ["optimize", "rank"]),
                 "reference.csv": (None, ["rank"]),
-                "results.csv": ("point", ["report"]),
-                "zone_shares.csv": ("zone", ["report"])}
+                "results.csv": ("point", ["report"])}
 REPORT_TABLES = ["correlation_vs_power.csv", "norm_by_point.csv",
                  "power_by_point.csv", "power_by_zone.csv",
                  "power_vs_hs_depth.csv", "zone_shares.csv"]
@@ -1258,7 +1241,7 @@ STAGE_INPUTS = [
     (stage, name, writer)
     for stage, names in [("optimize", ["features.csv"]),
                          ("rank", ["features.csv", "reference.csv"]),
-                         ("report", ["results.csv", "zone_shares.csv"])]
+                         ("report", ["results.csv"])]
     for name in names for writer in OUTPUTS if name in OUTPUTS[writer]]
 
 

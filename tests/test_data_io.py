@@ -970,14 +970,13 @@ STAGE_TABLES = {
     "features.csv": (data_io.FEATURE_DTYPE, data_io.load_features),
     "reference.csv": (data_io.REFERENCE_DTYPE, data_io.load_reference),
     "results.csv": (data_io.RESULT_DTYPE, data_io.load_results),
-    "zone_shares.csv": (data_io.ZONE_SHARE_DTYPE, data_io.load_zone_shares),
 }
 NON_FINITE_TEXT = ["nan", "inf", "-inf", "NaN", "-nan", "+inf", "Infinity",
                    "-INFINITY"]
 
 
 def write_stage_tables(directory):
-    """Two-row features, results and zone shares, and a reference."""
+    """Two-row features and results, and a reference."""
     data_io.write_features(np.array(
         [("A", "Z1", 0.5, 4.0, 30.0, 100.0, 110.0),
          ("B", "Z2", 0.6, 4.5, 40.0, 120.0, 130.0)],
@@ -988,9 +987,6 @@ def write_stage_tables(directory):
     data_io.write_results(rank_points(assessed(
         make_assessment("A", 1.0, zone="Z1"),
         make_assessment("B", 2.0, zone="Z2"))), directory / "results.csv")
-    data_io.write_zone_shares(np.array(
-        [("Z1", 100.0, 100 / 220), ("Z2", 120.0, 120 / 220)],
-        dtype=data_io.ZONE_SHARE_DTYPE), directory / "zone_shares.csv")
 
 
 @settings(max_examples=200, deadline=None)
@@ -1016,8 +1012,7 @@ def test_non_finite_stage_table_field_names_line_and_column(data, table,
 
 
 @pytest.mark.parametrize("table,key", [("features.csv", "point"),
-                                       ("results.csv", "point"),
-                                       ("zone_shares.csv", "zone")])
+                                       ("results.csv", "point")])
 def test_repeated_key_names_its_line(tmp_path, table, key):
     write_stage_tables(tmp_path)
     path = tmp_path / table
@@ -1031,28 +1026,14 @@ def test_repeated_key_names_its_line(tmp_path, table, key):
         STAGE_TABLES[table][1](path)
 
 
-@pytest.mark.parametrize("total,share", [("-100.0", "0.5"), ("-5e-324", "0.5"),
-                                         ("2.0", "-0.5")])
-def test_negative_zone_total_or_share_names_its_line(tmp_path, total, share):
-    path = tmp_path / "zone_shares.csv"
-    path.write_text(f"zone,total_power_wpm,share\nA,1.0,1.5\n"
-                    f"B,{total},{share}\n")
-    with pytest.raises(ParseError, match=re.escape(
-            f"line 3: {path}: negative total {total} or share {share}")):
-        data_io.load_zone_shares(path)
-
-
 def test_zone_totals_past_the_largest_float_are_refused():
-    # each total is finite and its share 1/2, but rank's sum of the two is
-    # inf, and so its shares 0
+    # each total is finite, but their sum is inf, and so the shares 0
     results = np.zeros(2, dtype=data_io.RESULT_DTYPE)
     results["point"], results["zone"] = ["P1", "P2"], ["A", "B"]
     results["power_irregular_wpm"], results["rank"] = 1e308, [1, 2]
-    shares = np.array([("A", 1e308, 0.5), ("B", 1e308, 0.5)],
-                      dtype=data_io.ZONE_SHARE_DTYPE)
     with pytest.raises(DomainError, match="total power must be positive "
                                           "and finite"):
-        pipeline.check_zone_shares(results, shares)
+        pipeline.zone_totals(results)
 
 
 def test_npy_stage_table_row_fault_names_the_row(tmp_path):
@@ -1070,30 +1051,33 @@ def test_npy_stage_table_row_fault_names_the_row(tmp_path):
 @given(data=st.data(), powers=st.lists(
     st.floats(0, 1e12), min_size=1, max_size=120).filter(any))
 def test_report_takes_the_zone_shares_rank_writes(data, powers):
-    # rank sums each zone in rank order and lists the zones in catalog
-    # order; report checks in rank order
+    # rank writes zone_totals of its results in rank order; report gives
+    # the same bytes from the results in any row order
     zones = data.draw(st.lists(st.sampled_from("ABCDEFGHI"),
                                min_size=len(powers), max_size=len(powers)))
-    results = np.zeros(len(powers), dtype=data_io.RESULT_DTYPE)
-    results["point"] = [f"P{i}" for i in range(len(powers))]
-    results["zone"], results["power_irregular_wpm"] = zones, powers
-    results["rank"] = np.arange(1, len(powers) + 1)
-    shares = pipeline.zone_totals(results, zones)
+    ranked = np.zeros(len(powers), dtype=data_io.RESULT_DTYPE)
+    ranked["point"] = [f"P{i}" for i in range(len(powers))]
+    ranked["zone"], ranked["power_irregular_wpm"] = zones, powers
+    ranked["rank"] = np.arange(1, len(powers) + 1)
     order = data.draw(st.permutations(range(len(powers))))
-    pipeline.check_zone_shares(results[list(order)], shares)
+    with tempfile.TemporaryDirectory() as tmp:
+        rank_wrote = Path(tmp) / "zone_shares.csv"
+        data_io.write_zone_shares(pipeline.zone_totals(ranked), rank_wrote)
+        data_io.write_report(ranked[list(order)], Path(tmp) / "report")
+        assert (Path(tmp) / "report" / "zone_shares.csv").read_bytes() == \
+            rank_wrote.read_bytes()
 
 
 def test_report_of_no_power_is_refused_before_writing(tmp_path):
-    # the zone shares rank cannot write: zone_totals refuses a total of 0
+    # zone_totals refuses a total of 0, before any power is normalized
     results = np.zeros(2, dtype=data_io.RESULT_DTYPE)
     results["point"], results["zone"], results["rank"] = ["P1", "P2"], "A", \
         [1, 2]
-    shares = np.array([("A", 0.0, 0.0)], dtype=data_io.ZONE_SHARE_DTYPE)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="^total power must be "
                                               "positive and finite, got 0.0$"):
-            data_io.write_report(results, shares, tmp_path / "report")
+            data_io.write_report(results, tmp_path / "report")
     assert not (tmp_path / "report").exists()
 
 
@@ -1106,9 +1090,6 @@ def test_stage_tables_load_back_as_written(tmp_path):
     results = data_io.load_results(tmp_path / "results.csv")
     assert results["point"].tolist() == ["A", "B"]
     assert results["rank"].tolist() == [1, 2]
-    shares = data_io.load_zone_shares(tmp_path / "zone_shares.csv")
-    assert shares.tolist() == [("Z1", 100.0, 100 / 220),
-                               ("Z2", 120.0, 120 / 220)]
 
 
 # The frozen dataclasses that hold arrays compare and hash by identity: a

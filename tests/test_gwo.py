@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavepower import gwo
@@ -12,7 +12,11 @@ from wavepower.gwo import (
     a_schedule,
     gwo_maximize,
 )
-from wavepower.mechanics import regular_wave_power
+from wavepower.mechanics import (
+    FluidEnvironment,
+    power_transfer_factor,
+    regular_wave_power,
+)
 
 
 def coefficients(a, ndim, r=0.5):
@@ -333,3 +337,71 @@ def test_objective_sees_the_pack_as_ndim_by_agents():
 def test_objective_must_return_one_value_per_agent(objective):
     with pytest.raises(ContractError, match=r"expected \(5,\)"):
         gwo_maximize(objective, CUBE, GwoConfig(agents=5, max_iter=3))
+
+
+ENV = FluidEnvironment()
+# The peak of power_transfer_factor f(x) = tanh x + x sech^2 x, whose
+# derivative is 2 sech^2(x) (1 - x tanh x): the root of x tanh x = 1.
+X_STAR = 1.1996786402577338
+
+
+def test_x_star_is_the_peak_of_the_transfer_factor():
+    assert X_STAR == pytest.approx(1.1996787, abs=1e-7)
+    assert abs(X_STAR * np.tanh(X_STAR) - 1.0) <= 2 ** -52
+    grid = np.linspace(0.01, 20.0, 200001)
+    assert power_transfer_factor(X_STAR) >= power_transfer_factor(grid).max()
+
+
+def exact_optimum(bounds, env):
+    """The (H, T, d) in the box `bounds` where regular_wave_power is
+    largest, and that power, by linear theory: P grows with H^2, and at
+    any depth with T (the group velocity does), so H = H_max and
+    T = T_max; at T_max the depth factor peaks at kd = X_STAR, the depth
+    X_STAR tanh(X_STAR) g / omega^2, clipped to [d_min, d_max]."""
+    h, t = bounds.upper[:2]
+    omega = 2 * np.pi / t
+    d = min(max(X_STAR * np.tanh(X_STAR) * env.g / omega ** 2,
+                bounds.lower[2]), bounds.upper[2])
+    return (h, t, d), float(regular_wave_power(h, t, d, env))
+
+
+@st.composite
+def power_boxes(draw):
+    """(H, T, d) boxes inside regular_wave_power's domain (H >= 0, T and d
+    positive) whose depths end within three deep-water wavelengths at
+    T_max, as the default workload's data-derived box does. Past that the
+    power is flat to the last bit over most of the depth range, and the
+    pack can stop on that plateau."""
+    h_lo = draw(st.floats(0.0, 2.0))
+    h_hi = h_lo + draw(st.floats(1e-3, 3.0))
+    t_lo = draw(st.floats(1.0, 15.0))
+    t_hi = t_lo + draw(st.floats(1e-3, 10.0))
+    deep = 3 * ENV.g * t_hi ** 2 / (2 * np.pi)
+    d_hi = deep * draw(st.floats(0.02, 1.0))
+    d_lo = d_hi * draw(st.floats(1e-3, 0.99))
+    return SearchBounds(lower=[h_lo, t_lo, d_lo], upper=[h_hi, t_hi, d_hi])
+
+
+# no run lands above the exact optimum by more than rounding, and the
+# default 10 x 200 run lands within GAP below it: over 3,000 runs on such
+# boxes the relative gap had a median of a few 1e-9 and a maximum of 3.4e-7
+ROUNDING = 1e-12
+GAP = 1e-6
+
+
+@settings(max_examples=60, deadline=None)
+@given(bounds=power_boxes(), seed=st.integers(0, 2 ** 32 - 1))
+# criterion 5's box, whose optimum depth is inside it, and criterion 7's,
+# whose optimum depth is d_min
+@example(bounds=SearchBounds(lower=[0.1, 2.0, 5.0], upper=[0.6, 6.0, 100.0]),
+         seed=0)
+@example(bounds=SearchBounds(lower=[0.1, 2.0, 5.0],
+                             upper=[0.595, 4.102, 100.0]), seed=0)
+def test_gwo_reaches_the_exact_optimum(bounds, seed):
+    position, best = exact_optimum(bounds, ENV)
+    assert np.all((bounds.lower <= position) & (position <= bounds.upper))
+    run = gwo_maximize(
+        lambda x: regular_wave_power(x[0], x[1], x[2], ENV), bounds,
+        GwoConfig(agents=10, max_iter=200, seed=seed))
+    assert run.best_value <= best * (1 + ROUNDING)
+    assert run.best_value >= best * (1 - GAP)
