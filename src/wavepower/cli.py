@@ -174,7 +174,7 @@ def cmd_synth(cfg, into):
                               f"{data_io.LAST_TIME}Z, the last writable time")
         times = pipeline.timestamps(cfg["start"], cfg["hours"])
     means = pipeline.schedule_means(catalog, cfg["hs_base"], cfg["te_base"])
-    data_io.write_catalog(catalog, join(into, "catalog.csv"))
+    data_io.write_table(catalog, join(into, "catalog.csv"))
     for e in points:
         name = e["name"]
         if kind != "elevation":
@@ -212,7 +212,7 @@ def cmd_analyze(cfg, into):
             except WavePowerError as exc:
                 failures[point[0]["name"]] = str(exc)
         features = pipeline.feature_rows(solved, env)
-    data_io.write_features(features, join(into, "features.csv"))
+    data_io.write_table(features, join(into, "features.csv"))
     notes = [f"point {name} failed: {failures[name]}"
              for name in entries["name"].tolist() if name in failures]
     return (1 if notes else 0), notes
@@ -240,8 +240,8 @@ def cmd_rank(cfg, into):
                                                cfg["points"])]
     ranked = pipeline.assess(features, ref, cfg["norm_mode"])
     shares = pipeline.zone_totals(ranked)
-    data_io.write_results(ranked, join(into, "results.csv"))
-    data_io.write_zone_shares(shares, join(into, "zone_shares.csv"))
+    data_io.write_table(ranked, join(into, "results.csv"))
+    data_io.write_table(shares, join(into, "zone_shares.csv"))
     raw = cfg["norm_mode"] == "raw"
     return 0, ["raw norm mixes units; the depth dimension dominates (use "
                "--norm-mode minmax to rescale)"] if raw else []

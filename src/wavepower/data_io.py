@@ -1,10 +1,13 @@
 """Site catalog, CSV ingestion and result serialization.
 
-Every table is one structured array of its own dtype, and one reader and
-one writer take each to and from comma-separated UTF-8 with a header row
-by field kind (see _write_columns): floats with repr, so write-then-load
+Every table is one structured array of its own dtype, and one reader
+and one writer, write_table, take each to and from comma-separated UTF-8
+with a header row by field kind: floats with repr, so write-then-load
 round-trips exactly and identical inputs give byte-identical files. The
-csv module quotes a field holding a comma or a quote.
+csv module quotes a field holding a comma or a quote. The other writers
+build a table from what they are given (an elevation record, an
+optimizer run, a search box, the report's columns) and hand it to
+write_table; write_sea_states checks its series first.
 
 Per-point data (sea states, elevation records) may also be an .npy file
 of the array; the stages hand it on that way, so no float goes through
@@ -137,11 +140,6 @@ def load_catalog(path):
         (_flags(_bad_depth, a["depth_m"]),
          "depth must be positive and finite, got {depth_m}"),
         (_repeated(a["name"]), "duplicate point name {name!r}")])
-
-
-def write_catalog(catalog, path):
-    """A CATALOG_DTYPE array as catalog.csv."""
-    _write_columns(path, catalog)
 
 
 def parse_timestamps(stamps):
@@ -327,10 +325,10 @@ def _read_npy(path, dtype):
 def _load_columns(path, dtype):
     """A table as an array of `dtype`, and its rows as (line, fields)
     pairs, the fields stripped as the file has them; None for .npy. The
-    file is .npy, or else CSV with a header naming at least the fields
-    (see _write_columns), and blank lines skipped; a timestamp that does
-    not parse is NaT, for the table's row checks to refuse. A file with
-    no rows is an error."""
+    file is .npy, or else CSV (see write_table) with a header naming each
+    field once, beside any other columns, and blank lines skipped; a
+    timestamp that does not parse is NaT, for the table's row checks to
+    refuse. A file with no rows is an error."""
     if _is_npy(path):
         arr = _read_npy(path, dtype)
         if arr.size == 0:
@@ -348,6 +346,10 @@ def _load_columns(path, dtype):
             if missing:
                 raise ParseError(
                     f"{path}: missing columns {', '.join(missing)}", line=1)
+            repeated = [c for c in dtype.names if header.count(c) > 1]
+            if repeated:
+                raise ParseError(
+                    f"{path}: repeated columns {', '.join(repeated)}", line=1)
             col = [header.index(c) for c in dtype.names]
             for parts in reader:
                 if len(parts) < 2 and not "".join(parts).strip():
@@ -387,7 +389,7 @@ def _table(dtype, *columns):
     return arr
 
 
-def _write_columns(path, table):
+def write_table(table, path):
     """A structured array as .npy if the path ends so, else as CSV: its
     field names, then text as is, integers in decimal, floats with repr
     and datetimes as YYYY-MM-DDTHH:MM:SSZ; only fields needing quotes get
@@ -431,7 +433,7 @@ def write_sea_states(series, path):
     fault = _row_fault(series, _sea_state_checks(series))
     if fault:
         raise DataError(f"{point}: {fault[1]}")
-    _write_columns(path, series)
+    write_table(series, path)
 
 
 def load_elevation(path):
@@ -468,9 +470,9 @@ def load_elevation(path):
 
 def write_elevation(record, path):
     """Write .npy if the path ends so, else CSV (ELEVATION_DTYPE's fields)."""
-    _write_columns(path, _table(
+    write_table(_table(
         ELEVATION_DTYPE, np.arange(record.samples.size) * record.dt,
-        record.samples))
+        record.samples), path)
 
 
 def write_point(directory, name, data):
@@ -501,16 +503,6 @@ def load_point(directory, name, kind="sea-states"):
     return load(found[0])
 
 
-def write_results(results, path):
-    """A RESULT_DTYPE array as results.csv."""
-    _write_columns(path, results)
-
-
-def write_zone_shares(shares, path):
-    """A ZONE_SHARE_DTYPE array as zone_shares.csv."""
-    _write_columns(path, shares)
-
-
 def _repeated(values):
     """True where a value equals one before it."""
     repeated = np.ones(values.size, dtype=bool)
@@ -528,11 +520,6 @@ def _load_table(path, dtype, checks):
         line, reason = fault
         raise ParseError(f"{path}: {reason}", line=line)
     return arr
-
-
-def write_features(features, path):
-    """A FEATURE_DTYPE array as features.csv."""
-    _write_columns(path, features)
 
 
 def _power_check(a):
@@ -554,29 +541,30 @@ def load_features(path):
 
 def write_reference(run, path):
     """reference.csv: the optimizer's best (H, T, d) and its power."""
-    _write_columns(path, np.array([(*run.best_position, run.best_value)],
-                                  dtype=REFERENCE_DTYPE))
+    write_table(np.array([(*run.best_position, run.best_value)],
+                         dtype=REFERENCE_DTYPE), path)
 
 
 def load_reference(path):
-    """The (H, T, d) of reference.csv's first row, a float array. Every
-    row's H, T and d must be positive."""
+    """The (H, T, d) of reference.csv's one row, a float array. Its H, T
+    and d must be positive, and a second row is refused at its line."""
     table = _load_table(path, REFERENCE_DTYPE, lambda a: _finite(a) + [
         (a[name] <= 0, f"non-positive {name} {{{name}}}")
-        for name in REFERENCE_DTYPE.names[:3]])
+        for name in REFERENCE_DTYPE.names[:3]] + [
+        (np.arange(a.size) > 0, "more than one reference row")])
     return np.array(table.tolist()[0][:3])
 
 
 def write_bounds(bounds, path):
     """bounds.csv: the (H, T, d) search box the optimizer ran in."""
-    _write_columns(path, _table(BOUNDS_DTYPE, DIMENSION_NAMES, bounds.lower,
-                                bounds.upper))
+    write_table(_table(BOUNDS_DTYPE, DIMENSION_NAMES, bounds.lower,
+                       bounds.upper), path)
 
 
 def write_convergence(run, path):
     """convergence.csv: best power after each optimizer iteration."""
-    _write_columns(path, _table(CONVERGENCE_DTYPE, np.arange(
-        run.convergence.size), run.convergence))
+    write_table(_table(CONVERGENCE_DTYPE, np.arange(
+        run.convergence.size), run.convergence), path)
 
 
 def load_results(path):
@@ -591,11 +579,11 @@ def load_results(path):
 
 def write_report(results, directory):
     """The plot-ready tables under `directory`, columns of the results and
-    of their zone shares, and the zone shares through write_zone_shares;
-    the powers are normalized by the largest. The zone shares are
-    pipeline.zone_totals of the results in rank order, as rank wrote them;
-    it refuses results whose powers do not sum to a positive, finite total
-    before anything is written, so the largest power is positive."""
+    of their zone shares, and the zone shares themselves; the powers are
+    normalized by the largest. The zone shares are pipeline.zone_totals of
+    the results in rank order, as rank wrote them; it refuses results
+    whose powers do not sum to a positive, finite total before anything
+    is written, so the largest power is positive."""
     from .pipeline import zone_totals
     shares = zone_totals(results[np.argsort(results["rank"])])
     power = results["power_irregular_wpm"]
@@ -610,8 +598,8 @@ def write_report(results, directory):
             results["point"], results["correlation"], power / power.max()),
         "power_vs_hs_depth.csv": results[["point", "h_bar_m", "depth_m",
                                           "power_irregular_wpm"]],
+        "zone_shares.csv": shares,
     }
     os.makedirs(directory, exist_ok=True)
     for name, table in tables.items():
-        _write_columns(os.path.join(directory, name), table)
-    write_zone_shares(shares, os.path.join(directory, "zone_shares.csv"))
+        write_table(table, os.path.join(directory, name))

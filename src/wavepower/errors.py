@@ -25,24 +25,12 @@ class DomainError(WavePowerError, ValueError):
     """An argument is outside the mathematical domain of an operation."""
 
 
-class ContractError(WavePowerError, ValueError):
-    """Mismatched shapes or otherwise inconsistent arguments."""
-
-
 class SolverError(WavePowerError, RuntimeError):
     """Iterative solver failed to converge."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-
-
-class SizingError(WavePowerError, ValueError):
-    """Input too short for the requested segmentation."""
-
-
-class SamplingError(WavePowerError, ValueError):
-    """Sample interval violates a sampling constraint (e.g. Nyquist)."""
 
 
 class ScalingError(WavePowerError, ValueError):
@@ -73,10 +61,6 @@ class ParseError(WavePowerError, ValueError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class JoinError(WavePowerError, ValueError):
-    """Point sets from different pipeline stages do not match."""
 
 
 class ConfigError(WavePowerError, ValueError):

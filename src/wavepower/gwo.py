@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DomainError, EvaluationError
+from .errors import DomainError, EvaluationError
 
 # Doubles per random draw of gwo_maximize: a draw covers as many
 # iterations as fit, and at least one.
@@ -42,7 +42,7 @@ class SearchBounds:
         object.__setattr__(self, "lower", np.asarray(self.lower, dtype=float))
         object.__setattr__(self, "upper", np.asarray(self.upper, dtype=float))
         if self.lower.ndim != 1 or self.lower.shape != self.upper.shape:
-            raise ContractError("lower and upper must be matching 1-D arrays")
+            raise DomainError("lower and upper must be matching 1-D arrays")
         if self.lower.size < 1:
             raise DomainError("need at least one dimension")
         if not np.all(np.abs([self.lower, self.upper]) <= BOUND_LIMIT):
@@ -109,7 +109,7 @@ def gwo_maximize(objective, bounds, cfg=None):
 
     Each iteration calls `objective` once on the pack transposed, shape
     (ndim, agents), and expects one finite value per agent, shape
-    (agents,); any other shape is a ContractError, and a non-finite value
+    (agents,); any other shape is a DomainError, and a non-finite value
     an EvaluationError at the first such agent in pack order. It then
     updates the alpha/beta/delta trio (the three best evaluations so far,
     the earlier one first on ties) once, and moves and clamps the whole
@@ -140,8 +140,8 @@ def gwo_maximize(objective, bounds, cfg=None):
         for it, A_it, C_it in zip(range(start, stop), A, C):
             values = np.asarray(objective(pos.T), dtype=float)
             if values.shape != (n,):
-                raise ContractError(f"objective returned shape "
-                                    f"{values.shape}, expected ({n},)")
+                raise DomainError(f"objective returned shape "
+                                  f"{values.shape}, expected ({n},)")
             finite = np.isfinite(values)
             if np.count_nonzero(finite) < n:
                 i = np.flatnonzero(~finite)[0]

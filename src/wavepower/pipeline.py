@@ -8,7 +8,7 @@ runs, so a stage process loads only those of its own stage."""
 import numpy as np
 
 from . import data_io
-from .errors import ConfigError, DataError, DomainError, JoinError
+from .errors import ConfigError, DataError, DomainError
 
 
 def apply_depths(catalog, depth_range=None, depth=None):
@@ -38,7 +38,7 @@ def select_points(column, names=None):
         return list(index.values())
     missing = [n for n in names if n not in index]
     if missing:
-        raise JoinError(f"unknown points: {', '.join(missing)}")
+        raise ConfigError(f"unknown points: {', '.join(missing)}")
     return [index[n] for n in names]
 
 

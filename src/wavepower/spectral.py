@@ -9,8 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DataError, DomainError, SamplingError, SizingError,
-                     _positive_finite)
+from .errors import DataError, DomainError, _positive_finite
 from .mechanics import FluidEnvironment
 
 TAPER_NONE = "none"
@@ -108,7 +107,7 @@ def estimate_spectrum(record, segments=8, taper=TAPER_RAISED_COSINE):
     while L * 2 * segments <= x.size:
         L *= 2
     if x.size < L:
-        raise SizingError(
+        raise DataError(
             f"record of {x.size} samples is shorter than one "
             f"segment of {L}")
     w, wpow = _taper_window(L, taper)
@@ -188,7 +187,7 @@ def synthesize_record(target, duration, dt, seed):
         raise DomainError("duration and dt must be positive and finite")
     f_max = float(target.f[-1])
     if dt > 1.0 / (2.0 * f_max):
-        raise SamplingError(
+        raise DomainError(
             f"dt={dt} violates Nyquist for max frequency {f_max} Hz "
             f"(need dt <= {1.0 / (2.0 * f_max)})")
     if not duration / dt < np.iinfo(np.intp).max:

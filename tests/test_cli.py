@@ -293,7 +293,7 @@ class TestAnalyze:
         out = tmp_path / "o"
         os.makedirs(out / "elevation")
         cat = pipeline.apply_depths(data_io.builtin_catalog(), depth=1000.0)
-        data_io.write_catalog(cat, out / "catalog.csv")
+        data_io.write_table(cat, out / "catalog.csv")
         n, dt = 2 ** 14, 0.5
         f0 = 1638 / (n * dt)  # on the analysis grid, ~0.2 Hz
         target = VarianceDensitySpectrum(
@@ -324,12 +324,6 @@ class TestOptimizeRankReport:
         assert main(["optimize", "--out", str(out),
                      "--bounds", "0.5,0.5,2,6,5,100"]) == 2
 
-    def test_optimize_without_features(self, tmp_path, capsys):
-        assert main(["optimize", "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.endswith("features.csv missing; run the `analyze` stage "
-                            "first\n"), err
-
     def test_degenerate_data_derived_bounds(self, tmp_path, capsys):
         # every point has H 0.5, T 4.0 and d 10.0
         for name, text in feature_tables(("1.0", "1.0"),
@@ -349,14 +343,6 @@ class TestOptimizeRankReport:
         assert main(["analyze"] + args) == 0
         assert main(["optimize"] + args) == 0
         assert main(["rank", "--out", str(out), "--points", "K4,QQ"]) == 2
-
-    def test_report_requires_rank(self, tmp_path, capsys):
-        out = tmp_path / "o"
-        out.mkdir()
-        assert main(["report", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.endswith("results.csv missing; run the `rank` stage "
-                            "first\n"), err
 
 
 class TestPipeline:
@@ -519,8 +505,8 @@ def test_record_too_large_to_analyze_fails_alone(tmp_path, capsys):
     # hold NaN; neither may surface as a numpy warning
     out = tmp_path / "o"
     out.mkdir()
-    data_io.write_catalog(pipeline.apply_depths(data_io.builtin_catalog(),
-                                                depth=30), out / "catalog.csv")
+    data_io.write_table(pipeline.apply_depths(data_io.builtin_catalog(),
+                                              depth=30), out / "catalog.csv")
     data_io.write_point(out, "K1", ElevationRecord(
         dt=0.5, samples=np.full(2048, 1e307)))
     with warnings.catch_warnings():
@@ -674,11 +660,22 @@ MALFORMED = {
     "repeated point in results": (["report"], {
         name: text.replace("\nP2,", "\nP1,") for name, text in
         rank_tables(("1.0", "1.0", "1"), ("2.0", "2.0", "2")).items()}),
-    # optimize writes one row; every row's H, T and d must be positive
+    # the reference's H, T and d must be positive
     "non-positive depth in a reference row": (["rank"], {
-        name: text + ("\n0.6,4.1,0.0,3000.0" if "reference" in name else "")
+        name: text.replace("0.6,4.1,79.0,", "0.6,4.1,0.0,")
         for name, text in feature_tables(("1.0", "1.0"),
                                          ("2.0", "2.0")).items()}),
+    # optimize writes one row; rank would take the first and ignore the
+    # rest
+    "second reference row": (["rank"], {
+        name: text + ("\n0.6,4.1,79.0,3000.0" if "reference" in name else "")
+        for name, text in feature_tables(("1.0", "1.0"),
+                                         ("2.0", "2.0")).items()}),
+    # synth would take the first depth_m and ignore the second
+    "catalog naming a column twice": (
+        ["synth", "--hours", "3", "--catalog", "{tmp}/cat.csv"],
+        {"cat.csv": "index,name,zone,lat_deg,lon_deg,depth_m,depth_m\n"
+                    "1,P1,A,37.0,50.0,10,-5"}),
     "repeated --points name": (
         ["synth", "--depth", "30", "--hours", "3", "--points", "K1,K1,Z1"],
         {}),
@@ -784,7 +781,7 @@ def _as_csv(path, edit):
     """The .npy at `path` replaced by a CSV of `edit` of its array."""
     arr = edit(np.load(path, allow_pickle=False))
     path.unlink()
-    data_io._write_columns(path.with_suffix(".csv"), arr)
+    data_io.write_table(arr, path.with_suffix(".csv"))
 
 
 def _with_times(times):
@@ -962,7 +959,7 @@ def _analyze_mutated_k2(synth_out, data, file, edit, args):
             if data.draw(st.booleans()):
                 npy.unlink()
                 npy = npy.with_suffix(".csv")
-            data_io._write_columns(npy, arr)
+            data_io.write_table(arr, npy)
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stderr(err):
@@ -1236,26 +1233,36 @@ def test_leftover_staging_directory_is_cleared(tmp_path):
                                STAGE_OUTPUTS["synth"] + ["sea_states"])
 
 
-# (stage, a file of --out it reads, the stage cli.OUTPUTS says writes it)
+# (stage, a file of --out it reads, the stage cli.OUTPUTS says writes it,
+# the --out the stage starts from): "earlier" holds every output of a
+# full run but that file; "empty" is an empty directory and "absent" no
+# directory at all, and there the file is the first the stage reads
 STAGE_INPUTS = [
-    (stage, name, writer)
+    pytest.param(stage, name, writer, start, id="-".join(
+        [stage, name, writer] + [start] * (start != "earlier")))
     for stage, names in [("optimize", ["features.csv"]),
                          ("rank", ["features.csv", "reference.csv"]),
                          ("report", ["results.csv"])]
-    for name in names for writer in OUTPUTS if name in OUTPUTS[writer]]
+    for start in ("earlier", "empty", "absent")
+    for name in (names if start == "earlier" else names[:1])
+    for writer in OUTPUTS if name in OUTPUTS[writer]]
 
 
-@pytest.mark.parametrize("stage, name, writer", STAGE_INPUTS)
+@pytest.mark.parametrize("stage, name, writer, start", STAGE_INPUTS)
 def test_missing_input_names_its_stage(commit_trees, tmp_path, capsys,
-                                       stage, name, writer):
+                                       stage, name, writer, start):
     out = tmp_path / "o"
-    shutil.copytree(commit_trees[1], out)
-    (out / name).unlink()
-    before = tree_bytes(out)
+    if start == "earlier":
+        shutil.copytree(commit_trees[1], out)
+        (out / name).unlink()
+    elif start == "empty":
+        out.mkdir()
+    before, names = tree_bytes(out), tree(tmp_path)
     capsys.readouterr()
     assert main([stage, "--out", str(out)] + COMMIT_ARGS) == 2
     assert capsys.readouterr().err == (
         f"{stage}: {out / name} missing; run the `{writer}` stage first\n")
+    assert tree(tmp_path) == names
     assert tree_bytes(out) == before
 
 

@@ -84,7 +84,7 @@ class TestCatalogIO:
         cat = data_io.builtin_catalog()
         cat["depth_m"] = [repr(float(i)) for i in cat["index"].tolist()]
         path = tmp_path / "catalog.csv"
-        data_io.write_catalog(cat, path)
+        data_io.write_table(cat, path)
         assert same_fields(data_io.load_catalog(path), cat)
 
     def test_round_trip_quoted_zones(self, tmp_path):
@@ -92,7 +92,7 @@ class TestCatalogIO:
                         (2, "P2", 'Say "Hi"', 37.6, 49.6, "")],
                        dtype=data_io.CATALOG_DTYPE)
         path = tmp_path / "catalog.csv"
-        data_io.write_catalog(cat, path)
+        data_io.write_table(cat, path)
         assert path.read_text().splitlines()[1:] == [
             '1,P1,"Bandar, Anzali",37.5,49.5,12.5',
             '2,P2,"Say ""Hi""",37.6,49.6,']
@@ -200,7 +200,7 @@ def catalog_row_ok(index, name, zone, lat, lon, depth):
 
 
 _CONTROL_CHARS = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
-# catalog rows as write_catalog may be given them: any index, text
+# catalog rows as write_table may be given them: any index, text
 # without surrounding whitespace (which the reader strips), coordinates
 # in and out of range, and no depth or the repr of any float
 CATALOG_ROWS = st.tuples(
@@ -215,12 +215,12 @@ CATALOG_ROWS = st.tuples(
 @given(rows=st.lists(CATALOG_ROWS, min_size=1, max_size=6,
                      unique_by=lambda r: r[1]))
 def test_written_catalog_loads_back_equal(rows):
-    # a catalog write_catalog is given loads back with the same fields if
+    # a catalog write_table is given loads back with the same fields if
     # every row is one load_catalog takes, else it is refused
     catalog = np.array(rows, dtype=data_io.CATALOG_DTYPE)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "catalog.csv"
-        data_io.write_catalog(catalog, path)
+        data_io.write_table(catalog, path)
         if all(catalog_row_ok(*row) for row in rows):
             assert same_fields(data_io.load_catalog(path), catalog)
         else:
@@ -368,7 +368,7 @@ def refusals(directory, series):
     assert not (directory / "P1.npy").exists()
     messages = [str(refused.value)]
     for name in ("P1.npy", "P1.csv"):
-        data_io._write_columns(directory / name, series)
+        data_io.write_table(series, directory / name)
         with pytest.raises(ParseError) as refused:
             data_io.load_sea_states(directory / name)
         messages.append(str(refused.value))
@@ -474,7 +474,7 @@ def test_writer_refuses_what_the_loader_refuses(data, n):
     with tempfile.TemporaryDirectory() as tmp:
         refused = {}
         for name in ("P1.npy", "P1.csv"):
-            data_io._write_columns(Path(tmp) / name, series)
+            data_io.write_table(series, Path(tmp) / name)
             try:
                 data_io.load_sea_states(Path(tmp) / name)
             except ParseError as exc:
@@ -903,14 +903,14 @@ def test_write_table_matches_hand_joined_table(table):
             arr[name] = [row[i] for row in rows]
         with tempfile.TemporaryDirectory() as tmp:
             path, again = Path(tmp) / "t.csv", Path(tmp) / "again.csv"
-            data_io._write_columns(path, arr)
+            data_io.write_table(arr, path)
             if hand_joined:
                 assert path.read_bytes() == \
                     hand_joined_table(columns, rows).encode("utf-8")
                 return
             loaded, _ = data_io._load_columns(path, dtype)
             assert same_fields(loaded, arr)
-            data_io._write_columns(again, loaded)
+            data_io.write_table(loaded, again)
             assert again.read_bytes() == path.read_bytes()
 
     check()
@@ -953,15 +953,15 @@ class TestLoadPoint:
 class TestResults:
     def test_empty_assessments_header_only(self, tmp_path):
         path = tmp_path / "r.csv"
-        data_io.write_results(assessed(), path)
+        data_io.write_table(assessed(), path)
         assert path.read_text() == ",".join(data_io.RESULT_DTYPE.names) + "\n"
 
     def test_byte_stable(self, tmp_path):
         ranked = assessed(make_assessment("A", 1.0),
                           make_assessment("B", 2.0))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        data_io.write_results(ranked, p1)
-        data_io.write_results(ranked, p2)
+        data_io.write_table(ranked, p1)
+        data_io.write_table(ranked, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -977,14 +977,14 @@ NON_FINITE_TEXT = ["nan", "inf", "-inf", "NaN", "-nan", "+inf", "Infinity",
 
 def write_stage_tables(directory):
     """Two-row features and results, and a reference."""
-    data_io.write_features(np.array(
+    data_io.write_table(np.array(
         [("A", "Z1", 0.5, 4.0, 30.0, 100.0, 110.0),
          ("B", "Z2", 0.6, 4.5, 40.0, 120.0, 130.0)],
         dtype=data_io.FEATURE_DTYPE), directory / "features.csv")
     data_io.write_reference(SimpleNamespace(best_position=(0.6, 4.1, 79.0),
                                             best_value=3000.0),
                             directory / "reference.csv")
-    data_io.write_results(rank_points(assessed(
+    data_io.write_table(rank_points(assessed(
         make_assessment("A", 1.0, zone="Z1"),
         make_assessment("B", 2.0, zone="Z2"))), directory / "results.csv")
 
@@ -1026,6 +1026,38 @@ def test_repeated_key_names_its_line(tmp_path, table, key):
         STAGE_TABLES[table][1](path)
 
 
+def with_column(path, name, value):
+    """Append a column `name` holding `value` in every row to a CSV."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows = [rows[0] + [name]] + [row + [value] for row in rows[1:]]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+@pytest.mark.parametrize("table,column", [("catalog.csv", "depth_m"),
+                                          ("features.csv", "depth_m"),
+                                          ("P1.csv", "hs_m")])
+def test_repeated_column_is_refused(tmp_path, table, column):
+    # a column the table does not read may repeat; one it reads may not,
+    # or one copy would be taken and the other ignored
+    one_row_catalog(tmp_path)
+    write_stage_tables(tmp_path)
+    data_io.write_sea_states(sea_states([0.4, 0.5], [3.0, 4.0]),
+                             tmp_path / "P1.csv")
+    load = {"catalog.csv": data_io.load_catalog,
+            "features.csv": data_io.load_features,
+            "P1.csv": data_io.load_sea_states}[table]
+    path = tmp_path / table
+    with_column(path, "note", "a")
+    with_column(path, "note", "b")
+    load(path)
+    with_column(path, column, "-5")
+    with pytest.raises(ParseError, match=re.escape(
+            f"line 1: {path}: repeated columns {column}")):
+        load(path)
+
+
 def test_zone_totals_past_the_largest_float_are_refused():
     # each total is finite, but their sum is inf, and so the shares 0
     results = np.zeros(2, dtype=data_io.RESULT_DTYPE)
@@ -1062,7 +1094,7 @@ def test_report_takes_the_zone_shares_rank_writes(data, powers):
     order = data.draw(st.permutations(range(len(powers))))
     with tempfile.TemporaryDirectory() as tmp:
         rank_wrote = Path(tmp) / "zone_shares.csv"
-        data_io.write_zone_shares(pipeline.zone_totals(ranked), rank_wrote)
+        data_io.write_table(pipeline.zone_totals(ranked), rank_wrote)
         data_io.write_report(ranked[list(order)], Path(tmp) / "report")
         assert (Path(tmp) / "report" / "zone_shares.csv").read_bytes() == \
             rank_wrote.read_bytes()

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavepower import gwo
-from wavepower.errors import ContractError, DomainError, EvaluationError
+from wavepower.errors import DomainError, EvaluationError
 from wavepower.gwo import (
     GwoConfig,
     GwoRun,
@@ -34,7 +34,7 @@ class TestTypes:
     def test_bounds_validation(self):
         with pytest.raises(DomainError):
             SearchBounds(lower=[1.0, 0.0], upper=[1.0, 2.0])
-        with pytest.raises(ContractError):
+        with pytest.raises(DomainError, match="matching 1-D arrays"):
             SearchBounds(lower=[0.0], upper=[1.0, 2.0])
 
     @pytest.mark.parametrize("lower,upper", [
@@ -335,7 +335,7 @@ def test_objective_sees_the_pack_as_ndim_by_agents():
     lambda x: np.append(x[0], 0.0),
 ], ids=["scalar", "whole pack", "one short", "column", "one extra"])
 def test_objective_must_return_one_value_per_agent(objective):
-    with pytest.raises(ContractError, match=r"expected \(5,\)"):
+    with pytest.raises(DomainError, match=r"expected \(5,\)"):
         gwo_maximize(objective, CUBE, GwoConfig(agents=5, max_iter=3))
 
 
