@@ -14,6 +14,7 @@ import math
 import os
 import shutil
 import sys
+from functools import partial
 from os.path import dirname, exists, join
 
 import numpy as np
@@ -33,13 +34,12 @@ DEFAULTS = {
     "norm_mode": ("raw", ("raw", "minmax"), "ranking norm"),
     "points": (None, str, "comma-separated point names"),
     "catalog": ("builtin", str, 'catalog CSV path or "builtin"'),
-    "depth": (None, float, "constant depth for all points, m"),
     "depth_range": (None, str, "lo,hi depths spread across the catalog, m"),
     "hours": (8760, int, "hourly sea states per point"),
     "start": ("2006-01-01T00:00:00Z", str, "first sea-state timestamp"),
     "hs_base": (0.5, float, "base of the per-point mean Hs schedule, m"),
     "te_base": (4.0, float, "base of the per-point mean Te schedule, s"),
-    "kind": ("sea-states", ("sea-states", "elevation", "both"), "synth data"),
+    "kind": ("sea-states", ("sea-states", "elevation"), "synth data"),
     "duration": (1024.0, float, "elevation record length, s"),
     "dt": (0.5, float, "elevation sample interval, s"),
     "segments": (8, int, "minimum spectrum segments per record"),
@@ -64,7 +64,9 @@ def build_parser():
         prog="wavepower", description="Wave-energy resource assessment")
     sub = p.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        sub.add_parser(name, help=command.__doc__, parents=[common])
+        # no abbreviations: --depth is not --depth-range
+        sub.add_parser(name, help=command.__doc__, parents=[common],
+                       allow_abbrev=False)
     return p
 
 
@@ -82,10 +84,19 @@ def resolve_config(args):
     """Defaults, then the --config file, then flags, checked and parsed
     before a stage writes anything; cfg["echo"] keeps the raw values."""
     raw = {key: spec[0] for key, spec in DEFAULTS.items()}
+
+    def unique(pairs):  # json.load would keep a repeated key's last value
+        keys = [k for k, _ in pairs]
+        repeated = sorted({k for k in keys if keys.count(k) > 1})
+        if repeated:
+            raise ConfigError(f"{args.config}: repeated keys "
+                              f"{', '.join(repeated)}")
+        return dict(pairs)
+
     if args.config:
         try:
             with open(args.config, encoding="utf-8") as fh:
-                doc = json.load(fh)
+                doc = json.load(fh, object_pairs_hook=unique)
         except UnicodeDecodeError:
             raise ConfigError(f"{args.config}: not UTF-8 text") from None
         except json.JSONDecodeError as exc:
@@ -148,7 +159,7 @@ def _catalog(cfg, path=None):
     if cfg["catalog"] != "builtin":
         path = cfg["catalog"]
     catalog = data_io.load_catalog(path) if path else data_io.builtin_catalog()
-    return pipeline.apply_depths(catalog, cfg["depth_range"], cfg["depth"])
+    return pipeline.apply_depths(catalog, cfg["depth_range"])
 
 
 def _stage_input(cfg, name, loader):
@@ -164,25 +175,23 @@ def _stage_input(cfg, name, loader):
 def cmd_synth(cfg, into):
     """generate seeded synthetic input data"""
     from . import pipeline
-    kind, catalog = cfg["kind"], _catalog(cfg)
+    catalog = _catalog(cfg)
     points = catalog[pipeline.select_points(catalog["name"], cfg["points"])]
-    if kind != "elevation":
+    if cfg["kind"] == "elevation":
+        build = partial(pipeline.elevation_record, duration=cfg["duration"],
+                        dt=cfg["dt"], seed=cfg["seed"])
+    else:
         # in Python integers, before an axis of `hours` times exists
         last = int(cfg["start"].astype(np.int64)) + (cfg["hours"] - 1) * 3600
         if last > int(data_io.LAST_TIME.astype(np.int64)):
             raise ConfigError(f"start plus hours runs past "
                               f"{data_io.LAST_TIME}Z, the last writable time")
-        times = pipeline.timestamps(cfg["start"], cfg["hours"])
+        build = partial(pipeline.sea_state_series, seed=cfg["seed"],
+                        times=pipeline.timestamps(cfg["start"], cfg["hours"]))
     means = pipeline.schedule_means(catalog, cfg["hs_base"], cfg["te_base"])
     data_io.write_table(catalog, join(into, "catalog.csv"))
     for e in points:
-        name = e["name"]
-        if kind != "elevation":
-            data_io.write_point(into, name, pipeline.sea_state_series(
-                e, means[name], times, cfg["seed"]))
-        if kind != "sea-states":
-            data_io.write_point(into, name, pipeline.elevation_record(
-                e, means[name], cfg["duration"], cfg["dt"], cfg["seed"]))
+        data_io.write_point(into, e["name"], build(e, means[e["name"]]))
     return 0, []
 
 

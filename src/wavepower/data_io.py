@@ -325,10 +325,11 @@ def _read_npy(path, dtype):
 def _load_columns(path, dtype):
     """A table as an array of `dtype`, and its rows as (line, fields)
     pairs, the fields stripped as the file has them; None for .npy. The
-    file is .npy, or else CSV (see write_table) with a header naming each
-    field once, beside any other columns, and blank lines skipped; a
-    timestamp that does not parse is NaT, for the table's row checks to
-    refuse. A file with no rows is an error."""
+    file is .npy, or else UTF-8 CSV (see write_table), a leading byte-order
+    mark skipped, with a header naming each field once, beside any other
+    columns, and blank lines skipped; a timestamp that does not parse is
+    NaT, for the table's row checks to refuse. A file with no rows is an
+    error."""
     if _is_npy(path):
         arr = _read_npy(path, dtype)
         if arr.size == 0:
@@ -336,7 +337,7 @@ def _load_columns(path, dtype):
         return arr, None
     rows = []
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:

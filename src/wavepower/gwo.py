@@ -114,10 +114,18 @@ def gwo_maximize(objective, bounds, cfg=None):
     updates the alpha/beta/delta trio (the three best evaluations so far,
     the earlier one first on ties) once, and moves and clamps the whole
     pack. The convergence curve holds the best-so-far value after each
-    iteration.
+    iteration. Agents or iterations too many for numpy to size the arrays
+    are a DomainError.
     """
     cfg = cfg or GwoConfig()
     n = cfg.agents
+    # numpy refuses with a ValueError an array of more bytes than an intp
+    # holds; the largest arrays here are the convergence curve and a draw
+    # block of at least 6 * n * ndim doubles. A smaller one that does not
+    # fit in memory raises MemoryError.
+    if max(6 * n * bounds.ndim, cfg.max_iter) > np.iinfo(np.intp).max // 8:
+        raise DomainError(f"{n} agents and {cfg.max_iter} iterations need "
+                          f"an array larger than numpy can size")
     rng = np.random.default_rng(cfg.seed)
     pos = rng.uniform(bounds.lower, bounds.upper, size=(n, bounds.ndim))
     # rows 0-2 hold the trio, the rest this iteration's pack; neg holds

@@ -11,20 +11,17 @@ from . import data_io
 from .errors import ConfigError, DataError, DomainError
 
 
-def apply_depths(catalog, depth_range=None, depth=None):
-    """Copy of a catalog array with depths spread over (lo, hi), else all
-    `depth`, else its own, each written as the repr of its float."""
+def apply_depths(catalog, depth_range=None):
+    """Copy of a catalog array with depths spread over (lo, hi), else its
+    own, each written as the repr of its float."""
     n = len(catalog)
     if depth_range:
         lo, hi = depth_range
         depths = [lo + (hi - lo) * i / max(n - 1, 1) for i in range(n)]
-    elif depth is not None:
-        depths = [depth] * n
     elif all(catalog["depth_m"].tolist()):
         depths = catalog["depth_m"].tolist()
     else:
-        raise ConfigError(
-            "catalog carries no depths; pass --depth or --depth-range")
+        raise ConfigError("catalog carries no depths; pass --depth-range")
     catalog = catalog.copy()
     catalog["depth_m"] = [repr(float(d)) for d in depths]
     return catalog

@@ -58,7 +58,7 @@ class TestSynth:
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
             assert main(["synth", "--out", str(out), "--seed", "3",
-                         "--hours", "24", "--depth", "30",
+                         "--hours", "24", "--depth-range", "30,30",
                          "--points", "K4,T1"]) == 0
         for name in ["catalog.csv", "sea_states/K4.npy", "sea_states/T1.npy"]:
             assert (a / name).read_bytes() == (b / name).read_bytes()
@@ -66,7 +66,7 @@ class TestSynth:
     def test_schedule_means_exact(self, tmp_path):
         out = tmp_path / "o"
         assert main(["synth", "--out", str(out), "--seed", "0",
-                     "--hours", "200", "--depth", "30",
+                     "--hours", "200", "--depth-range", "30,30",
                      "--points", "T1"]) == 0
         series = data_io.load_sea_states(out / "sea_states" / "T1.npy")
         # T1 is catalog index 0: schedule mean hs_base*0.6, te_base*0.8
@@ -76,7 +76,7 @@ class TestSynth:
     def test_nyquist_violation_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "o"
         rc = main(["synth", "--out", str(out), "--kind", "elevation",
-                   "--dt", "10.0", "--depth", "30", "--points", "T1"])
+                   "--dt", "10.0", "--depth-range", "30,30", "--points", "T1"])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("synth: dt=10.0 violates Nyquist for max "
@@ -87,7 +87,7 @@ class TestSynth:
         # T1's top bin centre is 1.19375 / 3.2 s = 0.373 Hz, so dt must be
         # at most 1.340 s; S11's is 1.19375 / 4.8 s = 0.249 Hz, so 2.011 s
         args = ["--kind", "elevation", "--dt", "1.5", "--duration", "64",
-                "--depth", "30"]
+                "--depth-range", "30,30"]
         assert main(["synth", "--out", str(tmp_path / "a"), "--points",
                      "T1"] + args) == 2
         assert main(["synth", "--out", str(tmp_path / "b"), "--points",
@@ -96,9 +96,9 @@ class TestSynth:
         assert rec.samples.size == 43
 
     def test_times_past_year_9999_exit_2(self, tmp_path, capsys):
-        assert main(["synth", "--out", str(tmp_path / "o"), "--depth", "30",
-                     "--points", "T1", "--start", "9999-12-31T22:00:00Z",
-                     "--hours", "3"]) == 2
+        assert main(["synth", "--out", str(tmp_path / "o"), "--depth-range",
+                     "30,30", "--points", "T1", "--start",
+                     "9999-12-31T22:00:00Z", "--hours", "3"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "runs past 9999-12-31T23:59:59Z" in err
@@ -106,8 +106,8 @@ class TestSynth:
 
     @pytest.mark.usefixtures("no_time_axis")
     def test_huge_hours_exit_2_before_any_time_axis(self, tmp_path, capsys):
-        assert main(["synth", "--out", str(tmp_path / "o"), "--depth", "30",
-                     "--points", "T1", "--hours", str(10 ** 15)]) == 2
+        assert main(["synth", "--out", str(tmp_path / "o"), "--depth-range",
+                     "30,30", "--points", "T1", "--hours", str(10 ** 15)]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "runs past 9999-12-31T23:59:59Z" in err
@@ -117,18 +117,14 @@ class TestSynth:
     def test_elevation_kind_builds_no_time_axis(self, tmp_path):
         out = tmp_path / "o"
         assert main(["synth", "--out", str(out), "--kind", "elevation",
-                     "--depth", "30", "--points", "K4", "--duration", "64",
-                     "--hours", str(10 ** 15)]) == 0
+                     "--depth-range", "30,30", "--points", "K4",
+                     "--duration", "64", "--hours", str(10 ** 15)]) == 0
         assert (out / "elevation" / "K4.npy").exists()
-
-    def test_depth_required_for_builtin(self, tmp_path):
-        assert main(["synth", "--out", str(tmp_path / "o"),
-                     "--points", "T1"]) == 2
 
     def test_elevation_kind(self, tmp_path):
         out = tmp_path / "o"
         assert main(["synth", "--out", str(out), "--kind", "elevation",
-                     "--depth", "30", "--points", "K4",
+                     "--depth-range", "30,30", "--points", "K4",
                      "--duration", "512", "--dt", "0.5"]) == 0
         rec = data_io.load_elevation(out / "elevation" / "K4.npy")
         assert rec.samples.size == 1024
@@ -138,7 +134,7 @@ class TestAnalyze:
     def test_features_written(self, tmp_path):
         out = tmp_path / "o"
         args = ["--out", str(out), "--seed", "1", "--hours", "48",
-                "--depth", "30", "--points", "K4,Z1"]
+                "--depth-range", "30,30", "--points", "K4,Z1"]
         assert main(["synth"] + args) == 0
         assert main(["analyze"] + args) == 0
         lines = read_lines(out / "features.csv")
@@ -148,7 +144,7 @@ class TestAnalyze:
     def test_missing_point_data_nonzero_exit(self, tmp_path, capsys):
         out = tmp_path / "o"
         args = ["--out", str(out), "--seed", "1", "--hours", "48",
-                "--depth", "30"]
+                "--depth-range", "30,30"]
         assert main(["synth"] + args + ["--points", "K4"]) == 0
         rc = main(["analyze"] + args + ["--points", "K4,Z1"])
         assert rc == 1
@@ -217,7 +213,7 @@ class TestAnalyze:
     def test_non_utf8_point_data_fails_that_point(self, tmp_path, capsys):
         out = tmp_path / "o"
         args = ["--out", str(out), "--seed", "1", "--hours", "48",
-                "--depth", "30", "--points", "K4,Z1"]
+                "--depth-range", "30,30", "--points", "K4,Z1"]
         assert main(["synth"] + args) == 0
         (out / "sea_states" / "Z1.npy").unlink()
         (out / "sea_states" / "Z1.csv").write_bytes(b"\xff\xfe{}\n")
@@ -232,7 +228,7 @@ class TestAnalyze:
     def test_non_finite_hs_fails_that_point(self, tmp_path, capsys):
         out = tmp_path / "o"
         args = ["--out", str(out), "--seed", "1", "--hours", "48",
-                "--depth", "30", "--points", "K4,Z1"]
+                "--depth-range", "30,30", "--points", "K4,Z1"]
         assert main(["synth"] + args) == 0
         (out / "sea_states" / "Z1.npy").unlink(missing_ok=True)
         (out / "sea_states" / "Z1.csv").write_text(
@@ -266,7 +262,7 @@ class TestAnalyze:
     def test_point_with_extreme_period_fails_alone(self, tmp_path, capsys):
         out = tmp_path / "o"
         args = ["--out", str(out), "--seed", "1", "--hours", "48",
-                "--depth", "30"]
+                "--depth-range", "30,30"]
         assert main(["synth"] + args) == 0
         assert main(["analyze"] + args) == 0
         clean = read_lines(out / "features.csv")
@@ -292,7 +288,8 @@ class TestAnalyze:
             synthesize_record
         out = tmp_path / "o"
         os.makedirs(out / "elevation")
-        cat = pipeline.apply_depths(data_io.builtin_catalog(), depth=1000.0)
+        cat = pipeline.apply_depths(data_io.builtin_catalog(),
+                                    depth_range=(1000.0, 1000.0))
         data_io.write_table(cat, out / "catalog.csv")
         n, dt = 2 ** 14, 0.5
         f0 = 1638 / (n * dt)  # on the analysis grid, ~0.2 Hz
@@ -301,7 +298,7 @@ class TestAnalyze:
         rec = synthesize_record(target, n * dt, dt, seed=0)
         data_io.write_elevation(rec, out / "elevation" / "K4.csv")
         assert main(["analyze", "--out", str(out), "--points", "K4",
-                     "--depth", "1000", "--kind", "elevation"]) == 0
+                     "--depth-range", "1000,1000", "--kind", "elevation"]) == 0
         row = read_lines(out / "features.csv")[1].split(",")
         assert float(row[5]) == pytest.approx(4906, rel=0.02)
 
@@ -380,7 +377,8 @@ class TestPipeline:
     def test_config_file_with_flag_override(self, tmp_path):
         out = tmp_path / "o"
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 5, "hours": 48, "depth": 30.0,
+        cfg.write_text(json.dumps({"seed": 5, "hours": 48,
+                                   "depth_range": "30,30",
                                    "points": "K4,Z1"}))
         assert main(["synth", "--config", str(cfg), "--out", str(out),
                      "--hours", "24"]) == 0
@@ -405,12 +403,18 @@ class TestPipeline:
         assert err.startswith(f"synth: {cfg}: Expecting property name"), err
         assert err.count("\n") == 1, err
 
-    def test_format_is_not_an_option(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as refused:
-            main(["rank", "--out", str(tmp_path / "o"),
-                  "--format", "structured"])
-        assert refused.value.code == 2
-        assert "unrecognized arguments: --format" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv, text", [
+        (["--format", "structured"], "unrecognized arguments: --format"),
+        (["--depth", "30"], "unrecognized arguments: --depth 30"),
+        (["--kind", "both"], "argument --kind: invalid choice: 'both'")],
+        ids=["format", "depth", "kind both"])
+    def test_format_is_not_an_option(self, tmp_path, capsys, argv, text):
+        for stage in STAGES:
+            with pytest.raises(SystemExit) as refused:
+                main([stage, "--out", str(tmp_path / "o")] + argv)
+            assert refused.value.code == 2
+            assert text in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_minmax_mode(self, tmp_path):
         out = tmp_path / "o"
@@ -485,7 +489,7 @@ def test_user_catalog_depths_are_written_as_floats(tmp_path):
 def test_point_whose_power_overflows_fails_alone(tmp_path, capsys):
     # the series sums, so synth takes it, but Hs^2 overflows in both powers
     out = tmp_path / "o"
-    args = ["--out", str(out), "--hours", "3", "--depth", "30"]
+    args = ["--out", str(out), "--hours", "3", "--depth-range", "30,30"]
     assert main(["synth"] + args + ["--points", "K1",
                                      "--hs-base", "1e153"]) == 0
     assert main(["synth"] + args + ["--points", "K2"]) == 0
@@ -505,8 +509,8 @@ def test_record_too_large_to_analyze_fails_alone(tmp_path, capsys):
     # hold NaN; neither may surface as a numpy warning
     out = tmp_path / "o"
     out.mkdir()
-    data_io.write_table(pipeline.apply_depths(data_io.builtin_catalog(),
-                                              depth=30), out / "catalog.csv")
+    data_io.write_table(pipeline.apply_depths(
+        data_io.builtin_catalog(), depth_range=(30, 30)), out / "catalog.csv")
     data_io.write_point(out, "K1", ElevationRecord(
         dt=0.5, samples=np.full(2048, 1e307)))
     with warnings.catch_warnings():
@@ -522,7 +526,7 @@ def test_regular_power_that_overflows_fails_that_point(tmp_path, capsys):
     # the large Hs comes with a short Te in the irregular power, which is
     # finite, but with the mean Te in the regular power, which is not
     out = tmp_path / "o"
-    args = ["--out", str(out), "--hours", "2", "--depth", "30",
+    args = ["--out", str(out), "--hours", "2", "--depth-range", "30,30",
             "--points", "K1"]
     assert main(["synth"] + args) == 0
     series = data_io.load_sea_states(out / "sea_states" / "K1.npy")
@@ -567,18 +571,21 @@ MALFORMED = {
         ["optimize", "--config", "{tmp}/cfg.json"],
         {"cfg.json": '{"agents": "ten"}'}),
     "missing config file": (
-        ["synth", "--depth", "30", "--config", "{tmp}/none.json"], {}),
+        ["synth", "--depth-range", "30,30", "--config", "{tmp}/none.json"],
+        {}),
     "invalid JSON config": (
         ["synth", "--config", "{tmp}/cfg.json"], {"cfg.json": "{depth: 30"}),
     "missing catalog": (
-        ["synth", "--depth", "30", "--catalog", "{tmp}/none.csv"], {}),
-    "malformed start": (["synth", "--depth", "30", "--start", "2006"], {}),
+        ["synth", "--depth-range", "30,30", "--catalog", "{tmp}/none.csv"],
+        {}),
+    "malformed start": (
+        ["synth", "--depth-range", "30,30", "--start", "2006"], {}),
     # records have no timestamps, so only the settings check sees it
     "malformed start for records": (
-        ["synth", "--kind", "elevation", "--duration", "16", "--depth", "30",
-         "--points", "K1", "--start", "2006"], {}),
+        ["synth", "--kind", "elevation", "--duration", "16", "--depth-range",
+         "30,30", "--points", "K1", "--start", "2006"], {}),
     "config holding a JSON array": (
-        ["synth", "--depth", "30", "--hours", "3", "--points", "K1",
+        ["synth", "--depth-range", "30,30", "--hours", "3", "--points", "K1",
          "--config", "{tmp}/cfg.json"], {"cfg.json": "[]"}),
     # synth would give the first catalog point a depth of 0.0
     "depth range starting at zero": (
@@ -591,19 +598,33 @@ MALFORMED = {
     "features field over the csv module's limit": (["optimize"], {
         "o/features.csv": ",".join(data_io.FEATURE_DTYPE.names)
         + "\nP1,A,0.5,4.0,10.0,1.0," + "1" * 131073}),
-    "zero hours": (["synth", "--depth", "30", "--hours", "0"], {}),
+    "zero hours": (["synth", "--depth-range", "30,30", "--hours", "0"], {}),
     "non-UTF-8 config": (
-        ["synth", "--depth", "30", "--config", "{tmp}/cfg.json"],
+        ["synth", "--depth-range", "30,30", "--config", "{tmp}/cfg.json"],
         {"cfg.json": b"\xff\xfe{}"}),
     "non-UTF-8 catalog": (
-        ["synth", "--depth", "30", "--catalog", "{tmp}/cat.csv"],
+        ["synth", "--depth-range", "30,30", "--catalog", "{tmp}/cat.csv"],
         {"cat.csv": b"index,name,zone\xff,lat_deg,lon_deg,depth_m\n"}),
     "out key in config": (
-        ["synth", "--depth", "30", "--config", "{tmp}/cfg.json"],
+        ["synth", "--depth-range", "30,30", "--config", "{tmp}/cfg.json"],
         {"cfg.json": '{"out": "ignored"}'}),
     "format key in config": (
         ["rank", "--config", "{tmp}/cfg.json"],
         {"cfg.json": '{"format": "delimited"}'}),
+    # --depth-range is the one spelling of a depth
+    "depth key in config": (
+        ["synth", "--hours", "3", "--points", "K1", "--config",
+         "{tmp}/cfg.json"], {"cfg.json": '{"depth": 30}'}),
+    # synth writes one kind, and analyze reads one
+    "kind both in config": (
+        ["synth", "--depth-range", "30,30", "--hours", "3", "--points", "K1",
+         "--config", "{tmp}/cfg.json"], {"cfg.json": '{"kind": "both"}'}),
+    # json.load would keep the last seed
+    "repeated key in config": (
+        ["synth", "--depth-range", "30,30", "--points", "K1", "--config",
+         "{tmp}/cfg.json"],
+        {"cfg.json": '{"seed": 1, "hours": 3, "seed": 2}'}),
+    "built-in catalog with no depth range": (["synth", "--points", "T1"], {}),
     "infinite catalog depth": (
         ["synth", "--catalog", "{tmp}/cat.csv"],
         {"cat.csv": "index,name,zone,lat_deg,lon_deg,depth_m\n"
@@ -628,10 +649,10 @@ MALFORMED = {
     # synthesize_record refuses a duration/dt that no array could index
     "record of infinitely many samples": (
         ["synth", "--kind", "elevation", "--duration", "1e300", "--dt",
-         "1e-10", "--depth", "30", "--points", "K1"], {}),
+         "1e-10", "--depth-range", "30,30", "--points", "K1"], {}),
     "record of more samples than an array can index": (
         ["synth", "--kind", "elevation", "--duration", "1e300", "--dt",
-         "0.5", "--depth", "30", "--points", "K1"], {}),
+         "0.5", "--depth-range", "30,30", "--points", "K1"], {}),
     # zone_totals, which report runs on the results, refuses a total
     # power of 0.0
     "no positive irregular power": (["report"], rank_tables(
@@ -677,15 +698,17 @@ MALFORMED = {
         {"cat.csv": "index,name,zone,lat_deg,lon_deg,depth_m,depth_m\n"
                     "1,P1,A,37.0,50.0,10,-5"}),
     "repeated --points name": (
-        ["synth", "--depth", "30", "--hours", "3", "--points", "K1,K1,Z1"],
-        {}),
+        ["synth", "--depth-range", "30,30", "--hours", "3", "--points",
+         "K1,K1,Z1"], {}),
     # synth would take the empty list of names for all 105 points
     "--points of commas alone": (
-        ["synth", "--depth", "30", "--hours", "3", "--points", ","], {}),
+        ["synth", "--depth-range", "30,30", "--hours", "3", "--points", ","],
+        {}),
     "empty --points": (
-        ["synth", "--depth", "30", "--hours", "3", "--points", ""], {}),
+        ["synth", "--depth-range", "30,30", "--hours", "3", "--points", ""],
+        {}),
     "points of no name in config": (
-        ["synth", "--depth", "30", "--hours", "3", "--config",
+        ["synth", "--depth-range", "30,30", "--hours", "3", "--config",
          "{tmp}/cfg.json"], {"cfg.json": '{"points": " , "}'}),
     # numpy would warn of an overflow, then refuse a point after
     # catalog.csv is written
@@ -734,8 +757,15 @@ MALFORMED = {
     "pack past any address space": (
         ["optimize", "--bounds", "0.1,0.6,2,6,5,100",
          "--agents", "1000000000000000"], {}),
+    # numpy could not even size them
+    "iterations past numpy's largest array": (
+        ["optimize", "--bounds", "0.1,0.6,2,6,5,100",
+         "--iters", "100000000000000000000"], {}),
+    "pack past numpy's largest array": (
+        ["optimize", "--bounds", "0.1,0.6,2,6,5,100",
+         "--agents", "100000000000000000000", "--iters", "1"], {}),
     "header-only catalog": (
-        ["synth", "--hours", "3", "--depth", "30", "--catalog",
+        ["synth", "--hours", "3", "--depth-range", "30,30", "--catalog",
          "{tmp}/cat.csv"],
         {"cat.csv": "index,name,zone,lat_deg,lon_deg,depth_m"}),
 }
@@ -811,10 +841,11 @@ HUGE_STEP = _with_times([-1e308, 1e308, 1.5e308])
 # the file a row edits -> the rest of the synth and analyze arguments,
 # and the point that analyze keeps
 POINT_RUNS = {
-    "sea_states/Z1.npy": (["--seed", "1", "--hours", "48", "--depth", "30",
-                           "--points", "K4,Z1"], "K4"),
+    "sea_states/Z1.npy": (["--seed", "1", "--hours", "48", "--depth-range",
+                           "30,30", "--points", "K4,Z1"], "K4"),
     "elevation/K1.npy": (["--kind", "elevation", "--duration", "64",
-                          "--depth", "30", "--points", "K1,K2"], "K2"),
+                          "--depth-range", "30,30", "--points", "K1,K2"],
+                         "K2"),
 }
 SEA, RECORD = POINT_RUNS
 
@@ -888,7 +919,8 @@ def test_malformed_point_file_fails_that_point(case, tmp_path, capsys):
             read_lines(out / "features.csv")[1:]] == [kept]
 
 
-THREE_POINTS = ["--hours", "3", "--depth", "30", "--points", "K1,K2,K3"]
+THREE_POINTS = ["--hours", "3", "--depth-range", "30,30", "--points",
+                "K1,K2,K3"]
 
 
 @pytest.fixture(scope="module")
@@ -985,8 +1017,8 @@ def test_mutated_sea_state_file_fails_closed(three_point_synth, data):
                         _series_edit, THREE_POINTS)
 
 
-THREE_RECORDS = ["--kind", "elevation", "--duration", "64", "--depth", "30",
-                 "--points", "K1,K2,K3"]
+THREE_RECORDS = ["--kind", "elevation", "--duration", "64", "--depth-range",
+                 "30,30", "--points", "K1,K2,K3"]
 
 
 @pytest.fixture(scope="module")
@@ -1311,7 +1343,6 @@ STAGE_MODULES = {
     ("report", "sea-states"): ["pipeline"],
     ("synth", "elevation"): ["mechanics", "pipeline", "spectral"],
     ("analyze", "elevation"): ["mechanics", "pipeline", "spectral"],
-    ("synth", "both"): ["mechanics", "pipeline", "spectral"],
 }
 
 

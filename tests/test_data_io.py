@@ -51,7 +51,7 @@ class TestBuiltinCatalog:
 
     def test_with_depths(self):
         cat = data_io.builtin_catalog()
-        deep = pipeline.apply_depths(cat, depth=11)
+        deep = pipeline.apply_depths(cat, depth_range=(11, 11))
         assert deep["depth_m"].tolist() == ["11.0"] * 105
         assert cat["depth_m"].tolist() == [""] * 105  # a copy is changed
         spread = pipeline.apply_depths(cat, depth_range=(5.0, 109.0))
@@ -1056,6 +1056,21 @@ def test_repeated_column_is_refused(tmp_path, table, column):
     with pytest.raises(ParseError, match=re.escape(
             f"line 1: {path}: repeated columns {column}")):
         load(path)
+
+
+@pytest.mark.parametrize("table", ["catalog.csv", "P1.csv"])
+def test_byte_order_mark_is_skipped(tmp_path, table):
+    # a spreadsheet's "CSV UTF-8" starts with one; the writers write none
+    data_io.write_table(pipeline.apply_depths(
+        data_io.builtin_catalog(), (5, 100)), tmp_path / "catalog.csv")
+    data_io.write_sea_states(sea_states([0.4, 0.5], [3.0, 4.0]),
+                             tmp_path / "P1.csv")
+    load = {"catalog.csv": data_io.load_catalog,
+            "P1.csv": data_io.load_sea_states}[table]
+    path, marked = tmp_path / table, tmp_path / ("bom-" + table)
+    assert not path.read_bytes().startswith(b"\xef\xbb\xbf")
+    marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert same_fields(load(marked), load(path))
 
 
 def test_zone_totals_past_the_largest_float_are_refused():
