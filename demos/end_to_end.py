@@ -6,8 +6,10 @@ Run with: python3 demos/end_to_end.py
 
 from datetime import datetime
 
+import numpy as np
+
 import wavepower as wp
-from wavepower import pipeline
+from wavepower import data_io, pipeline
 
 env = wp.FluidEnvironment()
 
@@ -21,9 +23,9 @@ print(f"{len(catalog)} points in zones: {', '.join(zone_order)}")
 # or elevation records; here each point gets a year of noisy hourly values.
 means = pipeline.schedule_means(catalog, hs_base=0.5, te_base=4.0)
 times = pipeline.timestamps(datetime(2006, 1, 1), hours=8760)
-features = pipeline.feature_rows([pipeline.point_features(
+features = np.array([pipeline.point_features(
     e, pipeline.sea_state_series(e, means[e["name"]], times, seed=0), env)
-    for e in catalog], env)
+    for e in catalog], dtype=data_io.FEATURE_DTYPE)
 
 # 3. Optimize regular-wave power over the data's own bounds.
 run = pipeline.optimize(pipeline.derived_bounds(features), env)

@@ -10,7 +10,7 @@ steps numpy's per-row forms take, so with their bits.
 import numpy as np
 
 from .data_io import DIMENSION_NAMES
-from .errors import DataError, DomainError, ScalingError
+from .errors import DataError, DomainError
 
 NORM_RAW = "raw"
 NORM_MINMAX = "minmax"
@@ -20,7 +20,7 @@ def deviation_norm(vectors, ref, mode=NORM_RAW):
     """Euclidean distance of each (H, T, d) row of the (n, 3) `vectors` to
     the (3,) `ref`, as np.linalg.norm takes it: sqrt(dot(x, x)). In minmax
     mode each dimension is first mapped affinely to [0, 1] by its min and
-    max in `vectors`, the reference by the same map; ScalingError, naming
+    max in `vectors`, the reference by the same map; DomainError, naming
     the dimension, where they are equal."""
     x = np.asarray(vectors, dtype=float)
     r = np.asarray(ref, dtype=float)
@@ -29,8 +29,7 @@ def deviation_norm(vectors, ref, mode=NORM_RAW):
         span = x.max(axis=0) - lo
         for name, s in zip(DIMENSION_NAMES, span.tolist()):
             if s <= 0:
-                raise ScalingError(
-                    f"degenerate range for dimension {name}", dimension=name)
+                raise DomainError(f"degenerate range for dimension {name}")
         x, r = (x - lo) / span, (r - lo) / span
     elif mode != NORM_RAW:
         raise DomainError(f"unknown norm mode {mode!r}")

@@ -33,7 +33,7 @@ DEFAULTS = {
     "bounds": (None, str, "H_min,H_max,T_min,T_max,d_min,d_max"),
     "norm_mode": ("raw", ("raw", "minmax"), "ranking norm"),
     "points": (None, str, "comma-separated point names"),
-    "catalog": ("builtin", str, 'catalog CSV path or "builtin"'),
+    "catalog": (None, str, "catalog CSV path; the built-in one if unset"),
     "depth_range": (None, str, "lo,hi depths spread across the catalog, m"),
     "hours": (8760, int, "hourly sea states per point"),
     "start": ("2006-01-01T00:00:00Z", str, "first sea-state timestamp"),
@@ -83,6 +83,8 @@ def _numbers(key, text, count):
 def resolve_config(args):
     """Defaults, then the --config file, then flags, checked and parsed
     before a stage writes anything; cfg["echo"] keeps the raw values."""
+    if not args.out:  # "" would stage into the working directory
+        raise ConfigError("out must name a directory")
     raw = {key: spec[0] for key, spec in DEFAULTS.items()}
 
     def unique(pairs):  # json.load would keep a repeated key's last value
@@ -95,7 +97,7 @@ def resolve_config(args):
 
     if args.config:
         try:
-            with open(args.config, encoding="utf-8") as fh:
+            with open(args.config, encoding="utf-8-sig") as fh:
                 doc = json.load(fh, object_pairs_hook=unique)
         except UnicodeDecodeError:
             raise ConfigError(f"{args.config}: not UTF-8 text") from None
@@ -156,9 +158,10 @@ def _env(cfg):
 def _catalog(cfg, path=None):
     """The configured catalog with depths; `path` replaces the built-in."""
     from . import pipeline
-    if cfg["catalog"] != "builtin":
+    if cfg["catalog"] is not None:
         path = cfg["catalog"]
-    catalog = data_io.load_catalog(path) if path else data_io.builtin_catalog()
+    catalog = (data_io.builtin_catalog() if path is None
+               else data_io.load_catalog(path))
     return pipeline.apply_depths(catalog, cfg["depth_range"])
 
 
@@ -202,28 +205,17 @@ def cmd_analyze(cfg, into):
     catalog_path = join(out, "catalog.csv")
     catalog = _catalog(cfg, catalog_path if exists(catalog_path) else None)
     entries = catalog[pipeline.select_points(catalog["name"], cfg["points"])]
-    points, failures = [], {}
+    rows, failures = [], {}
     for entry in entries:
         try:
-            points.append(pipeline.point_features(entry, data_io.load_point(
+            rows.append(pipeline.point_features(entry, data_io.load_point(
                 out, entry["name"], cfg["kind"]), env, cfg["segments"],
                 cfg["taper"]))
         except (WavePowerError, OSError) as exc:
             failures[entry["name"]] = str(exc)
-    try:
-        features = pipeline.feature_rows(points, env)
-    except WavePowerError:  # find the failing points one at a time
-        solved = []
-        for point in points:
-            try:
-                pipeline.feature_rows([point], env)
-                solved.append(point)
-            except WavePowerError as exc:
-                failures[point[0]["name"]] = str(exc)
-        features = pipeline.feature_rows(solved, env)
+    features = np.array(rows, dtype=data_io.FEATURE_DTYPE)
     data_io.write_table(features, join(into, "features.csv"))
-    notes = [f"point {name} failed: {failures[name]}"
-             for name in entries["name"].tolist() if name in failures]
+    notes = [f"point {name} failed: {exc}" for name, exc in failures.items()]
     return (1 if notes else 0), notes
 
 

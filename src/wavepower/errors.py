@@ -33,24 +33,8 @@ class SolverError(WavePowerError, RuntimeError):
         self.residual = residual
 
 
-class ScalingError(WavePowerError, ValueError):
-    """Degenerate range makes a normalization undefined."""
-
-    def __init__(self, message, dimension=None):
-        super().__init__(message)
-        self.dimension = dimension
-
-
 class DataError(WavePowerError, ValueError):
     """Empty or otherwise unusable input data."""
-
-
-class EvaluationError(WavePowerError, RuntimeError):
-    """Objective returned a non-finite value."""
-
-    def __init__(self, message, position=None):
-        super().__init__(message)
-        self.position = position
 
 
 class ParseError(WavePowerError, ValueError):

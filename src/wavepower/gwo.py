@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EvaluationError
+from .errors import DomainError
 
 # Doubles per random draw of gwo_maximize: a draw covers as many
 # iterations as fit, and at least one.
@@ -109,13 +109,13 @@ def gwo_maximize(objective, bounds, cfg=None):
 
     Each iteration calls `objective` once on the pack transposed, shape
     (ndim, agents), and expects one finite value per agent, shape
-    (agents,); any other shape is a DomainError, and a non-finite value
-    an EvaluationError at the first such agent in pack order. It then
-    updates the alpha/beta/delta trio (the three best evaluations so far,
-    the earlier one first on ties) once, and moves and clamps the whole
-    pack. The convergence curve holds the best-so-far value after each
-    iteration. Agents or iterations too many for numpy to size the arrays
-    are a DomainError.
+    (agents,); any other shape is a DomainError, and so is a non-finite
+    value, naming the first such agent in pack order. It then updates the
+    alpha/beta/delta trio (the three best evaluations so far, the earlier
+    one first on ties) once, and moves and clamps the whole pack. The
+    convergence curve holds the best-so-far value after each iteration.
+    Agents or iterations too many for numpy to size the arrays are a
+    DomainError.
     """
     cfg = cfg or GwoConfig()
     n = cfg.agents
@@ -153,9 +153,8 @@ def gwo_maximize(objective, bounds, cfg=None):
             finite = np.isfinite(values)
             if np.count_nonzero(finite) < n:
                 i = np.flatnonzero(~finite)[0]
-                raise EvaluationError(
-                    f"objective returned {values[i]} at {pos[i].tolist()}",
-                    position=pos[i].copy())
+                raise DomainError(f"objective returned {values[i]} at "
+                                  f"{pos[i].tolist()}")
             np.negative(values, neg[3:])
             wolves[3:] = pos
             top = neg.argsort(kind="stable")[:3]

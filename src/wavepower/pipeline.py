@@ -87,15 +87,16 @@ def elevation_record(entry, mean, duration, dt, seed):
 
 
 def point_features(entry, data, env, segments=8, taper="raised-cosine"):
-    """(entry, h_bar, t_bar, irregular power) of one point (a catalog row)
-    from a sea-state series (a data_io.SEA_STATE_DTYPE array) or an
-    ElevationRecord; feature_rows turns these into the features array,
-    with the regular power of many points at once. DomainError if the
-    irregular power is not finite."""
-    from . import spectral
+    """The features.csv row of one point (a catalog row), a tuple in
+    data_io.FEATURE_DTYPE field order, from a sea-state series (a
+    data_io.SEA_STATE_DTYPE array) or an ElevationRecord: its mean height
+    and period, the irregular power, then the regular-wave power at its
+    own (h_bar, t_bar, depth). DomainError if either power is not
+    finite, the irregular one checked first."""
+    from . import mechanics, spectral
     # an overflow or invalid value leaves a non-finite spectrum, mean or
     # power, which VarianceDensitySpectrum, regular_wave_power or the
-    # check below refuses
+    # checks below refuse
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(data, np.ndarray):
             hs, te = data["hs_m"], data["te_s"]
@@ -107,28 +108,12 @@ def point_features(entry, data, env, segments=8, taper="raised-cosine"):
             p_irr = spectral.irregular_wave_power(spec, env)
     if not p_irr < np.inf:
         raise DomainError(f"irregular power {p_irr} W/m is not finite")
-    return entry, h_bar, t_bar, p_irr
-
-
-def feature_rows(points, env):
-    """The features array, the rows of features.csv, of point_features
-    results. The regular powers at every point's (h_bar, t_bar, depth) come
-    from one batched regular_wave_power call, with the bits of one call per
-    point, which checks those three values; DomainError if one of those
-    powers is not finite."""
-    from . import mechanics
-    h, t, d = np.array([(h_bar, t_bar, float(e["depth_m"]))
-                        for e, h_bar, t_bar, _ in points],
-                       dtype=float).reshape(-1, 3).T
-    with np.errstate(over="ignore"):  # an overflow is refused below
-        p_reg = mechanics.regular_wave_power(h, t, d, env)
-    if not np.isfinite(p_reg).all():
-        raise DomainError(f"regular-wave power {p_reg.max()} W/m is not "
-                          f"finite")
-    return np.array([(e["name"], e["zone"], h_bar, t_bar, depth, p_irr, p)
-                     for (e, h_bar, t_bar, p_irr), depth, p in
-                     zip(points, d.tolist(), p_reg.tolist())],
-                    dtype=data_io.FEATURE_DTYPE)
+    depth = float(entry["depth_m"])
+    with np.errstate(over="ignore"):
+        p_reg = float(mechanics.regular_wave_power(h_bar, t_bar, depth, env))
+    if not p_reg < np.inf:
+        raise DomainError(f"regular-wave power {p_reg} W/m is not finite")
+    return entry["name"], entry["zone"], h_bar, t_bar, depth, p_irr, p_reg
 
 
 def _vectors(features):

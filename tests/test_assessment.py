@@ -15,7 +15,7 @@ from wavepower.assessment import (
     deviation_norm,
     rank_points,
 )
-from wavepower.errors import DataError, DomainError, ParseError, ScalingError
+from wavepower.errors import DataError, DomainError, ParseError
 from wavepower.mechanics import FluidEnvironment
 from wavepower.spectral import parametric_power
 
@@ -84,7 +84,7 @@ def test_point_features_reject_non_finite(tmp_path, field, bad):
     ("d", "-5e-324", "non-positive depth_m -5e-324")])
 def test_point_features_reject_out_of_domain_means(tmp_path, field, bad,
                                                    reason):
-    # the checks that feature_rows leaves to regular_wave_power
+    # the checks that point_features leaves to regular_wave_power
     with pytest.raises(ParseError, match=f"line 2: .*: {reason}$"):
         data_io.load_features(features_table(tmp_path, **{field: bad}))
 
@@ -144,7 +144,7 @@ def test_zero_mean_height_is_a_valid_feature(tmp_path):
 
 
 def mean_features(history, depth):
-    """The features row pipeline.feature_rows builds from an hourly
+    """The features row pipeline.point_features builds from an hourly
     sea-state series of (H, T) states, written and loaded back as synth
     and analyze hand it on."""
     series = np.empty(len(history), dtype=data_io.SEA_STATE_DTYPE)
@@ -157,9 +157,8 @@ def mean_features(history, depth):
         series = data_io.load_sea_states(Path(tmp) / "P.npy")
     entry = np.array([(1, "P", "Z", 37.0, 50.0, repr(float(depth)))],
                      dtype=data_io.CATALOG_DTYPE)[0]
-    env = FluidEnvironment()
-    return pipeline.feature_rows(
-        [pipeline.point_features(entry, series, env)], env)[0]
+    row = pipeline.point_features(entry, series, FluidEnvironment())
+    return np.array([row], dtype=data_io.FEATURE_DTYPE)[0]
 
 
 class TestFeatureVector:
@@ -193,7 +192,10 @@ def test_series_fields_give_the_bits_of_contiguous_columns(n, seed):
     series["te_s"] = rng.uniform(1.0, 12.0, n)
     hs, te = series["hs_m"].copy(), series["te_s"].copy()
     env = FluidEnvironment()
-    _, h_bar, t_bar, p_irr = pipeline.point_features(None, series, env)
+    entry = np.array([(1, "P", "Z", 37.0, 50.0, "10.0")],
+                     dtype=data_io.CATALOG_DTYPE)[0]
+    _, _, h_bar, t_bar, _, p_irr, _ = pipeline.point_features(entry, series,
+                                                              env)
     assert (h_bar, t_bar, p_irr) == (float(hs.mean()), float(te.mean()),
                                      float(parametric_power(hs, te,
                                                             env).mean()))
@@ -226,16 +228,16 @@ class TestDeviationNorm:
         assert out == pytest.approx(base, rel=1e-12)
 
     def test_degenerate_range(self):
-        with pytest.raises(ScalingError) as exc:
+        with pytest.raises(DomainError,
+                           match="^degenerate range for dimension T$"):
             deviation_norm(features((0.1, 4.0, 5.0), (1.0, 4.0, 100.0)),
                            TABLE_REF, "minmax")
-        assert exc.value.dimension == "T"
 
     def test_minmax_needs_ranges(self):
         # one row spans no range in any dimension
-        with pytest.raises(ScalingError) as exc:
+        with pytest.raises(DomainError,
+                           match="^degenerate range for dimension H$"):
             deviation_norm(features((1.0, 4.0, 10.0)), TABLE_REF, "minmax")
-        assert exc.value.dimension == "H"
 
 
 class TestCorrelationScore:

@@ -403,6 +403,42 @@ class TestPipeline:
         assert err.startswith(f"synth: {cfg}: Expecting property name"), err
         assert err.count("\n") == 1, err
 
+    def test_config_with_byte_order_mark(self, tmp_path):
+        # a config saved by an editor as "UTF-8 with BOM" loads as without
+        doc = json.dumps({"seed": 5, "hours": 3, "depth_range": "30,30",
+                          "points": "K4,Z1"})
+        for name, text in [("plain", doc), ("bom", "\ufeff" + doc)]:
+            cfg = tmp_path / f"{name}.json"
+            cfg.write_text(text, encoding="utf-8")
+            assert main(["synth", "--config", str(cfg),
+                         "--out", str(tmp_path / name)]) == 0
+        assert tree_bytes(tmp_path / "bom") == tree_bytes(tmp_path / "plain")
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_empty_out_is_refused(self, tmp_path, monkeypatch, capsys,
+                                  stage):
+        # "" is no directory: nothing is staged in the working directory
+        monkeypatch.chdir(tmp_path)
+        assert main([stage, "--out", "", "--depth-range", "30,30",
+                     "--points", "T1", "--hours", "3"]) == 2
+        assert capsys.readouterr().err == (
+            f"{stage}: out must name a directory\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_catalog_named_builtin_is_a_file(self, tmp_path, monkeypatch):
+        # the built-in catalog is the unset --catalog, never a file name
+        monkeypatch.chdir(tmp_path)
+        Path("builtin").write_text("index,name,zone,lat_deg,lon_deg,depth_m\n"
+                                   "1,A1,Z,37.0,50.0,\n2,A2,Z,37.1,50.1,\n")
+        args = ["--depth-range", "5,100", "--hours", "3"]
+        assert main(["synth", "--out", "o", "--catalog", "builtin"]
+                    + args) == 0
+        assert len(read_lines("o/catalog.csv")) == 3
+        Path("cfg.json").write_text('{"catalog": null}')
+        assert main(["synth", "--out", "b", "--config", "cfg.json"]
+                    + args) == 0
+        assert len(read_lines("b/catalog.csv")) == 106
+
     @pytest.mark.parametrize("argv, text", [
         (["--format", "structured"], "unrecognized arguments: --format"),
         (["--depth", "30"], "unrecognized arguments: --depth 30"),
@@ -764,6 +800,10 @@ MALFORMED = {
     "pack past numpy's largest array": (
         ["optimize", "--bounds", "0.1,0.6,2,6,5,100",
          "--agents", "100000000000000000000", "--iters", "1"], {}),
+    # the built-in catalog is the unset --catalog, not the empty path
+    "empty catalog path": (
+        ["synth", "--hours", "3", "--depth-range", "30,30", "--points", "K1",
+         "--catalog", ""], {}),
     "header-only catalog": (
         ["synth", "--hours", "3", "--depth-range", "30,30", "--catalog",
          "{tmp}/cat.csv"],
@@ -1263,6 +1303,25 @@ def test_leftover_staging_directory_is_cleared(tmp_path):
     assert main(["synth", "--out", str(out)] + COMMIT_ARGS) == 0
     assert tree(out) == sorted(os.path.normpath(name) for name in
                                STAGE_OUTPUTS["synth"] + ["sea_states"])
+
+
+@pytest.fixture(scope="module")
+def minmax_run(tmp_path_factory):
+    """--out of all five stages, run with seed 3 and the minmax norm."""
+    out = tmp_path_factory.mktemp("echo") / "o"
+    run_pipeline(out, seed=3, extra=["--norm-mode", "minmax"])
+    return out
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_stage_echo_reruns_it(minmax_run, tmp_path, stage):
+    # <stage>_config.json holds the settings the stage ran with, so fed
+    # back as --config it writes the same bytes again
+    out = tmp_path / "o"
+    shutil.copytree(minmax_run, out)
+    assert main([stage, "--out", str(out),
+                 "--config", str(out / f"{stage}_config.json")]) == 0
+    assert tree_bytes(out) == tree_bytes(minmax_run)
 
 
 # (stage, a file of --out it reads, the stage cli.OUTPUTS says writes it,
