@@ -21,8 +21,11 @@ DISPERSION_MAX_ITER = 50
 # buffers (128 KiB each) stay in a core's cache, where the 8 MB
 # temporaries of an unblocked 10^6-point solve streamed through memory.
 SOLVE_BLOCK = 16384
+# smallest block that retires its converged elements from Newton steps
+RETIRE_FLOOR = 1024
 # smallest positive normal float
 _TINY = float(np.finfo(float).tiny)
+_G_MAX = math.sqrt(float(np.finfo(float).max))  # largest g with finite g**2
 
 
 @dataclass(frozen=True)
@@ -36,8 +39,9 @@ class FluidEnvironment:
         if not 0 < self.rho < np.inf:
             raise DomainError(
                 f"rho must be positive and finite, got {self.rho}")
-        if not 0 < self.g < np.inf:
-            raise DomainError(f"g must be positive and finite, got {self.g}")
+        if not 0 < self.g <= _G_MAX:
+            raise DomainError(f"g must be positive and finite, as must g**2, "
+                              f"got {self.g}")
 
 
 def _transfer_factor(kd, th, out, tmp):
@@ -93,7 +97,10 @@ def _solve_block(block_fn, blocks, out, scratch, done, g, max_iter):
     iteration in x = kd on y = x*tanh(x), y = omega^2 d/g, runs in place
     in the scratch rows and stops as soon as all of the block's elements
     are within DISPERSION_TOL; then block_fn(out, kd, th, tmp, *blocks)
-    fills out from kd, th = tanh(kd) and a scratch row tmp."""
+    fills out from kd, th = tanh(kd) and a scratch row tmp. A block of
+    RETIRE_FLOOR elements or more, at the first check that finds three
+    quarters of them converged, gathers the rest from flat views of the
+    rows and iterates only those, then scatters them back."""
     period, depth = blocks[:2]
     m = out.size
     y, tol, x, th, f, step = (scratch[i, ...] for i in range(6))
@@ -105,6 +112,7 @@ def _solve_block(block_fn, blocks, out, scratch, done, g, max_iter):
     np.multiply(y, depth, y)
     np.multiply(y, DISPERSION_TOL, tol)
     np.copyto(x, y)
+    live = None
     for _ in range(max_iter):
         np.tanh(x, th)
         # f = y - x tanh(x)
@@ -112,8 +120,13 @@ def _solve_block(block_fn, blocks, out, scratch, done, g, max_iter):
         np.subtract(y, f, f)
         np.absolute(f, step)
         np.less_equal(step, tol, done)
-        if np.count_nonzero(done) == m:
+        left = done.size - np.count_nonzero(done)
+        if not left:
             break
+        if m >= RETIRE_FLOOR and live is None and 4 * left <= m:
+            live = np.flatnonzero(~done)
+            y, tol, x, th, f = (r.reshape(m)[live] for r in (y, tol, x, th, f))
+            step, done = np.empty(left), np.zeros(left, dtype=bool)
         # f' = -(th + x sech^2(x)) with sech^2 = 1 - th^2
         np.multiply(th, th, step)
         np.subtract(1.0, step, step)
@@ -124,7 +137,11 @@ def _solve_block(block_fn, blocks, out, scratch, done, g, max_iter):
         # DISPERSION_TOL (done, negated in place) move
         np.logical_not(done, done)
         np.add(x, step, x, where=done)
-    else:
+    if live is not None:
+        for r, a in zip(scratch[2:5], (x, th, f)):
+            r.reshape(m)[live] = a
+        y, tol, x, th, f, step = scratch
+    if left:
         worst = float((np.absolute(f) / y).max())
         raise SolverError(
             f"dispersion solve did not converge within "
@@ -199,7 +216,8 @@ def wavenumber(period, depth, g=DEFAULT_G, max_iter=DISPERSION_MAX_ITER):
     and k = x/d is formed once at the end.
     Each element stops moving once its own relative residual is within
     DISPERSION_TOL, so an array gives the same bits as its elements solved
-    one at a time.
+    one at a time; a block of RETIRE_FLOOR elements or more drops its
+    converged elements from the steps once three quarters have converged.
 
     Arrays are validated whole, then solved over their broadcast shape in
     C order in blocks of at most SOLVE_BLOCK elements, each iterating

@@ -577,6 +577,26 @@ def test_regular_power_that_overflows_fails_that_point(tmp_path, capsys):
                           "inf W/m is not finite"), err
 
 
+@pytest.mark.parametrize("stage", ["analyze", "optimize"])
+def test_gravity_whose_square_overflows_is_refused(stage, tmp_path, capsys):
+    # 1e155 is finite, but rho*g**2 in every power is not
+    out = tmp_path / "o"
+    args = ["--out", str(out), "--hours", "3", "--depth-range", "30,30",
+            "--points", "K1", "--bounds", "0.1,0.6,2,6,5,100"]
+    for done in ("synth", "analyze"):
+        assert main([done] + args) == 0
+    before = tree_bytes(out)
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([stage] + args + ["--gravity", "1e155"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err, err
+    assert err.startswith(f"{stage}: g must be positive and finite, as "
+                          f"must g**2, got 1e+155"), err
+    assert tree_bytes(out) == before
+
+
 def rank_tables(*rows):
     """results.csv of one point per (power_irregular_wpm, power_regular_wpm,
     rank) row, as a file for MALFORMED."""

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,7 @@ from wavepower import mechanics
 from wavepower.errors import DomainError, SolverError
 from wavepower.mechanics import (
     DISPERSION_TOL,
+    RETIRE_FLOOR,
     FluidEnvironment,
     power_transfer_factor,
     regular_wave_power,
@@ -222,6 +225,16 @@ def test_environment_rejects_non_finite(field, bad):
         FluidEnvironment(**{field: bad})
 
 
+def test_environment_refuses_g_whose_square_overflows():
+    # rho*g**2 is in every power; 1e154**2 = 1e308 is still finite
+    g_max = math.sqrt(np.finfo(float).max)
+    for g in (1e154, g_max):
+        assert math.isfinite(FluidEnvironment(g=g).g ** 2)
+    for g in (math.nextafter(g_max, math.inf), 1e155):
+        with pytest.raises(DomainError, match=r"as must g\*\*2, got "):
+            FluidEnvironment(g=g)
+
+
 @pytest.mark.parametrize("bad", NON_FINITE)
 @pytest.mark.parametrize("position", [0, 1])
 def test_dispersion_rejects_non_finite_period_or_depth(position, bad):
@@ -404,6 +417,78 @@ def test_blocks_give_the_bits_of_scalar_calls(batch):
     assert np.shape(p) == p_ref.shape and same_bits(p, p_ref)
 
 
+@st.composite
+def retiring_batches(draw):
+    """(H, T, d) of RETIRE_FLOOR to 3 RETIRE_FLOOR elements, 1-D, an
+    (n, 1) x (1, m) broadcast or a transposed view, and a SOLVE_BLOCK:
+    the default, which holds them in one block, or one that cuts them
+    into blocks above and below the floor. Depths of 1000 m or more
+    converge on the first check, so with a drawn share of shallow ones
+    (0.01-50 m, several steps) most blocks retire."""
+    layout = draw(st.sampled_from(["flat", "outer", "transposed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shallow = draw(st.floats(0.0, 0.5))
+    if layout == "flat":
+        shape = d_shape = (draw(st.integers(RETIRE_FLOOR, 3 * RETIRE_FLOOR)),)
+    else:
+        n, m = draw(st.integers(32, 55)), draw(st.integers(32, 55))
+        shape = (n, 1) if layout == "outer" else (m, n)
+        d_shape = (1, m) if layout == "outer" else shape
+    H, T = rng.uniform(0.0, 1.0, shape), rng.uniform(1.0, 20.0, shape)
+    d = np.where(rng.random(d_shape) < shallow,
+                 rng.uniform(0.01, 50.0, d_shape),
+                 rng.uniform(1000.0, 5000.0, d_shape))
+    if layout == "transposed":
+        H, T, d = H.T, T.T, d.T
+    block = draw(st.sampled_from([mechanics.SOLVE_BLOCK, RETIRE_FLOOR + 300]))
+    return H, T, d, block
+
+
+@settings(max_examples=15, deadline=None)
+@given(batch=retiring_batches())
+def test_retiring_blocks_give_the_bits_of_scalar_calls(batch):
+    H, T, d, block = batch
+    k_ref = scalar_calls(wavenumber, T, d)
+    p_ref = scalar_calls(regular_wave_power, H, T, d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mechanics, "SOLVE_BLOCK", block)
+        k, p = wavenumber(T, d), regular_wave_power(H, T, d)
+    assert np.shape(k) == k_ref.shape and same_bits(k, k_ref)
+    assert np.shape(p) == p_ref.shape and same_bits(p, p_ref)
+
+
+def test_only_blocks_from_the_floor_up_retire(monkeypatch):
+    # every fifth element shallow, the rest deep: more than three
+    # quarters converge on the first check and the shallow ones go on
+    def batch(n):
+        d = np.full(n, 5000.0)
+        d[::5] = 5.0
+        return np.full(n, 8.0), d
+
+    # the size of every array np.tanh is called on
+    sizes, tanh = [], np.tanh
+    monkeypatch.setattr(np, "tanh", lambda x, *args: (
+        sizes.append(np.size(x)), tanh(x, *args))[1])
+    # the optimizer's 10-agent pack, a scalar call and a block one below
+    # the floor iterate every element at every check
+    for n in (10, 1, RETIRE_FLOOR - 1):
+        sizes.clear()
+        regular_wave_power(0.5, *batch(n))
+        assert len(sizes) > 2 and set(sizes) == {n}
+    # so do the blocks of a larger input cut below the floor
+    monkeypatch.setattr(mechanics, "SOLVE_BLOCK", RETIRE_FLOOR - 1)
+    sizes.clear()
+    wavenumber(*batch(3 * RETIRE_FLOOR))
+    assert len(sizes) > 6 and set(sizes) <= {RETIRE_FLOOR - 1, 3}
+    # a block at the floor iterates only its shallow elements after the
+    # first check
+    sizes.clear()
+    monkeypatch.setattr(mechanics, "SOLVE_BLOCK", RETIRE_FLOOR)
+    wavenumber(*batch(RETIRE_FLOOR))
+    assert len(sizes) > 2 and sizes[0] == RETIRE_FLOOR
+    assert set(sizes[1:]) == {len(range(0, RETIRE_FLOOR, 5))}
+
+
 def test_paper_box_grid_equals_one_block(monkeypatch):
     # with SOLVE_BLOCK at least the grid size the whole grid is one block,
     # iterated until its slowest element has converged
@@ -428,6 +513,18 @@ def test_solver_error_names_the_block_that_failed(monkeypatch):
         wavenumber(10.0, 50.0, max_iter=1)
     assert np.isfinite(batch.value.residual)
     assert batch.value.residual == alone.value.residual
+    # a block at the retire floor drops its deep elements at the first
+    # check, and then fails on the shallow one as that does alone
+    monkeypatch.setattr(mechanics, "SOLVE_BLOCK", RETIRE_FLOOR)
+    T = np.full(2 * RETIRE_FLOOR, 2.0)
+    d = np.full(2 * RETIRE_FLOOR, 5000.0)
+    T[RETIRE_FLOOR + 5], d[RETIRE_FLOOR + 5] = 10.0, 50.0
+    with pytest.raises(SolverError) as retired:
+        wavenumber(T, d, max_iter=2)
+    with pytest.raises(SolverError) as alone:
+        wavenumber(10.0, 50.0, max_iter=2)
+    assert np.isfinite(retired.value.residual)
+    assert retired.value.residual == alone.value.residual
 
 
 def test_inputs_are_checked_before_any_block(monkeypatch):
