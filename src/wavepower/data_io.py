@@ -144,10 +144,12 @@ def load_catalog(path):
 
 def parse_timestamps(stamps):
     """YYYY-MM-DDTHH:MM:SSZ strings as datetime64[s]; NaT for any string
-    not exactly of that form (a bare date, another precision or zone).
+    not exactly of that form (a bare date, another precision or zone, a
+    year before 0000 or after 9999).
 
     The "Z" is stripped before numpy parses, and a value stands only if
-    it formats back to the string without it.
+    it formats back to the string without it and lies in [FIRST_TIME,
+    LAST_TIME].
     """
     body = [s[:-1] if s[-1:] == "Z" else "" for s in stamps]
     with warnings.catch_warnings():
@@ -158,8 +160,9 @@ def parse_timestamps(stamps):
         except ValueError:  # some string numpy cannot read: one by one
             times = np.array([_datetime_or_nat(b) for b in body],
                              dtype="datetime64[s]")
-    times[np.datetime_as_string(times, unit="s")
-          != np.array(body, dtype=str)] = np.datetime64("NaT")
+    times[(np.datetime_as_string(times, unit="s")
+           != np.array(body, dtype=str))
+          | (times < FIRST_TIME) | (times > LAST_TIME)] = np.datetime64("NaT")
     return times
 
 

@@ -142,11 +142,15 @@ def _solve_block(block_fn, blocks, out, scratch, done, g, max_iter):
             r.reshape(m)[live] = a
         y, tol, x, th, f, step = scratch
     if left:
-        worst = float((np.absolute(f) / y).max())
+        residual = np.absolute(f) / y
+        i = int(np.argmax(residual))
+        worst = float(residual.flat[i])
+        t, d = (float(np.broadcast_to(a, out.shape).flat[i])
+                for a in (period, depth))
         raise SolverError(
-            f"dispersion solve did not converge within "
-            f"{max_iter} iterations (worst relative residual "
-            f"{worst:.3e})", residual=worst)
+            f"dispersion solve did not converge within {max_iter} "
+            f"iterations for period {t!r} s and depth {d!r} m at g={g} "
+            f"(worst relative residual {worst:.3e})", residual=worst)
     block_fn(out, x, th, f, *blocks)
 
 
@@ -226,7 +230,7 @@ def wavenumber(period, depth, g=DEFAULT_G, max_iter=DISPERSION_MAX_ITER):
     normal float raises DomainError before any Newton step. If a block
     has not converged within max_iter steps, SolverError is raised for
     the first such block, with the worst relative residual within that
-    block.
+    block, and the message names that element's period and depth, and g.
     """
     period = np.asarray(period, dtype=float)
     depth = np.asarray(depth, dtype=float)

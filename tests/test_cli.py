@@ -241,8 +241,11 @@ class TestAnalyze:
         assert [ln.split(",")[0] for ln in
                 read_lines(out / "features.csv")[1:]] == ["K4"]
 
-    @pytest.mark.parametrize("kind", [[], ["--kind", "elevation",
-                                          "--duration", "512"]])
+    @pytest.mark.parametrize("kind", [
+        [], ["--kind", "elevation", "--duration", "512"],
+        # one untapered segment of all 1024 samples
+        ["--kind", "elevation", "--duration", "512", "--segments", "1",
+         "--taper", "none"]])
     def test_regular_power_has_the_bits_of_per_point_calls(self, tmp_path,
                                                            kind):
         out = tmp_path / "o"
@@ -640,6 +643,19 @@ MALFORMED = {
     "malformed start for records": (
         ["synth", "--kind", "elevation", "--duration", "16", "--depth-range",
          "30,30", "--points", "K1", "--start", "2006"], {}),
+    # years that numpy reads and writes back, but four digits cannot spell
+    "start before year 0": (
+        ["synth", "--depth-range", "30,30", "--hours", "3", "--points", "K1",
+         "--start=-001-01-01T00:00:00Z"], {}),
+    "start after year 9999": (
+        ["synth", "--depth-range", "30,30", "--hours", "3", "--points", "K1",
+         "--start=10000-01-01T00:00:00Z"], {}),
+    "start before year 0 for records": (
+        ["synth", "--kind", "elevation", "--duration", "16", "--depth-range",
+         "30,30", "--points", "K1", "--start=-001-01-01T00:00:00Z"], {}),
+    "start after year 9999 for records": (
+        ["synth", "--kind", "elevation", "--duration", "16", "--depth-range",
+         "30,30", "--points", "K1", "--start=10000-01-01T00:00:00Z"], {}),
     "config holding a JSON array": (
         ["synth", "--depth-range", "30,30", "--hours", "3", "--points", "K1",
          "--config", "{tmp}/cfg.json"], {"cfg.json": "[]"}),
@@ -730,6 +746,11 @@ MALFORMED = {
         ("1.0", "1.0"), ("2.0", "-2.0"))),
     "period too long for the dispersion solve": (
         ["optimize", "--bounds", "0.1,0.6,2,1e200,5,100"], {}),
+    # y = omega^2 d/g is so small that Newton from x0 = y needs more
+    # than DISPERSION_MAX_ITER steps
+    "gravity too large for the dispersion solve to converge": (
+        ["optimize", "--bounds", "0.1,0.6,2,6,5,100", "--gravity", "1e29"],
+        {}),
     # rank and report would keep one of the rows, or the last zone total
     "repeated point in features": (["rank"], {
         name: text.replace("\nP2,", "\nP1,") for name, text in
@@ -831,6 +852,16 @@ MALFORMED = {
 }
 
 
+# case -> text its one line holds, where the stage would refuse the
+# input anyway, or the wording is the point
+MALFORMED_TEXT = {
+    **dict.fromkeys([case for case in MALFORMED if case.startswith("start ")],
+                    "synth: start must be like 2006-01-01T00:00:00Z\n"),
+    "gravity too large for the dispersion solve to converge":
+        " m at g=1e+29 (worst relative residual ",
+}
+
+
 def tree(root):
     return sorted(os.path.relpath(os.path.join(d, n), root)
                   for d, dirs, files in os.walk(root) for n in dirs + files)
@@ -850,6 +881,7 @@ def test_malformed_input_fails_closed(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(argv[0] + ": ") and err.count("\n") == 1, err
     assert "Traceback" not in err
+    assert MALFORMED_TEXT.get(case, "") in err, err
     assert tree(tmp_path) == before
 
 
@@ -885,6 +917,11 @@ def _with_times(times):
 
 def _alternate_times(arr):
     arr["time_s"][::2], arr["time_s"][1::2] = -1e308, 1e308
+    return arr
+
+
+def _repeat_stamp_row_2(arr):
+    arr["timestamp"][2] = arr["timestamp"][1]
     return arr
 
 
@@ -930,6 +967,10 @@ MALFORMED_POINT = {
     "negative Hs": (SEA, lambda p: _resave(p, _negate_hs_row_5),
                     "Z1.npy: row 5: negative Hs"),
     "both csv and npy": (SEA, _export_csv, "/Z1.npy and "),
+    "repeated timestamp, csv": (
+        SEA, lambda p: _as_csv(p, _repeat_stamp_row_2),
+        "line 4: sea_states/Z1.csv: non-increasing timestamp "
+        "2006-01-01T01:00:00Z"),
     "record step past the largest float": (
         RECORD, lambda p: _resave(p, HUGE_STEP),
         "elevation/K1.npy: non-finite median time step inf"),

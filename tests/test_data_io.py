@@ -508,7 +508,9 @@ class TestTimestamps:
         "2006-01-01T00:00:00.0Z", "2006-01-01 00:00:00Z",
         "2006-01-01T00:00+01Z", "2006-01-01T00:00:00+01:00",
         "2006-13-01T00:00:00Z", "2006-02-30T00:00:00Z", "2006-1-1T0:0:0Z",
-        "NaTZ", "NaT", "", "Z"])
+        "NaTZ", "NaT", "", "Z",
+        # years numpy reads and writes back, but four digits cannot spell
+        "-001-01-01T00:00:00Z", "10000-01-01T00:00:00Z"])
     def test_anything_else_is_nat(self, text, recwarn):
         times = data_io.parse_timestamps(["2006-01-01T00:00:00Z", text])
         assert not np.isnat(times[0]) and np.isnat(times[1])

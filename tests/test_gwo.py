@@ -280,6 +280,10 @@ REFERENCE_CASES = {
         sphere, CUBE, (gwo._DRAW_BLOCK // 12 + 1, 4)),
     "paper power, one iteration": (
         lambda x: regular_wave_power(*x), PAPER_BOX, (10, 1)),
+    # a pack of 64 ends halfway through its first block
+    "paper power, 64 agents inside one block": (
+        lambda x: regular_wave_power(*x), PAPER_BOX,
+        (64, draw_block(64, 3) // 2)),
 }
 
 

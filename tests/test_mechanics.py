@@ -513,6 +513,14 @@ def test_solver_error_names_the_block_that_failed(monkeypatch):
         wavenumber(10.0, 50.0, max_iter=1)
     assert np.isfinite(batch.value.residual)
     assert batch.value.residual == alone.value.residual
+    # the message names the worst element and g, as a DomainError would,
+    # also where the period is one scalar for every depth
+    assert "for period 10.0 s and depth 50.0 m at g=9.81 (" in \
+        str(alone.value)
+    assert str(batch.value) == str(alone.value)
+    with pytest.raises(SolverError) as broadcast:
+        wavenumber(10.0, d, max_iter=1)
+    assert str(broadcast.value) == str(alone.value)
     # a block at the retire floor drops its deep elements at the first
     # check, and then fails on the shallow one as that does alone
     monkeypatch.setattr(mechanics, "SOLVE_BLOCK", RETIRE_FLOOR)
@@ -525,6 +533,7 @@ def test_solver_error_names_the_block_that_failed(monkeypatch):
         wavenumber(10.0, 50.0, max_iter=2)
     assert np.isfinite(retired.value.residual)
     assert retired.value.residual == alone.value.residual
+    assert str(retired.value) == str(alone.value)
 
 
 def test_inputs_are_checked_before_any_block(monkeypatch):
