@@ -23,7 +23,7 @@ _EXPORTS = {
     "spectral": ("ElevationRecord", "VarianceDensitySpectrum",
                  "estimate_spectrum", "irregular_wave_power",
                  "parametric_power", "sea_state_stats", "spectral_moment",
-                 "synthesize_record", "total_variance", "uniform_spectrum"),
+                 "synthesize_record", "uniform_spectrum"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items()
          for name in names}

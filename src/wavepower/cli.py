@@ -52,21 +52,21 @@ ECHO_KEYS = [k for k in DEFAULTS if k != "catalog"]
 
 
 def build_parser():
-    # the stage options, built once and shared by every stage's parser
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
-    common.add_argument("--out", default="out", help="output directory")
+    stages = "".join(f"  {name:<10}{command.__doc__}\n"
+                     for name, command in COMMANDS.items())
+    # no abbreviations: --depth is not --depth-range
+    p = argparse.ArgumentParser(
+        prog="wavepower", allow_abbrev=False,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        description=f"Wave-energy resource assessment\n\nstages:\n{stages}")
+    p.add_argument("command", choices=COMMANDS, metavar="stage",
+                   help="the stage to run, one of those above")
+    p.add_argument("--config", help="JSON config file")
+    p.add_argument("--out", default="out", help="output directory")
     for key, (_, typ, text) in DEFAULTS.items():
         kind = "choices" if isinstance(typ, tuple) else "type"
-        common.add_argument("--" + key.replace("_", "-"), dest=key,
-                            help=text, **{kind: typ})
-    p = argparse.ArgumentParser(
-        prog="wavepower", description="Wave-energy resource assessment")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name, command in COMMANDS.items():
-        # no abbreviations: --depth is not --depth-range
-        sub.add_parser(name, help=command.__doc__, parents=[common],
-                       allow_abbrev=False)
+        p.add_argument("--" + key.replace("_", "-"), dest=key, help=text,
+                       **{kind: typ})
     return p
 
 
@@ -117,7 +117,9 @@ def resolve_config(args):
         if isinstance(typ, tuple):
             ok, want = value in typ, "one of " + ", ".join(typ)
         elif typ is float:
-            ok = type(value) in (int, float) and 0 < value < math.inf
+            # an int past the largest float would overflow as a float
+            ok = (type(value) in (int, float)
+                  and 0 < value <= sys.float_info.max)
             want = "a positive number"
         elif typ is int:
             ok = type(value) is int and value >= INT_MIN[key]

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the positive-and-finite
+"""Exception types shared across the package, and the min/max range
 check of the data types and kernels that raise them."""
 
 import math
@@ -7,14 +7,18 @@ import numpy as np
 
 
 def _positive_finite(x, zero_ok=False):
-    """Whether every element of array x lies in (0, inf), or in [0, inf)
-    with zero_ok; NaN does not. Two reductions and no temporary array,
-    whatever the size of x."""
+    """(min, max) of array x if every element lies in (0, inf), or in
+    [0, inf) with zero_ok, else None; NaN fails. The extremes are numpy
+    scalars, or (1.0, 1.0) if x is empty. Two reductions, the max only
+    once the min has passed, and no temporary array, whatever the size
+    of x."""
     if x.size == 0:
-        return True
+        return 1.0, 1.0
     low = np.minimum.reduce(x, axis=None)
-    return bool((low >= 0 if zero_ok else low > 0)
-                and np.maximum.reduce(x, axis=None) < math.inf)
+    if not (low >= 0 if zero_ok else low > 0):
+        return None
+    high = np.maximum.reduce(x, axis=None)
+    return (low, high) if high < math.inf else None
 
 
 class WavePowerError(Exception):

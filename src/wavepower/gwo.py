@@ -83,16 +83,14 @@ class GwoRun:
 
 
 def a_schedule(iteration, max_iter):
-    """Exploration parameter, linear from 2 at iteration 0 to 0 at max_iter."""
-    if not 0 <= iteration <= max_iter:
-        raise DomainError(f"iteration {iteration} outside [0, {max_iter}]")
+    """Exploration parameter a(t) = 2 - 2t/T (Mirjalili et al. 2014),
+    linear from 2 at iteration 0 to 0 at max_iter. `iteration` is an int
+    or an integer array; an array has the bits of its elements' calls."""
+    t = np.asarray(iteration)
+    outside = (t < 0) | (t > max_iter)
+    if np.any(outside):
+        raise DomainError(f"iteration {t[outside][0]} outside [0, {max_iter}]")
     return 2.0 - iteration * (2.0 / max_iter)
-
-
-def _a_values(start, stop, max_iter):
-    """a_schedule(t, max_iter) for t in range(start, stop), as an array
-    with the bits of those calls."""
-    return 2.0 - np.arange(start, stop) * (2.0 / max_iter)
 
 
 def _move(x, L, A, C):
@@ -142,7 +140,8 @@ def gwo_maximize(objective, bounds, cfg=None):
     for start in range(0, cfg.max_iter, block):
         stop = min(start + block, cfg.max_iter)
         r = rng.random((stop - start, n, 2, 3, bounds.ndim))
-        a = _a_values(start, stop, cfg.max_iter)[:, None, None, None]
+        a = a_schedule(np.arange(start, stop),
+                       cfg.max_iter)[:, None, None, None]
         A = 2.0 * a * r[:, :, 0] - a
         C = 2.0 * r[:, :, 1]
         for it, A_it, C_it in zip(range(start, stop), A, C):

@@ -60,15 +60,6 @@ def _transfer_factor(kd, th, out, tmp):
     return out
 
 
-def _extremes(x):
-    """(min, max) of array x as floats, NaN if x holds one, or (1.0, 1.0)
-    if x is empty."""
-    if not x.size:
-        return 1.0, 1.0
-    return (float(np.minimum.reduce(x, axis=None)),
-            float(np.maximum.reduce(x, axis=None)))
-
-
 def _normal(x):
     """Whether float x is a finite normal float."""
     return _TINY <= x < math.inf
@@ -169,11 +160,11 @@ def _solve_by_blocks(block_fn, arrays, g, max_iter):
     they fail is y formed per pair, to find one that fails. Python
     floats overflow to inf and underflow to 0 without a warning."""
     period, depth = arrays[:2]
-    (t_lo, t_hi), (d_lo, d_hi) = _extremes(period), _extremes(depth)
-    if not (0 < t_lo and t_hi < math.inf and _TINY <= d_lo
-            and d_hi < math.inf):
+    periods, depths = _positive_finite(period), _positive_finite(depth)
+    if not (periods and depths and _TINY <= depths[0]):
         raise DomainError(f"period and depth must be positive and finite "
                           f"(depth at least {_TINY!r} m)")
+    (t_lo, t_hi), (d_lo, d_hi) = map(float, periods), map(float, depths)
     k0 = []
     for t in (t_lo, t_hi):
         omega = 2.0 * np.pi / t

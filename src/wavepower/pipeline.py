@@ -35,7 +35,7 @@ def select_points(column, names=None):
         return list(index.values())
     missing = [n for n in names if n not in index]
     if missing:
-        raise ConfigError(f"unknown points: {', '.join(missing)}")
+        raise ConfigError(f"unknown points: {', '.join(map(repr, missing))}")
     return [index[n] for n in names]
 
 

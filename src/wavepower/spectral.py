@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DomainError, _positive_finite
-from .mechanics import FluidEnvironment
 
 TAPER_NONE = "none"
 TAPER_RAISED_COSINE = "raised-cosine"
@@ -38,9 +37,6 @@ class ElevationRecord:
             raise DataError("record needs at least 2 samples")
         if not np.all(np.isfinite(self.samples)):
             raise DataError("record contains non-finite samples")
-
-    def variance(self):
-        return float(np.var(self.samples))
 
 
 # eq=False: its array fields make == ambiguous, so compare by identity
@@ -124,11 +120,6 @@ def estimate_spectrum(record, segments=8, taper=TAPER_RAISED_COSINE):
     return VarianceDensitySpectrum(f=f, S=acc / len(segs), df=df)
 
 
-def total_variance(spectrum):
-    """Integral of the spectrum (rectangle rule), m^2."""
-    return float(np.sum(spectrum.S) * spectrum.df)
-
-
 def spectral_moment(spectrum, order):
     """Moment m_n = sum f^n * S * df for integer n in [-2, 3]; a
     VarianceDensitySpectrum's f is at least df/2 > 0, so any n is defined."""
@@ -139,7 +130,9 @@ def spectral_moment(spectrum, order):
 
 def irregular_wave_power(spectrum, env=None):
     """Deep-water irregular wave power (rho*g^2/4pi) * m_{-1}, W/m."""
-    env = env or FluidEnvironment()
+    if env is None:
+        from .mechanics import FluidEnvironment
+        env = FluidEnvironment()
     return env.rho * env.g ** 2 / (4.0 * np.pi) * spectral_moment(spectrum, -1)
 
 
@@ -158,7 +151,9 @@ def parametric_power(Hs, Te, env=None):
     Algebraically identical to irregular_wave_power when Hs and Te come
     from the same spectrum.
     """
-    env = env or FluidEnvironment()
+    if env is None:
+        from .mechanics import FluidEnvironment
+        env = FluidEnvironment()
     Hs = np.asarray(Hs, dtype=float)
     Te = np.asarray(Te, dtype=float)
     if not _positive_finite(Hs, zero_ok=True):

@@ -4,6 +4,7 @@ import csv
 import gc
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -14,11 +15,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavepower import data_io, pipeline
-from wavepower.cli import OUTPUTS, main
+from wavepower.cli import COMMANDS, OUTPUTS, main
 from wavepower.mechanics import FluidEnvironment, regular_wave_power
 from wavepower.spectral import ElevationRecord
 
@@ -455,6 +456,20 @@ class TestPipeline:
             assert text in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_options_may_precede_the_stage(self, tmp_path):
+        args = ["--hours", "3", "--depth-range", "5,100", "--points", "K1"]
+        assert main(["--out", str(tmp_path / "a"), "synth"] + args) == 0
+        assert main(["synth", "--out", str(tmp_path / "b")] + args) == 0
+        assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+
+    def test_unknown_stage_exits_2(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as refused:
+            main(["plot", "--out", str(tmp_path / "o")])
+        assert refused.value.code == 2
+        assert "argument stage: invalid choice: 'plot'" in (
+            capsys.readouterr().err)
+        assert not (tmp_path / "o").exists()
+
     def test_minmax_mode(self, tmp_path):
         out = tmp_path / "o"
         run_pipeline(out, extra=["--norm-mode", "minmax"])
@@ -883,6 +898,143 @@ def test_malformed_input_fails_closed(case, tmp_path, capsys):
     assert "Traceback" not in err
     assert MALFORMED_TEXT.get(case, "") in err, err
     assert tree(tmp_path) == before
+
+
+# Values for the settings property below: GOOD ones that let the run go
+# on, ODD ones for a few keys of each example. Every value of a size key
+# (agents, iters, hours, duration, dt, segments) is refused or keeps the
+# run small: at most 24 hourly sea states, and a record of at most 64 s
+# of samples no closer than 0.25 s, unless too many to size.
+MAX = sys.float_info.max
+ODD_NUMBERS = [0, 0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e-300,
+               -1e-300, -1e300, -MAX, math.inf, -math.inf, math.nan, True,
+               False, 2 ** 64, 10 ** 400, -1, 1.5, "", "1,2"]
+ODD_TEXT = ["", ",", "a,b", "\x00", "\n", "\ufeff", "1,\x1f2", "\ufeff1",
+            None, 5, True]
+GOOD = {"rho": [1025.0, 1000], "gravity": [9.81, 1.62],
+        "agents": [4, 10], "iters": [1, 3, 200], "seed": [0, 7],
+        "bounds": [None, "0.1,0.6,2,6,5,100"],
+        "depth_range": ["5,100"], "hours": [1, 24],
+        "start": ["2006-01-01T00:00:00Z"], "hs_base": [0.5, 1.5],
+        "te_base": [4.0, 8.0], "duration": [64.0, 32], "dt": [0.5, 0.25],
+        "segments": [1, 8]}
+ODD = {
+    "agents": [2 ** 62], "iters": [2 ** 62], "segments": [10 ** 9],
+    "seed": [2 ** 64, 10 ** 400], "duration": [1e300, MAX],
+    "dt": [10.0, 2 ** 64, MAX],
+    "bounds": ["1,2", ",,,,,", "0,0,0,0,0,0", "nan,1,2,3,4,5",
+               "5e-324,1e-300,5e-324,1e-300,5e-324,1e-300",
+               "1e300,1e301,1,2,3,4", "0.1,0.6,2,6,5,1e308",
+               "\ufeff0.1,0.6,2,6,5,100", "0.1,0.6,2,6,5,100\n"],
+    "depth_range": ["30,30", "100,5", "1e-300,1e300", "5e-324,1", "0,10",
+                    "-5,10", "5", "nan,1", "1e308,1e308", "\ufeff5,100"],
+    "start": ["9999-12-31T00:00:00Z", "9999-12-31T23:00:00Z",
+              "0000-01-01T00:00:00Z", "-0001-01-01T00:00:00Z",
+              "2006-13-01T00:00:00Z", "\ufeff2006-01-01T00:00:00Z",
+              "2006-01-01T00:00:00Z\n"],
+}
+# keys a run may leave at their default
+DEFAULT_OK = {"rho", "gravity", "agents", "iters", "seed", "bounds",
+              "norm_mode", "start", "hs_base", "te_base", "kind", "dt",
+              "segments", "taper", "catalog"}
+# built-in catalog names; without --points it would run all 105 points
+POINTS = ["K1,Z1", "Z1,K1"]
+ODD_POINTS = ["K1", "K1,K1", " K1 , Z1 ", "K1,", "nope", "K1\x00", "\ufeffK1",
+              "K1\nZ1", "A1", "", ",", 5, True]
+# written beside --out by the property: two points, one zone quoted
+SMALL_CATALOG = ('index,name,zone,lat_deg,lon_deg,depth_m\n'
+                 '1,A1,"Zone, A",37.0,50.0,\n2,A2,Z,37.1,50.1,12.5\n')
+
+
+@st.composite
+def settings_space(draw):
+    """{DEFAULTS key: (how, value)}, how one of "omit", "config" (in the
+    --config file) or "flag" (--key=value); odd values for one or two
+    keys, good ones for the rest."""
+    from wavepower.cli import DEFAULTS
+    odd = draw(st.lists(st.sampled_from(list(DEFAULTS)), min_size=1,
+                        max_size=2, unique=True))
+    drawn = {}
+    # the catalog first: the points drawn depend on it
+    for key in sorted(DEFAULTS, key=lambda k: k != "catalog"):
+        typ = DEFAULTS[key][1]
+        if key == "catalog":
+            good = [None, "{tmp}/catalog.csv"]
+            bad = ["{tmp}/missing.csv", "{tmp}", ""]
+        elif key == "points":
+            builtin = drawn["catalog"][1] is None
+            good = POINTS if builtin else [None, "A2,A1"]
+            bad = ODD_POINTS
+        elif isinstance(typ, tuple):
+            good, bad = list(typ), [typ[0].upper()] + ODD_TEXT
+        else:
+            good = GOOD[key]
+            bad = ODD.get(key, []) + (ODD_TEXT if typ is str
+                                      else ODD_NUMBERS)
+        how = draw(st.sampled_from(["config", "flag"] + ["omit"] * (
+            key in DEFAULT_OK or (key == "points" and not builtin))))
+        value = draw(st.sampled_from(bad if key in odd else good))
+        drawn[key] = (how, None if how == "omit" else value)
+    return drawn
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=settings_space())
+# g**2 overflows a float: analyze and optimize refuse the environment
+@example(drawn={"gravity": ("flag", 1e155)})
+# the dispersion solve of optimize does not converge
+@example(drawn={"gravity": ("flag", 1e29)})
+# an int of JSON past the largest float
+@example(drawn={"hs_base": ("config", 10 ** 400)})
+# a name holding a newline: the refusal stays one line
+@example(drawn={"points": ("flag", "K1\nZ1")})
+def test_every_setting_fails_closed(drawn):
+    # the run to which the drawn settings apply: two built-in points
+    drawn = {"points": ("flag", "K1,Z1"), "hours": ("flag", 24),
+             "duration": ("flag", 64.0), "depth_range": ("flag", "5,100"),
+             **drawn}
+    with tempfile.TemporaryDirectory() as tmp:
+        with open(os.path.join(tmp, "catalog.csv"), "w") as fh:
+            fh.write(SMALL_CATALOG)
+        config, flags = {}, []
+        for key, (how, value) in drawn.items():
+            if isinstance(value, str):
+                value = value.replace("{tmp}", tmp)
+            if how == "config":
+                config[key] = value
+            elif how == "flag" and value is not None:
+                text = value if isinstance(value, str) else repr(value)
+                flags.append(f"--{key.replace('_', '-')}={text}")
+        if config:
+            with open(os.path.join(tmp, "config.json"), "w") as fh:
+                json.dump(config, fh)
+            flags.append(f"--config={tmp}/config.json")
+        out = os.path.join(tmp, "out")
+        for stage in STAGES:
+            before = os.path.exists(out), tree_bytes(out)
+            err = io.StringIO()
+            with warnings.catch_warnings(), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    code = main([stage, "--out", out] + flags)
+                except SystemExit as exc:
+                    # argparse refuses a flag it cannot convert with its
+                    # usage and one error line
+                    code = exc.code
+                    assert code == 2, (stage, code)
+                    assert err.getvalue().splitlines()[-1].startswith(
+                        "wavepower: error: argument "), err.getvalue()
+                    assert (os.path.exists(out), tree_bytes(out)) == before
+                    continue
+            lines = err.getvalue().split("\n")[:-1]
+            assert code in (0, 1, 2), (stage, code)
+            assert all(line.startswith(f"{stage}: ") for line in lines), (
+                err.getvalue())
+            assert not os.path.exists(os.path.join(out, f".{stage}.partial"))
+            if code == 2:
+                assert len(lines) == 1, err.getvalue()
+                assert (os.path.exists(out), tree_bytes(out)) == before
 
 
 def _resave(path, edit):
@@ -1461,7 +1613,7 @@ STAGE_MODULES = {
     ("optimize", "sea-states"): ["gwo", "mechanics", "pipeline"],
     ("rank", "sea-states"): ["assessment", "pipeline"],
     ("report", "sea-states"): ["pipeline"],
-    ("synth", "elevation"): ["mechanics", "pipeline", "spectral"],
+    ("synth", "elevation"): ["pipeline", "spectral"],
     ("analyze", "elevation"): ["mechanics", "pipeline", "spectral"],
 }
 
@@ -1523,7 +1675,9 @@ class TestProcessEntry:
         rc, stdout, stderr = run_process(["--help"], tmp_path)
         assert (rc, stderr) == (0, "")
         assert stdout.startswith("usage: wavepower [-h]")
-        assert all(stage in stdout for stage in STAGES)
+        # each stage on its own line, with its docstring
+        for stage, command in COMMANDS.items():
+            assert f"  {stage:<10}{command.__doc__}\n" in stdout
 
     def test_exit_handlers_run(self, tmp_path):
         code = ("import atexit, sys\n"

@@ -93,17 +93,27 @@ class TestASchedule:
         with pytest.raises(DomainError):
             a_schedule(11, 10)
 
+    def test_array_endpoints(self):
+        a = a_schedule(np.arange(201), 200)
+        assert (a[0], a[-1]) == (2.0, 0.0)
 
-@settings(max_examples=200, deadline=None)
-@given(max_iter=st.integers(1, 2 ** 40), data=st.data())
-def test_block_schedule_has_the_bits_of_a_schedule(max_iter, data):
-    # gwo_maximize forms a(t) for a block of iterations at once
-    start = data.draw(st.integers(0, max_iter))
-    stop = data.draw(st.integers(start, min(start + 64, max_iter + 1)))
-    got = gwo._a_values(start, stop, max_iter)
-    want = np.array([a_schedule(t, max_iter) for t in range(start, stop)])
-    assert got.shape == want.shape
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    @settings(max_examples=200, deadline=None)
+    @given(max_iter=st.integers(1, 2 ** 40), data=st.data())
+    def test_array_has_the_bits_of_scalar_calls(self, max_iter, data):
+        # gwo_maximize forms a(t) for a block of iterations at once
+        start = data.draw(st.integers(0, max_iter))
+        stop = data.draw(st.integers(start, min(start + 64, max_iter + 1)))
+        got = a_schedule(np.arange(start, stop), max_iter)
+        want = np.array([a_schedule(t, max_iter) for t in range(start, stop)])
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("bad", [-1, 11])
+    def test_array_with_one_iteration_out_of_range(self, bad):
+        iterations = np.arange(11)
+        iterations[5] = bad
+        with pytest.raises(DomainError, match=f"iteration {bad} outside"):
+            a_schedule(iterations, 10)
 
 
 class TestUpdatePosition:
@@ -366,12 +376,12 @@ def exact_optimum(bounds, env):
     """The (H, T, d) in the box `bounds` where regular_wave_power is
     largest, and that power, by linear theory: P grows with H^2, and at
     any depth with T (the group velocity does), so H = H_max and
-    T = T_max; at T_max the depth factor peaks at kd = X_STAR, the depth
-    X_STAR tanh(X_STAR) g / omega^2, clipped to [d_min, d_max]."""
+    T = T_max; at T_max the depth factor peaks where x tanh x = 1
+    (x = kd), and there the dispersion relation omega^2 d/g = x tanh x
+    gives d* = g/omega^2 = g T_max^2/(4 pi^2), clipped to [d_min, d_max]."""
     h, t = bounds.upper[:2]
-    omega = 2 * np.pi / t
-    d = min(max(X_STAR * np.tanh(X_STAR) * env.g / omega ** 2,
-                bounds.lower[2]), bounds.upper[2])
+    d = min(max(env.g * t ** 2 / (4 * np.pi ** 2), bounds.lower[2]),
+            bounds.upper[2])
     return (h, t, d), float(regular_wave_power(h, t, d, env))
 
 

@@ -17,7 +17,6 @@ from wavepower.spectral import (
     sea_state_stats,
     spectral_moment,
     synthesize_record,
-    total_variance,
     uniform_spectrum,
 )
 
@@ -94,7 +93,7 @@ class TestEstimateSpectrum:
         t = np.arange(n) * dt
         rec = ElevationRecord(dt=dt, samples=0.5 * np.cos(2 * np.pi * f0 * t))
         spec = estimate_spectrum(rec, segments=1, taper="none")
-        assert total_variance(spec) == pytest.approx(0.125, rel=1e-6)
+        assert spectral_moment(spec, 0) == pytest.approx(0.125, rel=1e-6)
         assert spec.f[np.argmax(spec.S)] == pytest.approx(f0, abs=spec.df)
 
     def test_zero_record(self):
@@ -106,7 +105,7 @@ class TestEstimateSpectrum:
         target = flat_unit_spectrum()
         rec = synthesize_record(target, duration=2 ** 17 * 0.5, dt=0.5, seed=11)
         spec = estimate_spectrum(rec)
-        assert total_variance(spec) == pytest.approx(0.1, rel=0.03)
+        assert spectral_moment(spec, 0) == pytest.approx(0.1, rel=0.03)
 
     def test_too_short(self):
         # every segment holds at least 16 samples
@@ -119,7 +118,8 @@ class TestEstimateSpectrum:
         rng = np.random.default_rng(5)
         rec = ElevationRecord(dt=0.25, samples=rng.normal(size=1024))
         spec = estimate_spectrum(rec, segments=1, taper="none")
-        assert total_variance(spec) == pytest.approx(rec.variance(), rel=1e-6)
+        assert spectral_moment(spec, 0) == pytest.approx(np.var(rec.samples),
+                                                         rel=1e-6)
         assert np.all(spec.S >= 0)
 
     def test_taper_compensation(self):
@@ -127,7 +127,8 @@ class TestEstimateSpectrum:
         rec = ElevationRecord(dt=0.5, samples=rng.normal(size=2 ** 13))
         spec = estimate_spectrum(rec, segments=16)
         # white noise: compensated taper keeps the integral near the variance
-        assert total_variance(spec) == pytest.approx(rec.variance(), rel=0.1)
+        assert spectral_moment(spec, 0) == pytest.approx(np.var(rec.samples),
+                                                         rel=0.1)
 
 
 def reference_spectrum(record, L, taper):
@@ -185,20 +186,22 @@ def test_parseval_untapered_without_overlap(log2_length, nseg, tail, seed,
     assert spec.df == 1.0 / (length * 0.5)
     segment_variance = np.mean([np.var(x[i * length:(i + 1) * length])
                                 for i in range(nseg)])
-    assert total_variance(spec) == pytest.approx(segment_variance, rel=1e-12)
+    assert spectral_moment(spec, 0) == pytest.approx(segment_variance,
+                                                     rel=1e-12)
 
 
 class TestMomentsAndPower:
     def test_total_variance_flat(self):
-        assert total_variance(flat_unit_spectrum()) == pytest.approx(0.1)
+        assert spectral_moment(flat_unit_spectrum(), 0) == pytest.approx(0.1)
 
     def test_total_variance_single_bin(self):
         spec = VarianceDensitySpectrum(f=[0.1], S=[2.0], df=0.05)
-        assert total_variance(spec) == pytest.approx(0.1)
+        assert spectral_moment(spec, 0) == pytest.approx(0.1)
 
     def test_moment_zero_equals_variance(self):
+        # m0, the total variance, is the rectangle-rule integral of S
         spec = flat_unit_spectrum()
-        assert spectral_moment(spec, 0) == pytest.approx(total_variance(spec))
+        assert spectral_moment(spec, 0) == np.sum(spec.S) * spec.df
 
     def test_moment_minus_one_flat(self):
         # analytic integral of 1/f over [0.1, 0.2] is ln 2
@@ -411,7 +414,7 @@ class TestSynthesizeRecord:
         hits = 0
         for seed in range(5):
             rec = synthesize_record(target, 2 ** 17 * 0.5, 0.5, seed=seed)
-            if abs(rec.variance() - 0.1) / 0.1 < 0.03:
+            if abs(np.var(rec.samples) - 0.1) / 0.1 < 0.03:
                 hits += 1
         assert hits >= 4
 
