@@ -298,8 +298,16 @@ def _commit(stage, cfg):
         raise
     shutil.rmtree(tmp)
     for note in notes:
-        print(f"{stage}: {note}", file=sys.stderr)
+        _say(stage, note)
     return code
+
+
+def _say(stage, message):
+    """Print `<stage>: <message>` to stderr as one line: each
+    data_io._CONTROL character of the message, which may hold a path, is
+    written as its escape, as data_io._fields writes a name."""
+    text = data_io._CONTROL.sub(lambda m: repr(m[0])[1:-1], str(message))
+    print(f"{stage}: {text}", file=sys.stderr)
 
 
 def main(argv=None):
@@ -307,7 +315,7 @@ def main(argv=None):
     try:
         return _commit(args.command, resolve_config(args))
     except (WavePowerError, OSError, MemoryError) as exc:
-        print(f"{args.command}: {exc}", file=sys.stderr)
+        _say(args.command, exc)
         return 2
 
 

@@ -11,10 +11,14 @@ write_table; write_sea_states checks its series first.
 
 Per-point data (sea states, elevation records) may also be an .npy file
 of the array; the stages hand it on that way, so no float goes through
-text between them.
+text between them. write_table writes the header np.save writes, built
+once per dtype and row count, then the array's bytes; the reader takes
+a file that starts with those same bytes as it is, and any other .npy
+through np.load.
 """
 
 import csv
+import functools
 import io
 import math
 import os
@@ -264,23 +268,33 @@ def _fields(dtype):
         + " " + dtype.fields[n][0].str for n in dtype.names)
 
 
+@functools.lru_cache(maxsize=64)
+def _npy_header(dtype, rows):
+    """The format 1.0 header np.save writes for a 1-D array of `rows` rows
+    of `dtype`, as bytes; None for a dtype with object fields, which
+    np.save pickles, or whose header format 1.0 cannot hold."""
+    if dtype.hasobject:
+        return None
+    header = io.BytesIO()
+    try:
+        np.lib.format.write_array_header_1_0(header, {
+            "descr": np.lib.format.dtype_to_descr(dtype),
+            "fortran_order": False, "shape": (rows,)})
+    except ValueError:
+        return None
+    return header.getvalue()
+
+
 def _saved_array(raw, dtype):
     """The array in `raw`, the bytes of an .npy file, if its header is byte
     for byte the one np.save writes for a 1-D array of `dtype` with as
-    many rows as follow it; else None. Bytes short of one more row are
-    left out, as np.load leaves them."""
-    # format version 1.0, and no object fields: np.frombuffer cannot make them
-    if raw[6:8] != b"\x01\x00" or dtype.hasobject:
-        return None
+    many rows as follow it (see _npy_header); else None. Bytes short of
+    one more row are left out, as np.load leaves them."""
     start = 10 + int.from_bytes(raw[8:10], "little")
     n = (len(raw) - start) // dtype.itemsize
-    if n < 0:
-        return None
-    header = io.BytesIO()
-    np.lib.format.write_array_header_1_0(header, {
-        "descr": np.lib.format.dtype_to_descr(dtype),
-        "fortran_order": False, "shape": (n,)})
-    if raw[:start] != header.getvalue():
+    header = _npy_header(dtype, n) if n >= 0 else None
+    # the header holds its own length, so matching it matches `start`
+    if header is None or not raw.startswith(header):
         return None
     return np.frombuffer(raw, dtype=dtype, count=n, offset=start)
 
@@ -397,10 +411,17 @@ def write_table(table, path):
     """A structured array as .npy if the path ends so, else as CSV: its
     field names, then text as is, integers in decimal, floats with repr
     and datetimes as YYYY-MM-DDTHH:MM:SSZ; only fields needing quotes get
-    them."""
+    them. An .npy holds the bytes np.save writes: a 1-D array's header
+    comes from _npy_header."""
     if _is_npy(path):
+        header = _npy_header(table.dtype, table.size) if table.ndim == 1 \
+            else None
         with open(path, "wb") as fh:
-            np.save(fh, table, allow_pickle=False)
+            if header is None:
+                np.save(fh, table, allow_pickle=False)
+            else:
+                fh.write(header)
+                table.tofile(fh)
         return
     columns = []
     for name in table.dtype.names:

@@ -164,6 +164,13 @@ def parametric_power(Hs, Te, env=None):
     return out if out.ndim else float(out)
 
 
+def _split(count):
+    """(coarse, fine): a power of two `fine` near sqrt(count), and the
+    fewest `coarse` with coarse * fine >= count."""
+    fine = 1 << (count.bit_length() // 2)
+    return -(-count // fine), fine
+
+
 def synthesize_record(target, duration, dt, seed):
     """Random-phase realization of a target spectrum.
 
@@ -172,9 +179,19 @@ def synthesize_record(target, duration, dt, seed):
     deterministic for a fixed seed. The time axis is cut into blocks of
     SYNTHESIS_BLOCK samples starting at t0, and each harmonic is written
     Re(a_i*exp(i*(w_i*t0 + phi_i)) * exp(i*w_i*tau)) for tau within the
-    block, so the record is the real part of one complex (blocks x bins) @
-    (bins x block) product. It differs from summing the cosines bin by
-    bin only by the rounding of the phase arguments, at most
+    block, so the record is the real part of one (blocks x bins) @
+    (bins x block) product, formed as one real product of the tables'
+    interleaved real and imaginary parts. Each table is the outer product
+    of a coarse and a fine table of exponentials, of block starts
+    (F*u + v) * (SYNTHESIS_BLOCK*dt) and of offsets (F'*q + r) * dt, F
+    and F' powers of two near the square roots of the counts (see
+    _split), so about 2*sqrt(N) exponentials per bin stand for N.
+
+    Each time in the tables is the float k*dt of a sample, so an entry's
+    phase w_i*t + phi_i is rounded in parts whose errors add up to no
+    more than those of the direct sum; the exponentials and the products
+    add a few eps*a_i, within the 2pi*eps*a_i the bound allows each bin.
+    So the record differs from summing the cosines bin by bin by at most
     3 * eps * (w_max * t_end + 2pi) * sum(a_i); the last bits depend on
     the BLAS numpy uses.
     """
@@ -198,9 +215,22 @@ def synthesize_record(target, duration, dt, seed):
     phases = rng.uniform(0.0, 2.0 * np.pi, size=target.f.size)
     keep = amps > 0
     omega = 2.0 * np.pi * target.f[keep]
-    t0 = np.arange(-(-n // SYNTHESIS_BLOCK)) * (SYNTHESIS_BLOCK * dt)
-    tau = np.arange(SYNTHESIS_BLOCK) * dt
-    left = amps[keep] * np.exp(1j * (np.outer(t0, omega) + phases[keep]))
-    right = np.exp(1j * np.outer(omega, tau))
-    xi = (left @ right).real.ravel()[:n]
+    blocks = -(-n // SYNTHESIS_BLOCK)
+    # block starts (nv*u + v) * step, offsets (nr*q + r) * dt
+    (nu, nv), (nq, nr) = _split(blocks), _split(SYNTHESIS_BLOCK)
+    step = SYNTHESIS_BLOCK * dt
+    # one exponential call for the four tables; the offsets are negated,
+    # as exp(-i*w*tau) holds (Re, -Im) of exp(i*w*tau) side by side
+    times = np.concatenate([np.arange(nu) * (nv * step),
+                            np.arange(nv) * step,
+                            np.arange(nq) * (-nr * dt), np.arange(nr) * -dt])
+    args = times[:, None] * omega
+    args[nu:nu + nv] += phases[keep]
+    starts, fine_starts, offsets, fine_offsets = np.split(
+        np.exp(1j * args), np.cumsum([nu, nv, nq]))
+    left = (starts[:, None] * (amps[keep] * fine_starts)).reshape(
+        nu * nv, omega.size)[:blocks]
+    right = (offsets[:, None] * fine_offsets).reshape(nq * nr, omega.size)
+    # sum over bins of Re(left) * cos(w*tau) - Im(left) * sin(w*tau)
+    xi = (left.view(float) @ right.view(float).T).ravel()[:n]
     return ElevationRecord(dt=dt, samples=xi)

@@ -1635,6 +1635,17 @@ def test_each_stage_process_loads_only_its_modules(tmp_path):
         assert ma == bare, key
 
 
+def assert_processes_write_the_tree(tmp_path, stderr, argv):
+    """The five stages as processes into tmp_path/b, with `argv`, exit 0,
+    print `stderr` and write the tree of in-process calls in tmp_path/a."""
+    runs = [run_process([stage, "--out", "b"] + argv, tmp_path)
+            for stage in STAGES]
+    assert [run[:2] for run in runs] == [(0, "")] * len(STAGES)
+    assert "".join(run[2] for run in runs) == stderr
+    assert len(tree_bytes(tmp_path / "b")) > 100
+    assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+
+
 class TestProcessEntry:
     def test_stages_write_the_tree_of_in_process_calls(self, tmp_path,
                                                        capsys):
@@ -1648,12 +1659,40 @@ class TestProcessEntry:
         assert (gc.isenabled(), gc.get_threshold()) == gc_state
         stderr = capsys.readouterr().err
         assert stderr.startswith("rank: raw norm mixes units")
-        runs = [run_process([stage, "--out", "b"] + SMALL_RUN, tmp_path)
-                for stage in STAGES]
-        assert [run[:2] for run in runs] == [(0, "")] * len(STAGES)
-        assert "".join(run[2] for run in runs) == stderr
-        assert len(tree_bytes(tmp_path / "b")) > 100
-        assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+        assert_processes_write_the_tree(tmp_path, stderr, SMALL_RUN)
+
+    def test_elevation_stages_write_the_tree_of_in_process_calls(
+            self, tmp_path, capsys):
+        # the records come from a BLAS product in each process
+        argv = SMALL_RUN + ["--kind", "elevation", "--duration", "256"]
+        for stage in STAGES:
+            assert main([stage, "--out", str(tmp_path / "a")] + argv) == 0
+        assert (tmp_path / "a" / "elevation" / "K1.npy").exists()
+        assert_processes_write_the_tree(tmp_path, capsys.readouterr().err,
+                                        argv)
+
+    def test_line_breaks_in_paths_are_escaped(self, tmp_path):
+        # a path may hold any character but NUL; each message is one line
+        out, config = "o\nx", tmp_path / "c\nj"
+        assert run_process(["optimize", "--out", out], tmp_path) == (
+            2, "", "optimize: o\\nx/features.csv missing; run the "
+            "`analyze` stage first\n")
+        assert not (tmp_path / out).exists()
+        config.write_text('{"rho": 1025, "rho": 1000}')
+        (tmp_path / out).mkdir()
+        (tmp_path / out / "kept").write_text("as it was")
+        assert run_process(["synth", "--out", out, "--config", config.name],
+                           tmp_path) == (
+            2, "", "synth: c\\nj: repeated keys rho\n")
+        assert tree_bytes(tmp_path / out) == {"kept": b"as it was"}
+        argv = ["--out", out, "--points", "K4,Z1"] + SMALL_RUN
+        assert run_process(["synth"] + argv, tmp_path)[0] == 0
+        os.remove(tmp_path / out / "sea_states" / "Z1.npy")
+        rc, stdout, stderr = run_process(["analyze"] + argv, tmp_path)
+        assert (rc, stdout) == (1, "")
+        assert stderr.startswith("analyze: point Z1 failed: no input data "
+                                 "for point Z1 (looked for o\\nx/")
+        assert stderr.count("\n") == 1
 
     def test_failed_point_exits_1(self, tmp_path):
         argv = ["--out", "o", "--points", "K4,Z1"] + SMALL_RUN

@@ -750,6 +750,54 @@ def test_extra_row_is_ignored_and_missing_row_fails(tmp_path, np_load_calls):
     assert np_load_calls == [2]
 
 
+PER_POINT_DTYPES = [data_io.SEA_STATE_DTYPE, data_io.ELEVATION_DTYPE]
+
+
+def saved(arr):
+    """np.save's bytes of arr."""
+    buf = io.BytesIO()
+    np.save(buf, arr, allow_pickle=False)
+    return buf.getvalue()
+
+
+def random_rows(dtype, rows):
+    """`rows` rows of `dtype` from random bytes, NaN and NaT among them."""
+    return np.frombuffer(np.random.default_rng(rows).bytes(
+        rows * dtype.itemsize), dtype=dtype)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 8760])
+@pytest.mark.parametrize("dtype", PER_POINT_DTYPES)
+def test_write_table_writes_the_bytes_of_np_save(tmp_path, np_load_calls,
+                                                 dtype, rows):
+    arr = random_rows(dtype, rows)
+    data_io.write_table(arr, tmp_path / "P1.npy")
+    assert (tmp_path / "P1.npy").read_bytes() == saved(arr)
+    # ... which the reader takes as they are
+    got = data_io._read_npy(tmp_path / "P1.npy", dtype)
+    assert np_load_calls == [0]
+    assert got.tobytes() == arr.tobytes()
+
+
+@pytest.mark.parametrize("header,refusal", [
+    (version_2, None),
+    (lambda arr: saved(arr.reshape(1, -1)), "expected a 1-D array"),
+    (lambda arr: saved(arr)[:-arr.dtype.itemsize], "unreadable .npy file"),
+], ids=["format 2.0", "2-D array", "one row short"])
+@pytest.mark.parametrize("dtype", PER_POINT_DTYPES)
+def test_any_other_header_takes_the_np_load_path(tmp_path, np_load_calls,
+                                                 dtype, header, refusal):
+    arr = random_rows(dtype, 3)
+    (tmp_path / "P1.npy").write_bytes(header(arr))
+    if refusal is None:
+        got = data_io._read_npy(tmp_path / "P1.npy", dtype)
+        assert got.tobytes() == arr.tobytes()
+    else:
+        with pytest.raises(ParseError, match=f"P1.npy: {refusal}"):
+            data_io._read_npy(tmp_path / "P1.npy", dtype)
+    assert np_load_calls == [1]
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.integers(0, 40),
        dtype=st.sampled_from([data_io.SEA_STATE_DTYPE,
