@@ -3,8 +3,8 @@
 Each site is a (mean height, mean period, depth) row; sites are ranked
 by Euclidean distance to the reference (optionally after min-max
 scaling, since raw units let depth dominate) with Pearson correlation
-as the first tie-breaker. Both scores take every row at once, by the
-steps numpy's per-row forms take, so with their bits.
+as the first tie-breaker. Both scores take every row at once and score
+each with numpy's own per-row form, np.linalg.norm or np.corrcoef.
 """
 
 import numpy as np
@@ -18,7 +18,7 @@ NORM_MINMAX = "minmax"
 
 def deviation_norm(vectors, ref, mode=NORM_RAW):
     """Euclidean distance of each (H, T, d) row of the (n, 3) `vectors` to
-    the (3,) `ref`, as np.linalg.norm takes it: sqrt(dot(x, x)). In minmax
+    the (3,) `ref`, np.linalg.norm of their difference. In minmax
     mode each dimension is first mapped affinely to [0, 1] by its min and
     max in `vectors`, the reference by the same map; DomainError, naming
     the dimension, where they are equal."""
@@ -33,30 +33,18 @@ def deviation_norm(vectors, ref, mode=NORM_RAW):
         x, r = (x - lo) / span, (r - lo) / span
     elif mode != NORM_RAW:
         raise DomainError(f"unknown norm mode {mode!r}")
-    diff = x - r
-    # each row's dot with itself, through the dot that np.linalg.norm calls
-    return np.sqrt(np.matmul(diff[:, None, :], diff[:, :, None]))[:, 0, 0]
+    return np.array([np.linalg.norm(row - r) for row in x], dtype=float)
 
 
 def correlation_score(vectors, ref):
     """Pearson correlation of each (H, T, d) row of the (n, 3) `vectors`
-    with the (3,) reference `ref`: np.corrcoef(row, ref)[0, 1], by the
-    steps np.cov and np.corrcoef take. DomainError if a row or the
-    reference is constant."""
+    with the (3,) reference `ref`: np.corrcoef(row, ref)[0, 1].
+    DomainError if a row or the reference is constant."""
     x = np.asarray(vectors, dtype=float)
     r = np.asarray(ref, dtype=float)
     if np.ptp(r) == 0 or (np.ptp(x, axis=1) == 0).any():
         raise DomainError("correlation undefined for a constant vector")
-    # np.cov: each (row, ref) pair centred, times its transpose, over 3 - 1
-    pair = np.stack([x, np.broadcast_to(r, x.shape)], axis=1)
-    pair -= pair.mean(axis=-1, keepdims=True)
-    c = np.matmul(pair, pair.transpose(0, 2, 1))
-    c *= np.true_divide(1, 2)
-    # np.corrcoef: over the standard deviations, rows then columns
-    std = np.sqrt(np.diagonal(c, axis1=1, axis2=2))
-    c /= std[:, :, None]
-    c /= std[:, None, :]
-    return np.clip(c[:, 0, 1], -1, 1)
+    return np.array([np.corrcoef(row, r)[0, 1] for row in x], dtype=float)
 
 
 def rank_points(assessed):

@@ -59,6 +59,12 @@ def build_parser():
         prog="wavepower", allow_abbrev=False,
         formatter_class=argparse.RawDescriptionHelpFormatter,
         description=f"Wave-energy resource assessment\n\nstages:\n{stages}")
+
+    def refuse(message):  # a usage error as one line, not the usage too
+        _say(p.prog, message)
+        sys.exit(2)
+
+    p.error = refuse
     p.add_argument("command", choices=COMMANDS, metavar="stage",
                    help="the stage to run, one of those above")
     p.add_argument("--config", help="JSON config file")
@@ -315,7 +321,8 @@ def main(argv=None):
     try:
         return _commit(args.command, resolve_config(args))
     except (WavePowerError, OSError, MemoryError) as exc:
-        _say(args.command, exc)
+        # a bare MemoryError has no text
+        _say(args.command, str(exc) or type(exc).__name__)
         return 2
 
 

@@ -11,10 +11,9 @@ write_table; write_sea_states checks its series first.
 
 Per-point data (sea states, elevation records) may also be an .npy file
 of the array; the stages hand it on that way, so no float goes through
-text between them. write_table writes the header np.save writes, built
-once per dtype and row count, then the array's bytes; the reader takes
-a file that starts with those same bytes as it is, and any other .npy
-through np.load.
+text between them. write_table writes it with np.save; the reader takes
+a file that starts with the header np.save writes as it is, and any
+other .npy through np.load.
 """
 
 import csv
@@ -27,7 +26,7 @@ import warnings
 
 import numpy as np
 
-from .errors import DataError, ParseError, _positive_finite
+from .errors import DataError, ParseError
 
 # Southern Caspian point catalog: nine port zones, 105 points.
 # Per zone: (zone name, point name prefix, latitudes, longitudes), one
@@ -223,14 +222,8 @@ def _not_after_previous(column):
 
 def _sea_state_checks(series):
     """The row checks of a SEA_STATE_DTYPE array, in the order they run on
-    one row; none for a valid series."""
+    one row."""
     times, hs, te = series["timestamp"], series["hs_m"], series["te_s"]
-    # one pass accepts a valid series; NaT and NaN fail every comparison,
-    # so a series holding one goes on to the checks
-    if (FIRST_TIME <= times[0] and times[-1] <= LAST_TIME
-            and (times[1:] > times[:-1]).all()
-            and _positive_finite(hs, zero_ok=True) and _positive_finite(te)):
-        return []
     return [
         (~((times >= FIRST_TIME) & (times <= LAST_TIME)), _BAD_STAMP),
         (_not_after_previous(times), "non-increasing timestamp {timestamp}"),
@@ -242,15 +235,9 @@ def _sea_state_checks(series):
 
 def _elevation_checks(record):
     """The row checks of an ELEVATION_DTYPE array, in the order they run on
-    one row; none for a valid record."""
-    t, eta = record["time_s"], record["eta_m"]
-    # one pass accepts a valid record; NaN fails every comparison, and
-    # times that increase from a finite first to a finite last are finite
-    if (-math.inf < t[0] and t[-1] < math.inf and (t[1:] > t[:-1]).all()
-            and np.isfinite(eta).all()):
-        return []
-    return _finite(record) + [
-        (_not_after_previous(t), "non-increasing time_s {time_s}")]
+    one row."""
+    return _finite(record) + [(_not_after_previous(record["time_s"]),
+                               "non-increasing time_s {time_s}")]
 
 
 def _is_npy(path):
@@ -271,8 +258,9 @@ def _fields(dtype):
 @functools.lru_cache(maxsize=64)
 def _npy_header(dtype, rows):
     """The format 1.0 header np.save writes for a 1-D array of `rows` rows
-    of `dtype`, as bytes; None for a dtype with object fields, which
-    np.save pickles, or whose header format 1.0 cannot hold."""
+    of `dtype`, as bytes, which _saved_array matches a file against; None
+    for a dtype with object fields, which np.save pickles, or whose
+    header format 1.0 cannot hold."""
     if dtype.hasobject:
         return None
     header = io.BytesIO()
@@ -307,9 +295,15 @@ def _read_npy(path, dtype):
     `dtype` is taken as it is, with no header parsing; any other file
     (another header layout or version, another dtype or shape, extra or
     missing rows) goes through np.load and all of its checks. Either way
-    the array is writable."""
+    the array is writable. A file too large to hold in memory is a
+    DataError."""
     with open(path, "rb") as fh:
-        raw = bytearray(os.fstat(fh.fileno()).st_size)
+        size = os.fstat(fh.fileno()).st_size
+        try:
+            raw = bytearray(size)
+        except MemoryError:
+            raise DataError(f"{path}: {size} bytes, too large to read") \
+                from None
         del raw[fh.readinto(raw):]
         arr = _saved_array(raw, dtype)
         if arr is not None:
@@ -411,17 +405,10 @@ def write_table(table, path):
     """A structured array as .npy if the path ends so, else as CSV: its
     field names, then text as is, integers in decimal, floats with repr
     and datetimes as YYYY-MM-DDTHH:MM:SSZ; only fields needing quotes get
-    them. An .npy holds the bytes np.save writes: a 1-D array's header
-    comes from _npy_header."""
+    them. An .npy is written by np.save."""
     if _is_npy(path):
-        header = _npy_header(table.dtype, table.size) if table.ndim == 1 \
-            else None
         with open(path, "wb") as fh:
-            if header is None:
-                np.save(fh, table, allow_pickle=False)
-            else:
-                fh.write(header)
-                table.tofile(fh)
+            np.save(fh, table, allow_pickle=False)
         return
     columns = []
     for name in table.dtype.names:

@@ -42,8 +42,8 @@ def pearson(x, y):
     return float(np.sum(xc * yc) / np.sqrt(np.sum(xc ** 2) * np.sum(yc ** 2)))
 
 
-# The per-row forms the batched scores replace, kept as their reference:
-# the batched scores must give these bits.
+# numpy's per-row forms, kept as the reference: the whole-array scores
+# must give these bits.
 def norms_by_row(vectors, ref, mode="raw"):
     """np.linalg.norm of each row's difference to ref, in minmax mode after
     scaling each dimension by the rows' own min and max."""

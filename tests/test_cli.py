@@ -900,6 +900,15 @@ def test_malformed_input_fails_closed(case, tmp_path, capsys):
     assert tree(tmp_path) == before
 
 
+def test_error_of_no_text_is_named(tmp_path, capsys, monkeypatch):
+    def exhausted(cfg, into):  # as a failed allocation raises it
+        raise MemoryError
+    monkeypatch.setitem(COMMANDS, "report", exhausted)
+    assert main(["report", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "report: MemoryError\n"
+    assert not (tmp_path / "o").exists()
+
+
 # Values for the settings property below: GOOD ones that let the run go
 # on, ODD ones for a few keys of each example. Every value of a size key
 # (agents, iters, hours, duration, dt, segments) is refused or keeps the
@@ -1019,12 +1028,12 @@ def test_every_setting_fails_closed(drawn):
                 try:
                     code = main([stage, "--out", out] + flags)
                 except SystemExit as exc:
-                    # argparse refuses a flag it cannot convert with its
-                    # usage and one error line
+                    # argparse refuses a flag it cannot convert in one line
                     code = exc.code
                     assert code == 2, (stage, code)
-                    assert err.getvalue().splitlines()[-1].startswith(
-                        "wavepower: error: argument "), err.getvalue()
+                    assert err.getvalue().count("\n") == 1, err.getvalue()
+                    assert err.getvalue().startswith(
+                        "wavepower: argument "), err.getvalue()
                     assert (os.path.exists(out), tree_bytes(out)) == before
                     continue
             lines = err.getvalue().split("\n")[:-1]
@@ -1095,8 +1104,13 @@ POINT_RUNS = {
     "elevation/K1.npy": (["--kind", "elevation", "--duration", "64",
                           "--depth-range", "30,30", "--points", "K1,K2"],
                          "K2"),
+    "sea_states/K2.npy": (["--hours", "24", "--depth-range", "30,30",
+                           "--points", "K1,K2"], "K1"),
 }
-SEA, RECORD = POINT_RUNS
+SEA, RECORD, SECOND_SEA = POINT_RUNS
+# the most a point file may take to read in these tests: a larger one
+# fails to allocate, as a terabyte would, without allocating anything
+MEMORY = 1 << 30
 
 # name -> (file synth wrote under --out, edit of it, text the one error
 # line holds with --out/ left out)
@@ -1147,11 +1161,21 @@ MALFORMED_POINT = {
     "record median step past the largest float, csv": (
         RECORD, lambda p: _as_csv(p, HUGE_MEDIAN),
         "elevation/K1.csv: non-finite median time step inf"),
+    "too large to read": (
+        SECOND_SEA, lambda p: os.truncate(p, 10 ** 12),
+        "sea_states/K2.npy: 1000000000000 bytes, too large to read"),
 }
 
 
+def _bytearray_within_memory(size):
+    if size > MEMORY:
+        raise MemoryError
+    return bytearray(size)
+
+
 @pytest.mark.parametrize("case", list(MALFORMED_POINT))
-def test_malformed_point_file_fails_that_point(case, tmp_path, capsys):
+def test_malformed_point_file_fails_that_point(case, tmp_path, capsys,
+                                               monkeypatch):
     file, edit, text = MALFORMED_POINT[case]
     run, kept = POINT_RUNS[file]
     out = tmp_path / "o"
@@ -1159,6 +1183,8 @@ def test_malformed_point_file_fails_that_point(case, tmp_path, capsys):
     assert main(["synth"] + args) == 0
     edit(out / file)
     capsys.readouterr()
+    monkeypatch.setattr(data_io, "bytearray", _bytearray_within_memory,
+                        raising=False)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         assert main(["analyze"] + args) == 1
@@ -1708,6 +1734,19 @@ class TestProcessEntry:
         assert run_process(["optimize", "--out", "o", "--bounds", "1,2"],
                            tmp_path) == (
             2, "", "optimize: bounds needs 6 comma-separated numbers\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv,line", [
+        (["synth", "--agents", "x"], "argument --agents: invalid int value"),
+        (["synth", "--depth", "3"], "unrecognized arguments: --depth 3"),
+        ([], "the following arguments are required: stage"),
+        (["bogus"], "argument stage: invalid choice: "),
+    ], ids=["bad value", "unknown flag", "no stage", "unknown stage"])
+    def test_usage_error_exits_2_with_one_line(self, tmp_path, argv, line):
+        rc, stdout, stderr = run_process(argv + ["--out", "o"], tmp_path)
+        assert (rc, stdout) == (2, "")
+        assert stderr.startswith(f"wavepower: {line}"), stderr
+        assert stderr.count("\n") == 1, stderr
         assert not (tmp_path / "o").exists()
 
     def test_help_exits_0_on_stdout(self, tmp_path):

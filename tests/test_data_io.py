@@ -549,12 +549,6 @@ class TestElevationIO:
         with pytest.raises(ParseError, match="non-uniform"):
             data_io.load_elevation(path)
 
-    def test_valid_record_gets_no_row_checks(self):
-        # the one-pass accept: a valid record builds no row mask
-        record = data_io._table(data_io.ELEVATION_DTYPE, np.arange(4) * 0.5,
-                                [-1e308, 0.0, 1e308, 5e-324])
-        assert data_io._elevation_checks(record) == []
-
 
 EDGE_FLOATS = [-np.inf, -1e308, -1.0, 0.0, 1.0, 1e308, np.inf, np.nan]
 
@@ -564,7 +558,8 @@ EDGE_FLOATS = [-np.inf, -1e308, -1.0, 0.0, 1.0, 1e308, np.inf, np.nan]
                     elements=st.sampled_from(EDGE_FLOATS)),
        eta=st.lists(st.sampled_from(EDGE_FLOATS), min_size=6, max_size=6))
 def test_elevation_checks_find_the_fault_of_every_row_mask(times, eta):
-    # the one-pass accept passes only records that no row mask flags
+    # a record's first fault is the first of every row mask, in the order
+    # finite time, finite elevation, increasing time
     record = data_io._table(data_io.ELEVATION_DTYPE, times, eta[:times.size])
     every_mask = data_io._finite(record) + [
         (data_io._not_after_previous(times), "non-increasing time_s {time_s}")]
