@@ -39,7 +39,7 @@ DEFAULTS = {
     "start": ("2006-01-01T00:00:00Z", str, "first sea-state timestamp"),
     "hs_base": (0.5, float, "base of the per-point mean Hs schedule, m"),
     "te_base": (4.0, float, "base of the per-point mean Te schedule, s"),
-    "kind": ("sea-states", ("sea-states", "elevation"), "synth data"),
+    "kind": ("sea-states", tuple(data_io.POINT_KINDS), "synth data"),
     "duration": (1024.0, float, "elevation record length, s"),
     "dt": (0.5, float, "elevation sample interval, s"),
     "segments": (8, int, "minimum spectrum segments per record"),
@@ -258,16 +258,23 @@ def cmd_rank(cfg, into):
 
 def cmd_report(cfg, into):
     """emit plot-ready tables"""
-    ranked = _stage_input(cfg, "results.csv", data_io.load_results)
-    data_io.write_report(ranked, join(into, "report"))
+    from . import pipeline
+    tables = pipeline.report_tables(
+        _stage_input(cfg, "results.csv", data_io.load_results))
+    os.makedirs(join(into, "report"))
+    for name, table in tables.items():
+        data_io.write_table(table, join(into, "report", name))
     return 0, []
 
 
+# COMMANDS stays a dict of its own: bench/tracer.py swaps its entries to
+# time each stage, and CI runs the tracer in `bench/run.py --self-test`.
 COMMANDS = {"synth": cmd_synth, "analyze": cmd_analyze,
             "optimize": cmd_optimize, "rank": cmd_rank, "report": cmd_report}
 # stage -> the files it writes under --out beside <stage>_config.json, a
 # per-point file as one pattern per kind
-OUTPUTS = {"synth": ["catalog.csv", "sea_states/*.npy", "elevation/*.npy"],
+OUTPUTS = {"synth": ["catalog.csv"] + [
+               f"{sub}/*.npy" for sub, _, _ in data_io.POINT_KINDS.values()],
            "analyze": ["features.csv"],
            "optimize": ["reference.csv", "convergence.csv", "bounds.csv"],
            "rank": ["results.csv", "zone_shares.csv"],
@@ -309,11 +316,9 @@ def _commit(stage, cfg):
 
 
 def _say(stage, message):
-    """Print `<stage>: <message>` to stderr as one line: each
-    data_io._CONTROL character of the message, which may hold a path, is
-    written as its escape, as data_io._fields writes a name."""
-    text = data_io._CONTROL.sub(lambda m: repr(m[0])[1:-1], str(message))
-    print(f"{stage}: {text}", file=sys.stderr)
+    """Print `<stage>: <message>` to stderr as one line: the message may
+    hold a path, so data_io.escape writes it, as it writes field names."""
+    print(f"{stage}: {data_io.escape(str(message))}", file=sys.stderr)
 
 
 def main(argv=None):

@@ -1,19 +1,16 @@
-"""Site catalog, CSV ingestion and result serialization.
+"""Table formats: the site catalog, and every table to and from files.
 
-Every table is one structured array of its own dtype, and one reader
-and one writer, write_table, take each to and from comma-separated UTF-8
-with a header row by field kind: floats with repr, so write-then-load
-round-trips exactly and identical inputs give byte-identical files. The
-csv module quotes a field holding a comma or a quote. The other writers
-build a table from what they are given (an elevation record, an
-optimizer run, a search box, the report's columns) and hand it to
-write_table; write_sea_states checks its series first.
+Every table is one structured array of its own dtype. One writer,
+write_table, and a reader per table take it to and from UTF-8 CSV with
+a header row by field kind: floats with repr, so write-then-load
+round-trips exactly and identical inputs give byte-identical files; the
+csv module quotes a field holding a comma or a quote. What a table
+holds its callers decide; the other writers only build one from a
+record, optimizer run or search box, and write_sea_states checks first.
 
-Per-point data (sea states, elevation records) may also be an .npy file
-of the array; the stages hand it on that way, so no float goes through
-text between them. write_table writes it with np.save; the reader takes
-a file that starts with the header np.save writes as it is, and any
-other .npy through np.load.
+Per-point data (POINT_KINDS) is handed from stage to stage as the .npy
+np.save writes, so no float goes through text; a reader takes a file
+that starts with that header as it is, any other .npy through np.load.
 """
 
 import csv
@@ -79,8 +76,7 @@ REFERENCE_DTYPE = np.dtype([("h_opt_m", "<f8"), ("t_opt_s", "<f8"),
                             ("d_opt_m", "<f8"), ("best_power_wpm", "<f8")])
 BOUNDS_DTYPE = np.dtype([("dimension", "O"), ("lower", "<f8"),
                          ("upper", "<f8")])
-# the dimensions of a (height, period, depth) vector, as bounds.csv names
-# them
+# the (height, period, depth) dimensions, as bounds.csv names them
 DIMENSION_NAMES = ("H", "T", "d")
 CONVERGENCE_DTYPE = np.dtype([("iteration", "<i8"),
                               ("best_power_wpm", "<f8")])
@@ -92,8 +88,7 @@ ELEVATION_DTYPE = np.dtype([("time_s", "<f8"), ("eta_m", "<f8")])
 FIRST_TIME = np.datetime64("0000-01-01T00:00:00", "s")
 LAST_TIME = np.datetime64("9999-12-31T23:59:59", "s")
 _BAD_STAMP = "bad timestamp {timestamp!r}, expected YYYY-MM-DDTHH:MM:SSZ"
-# largest deviation of an elevation record's time steps from their
-# median, relative to that median
+# largest |step - median step| / median step of an elevation record
 SAMPLING_REL_TOL = 1e-6
 # C0 and C1 control characters, and the line and paragraph separators,
 # on which str.splitlines also breaks; a lone carriage return among them
@@ -146,14 +141,10 @@ def load_catalog(path):
 
 
 def parse_timestamps(stamps):
-    """YYYY-MM-DDTHH:MM:SSZ strings as datetime64[s]; NaT for any string
-    not exactly of that form (a bare date, another precision or zone, a
-    year before 0000 or after 9999).
-
-    The "Z" is stripped before numpy parses, and a value stands only if
-    it formats back to the string without it and lies in [FIRST_TIME,
-    LAST_TIME].
-    """
+    """YYYY-MM-DDTHH:MM:SSZ strings as datetime64[s]; NaT for any string not
+    exactly of that form (a bare date, another precision or zone, a year
+    outside 0000-9999): a value stands only if it formats back to the
+    string without its "Z" and lies in [FIRST_TIME, LAST_TIME]."""
     body = [s[:-1] if s[-1:] == "Z" else "" for s in stamps]
     with warnings.catch_warnings():
         # numpy warns on a zone offset; the round trip rejects it anyway
@@ -244,15 +235,20 @@ def _is_npy(path):
     return os.fspath(path).endswith(".npy")
 
 
+def escape(text):
+    """`text` with each character str.isprintable refuses (line breaks and
+    other controls, format characters such as U+200B, spaces but " ") as
+    its escape in repr, so a message stays one visible line."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
+
+
 def _fields(dtype):
-    """The fields of `dtype` as "name type, ..." for a message. A name can
-    come from a file's header, so each of its characters that is not
-    printable, such as a line break, is written as its escape."""
+    """The fields of `dtype` as "name type, ..." for a message; a name can
+    come from a file's header, so it is escaped (see escape)."""
     if dtype.names is None:
         return dtype.str
-    return ", ".join(
-        "".join(c if c.isprintable() else repr(c)[1:-1] for c in n)
-        + " " + dtype.fields[n][0].str for n in dtype.names)
+    return ", ".join(escape(n) + " " + dtype.fields[n][0].str
+                     for n in dtype.names)
 
 
 @functools.lru_cache(maxsize=64)
@@ -288,15 +284,13 @@ def _saved_array(raw, dtype):
 
 
 def _read_npy(path, dtype):
-    """The 1-D array of exactly `dtype` in an .npy file, else ParseError.
-
-    The file is read once, and the row count follows from its size. A
-    file whose header is the one np.save writes for that many rows of
-    `dtype` is taken as it is, with no header parsing; any other file
-    (another header layout or version, another dtype or shape, extra or
-    missing rows) goes through np.load and all of its checks. Either way
-    the array is writable. A file too large to hold in memory is a
-    DataError."""
+    """The 1-D array of exactly `dtype` in an .npy file, else ParseError;
+    DataError for a file too large to hold in memory. The file is read
+    once, and the row count follows from its size. A file whose header is
+    the one np.save writes for that many rows of `dtype` is taken as it
+    is; any other (another header layout or version, dtype or shape, extra
+    or missing rows) goes through np.load and all of its checks. Either
+    way the array is writable."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         try:
@@ -386,8 +380,7 @@ def _load_columns(path, dtype):
         except (ValueError, OverflowError) as exc:
             raise ParseError(f"{path}: {exc}", line=line) from None
     arr = np.empty(len(rows), dtype=dtype)
-    for i, name in enumerate(dtype.names):
-        column = [v[i] for v in values]
+    for name, column in zip(dtype.names, zip(*values)):
         arr[name] = parse_timestamps(column) if dtype[name].kind == "M" \
             else column
     return arr, rows
@@ -487,22 +480,30 @@ def write_elevation(record, path):
         record.samples), path)
 
 
+# each --kind: its per-point directory, loader and writer, looked up when
+# called, so that a wrapper swapped in for one (bench/tracer.py) runs
+POINT_KINDS = {
+    "sea-states": ("sea_states", lambda path: load_sea_states(path),
+                   lambda data, path: write_sea_states(data, path)),
+    "elevation": ("elevation", lambda path: load_elevation(path),
+                  lambda data, path: write_elevation(data, path))}
+
+
 def write_point(directory, name, data):
     """Write a sea-state series (a SEA_STATE_DTYPE array) or an
-    ElevationRecord as the .npy that load_point reads."""
-    kind, write = (("sea_states", write_sea_states)
-                   if isinstance(data, np.ndarray)
-                   else ("elevation", write_elevation))
-    os.makedirs(os.path.join(directory, kind), exist_ok=True)
-    write(data, os.path.join(directory, kind, f"{name}.npy"))
+    ElevationRecord as <directory>/<its kind's directory>/<name>.npy by
+    its POINT_KINDS writer, for load_point to read."""
+    sub, _, write = POINT_KINDS[
+        "sea-states" if isinstance(data, np.ndarray) else "elevation"]
+    os.makedirs(os.path.join(directory, sub), exist_ok=True)
+    write(data, os.path.join(directory, sub, f"{name}.npy"))
 
 
 def load_point(directory, name, kind="sea-states"):
-    """directory/elevation/<name>.npy or .csv if `kind` is "elevation",
-    else directory/sea_states/<name>.npy or .csv; both suffixes is an
-    error, so a stale CSV cannot stand in for newer data."""
-    sub, load = (("elevation", load_elevation) if kind == "elevation"
-                 else ("sea_states", load_sea_states))
+    """<directory>/<kind's directory>/<name>.npy or .csv by the POINT_KINDS
+    loader of `kind`; both suffixes is an error, so a stale CSV cannot
+    stand in for newer data."""
+    sub, load, _ = POINT_KINDS[kind]
     paths = [os.path.join(directory, sub, f"{name}{ext}")
              for ext in (".npy", ".csv")]
     found = [p for p in paths if os.path.exists(p)]
@@ -587,31 +588,3 @@ def load_results(path):
         ((a["rank"] < 1) | (a["rank"] > a.size) | _repeated(a["rank"]),
          f"rank {{rank}} is not one of 1..{a.size} taken once"),
         (_repeated(a["point"]), "duplicate point {point!r}")])
-
-
-def write_report(results, directory):
-    """The plot-ready tables under `directory`, columns of the results and
-    of their zone shares, and the zone shares themselves; the powers are
-    normalized by the largest. The zone shares are pipeline.zone_totals of
-    the results in rank order, as rank wrote them; it refuses results
-    whose powers do not sum to a positive, finite total before anything
-    is written, so the largest power is positive."""
-    from .pipeline import zone_totals
-    shares = zone_totals(results[np.argsort(results["rank"])])
-    power = results["power_irregular_wpm"]
-    tables = {
-        "power_by_point.csv": results[["point", "zone",
-                                       "power_irregular_wpm"]],
-        "power_by_zone.csv": shares[["zone", "total_power_wpm"]],
-        "norm_by_point.csv": results[["point", "norm"]],
-        "correlation_vs_power.csv": _table(
-            np.dtype([("point", "O"), ("correlation", "<f8"),
-                      ("normalized_power", "<f8")]),
-            results["point"], results["correlation"], power / power.max()),
-        "power_vs_hs_depth.csv": results[["point", "h_bar_m", "depth_m",
-                                          "power_irregular_wpm"]],
-        "zone_shares.csv": shares,
-    }
-    os.makedirs(directory, exist_ok=True)
-    for name, table in tables.items():
-        write_table(table, os.path.join(directory, name))

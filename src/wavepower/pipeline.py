@@ -1,6 +1,6 @@
 """The assessment chain without file I/O: synthetic sea states -> point
 features and powers -> GWO optimum over (H, T, d) -> ranking -> zone
-totals. The CLI stages and the demo call these functions.
+totals -> report tables. The CLI stages and the demo call these.
 
 Each function imports the wavepower modules beyond data_io that it
 runs, so a stage process loads only those of its own stage."""
@@ -192,3 +192,24 @@ def zone_totals(results):
                           f"{grand}")
     return np.array([(z, t, t / grand) for z, t in totals.items()],
                     dtype=data_io.ZONE_SHARE_DTYPE)
+
+
+def report_tables(results):
+    """The report's plot-ready tables, file name -> array: columns of the
+    results, powers also normalized by the largest, and their zone shares,
+    zone_totals of the results in rank order as rank wrote them, which
+    refuses a total that is not positive and finite before any table."""
+    shares = zone_totals(results[np.argsort(results["rank"])])
+    power = results["power_irregular_wpm"]
+    scaled = np.empty(len(results), dtype=[
+        ("point", "O"), ("correlation", "<f8"), ("normalized_power", "<f8")])
+    scaled["point"], scaled["correlation"], scaled["normalized_power"] = (
+        results["point"], results["correlation"], power / power.max())
+    return {"power_by_point.csv": results[["point", "zone",
+                                           "power_irregular_wpm"]],
+            "power_by_zone.csv": shares[["zone", "total_power_wpm"]],
+            "norm_by_point.csv": results[["point", "norm"]],
+            "correlation_vs_power.csv": scaled,
+            "power_vs_hs_depth.csv": results[["point", "h_bar_m", "depth_m",
+                                              "power_irregular_wpm"]],
+            "zone_shares.csv": shares}

@@ -1,3 +1,4 @@
+import math
 import re
 import tempfile
 from datetime import datetime
@@ -42,22 +43,10 @@ def pearson(x, y):
     return float(np.sum(xc * yc) / np.sqrt(np.sum(xc ** 2) * np.sum(yc ** 2)))
 
 
-# numpy's per-row forms, kept as the reference: the whole-array scores
-# must give these bits.
-def norms_by_row(vectors, ref, mode="raw"):
-    """np.linalg.norm of each row's difference to ref, in minmax mode after
-    scaling each dimension by the rows' own min and max."""
-    if mode == "raw":
-        return [float(np.linalg.norm(x - ref)) for x in vectors]
-    lo, hi = vectors.min(axis=0), vectors.max(axis=0)
-    span = hi - lo
-    return [float(np.linalg.norm((x - lo) / span - (ref - lo) / span))
-            for x in vectors]
-
-
-def correlations_by_row(vectors, ref):
-    """np.corrcoef of each row with ref."""
-    return [float(np.corrcoef(x, ref)[0, 1]) for x in vectors]
+def hand_norm(row, ref):
+    # independent oracle for deviation_norm: the root of the squared
+    # differences summed by hand, in Python floats
+    return math.sqrt(sum((x - r) ** 2 for x, r in zip(row, ref)))
 
 
 NON_FINITE = [np.nan, np.inf, -np.inf]
@@ -275,20 +264,31 @@ PAPER_BOX = (st.floats(0.05, 3.0), st.floats(1.0, 20.0),
 WIDE = (st.just(0.0) | st.floats(1e-50, 1e50) | st.floats(-1e50, -1e-50),) * 3
 
 
+# A norm may differ from hand_norm by a few roundings of a three-term
+# sum and a root, relative to it; a correlation from pearson by a few
+# roundings of its centred sums, each at most 1 in magnitude.
+EPS = np.finfo(float).eps
+NORM_REL_TOL, CORRELATION_ABS_TOL = 4 * EPS, 16 * EPS
+
+
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), box=st.sampled_from([PAPER_BOX, WIDE]))
-def test_batched_scores_are_the_per_row_bits(data, box):
-    vectors = np.array(data.draw(st.lists(st.tuples(*box), min_size=2,
-                                          max_size=40)))
-    ref = np.array(data.draw(st.tuples(*box)))
-    assert deviation_norm(vectors, ref).tolist() == norms_by_row(vectors,
-                                                                  ref)
-    if (np.ptp(vectors, axis=0) > 0).all():
+def test_scores_match_hand_sums(data, box):
+    rows = data.draw(st.lists(st.tuples(*box), min_size=2, max_size=40))
+    ref = data.draw(st.tuples(*box))
+    vectors = np.array(rows)
+    assert deviation_norm(vectors, ref).tolist() == pytest.approx(
+        [hand_norm(row, ref) for row in rows], rel=NORM_REL_TOL, abs=0)
+    lo, hi = (list(map(f, zip(*rows))) for f in (min, max))
+    if all(l < h for l, h in zip(lo, hi)):
+        scale = lambda v: [(x - l) / (h - l) for x, l, h in zip(v, lo, hi)]
         assert deviation_norm(vectors, ref, "minmax").tolist() == \
-            norms_by_row(vectors, ref, "minmax")
-    if np.ptp(ref) > 0 and (np.ptp(vectors, axis=1) > 0).all():
-        assert correlation_score(vectors, ref).tolist() == \
-            correlations_by_row(vectors, ref)
+            pytest.approx([hand_norm(scale(row), scale(ref)) for row in rows],
+                          rel=NORM_REL_TOL, abs=0)
+    if len(set(ref)) > 1 and all(len(set(row)) > 1 for row in rows):
+        assert correlation_score(vectors, ref).tolist() == pytest.approx(
+            [pearson(row, ref) for row in rows], rel=0,
+            abs=CORRELATION_ABS_TOL)
 
 
 def site_rows():

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wavepower import data_io, pipeline
+from wavepower import cli, data_io, pipeline
 from wavepower.cli import COMMANDS, OUTPUTS, main
 from wavepower.mechanics import FluidEnvironment, regular_wave_power
 from wavepower.spectral import ElevationRecord
@@ -907,6 +907,23 @@ def test_error_of_no_text_is_named(tmp_path, capsys, monkeypatch):
     assert main(["report", "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err == "report: MemoryError\n"
     assert not (tmp_path / "o").exists()
+
+
+# C0 and C1 controls and the line and paragraph separators, which the
+# catalog refuses in names, then a no-break space and a zero-width space
+UNPRINTABLE = "".join(map(chr, [*range(0x20), *range(0x7F, 0xA0), 0x2028,
+                                0x2029, 0xA0, 0x200B]))
+
+
+def test_messages_and_field_names_escape_alike(capsys):
+    text = f"a {UNPRINTABLE}z"
+    escaped = data_io.escape(text)
+    # each character as repr writes it, a space as it is
+    assert escaped == repr(text)[1:-1] and escaped.isprintable()
+    cli._say("stage", text)
+    assert capsys.readouterr().err == f"stage: {escaped}\n"
+    assert data_io._fields(np.dtype([(text, "<f8")])) == f"{escaped} <f8"
+    assert len(f"stage: {escaped}\n".splitlines()) == 1
 
 
 # Values for the settings property below: GOOD ones that let the run go

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from wavepower import data_io, pipeline
+from wavepower import cli, data_io, pipeline
 from wavepower.assessment import rank_points
 from wavepower.errors import DataError, DomainError, ParseError
 from wavepower.gwo import GwoRun, SearchBounds
@@ -1152,25 +1152,32 @@ def test_report_takes_the_zone_shares_rank_writes(data, powers):
     ranked["zone"], ranked["power_irregular_wpm"] = zones, powers
     ranked["rank"] = np.arange(1, len(powers) + 1)
     order = data.draw(st.permutations(range(len(powers))))
+    tables = pipeline.report_tables(ranked[list(order)])
     with tempfile.TemporaryDirectory() as tmp:
-        rank_wrote = Path(tmp) / "zone_shares.csv"
+        rank_wrote, report_wrote = (Path(tmp) / name
+                                    for name in ("rank.csv", "report.csv"))
         data_io.write_table(pipeline.zone_totals(ranked), rank_wrote)
-        data_io.write_report(ranked[list(order)], Path(tmp) / "report")
-        assert (Path(tmp) / "report" / "zone_shares.csv").read_bytes() == \
-            rank_wrote.read_bytes()
+        data_io.write_table(tables["zone_shares.csv"], report_wrote)
+        assert report_wrote.read_bytes() == rank_wrote.read_bytes()
 
 
 def test_report_of_no_power_is_refused_before_writing(tmp_path):
-    # zone_totals refuses a total of 0, before any power is normalized
+    # zone_totals refuses a total of 0, before any power is normalized and
+    # before the report stage makes its directory
     results = np.zeros(2, dtype=data_io.RESULT_DTYPE)
     results["point"], results["zone"], results["rank"] = ["P1", "P2"], "A", \
         [1, 2]
+    data_io.write_table(results, tmp_path / "results.csv")
+    (tmp_path / "staged").mkdir()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match="^total power must be "
                                               "positive and finite, got 0.0$"):
-            data_io.write_report(results, tmp_path / "report")
-    assert not (tmp_path / "report").exists()
+            pipeline.report_tables(results)
+        with pytest.raises(DomainError, match="^total power must be "
+                                              "positive and finite, got 0.0$"):
+            cli.cmd_report({"out": str(tmp_path)}, str(tmp_path / "staged"))
+    assert not any((tmp_path / "staged").iterdir())
 
 
 def test_stage_tables_load_back_as_written(tmp_path):
