@@ -42,7 +42,9 @@ DEFAULTS = {
     "kind": ("sea-states", tuple(data_io.POINT_KINDS), "synth data"),
     "duration": (1024.0, float, "elevation record length, s"),
     "dt": (0.5, float, "elevation sample interval, s"),
-    "segments": (8, int, "minimum spectrum segments per record"),
+    "segments": (8, int, "least spectrum segments per record; a record of "
+                         "fewer than 16 x segments samples is cut into "
+                         "16-sample segments, so into fewer"),
     "taper": ("raised-cosine", ("none", "raised-cosine"), "segment taper"),
 }
 # least integer values; the floats are physical, so positive and finite
@@ -234,9 +236,8 @@ def cmd_optimize(cfg, into):
         _stage_input(cfg, "features.csv", data_io.load_features))
     run = pipeline.optimize(bounds, _env(cfg), cfg["agents"], cfg["iters"],
                             cfg["seed"])
-    data_io.write_reference(run, join(into, "reference.csv"))
-    data_io.write_convergence(run, join(into, "convergence.csv"))
-    data_io.write_bounds(bounds, join(into, "bounds.csv"))
+    for name, table in pipeline.optimize_tables(run, bounds).items():
+        data_io.write_table(table, join(into, name))
     return 0, []
 
 

@@ -5,8 +5,8 @@ write_table, and a reader per table take it to and from UTF-8 CSV with
 a header row by field kind: floats with repr, so write-then-load
 round-trips exactly and identical inputs give byte-identical files; the
 csv module quotes a field holding a comma or a quote. What a table
-holds its callers decide; the other writers only build one from a
-record, optimizer run or search box, and write_sea_states checks first.
+holds its callers decide; the other two writers only check a series
+(write_sea_states) or lay out a record (write_elevation) first.
 
 Per-point data (POINT_KINDS) is handed from stage to stage as the .npy
 np.save writes, so no float goes through text; a reader takes a file
@@ -552,12 +552,6 @@ def load_features(path):
         (_repeated(a["point"]), "duplicate point {point!r}")])
 
 
-def write_reference(run, path):
-    """reference.csv: the optimizer's best (H, T, d) and its power."""
-    write_table(np.array([(*run.best_position, run.best_value)],
-                         dtype=REFERENCE_DTYPE), path)
-
-
 def load_reference(path):
     """The (H, T, d) of reference.csv's one row, a float array. Its H, T
     and d must be positive, and a second row is refused at its line."""
@@ -566,18 +560,6 @@ def load_reference(path):
         for name in REFERENCE_DTYPE.names[:3]] + [
         (np.arange(a.size) > 0, "more than one reference row")])
     return np.array(table.tolist()[0][:3])
-
-
-def write_bounds(bounds, path):
-    """bounds.csv: the (H, T, d) search box the optimizer ran in."""
-    write_table(_table(BOUNDS_DTYPE, DIMENSION_NAMES, bounds.lower,
-                       bounds.upper), path)
-
-
-def write_convergence(run, path):
-    """convergence.csv: best power after each optimizer iteration."""
-    write_table(_table(CONVERGENCE_DTYPE, np.arange(
-        run.convergence.size), run.convergence), path)
 
 
 def load_results(path):

@@ -150,6 +150,23 @@ def optimize(bounds, env, agents=10, iters=200, seed=0):
         agents=agents, max_iter=iters, seed=seed))
 
 
+def optimize_tables(run, bounds):
+    """optimize's tables, file name -> array: the run's best (H, T, d)
+    and its power, its best power after each iteration, and the search
+    box it ran in."""
+    reference = np.array([(*run.best_position, run.best_value)],
+                         dtype=data_io.REFERENCE_DTYPE)
+    convergence = np.empty(run.convergence.size,
+                           dtype=data_io.CONVERGENCE_DTYPE)
+    convergence["iteration"] = np.arange(run.convergence.size)
+    convergence["best_power_wpm"] = run.convergence
+    box = np.empty(len(data_io.DIMENSION_NAMES), dtype=data_io.BOUNDS_DTYPE)
+    box["dimension"], box["lower"], box["upper"] = (
+        data_io.DIMENSION_NAMES, bounds.lower, bounds.upper)
+    return {"reference.csv": reference, "convergence.csv": convergence,
+            "bounds.csv": box}
+
+
 def assess(features, ref, mode="raw"):
     """Score a features array against `ref`, the (H, T, d) array of the
     optimum, in assessment.NORM_RAW or NORM_MINMAX `mode`: the results

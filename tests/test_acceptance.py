@@ -53,8 +53,11 @@ def test_criterion_1_monochromatic_identity():
     p_reg = regular_wave_power(H=1.0, T=5.0, depth=5000.0, env=ENV)
     elapsed = time.perf_counter() - t0
     rel = abs(p_irr - p_reg) / p_reg
+    # deep water: the closed form rho g^2 H^2 T / (32 pi)
+    deep = ENV.rho * ENV.g ** 2 * 1.0 * 5.0 / (32 * np.pi)
     report(1, rel <= 0.02 and elapsed < 1.0 and
-           abs(p_reg - 4906) / 4906 < 0.01,
+           abs(p_reg - deep) / deep <= 1e-6 and
+           abs(p_reg - 4906) / 4906 < 1e-3,
            f"irregular {p_irr:.1f} vs regular {p_reg:.1f} W/m "
            f"(rel {rel:.2e}), {elapsed:.2f} s")
 
@@ -94,7 +97,7 @@ def test_criterion_3_algebraic_bridge():
         p1 = parametric_power(hs, te, ENV)
         p2 = irregular_wave_power(spec, ENV)
         worst = max(worst, abs(p1 - p2) / p2)
-    report(3, worst <= 1e-10,
+    report(3, worst <= 1e-12,
            f"worst relative gap {worst:.2e} over 100 random spectra")
 
 
@@ -116,7 +119,7 @@ def test_criterion_4_dispersion_grid_and_limits():
         assert ks * ds < 0.05
         k_sh = (2 * np.pi / Ts) / np.sqrt(9.81 * ds)
         shallow_err = max(shallow_err, abs(ks - k_sh) / ks)
-    ok = float(np.max(resid)) <= 1e-10 and deep_err < 0.01 \
+    ok = float(np.max(resid)) <= 1e-10 and deep_err < 1e-3 \
         and shallow_err < 0.01
     report(4, ok,
            f"max residual {float(np.max(resid)):.2e}, deep limit err "
@@ -224,13 +227,15 @@ def test_criterion_8_ranking_coherence():
 
 def test_criterion_9_catalog_fidelity():
     cat = data_io.builtin_catalog()
-    by_name = {name: (lat, lon) for name, lat, lon in
-               cat[["name", "lat_deg", "lon_deg"]].tolist()}
+    by_name = {name: (lat, lon, zone) for name, lat, lon, zone in
+               cat[["name", "lat_deg", "lon_deg", "zone"]].tolist()}
     k4, t1 = by_name["K4"], by_name["T1"]
     zone_sizes = tuple(Counter(cat["zone"].tolist()).values())
-    ok = (len(cat) == 105
+    ok = (len(cat) == 105 and cat.dtype == data_io.CATALOG_DTYPE
+          and cat["index"].tolist() == list(range(1, 106))
           and zone_sizes == (12, 11, 13, 12, 12, 11, 12, 11, 11)
-          and k4 == (37.7, 50.1) and t1 == (37.3, 53.7))
+          and k4 == (37.7, 50.1, "Kiashahr")
+          and t1 == (37.3, 53.7, "Torkaman"))
     report(9, ok, f"105 entries, zone sizes {zone_sizes}, K4={k4}, T1={t1}")
 
 

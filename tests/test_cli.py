@@ -55,15 +55,6 @@ def no_time_axis(monkeypatch):
 
 
 class TestSynth:
-    def test_outputs_and_determinism(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        for out in (a, b):
-            assert main(["synth", "--out", str(out), "--seed", "3",
-                         "--hours", "24", "--depth-range", "30,30",
-                         "--points", "K4,T1"]) == 0
-        for name in ["catalog.csv", "sea_states/K4.npy", "sea_states/T1.npy"]:
-            assert (a / name).read_bytes() == (b / name).read_bytes()
-
     def test_schedule_means_exact(self, tmp_path):
         out = tmp_path / "o"
         assert main(["synth", "--out", str(out), "--seed", "0",
@@ -132,16 +123,6 @@ class TestSynth:
 
 
 class TestAnalyze:
-    def test_features_written(self, tmp_path):
-        out = tmp_path / "o"
-        args = ["--out", str(out), "--seed", "1", "--hours", "48",
-                "--depth-range", "30,30", "--points", "K4,Z1"]
-        assert main(["synth"] + args) == 0
-        assert main(["analyze"] + args) == 0
-        lines = read_lines(out / "features.csv")
-        assert lines[0].startswith("point,zone,h_bar_m")
-        assert len(lines) == 3
-
     def test_missing_point_data_nonzero_exit(self, tmp_path, capsys):
         out = tmp_path / "o"
         args = ["--out", str(out), "--seed", "1", "--hours", "48",
@@ -363,12 +344,6 @@ class TestPipeline:
         by_point = read_lines(out / "report" / "power_by_point.csv")
         assert len(by_point) == 7
 
-    def test_reruns_byte_identical(self, tmp_path):
-        a, b = tmp_path / "a", tmp_path / "b"
-        run_pipeline(a)
-        run_pipeline(b)
-        assert tree_bytes(a) == tree_bytes(b)
-
     def test_elevation_reruns_byte_identical(self, tmp_path):
         # one process, two runs: the synthesis product gives the same bits
         a, b = tmp_path / "a", tmp_path / "b"
@@ -391,21 +366,6 @@ class TestPipeline:
         echo = json.loads((out / "synth_config.json").read_text())
         assert echo["seed"] == 5
         assert echo["hours"] == 24
-
-    def test_unknown_config_key(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"nope": 1}))
-        assert main(["synth", "--config", str(cfg),
-                     "--out", str(tmp_path / "o")]) == 2
-
-    def test_invalid_json_config_names_the_file(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text("{bad")
-        assert main(["synth", "--config", str(cfg),
-                     "--out", str(tmp_path / "o")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"synth: {cfg}: Expecting property name"), err
-        assert err.count("\n") == 1, err
 
     def test_config_with_byte_order_mark(self, tmp_path):
         # a config saved by an editor as "UTF-8 with BOM" loads as without
@@ -462,31 +422,12 @@ class TestPipeline:
         assert main(["synth", "--out", str(tmp_path / "b")] + args) == 0
         assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
 
-    def test_unknown_stage_exits_2(self, tmp_path, capsys):
-        with pytest.raises(SystemExit) as refused:
-            main(["plot", "--out", str(tmp_path / "o")])
-        assert refused.value.code == 2
-        assert "argument stage: invalid choice: 'plot'" in (
-            capsys.readouterr().err)
-        assert not (tmp_path / "o").exists()
-
     def test_minmax_mode(self, tmp_path):
         out = tmp_path / "o"
         run_pipeline(out, extra=["--norm-mode", "minmax"])
         results = read_lines(out / "results.csv")
         norms = [float(r.split(",")[7]) for r in results[1:]]
         assert all(0 <= n <= np.sqrt(3) + 1e-9 for n in norms)
-
-    def test_report_zone_totals_are_the_rank_totals(self, tmp_path):
-        # all 105 points: summing in ranked order disagreed in the last
-        # digits with the rank stage's totals for 4 of the 9 zones
-        out = tmp_path / "o"
-        for cmd in STAGES:
-            assert main([cmd, "--out", str(out), "--seed", "7", "--hours",
-                         "48", "--depth-range", "5,100"]) == 0
-        shares = [",".join(line.split(",")[:2])
-                  for line in read_lines(out / "zone_shares.csv")]
-        assert read_lines(out / "report" / "power_by_zone.csv") == shares
 
     def test_zone_rows_follow_the_ranking(self, tmp_path):
         # the min-max ranking puts both Anzali points first, where the
@@ -872,6 +813,7 @@ MALFORMED = {
 MALFORMED_TEXT = {
     **dict.fromkeys([case for case in MALFORMED if case.startswith("start ")],
                     "synth: start must be like 2006-01-01T00:00:00Z\n"),
+    "invalid JSON config": "/cfg.json: Expecting property name",
     "gravity too large for the dispersion solve to converge":
         " m at g=1e+29 (worst relative residual ",
 }
@@ -1736,16 +1678,8 @@ class TestProcessEntry:
         assert stderr.startswith("analyze: point Z1 failed: no input data "
                                  "for point Z1 (looked for o\\nx/")
         assert stderr.count("\n") == 1
-
-    def test_failed_point_exits_1(self, tmp_path):
-        argv = ["--out", "o", "--points", "K4,Z1"] + SMALL_RUN
-        assert run_process(["synth"] + argv, tmp_path)[0] == 0
-        os.remove(tmp_path / "o" / "sea_states" / "Z1.npy")
-        rc, stdout, stderr = run_process(["analyze"] + argv, tmp_path)
-        assert (rc, stdout) == (1, "")
-        assert stderr.startswith("analyze: point Z1 failed: no input data")
-        assert stderr.count("\n") == 1
-        assert len(read_lines(tmp_path / "o" / "features.csv")) == 2
+        # a failed point exits 1, and the rest are written
+        assert len(read_lines(tmp_path / out / "features.csv")) == 2
 
     def test_refused_input_exits_2_with_one_line(self, tmp_path):
         assert run_process(["optimize", "--out", "o", "--bounds", "1,2"],

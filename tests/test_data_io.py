@@ -2,12 +2,10 @@ import csv
 import io
 import re
 import struct
-from collections import Counter
 import tempfile
 import warnings
 from datetime import datetime, timedelta
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,22 +23,6 @@ from test_assessment import assessed, make_assessment
 
 
 class TestBuiltinCatalog:
-    def test_count_and_zones(self):
-        cat = data_io.builtin_catalog()
-        assert cat.dtype == data_io.CATALOG_DTYPE and len(cat) == 105
-        assert tuple(Counter(cat["zone"].tolist()).values()) == (
-            12, 11, 13, 12, 12, 11, 12, 11, 11)
-        assert cat["index"].tolist() == list(range(1, 106))
-
-    def test_spot_coordinates(self):
-        by_name = {e["name"]: e for e in data_io.builtin_catalog()}
-        k4 = by_name["K4"]
-        assert (k4["lat_deg"], k4["lon_deg"], k4["zone"]) == (
-            37.7, 50.1, "Kiashahr")
-        t1 = by_name["T1"]
-        assert (t1["lat_deg"], t1["lon_deg"], t1["zone"]) == (
-            37.3, 53.7, "Torkaman")
-
     def test_coordinate_window(self):
         cat = data_io.builtin_catalog()
         assert ((36 <= cat["lat_deg"]) & (cat["lat_deg"] <= 39)).all()
@@ -240,17 +222,6 @@ def sea_states(hs, te, times=TWO_HOURS):
 
 
 class TestSeaStateIO:
-    def test_round_trip(self, tmp_path):
-        series = sea_states([0.4, 0.5, 0.6], [3.0, 4.0, 5.0],
-                            data_io.parse_timestamps((
-                                "2006-01-01T00:00:00Z", "2006-01-01T01:00:00Z",
-                                "2006-01-01T02:00:00Z")))
-        path = tmp_path / "P1.csv"
-        data_io.write_sea_states(series, path)
-        loaded = data_io.load_sea_states(path)
-        assert loaded.dtype == data_io.SEA_STATE_DTYPE
-        assert loaded.tolist() == series.tolist()
-
     def test_decreasing_timestamp(self, tmp_path):
         path = tmp_path / "P1.csv"
         path.write_text("timestamp,hs_m,te_s\n"
@@ -523,15 +494,6 @@ class TestTimestamps:
 
 
 class TestElevationIO:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(2)
-        rec = ElevationRecord(dt=0.5, samples=rng.normal(size=64))
-        path = tmp_path / "e.csv"
-        data_io.write_elevation(rec, path)
-        loaded = data_io.load_elevation(path)
-        assert loaded.dt == pytest.approx(0.5, rel=1e-9)
-        assert np.array_equal(loaded.samples, rec.samples)
-
     def test_uniform_dt(self, tmp_path):
         path = tmp_path / "e.csv"
         path.write_text("time_s,eta_m\n0.0,0.1\n0.5,0.2\n1.0,0.3\n")
@@ -671,17 +633,6 @@ def test_edited_header_loads_or_fails_closed(edits):
             pass
 
 
-def three_rows():
-    """np.save's bytes of a 3-row sea-state array, and the array."""
-    arr = np.zeros(3, dtype=data_io.SEA_STATE_DTYPE)
-    arr["timestamp"] = np.datetime64("2006-01-01T00:00:00") + \
-        np.arange(3) * np.timedelta64(1, "h")
-    arr["hs_m"], arr["te_s"] = [0.4, 0.5, 0.6], [3.0, 4.0, 5.0]
-    buf = io.BytesIO()
-    np.save(buf, arr, allow_pickle=False)
-    return buf.getvalue(), arr
-
-
 def padded_to_16(arr):
     """A version 1.0 .npy of arr whose header is padded to 16 bytes, as
     numpy before 1.14 wrote it, not to the 64 of np.save."""
@@ -711,40 +662,6 @@ def np_load_calls(monkeypatch):
     return calls
 
 
-def test_np_save_file_read_without_np_load(tmp_path, np_load_calls):
-    whole, arr = three_rows()
-    (tmp_path / "P1.npy").write_bytes(whole)
-    got = data_io._read_npy(tmp_path / "P1.npy", data_io.SEA_STATE_DTYPE)
-    assert np_load_calls == [0]
-    assert got.tobytes() == arr.tobytes() and got.flags.writeable
-
-
-@pytest.mark.parametrize("layout", [padded_to_16, version_2])
-def test_other_header_layouts_load_through_np_load(tmp_path, np_load_calls,
-                                                   layout):
-    whole, arr = three_rows()
-    raw = layout(arr)
-    assert raw != whole and raw.endswith(arr.tobytes())
-    (tmp_path / "P1.npy").write_bytes(raw)
-    got = data_io._read_npy(tmp_path / "P1.npy", data_io.SEA_STATE_DTYPE)
-    assert np_load_calls == [1]
-    assert got.tobytes() == arr.tobytes() and got.flags.writeable
-    series = data_io.load_sea_states(tmp_path / "P1.npy")
-    assert series.tobytes() == arr.tobytes()
-
-
-def test_extra_row_is_ignored_and_missing_row_fails(tmp_path, np_load_calls):
-    # as np.load reads them: the rows the header names, and no fewer
-    whole, arr = three_rows()
-    (tmp_path / "P1.npy").write_bytes(whole + whole[-24:])
-    got = data_io._read_npy(tmp_path / "P1.npy", data_io.SEA_STATE_DTYPE)
-    assert got.tobytes() == arr.tobytes()
-    (tmp_path / "P1.npy").write_bytes(whole[:-24])
-    with pytest.raises(ParseError, match="P1.npy: unreadable .npy file"):
-        data_io._read_npy(tmp_path / "P1.npy", data_io.SEA_STATE_DTYPE)
-    assert np_load_calls == [2]
-
-
 PER_POINT_DTYPES = [data_io.SEA_STATE_DTYPE, data_io.ELEVATION_DTYPE]
 
 
@@ -771,14 +688,18 @@ def test_write_table_writes_the_bytes_of_np_save(tmp_path, np_load_calls,
     # ... which the reader takes as they are
     got = data_io._read_npy(tmp_path / "P1.npy", dtype)
     assert np_load_calls == [0]
-    assert got.tobytes() == arr.tobytes()
+    assert got.tobytes() == arr.tobytes() and got.flags.writeable
 
 
+# any other file takes np.load's path, and so reads as np.load reads it:
+# the rows the header names, and no fewer
 @pytest.mark.parametrize("header,refusal", [
-    (version_2, None),
+    (version_2, None), (padded_to_16, None),
+    (lambda arr: saved(arr) + arr[-1:].tobytes(), None),
     (lambda arr: saved(arr.reshape(1, -1)), "expected a 1-D array"),
     (lambda arr: saved(arr)[:-arr.dtype.itemsize], "unreadable .npy file"),
-], ids=["format 2.0", "2-D array", "one row short"])
+], ids=["format 2.0", "padded to 16", "one row extra", "2-D array",
+        "one row short"])
 @pytest.mark.parametrize("dtype", PER_POINT_DTYPES)
 def test_any_other_header_takes_the_np_load_path(tmp_path, np_load_calls,
                                                  dtype, header, refusal):
@@ -786,7 +707,7 @@ def test_any_other_header_takes_the_np_load_path(tmp_path, np_load_calls,
     (tmp_path / "P1.npy").write_bytes(header(arr))
     if refusal is None:
         got = data_io._read_npy(tmp_path / "P1.npy", dtype)
-        assert got.tobytes() == arr.tobytes()
+        assert got.tobytes() == arr.tobytes() and got.flags.writeable
     else:
         with pytest.raises(ParseError, match=f"P1.npy: {refusal}"):
             data_io._read_npy(tmp_path / "P1.npy", dtype)
@@ -856,6 +777,7 @@ def test_elevation_csv_and_npy_load_the_same_bits(dt, samples):
     a, b = both_formats(data_io.write_elevation, data_io.load_elevation,
                         ElevationRecord(dt=dt, samples=samples))
     assert same_bits(np.float64(a.dt), np.float64(b.dt))
+    assert a.dt == pytest.approx(dt, rel=1e-9)
     assert same_bits(a.samples, b.samples) and same_bits(a.samples, samples)
 
 
@@ -1001,14 +923,6 @@ class TestResults:
         data_io.write_table(assessed(), path)
         assert path.read_text() == ",".join(data_io.RESULT_DTYPE.names) + "\n"
 
-    def test_byte_stable(self, tmp_path):
-        ranked = assessed(make_assessment("A", 1.0),
-                          make_assessment("B", 2.0))
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        data_io.write_table(ranked, p1)
-        data_io.write_table(ranked, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
 
 # stage table -> (its dtype, its loader)
 STAGE_TABLES = {
@@ -1026,9 +940,9 @@ def write_stage_tables(directory):
         [("A", "Z1", 0.5, 4.0, 30.0, 100.0, 110.0),
          ("B", "Z2", 0.6, 4.5, 40.0, 120.0, 130.0)],
         dtype=data_io.FEATURE_DTYPE), directory / "features.csv")
-    data_io.write_reference(SimpleNamespace(best_position=(0.6, 4.1, 79.0),
-                                            best_value=3000.0),
-                            directory / "reference.csv")
+    data_io.write_table(np.array([(0.6, 4.1, 79.0, 3000.0)],
+                                 dtype=data_io.REFERENCE_DTYPE),
+                        directory / "reference.csv")
     data_io.write_table(rank_points(assessed(
         make_assessment("A", 1.0, zone="Z1"),
         make_assessment("B", 2.0, zone="Z2"))), directory / "results.csv")
@@ -1116,16 +1030,6 @@ def test_byte_order_mark_is_skipped(tmp_path, table):
     assert not path.read_bytes().startswith(b"\xef\xbb\xbf")
     marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
     assert same_fields(load(marked), load(path))
-
-
-def test_zone_totals_past_the_largest_float_are_refused():
-    # each total is finite, but their sum is inf, and so the shares 0
-    results = np.zeros(2, dtype=data_io.RESULT_DTYPE)
-    results["point"], results["zone"] = ["P1", "P2"], ["A", "B"]
-    results["power_irregular_wpm"], results["rank"] = 1e308, [1, 2]
-    with pytest.raises(DomainError, match="total power must be positive "
-                                          "and finite"):
-        pipeline.zone_totals(results)
 
 
 def test_npy_stage_table_row_fault_names_the_row(tmp_path):

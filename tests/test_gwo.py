@@ -76,10 +76,6 @@ class TestTypes:
 
 
 class TestASchedule:
-    def test_endpoints(self):
-        assert a_schedule(0, 200) == 2.0
-        assert a_schedule(200, 200) == 0.0
-
     def test_midpoint(self):
         assert a_schedule(100, 200) == 1.0
 
@@ -141,15 +137,6 @@ class TestGwoMaximize:
         run = gwo_maximize(sphere, self.bounds3,
                            GwoConfig(agents=10, max_iter=200, seed=0))
         assert run.best_value >= -1e-4
-
-    def test_deterministic_run(self):
-        cfg = GwoConfig(agents=8, max_iter=50, seed=123)
-        r1 = gwo_maximize(sphere, self.bounds3, cfg)
-        r2 = gwo_maximize(sphere, self.bounds3, cfg)
-        assert np.array_equal(r1.best_position, r2.best_position)
-        assert r1.best_value == r2.best_value
-        assert np.array_equal(r1.convergence, r2.convergence)
-        assert r1.evaluations == r2.evaluations
 
     def test_convergence_curve_contract(self):
         cfg = GwoConfig(agents=6, max_iter=40, seed=7)

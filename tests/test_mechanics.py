@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -24,27 +24,6 @@ def dispersion_residual(k, period, depth, g=9.81):
 
 
 class TestSolveDispersion:
-    def test_deep_limit(self):
-        # T=10 s in 1000 m of water is effectively deep: k -> omega^2/g
-        k = wavenumber(10.0, 1000.0)
-        k_deep = (2 * np.pi / 10.0) ** 2 / 9.81
-        assert k == pytest.approx(k_deep, rel=1e-3)
-        assert dispersion_residual(k, 10.0, 1000.0) <= 1e-12
-
-    def test_shallow_limit(self):
-        # T=100 s in 1 m: k -> omega/sqrt(g d)
-        k = wavenumber(100.0, 1.0)
-        k_shallow = (2 * np.pi / 100.0) / np.sqrt(9.81 * 1.0)
-        assert k == pytest.approx(k_shallow, rel=0.01)
-        assert k == pytest.approx(0.02006, rel=0.01)
-
-    @pytest.mark.parametrize("period,depth", [
-        (1.0, 0.5), (5.0, 3.0), (8.0, 20.0), (12.0, 500.0), (20.0, 0.7),
-    ])
-    def test_residual_is_defining(self, period, depth):
-        k = wavenumber(period, depth)
-        assert dispersion_residual(k, period, depth) <= 1e-12
-
     def test_group_factor_range(self):
         # n = Cg/C = power_transfer_factor(kd) / (2 tanh(kd)) lies in
         # [0.5, 1]
@@ -66,43 +45,10 @@ class TestSolveDispersion:
             wavenumber(10.0, 50.0, max_iter=1)
         assert exc.value.residual is not None
 
-    def test_vectorized_matches_scalar(self):
-        T = np.array([3.0, 7.0, 15.0])
-        d = np.array([2.0, 40.0, 300.0])
-        ks = wavenumber(T, d)
-        for i in range(3):
-            assert ks[i] == pytest.approx(wavenumber(T[i], d[i]))
-
 
 def same_bits(a, b):
     return np.array_equal(np.asarray(a, dtype=float).view(np.int64),
                           np.asarray(b, dtype=float).view(np.int64))
-
-
-@settings(max_examples=200, deadline=None)
-@given(data=st.data(), n=st.integers(1, 40))
-def test_batch_equals_its_scalar_calls_bit_for_bit(data, n):
-    def column(lo, hi):
-        return data.draw(arrays(float, n, elements=st.floats(lo, hi)))
-
-    T, d, H = column(1.0, 20.0), column(0.01, 5000.0), column(0.0, 1.0)
-    assert same_bits(wavenumber(T, d),
-                     [wavenumber(t, x) for t, x in zip(T, d)])
-    scalar = [regular_wave_power(h, t, x) for h, t, x in zip(H, T, d)]
-    assert same_bits(regular_wave_power(H, T, d), scalar)
-    # the optimizer's layout: rows of an (agents, 3) pack, transposed
-    pack = np.stack([H, T, d], axis=1)
-    assert same_bits(regular_wave_power(*pack.T), scalar)
-
-
-def test_batch_of_random_pairs_equals_scalar_calls():
-    # each element takes the Newton steps it takes alone, however many
-    # its neighbours need
-    rng = np.random.default_rng(0)
-    T = rng.uniform(1.0, 20.0, 5000)
-    d = np.exp(rng.uniform(np.log(0.01), np.log(5000.0), 5000))
-    assert same_bits(wavenumber(T, d),
-                     [wavenumber(t, x) for t, x in zip(T, d)])
 
 
 @settings(max_examples=300, deadline=None)
@@ -123,6 +69,7 @@ def test_dispersion_residual_within_tol(log_kd, log_depth):
 # spare, plus rounding.
 @settings(max_examples=300, deadline=None)
 @given(log_kd=st.floats(-8, -2))
+@example(log_kd=-2.0)
 def test_power_transfer_factor_shallow_limit(log_kd):
     kd = 10.0 ** log_kd
     factor = power_transfer_factor(kd)
@@ -133,6 +80,7 @@ def test_power_transfer_factor_shallow_limit(log_kd):
 
 @settings(max_examples=300, deadline=None)
 @given(kd=st.floats(5, 1e3))
+@example(kd=20.0)
 def test_power_transfer_factor_deep_limit(kd):
     factor = power_transfer_factor(kd)
     n = factor / (2 * np.tanh(kd))
@@ -141,18 +89,8 @@ def test_power_transfer_factor_deep_limit(kd):
 
 
 class TestPowerTransferFactor:
-    def test_deep_plateau(self):
-        assert power_transfer_factor(20.0) == pytest.approx(1.0, abs=1e-6)
-
     def test_intermediate_value(self):
-        # tanh(1.2) * (1 + 2.4/sinh(2.4))
-        expected = np.tanh(1.2) * (1 + 2.4 / np.sinh(2.4))
-        assert power_transfer_factor(1.2) == pytest.approx(expected)
         assert power_transfer_factor(1.2) == pytest.approx(1.1997, abs=1e-4)
-
-    def test_shallow_expansion(self):
-        # small-argument oracle: factor -> 2*kd
-        assert power_transfer_factor(0.01) == pytest.approx(0.02, rel=1e-3)
 
     def test_interior_maximum_via_scan(self):
         kd = np.arange(1e-3, 10.0, 1e-3)
@@ -172,20 +110,10 @@ class TestRegularWavePower:
     def test_zero_height(self):
         assert regular_wave_power(0.0, 5.0, 50.0) == 0.0
 
-    def test_deep_closed_form(self):
-        # rho g^2 H^2 T / (32 pi) with factor ~ 1
-        expected = 1025 * 9.81 ** 2 * 1.0 * 5.0 / (32 * np.pi)
-        assert regular_wave_power(1.0, 5.0, 1000.0) == pytest.approx(
-            expected, rel=1e-6)
-        assert regular_wave_power(1.0, 5.0, 1000.0) == pytest.approx(
-            4906, rel=1e-3)
-
     def test_reference_point(self):
         # kd ~ 18.9 there, so the depth factor is ~1
-        p = regular_wave_power(0.595, 4.102, 79.218)
-        expected = 1025 * 9.81 ** 2 * 0.595 ** 2 * 4.102 / (32 * np.pi)
-        assert p == pytest.approx(expected, rel=1e-3)
-        assert p == pytest.approx(1425, rel=1e-3)
+        assert regular_wave_power(0.595, 4.102, 79.218) == pytest.approx(
+            1425, rel=1e-3)
 
     def test_monotone_in_height(self):
         heights = np.linspace(0.1, 3.0, 20)
@@ -370,8 +298,9 @@ def test_transfer_factor_rejects_non_finite_kd(bad):
 
 
 # Block boundaries: with SOLVE_BLOCK patched to 7, batches of every layout
-# span several blocks, and each element must keep the bits of its own
-# scalar call.
+# span several blocks; with the default they are one block below the
+# retire floor. Either way each element must keep the bits of its own
+# scalar call, whatever Newton steps its neighbours need.
 SMALL_BLOCK = 7
 
 
@@ -384,13 +313,17 @@ def scalar_calls(fn, *args):
 
 @st.composite
 def batch_layouts(draw):
-    """(H, T, d) as 1-D batches below, at and across block edges,
-    (n, 1) x (1, m) broadcasts, transposed views or 0-d arrays."""
-    layout = draw(st.sampled_from(["flat", "outer", "transposed", "scalar"]))
-    n = draw(st.integers(0, 3 * SMALL_BLOCK + 1))
+    """(H, T, d) as 1-D batches of up to 40, below, at and across block
+    edges, (n, 1) x (1, m) broadcasts, transposed views, 0-d arrays or
+    the optimizer's layout, the rows of an (agents, 3) pack transposed;
+    and a SOLVE_BLOCK, SMALL_BLOCK or the default."""
+    layout = draw(st.sampled_from(["flat", "outer", "transposed", "scalar",
+                                   "pack"]))
+    n = draw(st.integers(0, 40 if layout in ("flat", "pack")
+                         else 3 * SMALL_BLOCK + 1))
     m = draw(st.integers(1, 2 * SMALL_BLOCK + 1))
     shape = {"flat": (n,), "outer": (n, 1), "transposed": (m, n),
-             "scalar": ()}[layout]
+             "scalar": (), "pack": (n,)}[layout]
     d_shape = (1, m) if layout == "outer" else shape
 
     def values(lo, hi, shape):
@@ -400,18 +333,21 @@ def batch_layouts(draw):
                values(0.01, 5000.0, d_shape))
     if layout == "transposed":
         H, T, d = H.T, T.T, d.T
-    return H, T, d
+    elif layout == "pack":
+        H, T, d = np.stack([H, T, d], axis=1).T
+    block = draw(st.sampled_from([SMALL_BLOCK, mechanics.SOLVE_BLOCK]))
+    return H, T, d, block
 
 
 @settings(max_examples=200, deadline=None)
 @given(batch=batch_layouts())
 def test_blocks_give_the_bits_of_scalar_calls(batch):
-    H, T, d = batch
+    H, T, d, block = batch
     # the references are one-element calls, which any block size holds
     k_ref = scalar_calls(wavenumber, T, d)
     p_ref = scalar_calls(regular_wave_power, H, T, d)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mechanics, "SOLVE_BLOCK", SMALL_BLOCK)
+        mp.setattr(mechanics, "SOLVE_BLOCK", block)
         k, p = wavenumber(T, d), regular_wave_power(H, T, d)
     assert np.shape(k) == k_ref.shape and same_bits(k, k_ref)
     assert np.shape(p) == p_ref.shape and same_bits(p, p_ref)
@@ -419,24 +355,25 @@ def test_blocks_give_the_bits_of_scalar_calls(batch):
 
 @st.composite
 def retiring_batches(draw):
-    """(H, T, d) of RETIRE_FLOOR to 3 RETIRE_FLOOR elements, 1-D, an
+    """(H, T, d) of RETIRE_FLOOR to 5 RETIRE_FLOOR elements, 1-D, an
     (n, 1) x (1, m) broadcast or a transposed view, and a SOLVE_BLOCK:
     the default, which holds them in one block, or one that cuts them
     into blocks above and below the floor. Depths of 1000 m or more
-    converge on the first check, so with a drawn share of shallow ones
-    (0.01-50 m, several steps) most blocks retire."""
+    mostly converge on the first check, so with a drawn share of
+    shallower ones (log-uniform over 0.01-1000 m, most taking several
+    steps) most blocks retire."""
     layout = draw(st.sampled_from(["flat", "outer", "transposed"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     shallow = draw(st.floats(0.0, 0.5))
     if layout == "flat":
-        shape = d_shape = (draw(st.integers(RETIRE_FLOOR, 3 * RETIRE_FLOOR)),)
+        shape = d_shape = (draw(st.integers(RETIRE_FLOOR, 5 * RETIRE_FLOOR)),)
     else:
         n, m = draw(st.integers(32, 55)), draw(st.integers(32, 55))
         shape = (n, 1) if layout == "outer" else (m, n)
         d_shape = (1, m) if layout == "outer" else shape
     H, T = rng.uniform(0.0, 1.0, shape), rng.uniform(1.0, 20.0, shape)
     d = np.where(rng.random(d_shape) < shallow,
-                 rng.uniform(0.01, 50.0, d_shape),
+                 np.exp(rng.uniform(np.log(0.01), np.log(1000.0), d_shape)),
                  rng.uniform(1000.0, 5000.0, d_shape))
     if layout == "transposed":
         H, T, d = H.T, T.T, d.T

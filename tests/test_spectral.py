@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavepower.errors import DataError, DomainError
-from wavepower.mechanics import regular_wave_power
 from wavepower.spectral import (
     SYNTHESIS_BLOCK,
     ElevationRecord,
@@ -101,26 +100,12 @@ class TestEstimateSpectrum:
         spec = estimate_spectrum(rec, segments=4)
         assert spec.S.size == 32 and np.all(spec.S == 0)
 
-    def test_round_trip_flat_target(self):
-        target = flat_unit_spectrum()
-        rec = synthesize_record(target, duration=2 ** 17 * 0.5, dt=0.5, seed=11)
-        spec = estimate_spectrum(rec)
-        assert spectral_moment(spec, 0) == pytest.approx(0.1, rel=0.03)
-
     def test_too_short(self):
         # every segment holds at least 16 samples
         rec = ElevationRecord(dt=0.5, samples=np.zeros(15))
         with pytest.raises(DataError, match="shorter than one segment of "
                                             "16"):
             estimate_spectrum(rec, segments=1)
-
-    def test_parseval_single_segment_no_taper(self):
-        rng = np.random.default_rng(5)
-        rec = ElevationRecord(dt=0.25, samples=rng.normal(size=1024))
-        spec = estimate_spectrum(rec, segments=1, taper="none")
-        assert spectral_moment(spec, 0) == pytest.approx(np.var(rec.samples),
-                                                         rel=1e-6)
-        assert np.all(spec.S >= 0)
 
     def test_taper_compensation(self):
         rng = np.random.default_rng(6)
@@ -158,24 +143,28 @@ def reference_spectrum(record, L, taper):
 def test_spectrum_bit_identical_to_per_segment_reference(taper):
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        for n in (64, 1000, 4099):
+        for n in (64, 128, 1000, 4099):
             rec = ElevationRecord(dt=0.5, samples=3.0 + rng.normal(size=n))
-            for length in (16, 64, 512):
+            # n // length segments: length is then the largest power of
+            # two that many segments fit in. 1000 segments of 16 do not
+            # fit: the record is cut into 16-sample segments, fewer
+            for length, segments in [(16, n // 16), (64, n // 64),
+                                     (512, n // 512), (16, 1000)]:
                 if length > n:
                     continue
-                # n // length segments: length is then the largest power
-                # of two that many segments fit in
                 f, S, df = reference_spectrum(rec, length, taper)
-                spec = estimate_spectrum(rec, n // length, taper)
+                spec = estimate_spectrum(rec, segments, taper)
                 assert np.array_equal(spec.f, f)
                 assert np.array_equal(spec.S, S)
-                assert spec.df == df
+                assert spec.df == df == 1.0 / (length * 0.5)
 
 
 @settings(max_examples=60, deadline=None)
-@given(log2_length=st.integers(4, 9), nseg=st.integers(1, 8),
+@given(log2_length=st.integers(4, 10), nseg=st.integers(1, 8),
        tail=st.integers(0, 15), seed=st.integers(0, 2 ** 32 - 1),
        loc=st.floats(-1e3, 1e3), scale=st.floats(1e-3, 1e3))
+# one segment of 1024 samples of white noise
+@example(log2_length=10, nseg=1, tail=0, seed=5, loc=0.0, scale=1.0)
 def test_parseval_untapered_without_overlap(log2_length, nseg, tail, seed,
                                             loc, scale):
     length = 2 ** log2_length
@@ -198,11 +187,6 @@ class TestMomentsAndPower:
         spec = VarianceDensitySpectrum(f=[0.1], S=[2.0], df=0.05)
         assert spectral_moment(spec, 0) == pytest.approx(0.1)
 
-    def test_moment_zero_equals_variance(self):
-        # m0, the total variance, is the rectangle-rule integral of S
-        spec = flat_unit_spectrum()
-        assert spectral_moment(spec, 0) == np.sum(spec.S) * spec.df
-
     def test_moment_minus_one_flat(self):
         # analytic integral of 1/f over [0.1, 0.2] is ln 2
         assert spectral_moment(flat_unit_spectrum(), -1) == pytest.approx(
@@ -220,13 +204,6 @@ class TestMomentsAndPower:
     def test_irregular_power_zero(self):
         spec = VarianceDensitySpectrum(f=[0.1, 0.2], S=[0.0, 0.0], df=0.1)
         assert irregular_wave_power(spec) == 0.0
-
-    def test_monochromatic_matches_regular_theory(self):
-        spec = single_bin_spectrum(a=0.5, f=0.2)
-        p_irr = irregular_wave_power(spec)
-        p_reg = regular_wave_power(H=1.0, T=5.0, depth=1000.0)
-        assert p_irr == pytest.approx(p_reg, rel=0.02)
-        assert p_irr == pytest.approx(4906, rel=0.02)
 
 
 class TestSeaStateStats:
@@ -256,8 +233,6 @@ class TestSeaStateStats:
 
 class TestParametricPower:
     def test_closed_form(self):
-        expected = 1025 * 9.81 ** 2 * 1.0 * 5.0 / (64 * np.pi)
-        assert parametric_power(1.0, 5.0) == pytest.approx(expected)
         assert parametric_power(1.0, 5.0) == pytest.approx(2453, rel=1e-3)
 
     def test_zero_height(self):
@@ -274,19 +249,6 @@ class TestParametricPower:
         for te in (bad, batch):
             with pytest.raises(DomainError, match="Te must be positive and"):
                 parametric_power(1.0, te)
-
-    def test_bridge_identity(self):
-        # exact algebraic identity with the spectral path
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            nbins = rng.integers(5, 50)
-            df = rng.uniform(0.001, 0.05)
-            f0 = df * (rng.integers(1, 20) + 0.5)
-            spec = VarianceDensitySpectrum(
-                f=f0 + np.arange(nbins) * df,
-                S=rng.uniform(0, 5, nbins), df=df)
-            assert parametric_power(*sea_state_stats(spec)) == pytest.approx(
-                irregular_wave_power(spec), rel=1e-12)
 
 
 def reference_record(target, duration, dt, seed):
