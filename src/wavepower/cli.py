@@ -175,10 +175,10 @@ def _catalog(cfg, path=None):
     return pipeline.apply_depths(catalog, cfg["depth_range"])
 
 
-def _stage_input(cfg, name, loader):
+def _stage_input(cfg, stage, name, loader):
+    """`loader` of `<out>/<name>`, which the stage named `stage` writes."""
     path = join(cfg["out"], name)
     if not exists(path):
-        stage = next(s for s, names in OUTPUTS.items() if name in names)
         raise ConfigError(f"{path} missing; run the `{stage}` stage first")
     return loader(path)
 
@@ -232,8 +232,8 @@ def cmd_analyze(cfg, into):
 def cmd_optimize(cfg, into):
     """find the power-maximizing (H, T, d) reference"""
     from . import pipeline
-    bounds = cfg["bounds"] or pipeline.derived_bounds(
-        _stage_input(cfg, "features.csv", data_io.load_features))
+    bounds = cfg["bounds"] or pipeline.derived_bounds(_stage_input(
+        cfg, "analyze", "features.csv", data_io.load_features))
     run = pipeline.optimize(bounds, _env(cfg), cfg["agents"], cfg["iters"],
                             cfg["seed"])
     for name, table in pipeline.optimize_tables(run, bounds).items():
@@ -244,8 +244,10 @@ def cmd_optimize(cfg, into):
 def cmd_rank(cfg, into):
     """score and rank points against the reference"""
     from . import pipeline
-    features = _stage_input(cfg, "features.csv", data_io.load_features)
-    ref = _stage_input(cfg, "reference.csv", data_io.load_reference)
+    features = _stage_input(cfg, "analyze", "features.csv",
+                            data_io.load_features)
+    ref = _stage_input(cfg, "optimize", "reference.csv",
+                       data_io.load_reference)
     features = features[pipeline.select_points(features["point"],
                                                cfg["points"])]
     ranked = pipeline.assess(features, ref, cfg["norm_mode"])
@@ -261,7 +263,7 @@ def cmd_report(cfg, into):
     """emit plot-ready tables"""
     from . import pipeline
     tables = pipeline.report_tables(
-        _stage_input(cfg, "results.csv", data_io.load_results))
+        _stage_input(cfg, "rank", "results.csv", data_io.load_results))
     os.makedirs(join(into, "report"))
     for name, table in tables.items():
         data_io.write_table(table, join(into, "report", name))
@@ -272,14 +274,6 @@ def cmd_report(cfg, into):
 # time each stage, and CI runs the tracer in `bench/run.py --self-test`.
 COMMANDS = {"synth": cmd_synth, "analyze": cmd_analyze,
             "optimize": cmd_optimize, "rank": cmd_rank, "report": cmd_report}
-# stage -> the files it writes under --out beside <stage>_config.json, a
-# per-point file as one pattern per kind
-OUTPUTS = {"synth": ["catalog.csv"] + [
-               f"{sub}/*.npy" for sub, _, _ in data_io.POINT_KINDS.values()],
-           "analyze": ["features.csv"],
-           "optimize": ["reference.csv", "convergence.csv", "bounds.csv"],
-           "rank": ["results.csv", "zone_shares.csv"],
-           "report": ["report/*.csv"]}
 
 
 def _commit(stage, cfg):
@@ -288,7 +282,9 @@ def _commit(stage, cfg):
     print the stage's notes. A target that is a directory or lies under a
     file is refused before any parent is made or file moved. On any error
     the staging directory goes, and `<out>` too if this call made it. A set
-    of renames is not atomic: if one fails, those before it stay done."""
+    of renames is not atomic: if one fails, those before it stay done. So
+    the old `<stage>_config.json` is removed before the first rename, and
+    a tree without it may hold that stage's outputs only in part."""
     out, made = cfg["out"], not os.path.lexists(cfg["out"])
     tmp, echo = join(out, f".{stage}.partial"), f"{stage}_config.json"
     try:
@@ -305,6 +301,8 @@ def _commit(stage, cfg):
                                   f"directory, or its parent is a file")
         for parent in {dirname(join(out, name)) for name in names}:
             os.makedirs(parent, exist_ok=True)
+        if os.path.lexists(join(out, echo)):
+            os.remove(join(out, echo))
         for name in names:
             os.replace(join(tmp, name), join(out, name))
     except BaseException:

@@ -1,6 +1,7 @@
 import atexit
 import contextlib
 import csv
+import errno
 import gc
 import io
 import json
@@ -19,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wavepower import cli, data_io, pipeline
-from wavepower.cli import COMMANDS, OUTPUTS, main
+from wavepower.cli import COMMANDS, main
 from wavepower.mechanics import FluidEnvironment, regular_wave_power
 from wavepower.spectral import ElevationRecord
 
@@ -1431,37 +1432,55 @@ COMMIT_ARGS = ["--hours", "3", "--depth-range", "5,100",
 # another seed and rho change what synth, analyze and optimize write, so
 # on a tree of an earlier run a file they leave shows as changed
 RERUN_ARGS = COMMIT_ARGS + ["--seed", "2", "--rho", "1000"]
-# pattern of cli.OUTPUTS -> the paths it stands for with COMMIT_ARGS
-PATTERN_PATHS = {
-    "sea_states/*.npy": [f"sea_states/{p}.npy" for p in ("K1", "K2", "K3")],
-    "elevation/*.npy": [],
-    "report/*.csv": ["report/" + name for name in REPORT_TABLES]}
-# stage -> the paths it writes under --out with COMMIT_ARGS
+COMMIT_POINTS = ["K1", "K2", "K3"]
+# stage, with --kind if not the default -> the paths it writes under --out
+# with COMMIT_ARGS, its echo last
 STAGE_OUTPUTS = {
-    stage: [path for name in names for path in PATTERN_PATHS.get(name, [name])]
-    + [f"{stage}_config.json"] for stage, names in OUTPUTS.items()}
+    "synth": ["catalog.csv"] + [f"sea_states/{p}.npy" for p in COMMIT_POINTS]
+    + ["synth_config.json"],
+    "analyze": ["features.csv", "analyze_config.json"],
+    "optimize": ["reference.csv", "convergence.csv", "bounds.csv",
+                 "optimize_config.json"],
+    "rank": ["results.csv", "zone_shares.csv", "rank_config.json"],
+    "report": ["report/" + name for name in REPORT_TABLES]
+    + ["report_config.json"],
+    "synth --kind elevation": ["catalog.csv"]
+    + [f"elevation/{p}.npy" for p in COMMIT_POINTS] + ["synth_config.json"],
+}
 # (stage, path, what takes the path's place)
-COMMIT_CASES = [(stage, path, "directory") for stage in STAGES
-                for path in STAGE_OUTPUTS[stage]] + [
-    ("synth", "sea_states", "file"), ("report", "report", "file")]
+COMMIT_CASES = [
+    (stage, path, "directory")
+    for stage, paths in STAGE_OUTPUTS.items() for path in paths] + [
+    ("synth", "sea_states", "file"), ("report", "report", "file"),
+    ("synth --kind elevation", "elevation", "file")]
 
 
 @pytest.fixture(scope="module")
 def commit_trees(tmp_path_factory):
-    """(stage -> --out of the stages before it, --out of all five), each
-    run with COMMIT_ARGS; checks that each stage writes STAGE_OUTPUTS."""
+    """(stage -> the --out it starts from, --out of all five stages), each
+    run with COMMIT_ARGS: each of the five starts from the --out of those
+    before it, the elevation synth from an empty one. Checks that each
+    writes its STAGE_OUTPUTS."""
     root = tmp_path_factory.mktemp("commit")
     out, fresh = root / "o", {}
-    for stage in STAGES:
-        fresh[stage] = root / stage
-        out.mkdir(exist_ok=True)
-        shutil.copytree(out, fresh[stage])
-        before = tree_bytes(out)
-        assert main([stage, "--out", str(out)] + COMMIT_ARGS) == 0
-        after = tree_bytes(out)
+    for stage, paths in STAGE_OUTPUTS.items():
+        run = out if stage in STAGES else root / f"run {stage}"
+        run.mkdir(exist_ok=True)
+        fresh[stage] = root / f"before {stage}"
+        shutil.copytree(run, fresh[stage])
+        before = tree_bytes(run)
+        assert main(stage.split() + ["--out", str(run)] + COMMIT_ARGS) == 0
+        after = tree_bytes(run)
         assert {name for name in after if after[name] != before.get(name)} \
-            == {os.path.normpath(name) for name in STAGE_OUTPUTS[stage]}
+            == {os.path.normpath(path) for path in paths}
     return fresh, out
+
+
+def assert_one_line(err, stage):
+    """That `err` is one line of `stage`'s refusal."""
+    assert len(err.splitlines()) == 1 and err.endswith("\n"), err
+    assert err.startswith(f"{stage.split()[0]}: "), err
+    assert "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("start", ["fresh", "earlier"])
@@ -1485,12 +1504,38 @@ def test_blocked_output_leaves_out_as_it_was(commit_trees, tmp_path, capsys,
         blocked.write_text("not a directory\n")
     before, names = tree_bytes(out), tree(out)
     capsys.readouterr()
-    assert main([stage, "--out", str(out)] + RERUN_ARGS) == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.endswith("\n"), err
-    assert err.startswith(f"{stage}: ") and "Traceback" not in err, err
+    assert main(stage.split() + ["--out", str(out)] + RERUN_ARGS) == 2
+    assert_one_line(capsys.readouterr().err, stage)
     assert tree(out) == names
     assert tree_bytes(out) == before
+
+
+@pytest.mark.parametrize("stage, k", [
+    (stage, k) for stage, paths in STAGE_OUTPUTS.items()
+    for k in range(1, len(paths) + 1)])
+def test_failed_rename_leaves_no_echo(commit_trees, tmp_path, capsys,
+                                      monkeypatch, stage, k):
+    # a full disk at the k-th rename over an earlier run with other
+    # settings: renames before it stay done, so the stage's old echo,
+    # which names the earlier settings, must be gone
+    out = tmp_path / "o"
+    shutil.copytree(commit_trees[1], out)
+    replace, calls = os.replace, []
+
+    def fail_kth(src, dst):
+        calls.append(dst)
+        if len(calls) == k:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), dst)
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_kth)
+    capsys.readouterr()
+    assert main(stage.split() + ["--out", str(out)] + RERUN_ARGS) == 2
+    assert len(calls) == k
+    assert_one_line(capsys.readouterr().err, stage)
+    name = stage.split()[0]
+    assert not (out / f"{name}_config.json").exists()
+    assert not (out / f".{name}.partial").exists()
 
 
 def test_leftover_staging_directory_is_cleared(tmp_path):
@@ -1522,19 +1567,19 @@ def test_stage_echo_reruns_it(minmax_run, tmp_path, stage):
     assert tree_bytes(out) == tree_bytes(minmax_run)
 
 
-# (stage, a file of --out it reads, the stage cli.OUTPUTS says writes it,
-# the --out the stage starts from): "earlier" holds every output of a
-# full run but that file; "empty" is an empty directory and "absent" no
-# directory at all, and there the file is the first the stage reads
+# (stage, a file of --out it reads, the stage that writes it, the --out
+# the stage starts from): "earlier" holds every output of a full run but
+# that file; "empty" is an empty directory and "absent" no directory at
+# all, and there the file is the first the stage reads
 STAGE_INPUTS = [
     pytest.param(stage, name, writer, start, id="-".join(
         [stage, name, writer] + [start] * (start != "earlier")))
-    for stage, names in [("optimize", ["features.csv"]),
-                         ("rank", ["features.csv", "reference.csv"]),
-                         ("report", ["results.csv"])]
+    for stage, inputs in [
+        ("optimize", [("features.csv", "analyze")]),
+        ("rank", [("features.csv", "analyze"), ("reference.csv", "optimize")]),
+        ("report", [("results.csv", "rank")])]
     for start in ("earlier", "empty", "absent")
-    for name in (names if start == "earlier" else names[:1])
-    for writer in OUTPUTS if name in OUTPUTS[writer]]
+    for name, writer in (inputs if start == "earlier" else inputs[:1])]
 
 
 @pytest.mark.parametrize("stage, name, writer, start", STAGE_INPUTS)

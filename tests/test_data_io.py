@@ -187,8 +187,7 @@ _CONTROL_CHARS = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
 # in and out of range, and no depth or the repr of any float
 CATALOG_ROWS = st.tuples(
     st.integers(-2 ** 63, 2 ** 63 - 1),
-    st.text(max_size=6).filter(lambda t: t == t.strip()),
-    st.text(max_size=6).filter(lambda t: t == t.strip()),
+    st.text(max_size=6).map(str.strip), st.text(max_size=6).map(str.strip),
     st.floats(-180, 180) | st.floats(), st.floats(-180, 180) | st.floats(),
     st.just("") | (st.floats(0, 1e4) | st.floats()).map(repr))
 
